@@ -210,9 +210,5 @@ def check_psd_membership(a: ConeObject, x: VecQ) -> None:
     qcs_check_psd(as_matrix(a, x))
 
 
-def matrix_to_json(m: np.ndarray) -> list[list[float]]:
-    return [[float(v) for v in row] for row in m]
-
-
 def matrix_from_json(rows: list[list[float]]) -> np.ndarray:
     return np.asarray(rows, dtype=float)

@@ -115,12 +115,20 @@ def _cmd_parse(args) -> int:
     return 0
 
 
+def _trunc_error(command: str, trunc: int) -> int:
+    return _error_report(
+        command, ConelogicError(f"--trunc must be at least 0, got {trunc}")
+    )
+
+
 def _cmd_interpret(args) -> int:
+    if args.trunc < 0:
+        return _trunc_error("interpret", args.trunc)
     try:
         ast = parse_formula(args.formula)
         env = load_env(args.env)
         obj = interpret(ast, env, args.trunc)
-    except ConelogicError as e:
+    except (ConelogicError, OSError, json.JSONDecodeError) as e:
         return _error_report("interpret", e)
     if args.out == "text":
         d = _object_json(obj)
@@ -153,6 +161,8 @@ def _load_vector(path: str, obj: ConeObject):
 
 
 def _cmd_norm(args) -> int:
+    if args.trunc < 0:
+        return _trunc_error("norm", args.trunc)
     try:
         ast = parse_formula(args.object)
         env = load_env(args.env)
@@ -201,6 +211,10 @@ def _cmd_norm(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    if args.trials < 1:
+        return _error_report(
+            "check", ConelogicError(f"--trials must be at least 1, got {args.trials}")
+        )
     names = list(SUITE_NAMES) if args.suite == "all" else [args.suite]
     res = run_suites(names, args.seed, args.trials)
     _emit(

@@ -255,11 +255,6 @@ def check_membership(a: ConeObject, x: VecQ) -> None:
                 )
 
 
-def cone_leq(a: ConeObject, x: VecQ, y: VecQ) -> bool:
-    """Cone order: y - x in the cone."""
-    return in_cone(a, tuple(yy - xx for xx, yy in zip(y, x)))
-
-
 # ---------------------------------------------------------------------------
 # Norms
 

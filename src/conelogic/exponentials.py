@@ -803,19 +803,31 @@ def diag_mult(a: ConeObject, trunc: int = DEFAULT_TRUNC) -> Morphism:
     return mor(src, w, rows)
 
 
+def _label_columns(f: Morphism) -> dict:
+    """Source label -> [(target label, value)] over the nonzero entries."""
+    src, tgt = _coord_labels(f.source), _coord_labels(f.target)
+    cols: dict = {lbl: [] for lbl in src}
+    for i, row in enumerate(f.matrix):
+        for j, x in enumerate(row):
+            if x:
+                cols[src[j]].append((tgt[i], x))
+    return cols
+
+
 def _pair_mor(src: ConeObject, tgt: ConeObject, f: Morphism, g: Morphism) -> Morphism:
-    fs = {l: i for i, l in enumerate(_coord_labels(f.source))}
-    ft = {l: i for i, l in enumerate(_coord_labels(f.target))}
-    gs = {l: i for i, l in enumerate(_coord_labels(g.source))}
-    gt = {l: i for i, l in enumerate(_coord_labels(g.target))}
+    """f (x) g on graded pairs: each source pair (sa, sb) multiplies the
+    nonzeros of f's column sa by those of g's column sb; products landing on
+    a pair outside the truncation are dropped."""
+    fcols, gcols = _label_columns(f), _label_columns(g)
+    tidx = node_index(_shape(tgt).node)
     sp = node_coords(_shape(src).node)
-    tp = node_coords(_shape(tgt).node)
-    rows = [[Q0] * len(sp) for _ in tp]
+    rows = [[Q0] * len(sp) for _ in range(tgt.dim)]
     for j, (sa, sb) in enumerate(sp):
-        for i, (ta, tb) in enumerate(tp):
-            v = f.matrix[ft[ta]][fs[sa]] * g.matrix[gt[tb]][gs[sb]]
-            if v:
-                rows[i][j] = v
+        for ta, x in fcols[sa]:
+            for tb, y in gcols[sb]:
+                i = tidx.get((ta, tb))
+                if i is not None:
+                    rows[i][j] = x * y
     return mor(src, tgt, rows)
 
 

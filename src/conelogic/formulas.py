@@ -12,6 +12,8 @@ Grammar, loosest to tightest binding:
     primary  := '(' formula ')' | '1' | '0' | 'bot' | 'top' | identifier
 
 Atoms are identifiers ([A-Za-z_][A-Za-z0-9_]*); `bot` and `top` are reserved.
+More than MAX_DEPTH operators and parentheses around one token are a ParseError,
+so no input can exhaust the Python stack here or in the readers of the tree.
 normalize_dual pushes every dual to the leaves by the de Morgan pairs
 (tensor/par, with/plus, bang/whynot, the four constants) and unwinds the
 lollipop as first factor tensor dual-of-second; a^^ collapses to a.
@@ -20,6 +22,7 @@ lollipop as first factor tensor dual-of-second; a^^ collapses to a.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .errors import ParseError
 
@@ -40,6 +43,8 @@ KINDS = {
 }
 
 _CONSTANTS = {"1": "one", "0": "zero", "bot": "bot", "top": "top"}
+
+MAX_DEPTH = 64
 
 
 @dataclass(frozen=True)
@@ -127,46 +132,49 @@ class _Parser:
             raise ParseError(f"expected {text!r}, found {t.text or 'end'!r}", t.pos)
         return t
 
-    def formula(self) -> Formula:
-        left = self.level("+")
+    def deeper(self, depth: int, t: _Token) -> int:
+        if depth >= MAX_DEPTH:
+            raise ParseError(f"formula nests deeper than {MAX_DEPTH} operators", t.pos)
+        return depth + 1
+
+    def formula(self, depth: int = 0) -> Formula:
+        left = self.level("+", depth)
         if self.peek().text == "-o":
-            self.take()
-            return Formula("lollipop", (left, self.formula()))
+            depth = self.deeper(depth, self.take())
+            return Formula("lollipop", (left, self.formula(depth)))
         return left
 
     _NEXT = {"+": "&", "&": "|", "|": "*", "*": None}
     _KIND = {"+": "plus", "&": "with", "|": "par", "*": "tensor"}
 
-    def level(self, op: str) -> Formula:
+    def level(self, op: str, depth: int) -> Formula:
         below = self._NEXT[op]
-        sub = self.unary if below is None else lambda: self.level(below)
-        node = sub()
+        sub = self.unary if below is None else partial(self.level, below)
+        node = sub(depth)
         while self.peek().text == op:
-            self.take()
-            node = Formula(self._KIND[op], (node, sub()))
+            depth = self.deeper(depth, self.take())
+            node = Formula(self._KIND[op], (node, sub(depth)))
         return node
 
-    def unary(self) -> Formula:
+    def unary(self, depth: int) -> Formula:
         t = self.peek()
         if t.text == "!":
-            self.take()
-            return Formula("bang", (self.unary(),))
+            return Formula("bang", (self.unary(self.deeper(depth, self.take())),))
         if t.text == "?":
-            self.take()
-            return Formula("whynot", (self.unary(),))
-        return self.postfix()
+            return Formula("whynot", (self.unary(self.deeper(depth, self.take())),))
+        return self.postfix(depth)
 
-    def postfix(self) -> Formula:
-        node = self.primary()
+    def postfix(self, depth: int) -> Formula:
+        node = self.primary(depth)
         while self.peek().text == "^":
-            self.take()
+            depth = self.deeper(depth, self.take())
             node = Formula("dual", (node,))
         return node
 
-    def primary(self) -> Formula:
+    def primary(self, depth: int) -> Formula:
         t = self.take()
         if t.text == "(":
-            inner = self.formula()
+            inner = self.formula(self.deeper(depth, t))
             self.expect(")")
             return inner
         if t.kind == "ident":

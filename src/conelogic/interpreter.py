@@ -81,7 +81,10 @@ def _atom_from_json(name: str, spec) -> ConeObject:
                     f"atom {name!r}: dimension {dim} needs explicit q_gens "
                     f"(exact polar caps at {DD_MAX_DIM})"
                 )
-            return from_p_gens(p, dim, label=name)
+            try:
+                return from_p_gens(p, dim, label=name)
+            except ValueError as e:  # the exact polar rejects the points
+                raise EnvError(f"atom {name!r}: {e}") from e
         if kind == "qcs":
             return replace(qcs_object(spec["n"]), label=name)
     except KeyError as e:

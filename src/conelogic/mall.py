@@ -114,30 +114,14 @@ def identity(a: ConeObject) -> Morphism:
 
 
 def compose(g: Morphism, f: Morphism) -> Morphism:
-    """g after f."""
+    """g after f. The cost is proportional to the nonzero products (see
+    rationals.mat_mul), not to the dense shape."""
     if f.target != g.source:
         raise CompositionError(
             f"cannot compose: {f!r} ends at {f.target.label!r} (dim {f.target.dim}), "
             f"{g!r} starts at {g.source.label!r} (dim {g.source.dim})"
         )
     return Morphism(f.source, g.target, mat_mul(g.matrix, f.matrix))
-
-
-def add_mor(f: Morphism, g: Morphism) -> Morphism:
-    if f.source != g.source or f.target != g.target:
-        raise CompositionError("morphism sum needs equal endpoints")
-    rows = tuple(
-        tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(f.matrix, g.matrix)
-    )
-    return Morphism(f.source, f.target, rows)
-
-
-def scale_mor(c, f: Morphism) -> Morphism:
-    cq = Fraction(c)
-    if cq < 0:
-        raise MembershipError("negative scaling breaks positivity")
-    rows = tuple(tuple(cq * x for x in r) for r in f.matrix)
-    return Morphism(f.source, f.target, rows)
 
 
 def adjoint(f: Morphism) -> Morphism:

@@ -34,11 +34,6 @@ def q(x: Scalar) -> Fraction:
     raise TypeError(f"not an exact rational: {x!r}")
 
 
-def qstr(x: Fraction) -> str:
-    """Canonical string form, 'p' or 'p/q'; inverse of q() on its range."""
-    return str(x)
-
-
 def vec(xs: Iterable[Scalar]) -> VecQ:
     return tuple(q(x) for x in xs)
 
@@ -60,10 +55,6 @@ def unit(n: int, i: int) -> VecQ:
 
 def eye(n: int) -> MatQ:
     return tuple(unit(n, i) for i in range(n))
-
-
-def zero_mat(rows: int, cols: int) -> MatQ:
-    return tuple(zeros(cols) for _ in range(rows))
 
 
 def dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
@@ -92,12 +83,25 @@ def mat_vec(m: MatQ, x: VecQ) -> VecQ:
 
 
 def mat_mul(a: MatQ, b: MatQ) -> MatQ:
-    if a and b and len(a[0]) != len(b):
+    """Exact product a b, dense in and out, formed row by row from the nonzero
+    products a[i][k] * b[k][j] only (Gustavson, ACM TOMS 1978): the cost is
+    proportional to their number, not to rows x inner x columns. An empty b
+    has no column count, so inner dimension 0 gives rows of length 0."""
+    if a and len(a[0]) != len(b):
         from .errors import DimensionError
 
         raise DimensionError(len(a[0]), len(b), "mat_mul")
-    bt = transpose(b)
-    return tuple(tuple(dot(row, col) for col in bt) for row in a)
+    cols = range(len(b[0])) if b else range(0)
+    b_nonzeros = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    out = []
+    for row in a:
+        acc: dict[int, Fraction] = {}
+        for k, x in enumerate(row):
+            if x:
+                for j, y in b_nonzeros[k]:
+                    acc[j] = acc.get(j, Q0) + x * y
+        out.append(tuple(acc.get(j, Q0) for j in cols))
+    return tuple(out)
 
 
 def transpose(m: MatQ) -> MatQ:
@@ -122,26 +126,5 @@ def kron_mat(a: MatQ, b: MatQ) -> MatQ:
     )
 
 
-def concat(a: VecQ, b: VecQ) -> VecQ:
-    return a + b
-
-
-def is_nonneg(a: VecQ) -> bool:
-    return all(x >= 0 for x in a)
-
-
 def is_zero(a: VecQ) -> bool:
     return all(x == 0 for x in a)
-
-
-def leq(a: VecQ, b: VecQ) -> bool:
-    """Coordinatewise order; the cone order on the standard orthant."""
-    return all(x <= y for x, y in zip(a, b))
-
-
-def vec_max(a: VecQ) -> Fraction:
-    return max(a) if a else Q0
-
-
-def as_float(a: VecQ) -> list[float]:
-    return [float(x) for x in a]

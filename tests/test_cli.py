@@ -134,3 +134,83 @@ def test_failing_check_exits_one(capsys, monkeypatch):
     code, out = run(capsys, "check", "--suite", "mall")
     assert code == 1
     assert json.loads(out)["all_passed"] is False
+
+
+def test_interpret_missing_env_file(capsys, tmp_path):
+    code, out = run(
+        capsys,
+        "interpret",
+        "--env", str(tmp_path / "missing.json"),
+        "--formula", "a",
+    )
+    assert code == 2
+    report = json.loads(out)
+    assert report["schema"] == 1
+    assert report["error"]["type"] == "FileNotFoundError"
+
+
+def test_interpret_rejects_a_non_spanning_atom(capsys, tmp_path):
+    # the bad atom is never mentioned by the formula; the env still fails
+    env = tmp_path / "env.json"
+    env.write_text(
+        json.dumps(
+            {
+                "schema": 1,
+                "atoms": {
+                    "a": {"kind": "polyhedral", "p_gens": [["1", "1"]]},
+                    "bad": {"kind": "polyhedral", "p_gens": [["1", "0"]]},
+                },
+            }
+        ),
+        encoding="utf-8",
+    )
+    code, out = run(capsys, "interpret", "--env", str(env), "--formula", "a")
+    assert code == 2
+    report = json.loads(out)
+    assert report["schema"] == 1
+    assert report["error"]["type"] == "EnvError"
+    assert "'bad'" in report["error"]["message"]
+
+
+def test_check_rejects_trials_below_one(capsys):
+    code, out = run(capsys, "check", "--suite", "pcs", "--trials", "-5")
+    assert code == 2
+    report = json.loads(out)
+    assert report["schema"] == 1
+    assert "--trials" in report["error"]["message"]
+    assert "all_passed" not in report
+
+
+def test_interpret_rejects_negative_trunc(capsys):
+    # rejected before interpretation, so polyhedral formulas fail as well
+    for formula in ("!a", "a & b"):
+        code, out = run(
+            capsys,
+            "interpret",
+            "--env", os.path.join(GOLDEN, "env.json"),
+            "--formula", formula,
+            "--trunc", "-1",
+        )
+        assert code == 2
+        assert "--trunc" in json.loads(out)["error"]["message"]
+
+
+def test_norm_rejects_negative_trunc(capsys):
+    code, out = run(
+        capsys,
+        "norm",
+        "--env", os.path.join(GOLDEN, "env.json"),
+        "--object", "?a",
+        "--vector", os.path.join(GOLDEN, "vector.json"),
+        "--trunc", "-1",
+    )
+    assert code == 2
+    assert "--trunc" in json.loads(out)["error"]["message"]
+
+
+def test_parse_rejects_deep_nesting(capsys):
+    code, out = run(capsys, "parse", "--formula", "!" * 3000 + "a")
+    assert code == 2
+    report = json.loads(out)
+    assert report["error"]["type"] == "ParseError"
+    assert "nests deeper" in report["error"]["message"]

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conelogic.backends import bool_obj, cube_pcs, simplex_pcs
-from conelogic.cones import dual_object, one_obj, pairing, norm_primal
+from conelogic.cones import Backend, dual_object, one_obj, pairing, norm_primal
 from conelogic.errors import (
     BallError,
     CapabilityError,
@@ -51,6 +51,7 @@ from conelogic.exponentials import (
     graded_par_obj,
     graded_product_obj,
     graded_relabel,
+    graded_tensor_mor,
     graded_tensor_obj,
     monoid_unit,
     mu,
@@ -308,6 +309,63 @@ def test_monad_associative_on_untruncated_columns():
             for i in range(w.dim):
                 assert left.matrix[i][j] == right.matrix[i][j]
     assert checked >= 40
+
+
+def test_monad_unit_laws_exact_at_dim_3_trunc_3():
+    # a 20 x 1771 x 20 product: affordable because compose skips zeros
+    b = simplex_pcs(3)
+    w = whynot_obj(b, 3)
+    assert compose(mu(b, 3), eta(w, 3)).matrix == identity(w).matrix
+    assert compose(mu(b, 3), whynot_mor(eta(b, 3), 3)).matrix == identity(w).matrix
+
+
+def _pair_mor_by_definition(src, tgt, f, g):
+    # every (target pair, source pair) entry is f's entry times g's entry
+    def index(h):
+        labels = graded_coords(h) if h.backend is Backend.GRADED else range(h.dim)
+        return {l: i for i, l in enumerate(labels)}
+
+    fs, ft, gs, gt = (index(h) for h in (f.source, f.target, g.source, g.target))
+    return tuple(
+        tuple(
+            f.matrix[ft[ta]][fs[sa]] * g.matrix[gt[tb]][gs[sb]]
+            for sa, sb in graded_coords(src)
+        )
+        for ta, tb in graded_coords(tgt)
+    )
+
+
+@pytest.mark.parametrize("dim, n", [(2, 2), (2, 3), (3, 2)])
+def test_graded_pair_maps_match_the_definition(dim, n):
+    b = cube_pcs(dim)
+    w = whynot_obj(b, n)
+    d = diag_mult(b, n)
+    wi, bb = identity(w), bang_mor(identity(b), n)
+    cases = [
+        (graded_par_mor, d, wi),
+        (graded_par_mor, wi, d),
+        (graded_par_mor, eta(b, n), wi),
+        (graded_tensor_mor, bb, bb),
+    ]
+    for lift, f, g in cases:
+        m = lift(f, g, n)
+        assert m.matrix == _pair_mor_by_definition(m.source, m.target, f, g)
+
+
+@pytest.mark.parametrize("base, n", [(cube_pcs(2), 3), (simplex_pcs(3), 3)])
+def test_diag_mult_associative_through_pair_maps(base, n):
+    w = whynot_obj(base, n)
+    d = diag_mult(base, n)
+    wi = identity(w)
+    ww = graded_par_obj(w, w, n)
+    alpha = graded_relabel(
+        graded_par_obj(ww, w, n),
+        graded_par_obj(w, ww, n),
+        lambda t: (t[0][0], (t[0][1], t[1])),
+    )
+    path_a = compose(d, graded_par_mor(d, wi, n))
+    path_b = compose(d, compose(graded_par_mor(wi, d, n), alpha))
+    assert path_a.matrix == path_b.matrix
 
 
 def test_eta_entries_are_the_pairing_weights():

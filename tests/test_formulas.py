@@ -10,6 +10,7 @@ from conelogic.formulas import (
     atom,
     dual_formula,
     format_formula,
+    MAX_DEPTH,
     formula_to_json,
     normalize_dual,
     parse_formula,
@@ -166,3 +167,21 @@ def test_normalize_pushes_duals_to_leaves(f):
     wrapped = Formula("dual", (Formula("dual", (f,)),))
     assert normalize_dual(wrapped) == nf
     assert duals_at_leaves(dual_formula(f))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda k: "!" * k + "a",
+        lambda k: "(" * k + "a" + ")" * k,
+        lambda k: "a" + "^" * k,
+        lambda k: "a" + " * a" * k,
+        lambda k: "a -o " * k + "a",
+    ],
+)
+def test_nesting_depth_limit(build):
+    assert format_formula(parse_formula(build(MAX_DEPTH)))
+    with pytest.raises(ParseError, match="nests deeper"):
+        parse_formula(build(MAX_DEPTH + 1))
+    with pytest.raises(ParseError, match="nests deeper"):
+        parse_formula(build(3000))
