@@ -8,7 +8,7 @@ involved are the full coordinate orthants.
 
 The connective zoo:
 
-    tensor_obj(a, b)     primal generators = reduced Kronecker pairs, dual
+    tensor_obj(a, b)     primal generators = Kronecker pairs, dual
                          side implicit (bilinear-functional LP),
     cotensor_obj(a, b)   the par: dual(tensor(dual a, dual b)), explicit
                          dual generators,
@@ -46,7 +46,7 @@ from .cones import (
     zero_obj,
 )
 from .errors import CapabilityError, CompositionError, DimensionError, MembershipError
-from .polyhedra import reduce_generators
+from .polyhedra import sort_generators
 from .rationals import MatQ, Q0, Q1, VecQ, eye, kron_mat, mat, mat_mul, mat_vec, vec, zeros
 
 
@@ -97,11 +97,12 @@ def check_positive_matrix(m: MatQ, source: ConeObject, target: ConeObject) -> No
 
     For spanning objects the source cone contains every coordinate ray and
     the target cone is inside the orthant, so entrywise nonnegativity is both
-    necessary and sufficient for mapping cone into cone.
+    necessary and sufficient for mapping cone into cone. The entries are
+    Fractions (mor coerces them), so the sign is read off the numerator.
     """
     for r, row in enumerate(m):
         for c, x in enumerate(row):
-            if x < 0:
+            if x.numerator < 0:
                 raise MembershipError(
                     f"matrix entry ({r},{c}) = {x} is negative: image of the "
                     f"coordinate ray {c} leaves the target cone",
@@ -182,14 +183,21 @@ def _require_polyhedral(op: str, *objs: ConeObject) -> None:
 
 def tensor_obj(a: ConeObject, b: ConeObject) -> ConeObject:
     """a (x) b. The dual side stays implicit; the stored descriptor keeps the
-    original factors so structurally equal constructions stay equal."""
+    original factors so structurally equal constructions stay equal.
+
+    Kronecker pairs of canonical lists are canonical, so no LP runs. A point
+    u of a canonical list has a certificate phi >= 0 with <phi, u> >
+    max(0, <phi, g>) for every other g; if phi certifies u and psi certifies
+    v, phi (x) psi certifies u (x) v, as <phi, u'><psi, v'> has nonnegative
+    factors, each at most its value at (u, v) and one strictly below.
+    """
     _require_polyhedral("tensor", a, b)
     pa = a.p_ball_gens if a.p_ball_gens is not None else materialize_p(a).p_ball_gens
     pb = b.p_ball_gens if b.p_ball_gens is not None else materialize_p(b).p_ball_gens
     pairs = [tuple(x * y for x in u for y in v) for u in pa for v in pb]
     return ConeObject(
         dim=a.dim * b.dim,
-        p_ball_gens=reduce_generators(pairs),
+        p_ball_gens=sort_generators(pairs),
         q_ball_gens=None,
         label=f"({a.label} * {b.label})",
         q_implicit=ImplicitTensorBall(a, b),
@@ -219,15 +227,15 @@ def product_obj(a: ConeObject, b: ConeObject) -> ConeObject:
 
     Primal generators are the concatenated generator pairs (the product
     distribution argument makes these enough); dual generators are the
-    embedded generators of either factor.
+    embedded generators of either factor. Both lists are canonical by
+    construction: with certificates as in tensor_obj, (phi, psi) certifies
+    u + v and (phi, 0) certifies f + 0.
     """
     _require_polyhedral("product", a, b)
     if None in (a.p_ball_gens, a.q_ball_gens, b.p_ball_gens, b.q_ball_gens):
         raise CapabilityError("product needs both sides explicit", f"{a.label} & {b.label}")
-    p = reduce_generators(
-        u + v for u in _pad_gens(a) for v in _pad_gens(b)
-    )
-    q = reduce_generators(
+    p = sort_generators(u + v for u in _pad_gens(a) for v in _pad_gens(b))
+    q = sort_generators(
         [f + zeros(b.dim) for f in a.q_ball_gens]
         + [zeros(a.dim) + g for g in b.q_ball_gens]
     )

@@ -15,10 +15,14 @@ cutting with one point-constraint at a time. Rays with t > 0 scale to
 vertices; rays with t = 0 are recession directions, which exist exactly when
 some coordinate is unspanned by S (all points zero there). That case is
 detected up front and reported as a status flag instead of a generator list.
+Every ray carries its set of tight constraints; they decide adjacency and
+which vertices are canonical, so no LP is solved here.
 
-reduce_generators is the canonicalizer used everywhere: it deletes the points
-that the downward convex hull of the remaining ones already covers, then
-sorts. Canonical generator lists are what object equality means.
+A canonical generator list is sorted, zero-free, and has no point under the
+hull of the others and 0; object equality compares these lists. Connective
+lists are canonical by construction and need only sort_generators;
+reduce_generators (one LP per point) handles user input and is the
+independent cross-check of validate_object.
 
 Double description is only run up to ambient dimension 8; beyond that the
 package raises CapabilityError (norm evaluation is designed to never need a
@@ -28,39 +32,30 @@ polar above that size).
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .errors import CapabilityError
+from .errors import CapabilityError, DimensionError
 from .lp import LpStatus, constraint, lp_feasible
-from .rationals import Q0, Q1, VecQ, is_zero, vec
+from .rationals import Q0, VecQ, is_zero, unit, vec
 
 DD_MAX_DIM = 8
 
 
-def reduce_generators(points: Iterable[VecQ]) -> tuple[VecQ, ...]:
-    """Canonical form of a generator set in the orthant.
+def sort_generators(points: Iterable[VecQ]) -> tuple[VecQ, ...]:
+    """Drop zero vectors and exact duplicates, then sort lexicographically."""
+    return tuple(sorted(set(p for p in points if not is_zero(p))))
 
-    Drops zero vectors and exact duplicates, then removes every point that is
-    coordinatewise dominated by a convex combination of the *other* points
-    and 0 (one small feasibility LP per point; simultaneous removal is sound
-    because the extreme points of the downward hull dominate everything
-    else). The survivors are sorted lexicographically.
+
+def reduce_generators(points: Iterable[VecQ]) -> tuple[VecQ, ...]:
+    """Canonical form of an arbitrary generator set in the orthant.
+
+    sort_generators, then removes every point that is coordinatewise
+    dominated by a convex combination of the *other* points and 0 (one small
+    feasibility LP per point; simultaneous removal is sound because the
+    extreme points of the downward hull dominate everything else).
     """
-    pts = sorted(set(p for p in points if not is_zero(p)))
-    if len(pts) <= 1:
-        return tuple(pts)
-    d = len(pts[0])
-    removed: list[VecQ] = []
-    for p in pts:
-        others = [g for g in pts if g != p]
-        k = len(others)
-        cons = []
-        for c in range(d):
-            cons.append(constraint([g[c] for g in others], ">=", p[c]))
-        cons.append(constraint([1] * k, "<=", 1))
-        if lp_feasible(cons, k).status is LpStatus.OPTIMAL:
-            removed.append(p)
-    return tuple(p for p in pts if p not in removed)
+    pts = sort_generators(points)
+    return tuple(p for p in pts if not dominates([g for g in pts if g != p], p))
 
 
 def dominates(points: Sequence[VecQ], x: VecQ) -> bool:
@@ -76,31 +71,28 @@ def dominates(points: Sequence[VecQ], x: VecQ) -> bool:
     return lp_feasible(cons, k).status is LpStatus.OPTIMAL
 
 
-class PolarResult:
+class PolarResult(NamedTuple):
     """Either a vertex list (bounded polar) or the unspanned coordinates."""
 
-    __slots__ = ("vertices", "unbounded_coords")
-
-    def __init__(self, vertices: tuple[VecQ, ...] | None, unbounded_coords: tuple[int, ...]):
-        self.vertices = vertices
-        self.unbounded_coords = unbounded_coords
+    vertices: Optional[tuple[VecQ, ...]]
+    unbounded_coords: tuple[int, ...]
 
     @property
     def bounded(self) -> bool:
         return self.vertices is not None
 
-    def __repr__(self):
-        if self.bounded:
-            return f"PolarResult(vertices={self.vertices!r})"
-        return f"PolarResult(unbounded_coords={self.unbounded_coords!r})"
-
 
 def polar_of_points(points: Iterable[VecQ], dim: int) -> PolarResult:
+    """Canonical vertices of polar(points), or the unspanned coordinates.
+
+    A vertex v is canonical exactly when the supports of the points tight at
+    v (<p, v> = 1) cover every coordinate: otherwise some e >= 0, e != 0 is
+    feasible at v and lifts v above the hull of the other vertices and 0.
+    Double description already carries the tight sets, so no LP runs.
+    """
     pts = [vec(p) for p in points]
     for p in pts:
         if len(p) != dim:
-            from .errors import DimensionError
-
             raise DimensionError(dim, len(p), "polar input point")
         if any(x < 0 for x in p):
             raise ValueError(f"polar input must lie in the orthant, got {p}")
@@ -111,12 +103,16 @@ def polar_of_points(points: Iterable[VecQ], dim: int) -> PolarResult:
             f"double description capped at dimension {DD_MAX_DIM}",
             f"requested dimension {dim}",
         )
-    pts = [p for p in pts if not is_zero(p)]
+    pts = list(dict.fromkeys(p for p in pts if not is_zero(p)))
     unspanned = tuple(c for c in range(dim) if all(p[c] == 0 for p in pts))
     if unspanned:
         return PolarResult(None, unspanned)
-    verts = _dd_vertices(pts, dim)
-    return PolarResult(reduce_generators(verts), ())
+    supports = [frozenset(c for c, x in enumerate(p) if x) for p in pts]
+    verts = []
+    for v, tight in _dd_vertices(pts, dim):
+        if len(frozenset().union(*(supports[i] for i in tight))) == dim:
+            verts.append(v)
+    return PolarResult(sort_generators(verts), ())
 
 
 def polar_vertices(points: Iterable[VecQ], dim: int) -> tuple[VecQ, ...]:
@@ -140,56 +136,58 @@ def _normalize_ray(r: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
     return tuple(x / s for x in r)  # rays here are nonneg and nonzero
 
 
-def _dd_vertices(pts: list[VecQ], dim: int) -> list[VecQ]:
-    """Extreme rays of the homogenized polar cone, dehomogenized at t = 1."""
+def _dd_vertices(pts: list[VecQ], dim: int) -> list[tuple[VecQ, frozenset[int]]]:
+    """Every vertex of polar(pts), with the indices of the points tight at it.
+
+    Extreme rays of the homogenized polar cone, dehomogenized at t = 1.
+    """
     n = dim + 1
     # Each ray carries the set of ids of constraints active at it.
     # Ids 0..dim are the orthant constraints (dim is the t >= 0 row);
     # dim+1+i is the i-th point constraint.
-    rays: list[tuple[tuple[Fraction, ...], frozenset[int]]] = []
-    for k in range(n):
-        e = tuple(Q1 if j == k else Q0 for j in range(n))
-        active = frozenset(j for j in range(n) if j != k)
-        rays.append((e, active))
+    rays = [(unit(n, k), frozenset(range(n)) - {k}) for k in range(n)]
 
     for i, p in enumerate(pts):
         cid = n + i
-        h = tuple(-x for x in p) + (Q1,)  # t - <p, a> >= 0
+        p_nonzeros = [(c, x) for c, x in enumerate(p) if x]
+        # Value of t - <p, a> at each ray, computed once per cut.
+        pos, neg, new_rays = [], [], []
+        for r, z in rays:
+            val = r[-1] - sum(x * r[c] for c, x in p_nonzeros)
+            if val.numerator > 0:
+                pos.append((r, z, val))
+                new_rays.append((r, z))
+            elif val.numerator < 0:
+                neg.append((r, z, val))
+            else:
+                new_rays.append((r, z | {cid}))
 
-        def val(r: tuple[Fraction, ...]) -> Fraction:
-            return sum((a * b for a, b in zip(h, r)), Q0)
-
-        pos = [(r, z) for (r, z) in rays if val(r) > 0]
-        neg = [(r, z) for (r, z) in rays if val(r) < 0]
-        zero = [(r, z | {cid}) for (r, z) in rays if val(r) == 0]
-
-        new_rays = pos + zero
         all_zsets = [z for (_, z) in rays]
-        for rp, zp in pos:
-            vp = val(rp)
-            for rn, zn in neg:
+        for rp, zp, vp in pos:
+            for rn, zn, vn in neg:
                 common = zp & zn
                 # Combinatorial adjacency: the only rays whose active sets
                 # contain the common one are the pair itself. (Active sets
-                # determine extreme rays, so counting is enough.)
+                # determine extreme rays, so counting is enough.) Adjacent
+                # rays of a pointed cone in R^n share at least n - 2 active
+                # constraints (Fukuda & Prodon 1996), a cheap first filter.
+                if len(common) < n - 2:
+                    continue
                 if sum(1 for z in all_zsets if common <= z) != 2:
                     continue
-                vn = val(rn)
                 combo = tuple(vp * b - vn * a for a, b in zip(rp, rn))
                 new_rays.append((_normalize_ray(combo), common | {cid}))
         # Dedupe rays (the adjacency test can produce a ray twice via
         # different pairs when degeneracies align).
         seen: dict[tuple[Fraction, ...], frozenset[int]] = {}
         for r, z in new_rays:
-            if r in seen:
-                seen[r] = seen[r] | z
-            else:
-                seen[r] = z
+            seen[r] = seen.get(r, z) | z
         rays = list(seen.items())
 
-    verts: list[VecQ] = []
-    for r, _ in rays:
+    verts = []
+    for r, z in rays:
         t = r[-1]
         assert t > 0, "recession ray survived the spanning pre-check"
-        verts.append(tuple(x / t for x in r[:-1]))
+        tight = frozenset(j - n for j in z if j >= n)
+        verts.append((tuple(x / t for x in r[:-1]), tight))
     return verts

@@ -35,7 +35,7 @@ def q(x: Scalar) -> Fraction:
 
 
 def vec(xs: Iterable[Scalar]) -> VecQ:
-    return tuple(q(x) for x in xs)
+    return tuple(x if type(x) is Fraction else q(x) for x in xs)
 
 
 def mat(rows: Iterable[Iterable[Scalar]]) -> MatQ:

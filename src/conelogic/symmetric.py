@@ -32,7 +32,7 @@ from functools import lru_cache
 from itertools import combinations_with_replacement, product
 from math import comb, factorial
 
-from .cones import Backend, ConeObject, materialize_p, one_obj
+from .cones import Backend, ConeObject, materialize_p, one_obj, polar_w
 from .errors import CapabilityError, DimensionError, NegativeCoefficientError
 from .mall import Morphism
 from .multisets import (
@@ -45,7 +45,7 @@ from .multisets import (
     multiplicity,
 )
 from .oracle import Bracket, DEFAULT_PARAMS, OracleParams, simplex_polynomial_bounds
-from .polyhedra import DD_MAX_DIM, polar_of_points, reduce_generators
+from .polyhedra import DD_MAX_DIM, reduce_generators
 from .polynomials import Polynomial, poly_product
 from .rationals import MatQ, Q0, Q1, VecQ, vec
 
@@ -189,14 +189,8 @@ def sym_power_obj(a: ConeObject, n: int) -> ConeObject:
     # do not, so the dual side is optional here. Norms of power objects go
     # through old_norm / new_norm_bounds either way.
     q = None
-    if dim <= DD_MAX_DIM:
-        res = polar_of_points(p, dim)
-        if res.bounded:
-            q = res.vertices
-            if weights is not None:
-                q = tuple(
-                    tuple(y[c] / weights[c] for c in range(dim)) for y in q
-                )
+    if dim <= DD_MAX_DIM and all(any(g[c] for g in p) for c in range(dim)):
+        q = polar_w(p, dim, weights)
     return ConeObject(
         dim=dim,
         p_ball_gens=p,

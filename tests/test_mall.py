@@ -7,7 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conelogic.backends import bool_obj, cube_pcs, pcs_object, qcs_object, simplex_pcs
-from conelogic.cones import dual_object, norm_dual, norm_primal, one_obj, zero_obj
+from conelogic import cones, lp
+from conelogic.cones import (
+    dual_object,
+    from_p_gens,
+    norm_dual,
+    norm_primal,
+    one_obj,
+    validate_object,
+    zero_obj,
+)
 from conelogic.errors import CapabilityError, CompositionError, MembershipError
 from conelogic.mall import (
     adjoint,
@@ -37,7 +46,8 @@ from conelogic.mall import (
     unitor_right,
     product_mor,
 )
-from conelogic.rationals import dot, eye, kron_vec, mat_vec, vec
+from conelogic.polyhedra import DD_MAX_DIM, polar_of_points, reduce_generators
+from conelogic.rationals import dot, eye, kron_vec, mat_vec, vec, zeros
 
 F = Fraction
 Bool = bool_obj()
@@ -100,6 +110,17 @@ def test_product_with_zero_is_identity_on_gens():
 def test_morphism_positivity_enforced():
     with pytest.raises(MembershipError):
         mor(Bool, Bool, [[1, -1], [0, 1]])
+
+
+def test_positivity_witness_is_first_negative_entry():
+    # Mixed int, string and Fraction entries; the tiny negative sits behind
+    # a zero and a positive in the second row.
+    with pytest.raises(MembershipError) as e:
+        mor(Bool, Bool, [[F(1, 2), "1/3"], [0, F(-1, 10**9)]])
+    assert e.value.witness == (1, 1)
+    f = mor(Bool, Bool, [["1/2", 0], [F(0), 1]])
+    assert f.matrix == ((F(1, 2), F(0)), (F(0), F(1)))
+    assert all(type(x) is F for row in f.matrix for x in row)
 
 
 def test_composition_endpoint_check():
@@ -256,3 +277,87 @@ def test_compose_norm_submultiplicative(data):
     f = mor(Bool, Bool, [[data.draw(rat01) for _ in range(2)] for _ in range(2)])
     g = mor(Bool, Bool, [[data.draw(rat01) for _ in range(2)] for _ in range(2)])
     assert morphism_norm(compose(g, f)) <= morphism_norm(g) * morphism_norm(f)
+
+
+# ---------------------------------------------------------------------------
+# Generator lists that are canonical by construction, against the LP route
+
+
+def _spanning(pts, d):
+    return all(any(p[c] > 0 for p in pts) for c in range(d))
+
+
+# Raw inputs with zero coordinates, duplicates and dominated points; the
+# atoms themselves are canonicalized by from_p_gens.
+spanning_atoms = st.integers(1, 3).flatmap(
+    lambda d: st.lists(st.tuples(*([rat01] * d)), min_size=1, max_size=4)
+    .filter(lambda pts: _spanning(pts, d))
+    .map(lambda pts: from_p_gens(pts, d))
+)
+
+
+def _kron(xs, ys):
+    return [kron_vec(u, v) for u in xs for v in ys]
+
+
+@settings(max_examples=30, deadline=None)
+@given(spanning_atoms, spanning_atoms)
+def test_connective_generators_equal_lp_reduction(a, b):
+    pa, qa, pb, qb = a.p_ball_gens, a.q_ball_gens, b.p_ball_gens, b.q_ball_gens
+    za, zb = zeros(a.dim), zeros(b.dim)
+    t = tensor_obj(a, b)
+    w = product_obj(a, b)
+    s = coproduct_obj(a, b)
+    h = hom_obj(a, b)
+    c = cotensor_obj(a, b)
+    assert t.p_ball_gens == reduce_generators(_kron(pa, pb))
+    assert w.p_ball_gens == reduce_generators(u + v for u in pa for v in pb)
+    assert w.q_ball_gens == reduce_generators([f + zb for f in qa] + [za + g for g in qb])
+    assert s.p_ball_gens == reduce_generators([u + zb for u in pa] + [za + v for v in pb])
+    assert s.q_ball_gens == reduce_generators(f + g for f in qa for g in qb)
+    assert h.q_ball_gens == reduce_generators(_kron(pa, qb))
+    assert c.q_ball_gens == reduce_generators(_kron(qa, qb))
+    for o in (t, w, s, h, c):
+        if o.dim <= DD_MAX_DIM:
+            assert validate_object(o).passed, o.label
+
+
+# ---------------------------------------------------------------------------
+# LP counts: the shortcut paths solve none, user input still goes through
+# the per-point reduction
+
+
+@pytest.fixture
+def lp_solves(monkeypatch):
+    """Counts every exact LP, whichever module calls the solver (lp_feasible
+    and lp_minimize reach lp_maximize through the lp module)."""
+    count = [0]
+    real = lp.lp_maximize
+
+    def counted(prob):
+        count[0] += 1
+        return real(prob)
+
+    monkeypatch.setattr(lp, "lp_maximize", counted)
+    monkeypatch.setattr(cones, "lp_maximize", counted)
+    return count
+
+
+def test_connectives_and_polars_solve_no_lp(lp_solves):
+    a = from_p_gens([[1, F(1, 2)], [F(1, 3), 1], [F(1, 2), F(1, 2)]], 2)
+    b = from_p_gens([[1, 0, F(1, 2)], [0, 1, 1]], 3)
+    built = lp_solves[0]
+    assert built > 0  # raw input: one reduction LP per point
+    tensor_obj(a, b)
+    tensor_obj(dual_object(a), b)
+    product_obj(a, b)
+    coproduct_obj(a, dual_object(b))
+    hom_obj(a, b)
+    cotensor_obj(b, a)
+    polar_of_points([vec([1, 0, 2]), vec([1, 0, 2]), vec([0, 1, 1]), vec([1, 1, 0])], 3)
+    assert lp_solves[0] == built
+    # The tensor's implicit dual side is materialized by a polar, not LPs.
+    product_obj(cones.materialize_q(tensor_obj(a, a)), one_obj())
+    assert lp_solves[0] == built
+    reduce_generators([vec([1, 0]), vec([0, 1]), vec([F(1, 2), F(1, 2)])])
+    assert lp_solves[0] == built + 3

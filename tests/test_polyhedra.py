@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conelogic.polyhedra import (
+    _dd_vertices,
     bipolar,
     dominates,
     polar_of_points,
@@ -134,16 +135,37 @@ def spanning_point_sets(dim):
     )
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(2, 4).flatmap(lambda d: st.tuples(st.just(d), spanning_point_sets(d))))
+def degenerate_point_sets(dim):
+    """Spanning sets with ties (few distinct values), zero coordinates, an
+    exact duplicate and the zero point."""
+    tied = st.sampled_from([F(0), F(1, 2), F(1), F(2)])
+    return (
+        st.lists(st.tuples(*([tied] * dim)), min_size=1, max_size=5)
+        .filter(lambda pts: all(any(p[c] > 0 for p in pts) for c in range(dim)))
+        .flatmap(lambda pts: st.sampled_from(pts).map(lambda p: pts + [p, (F(0),) * dim]))
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(2, 4).flatmap(
+        lambda d: st.tuples(
+            st.just(d), st.one_of(spanning_point_sets(d), degenerate_point_sets(d))
+        )
+    )
+)
 def test_polar_matches_bruteforce_oracle(dim_and_pts):
     dim, pts = dim_and_pts
     pts = [vec(p) for p in pts]
-    got = set(polar_vertices(pts, dim))
+    got = polar_vertices(pts, dim)
     oracle = oracle_polar_vertices(pts, dim)
     # The DD route canonicalizes (drops 0 and downward-dominated vertices);
     # apply the same normalization to the oracle set before comparing.
-    assert got == set(reduce_generators(oracle))
+    assert set(got) == set(reduce_generators(oracle))
+    # The tight-support test keeps exactly what the LP reduction of every
+    # double-description vertex keeps (duplicates left in the cuts).
+    nonzero = [p for p in pts if any(p)]
+    assert got == reduce_generators(v for v, _ in _dd_vertices(nonzero, dim))
 
 
 @settings(max_examples=40, deadline=None)
