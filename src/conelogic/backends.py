@@ -26,7 +26,7 @@ import numpy as np
 
 from .cones import Backend, ConeObject, from_both_gens, from_p_gens
 from .errors import CapabilityError, DimensionError, MembershipError
-from .mall import Morphism, mor, morphism_norm
+from .mall import Morphism, is_contraction, mor
 from .rationals import MatQ, VecQ, eye, mat, transpose, unit, vec
 
 PSD_TOL = 1e-9
@@ -86,7 +86,7 @@ def morphism_to_pcs_matrix(f: Morphism) -> MatQ:
 def pcs_contraction_flag(u: MatQ, a: ConeObject, b: ConeObject) -> tuple[Morphism, bool]:
     """Morphism plus a flag: norm <= 1? (Norm > 1 is legal, just flagged.)"""
     f = pcs_matrix_to_morphism(u, a, b)
-    return f, morphism_norm(f) <= 1
+    return f, is_contraction(f)
 
 
 def lattice_meet_samples(a: ConeObject) -> list[dict]:

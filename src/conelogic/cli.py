@@ -263,8 +263,11 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = PARSER.parse_args(argv)
     return args.fn(args)
 
 

@@ -39,7 +39,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from typing import Any, Optional
 
 from .errors import CapabilityError, DimensionError, MembershipError
@@ -69,13 +68,13 @@ class ImplicitTensorBall:
     right: "ConeObject"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ConeObject:
     dim: int
     p_ball_gens: Optional[tuple[VecQ, ...]]
     q_ball_gens: Optional[tuple[VecQ, ...]]
     backend: Backend = Backend.POLYHEDRAL
-    label: str = ""
+    label: str = field(default="", compare=False)
     p_implicit: Optional[ImplicitTensorBall] = None
     q_implicit: Optional[ImplicitTensorBall] = None
     # SPECTRAL only: matrices are n x n, flattened row-major into dim = n*n.
@@ -87,38 +86,6 @@ class ConeObject:
     # Pairing weights; None means the plain coordinate pairing. Graded
     # objects carry multiset multiplicities here.
     weights: Optional[tuple[Fraction, ...]] = None
-
-    def __eq__(self, other):
-        if not isinstance(other, ConeObject):
-            return NotImplemented
-        return (
-            self.dim == other.dim
-            and self.backend == other.backend
-            and self.p_ball_gens == other.p_ball_gens
-            and self.q_ball_gens == other.q_ball_gens
-            and self.p_implicit == other.p_implicit
-            and self.q_implicit == other.q_implicit
-            and self.spectral_n == other.spectral_n
-            and self.spectral_trace_primal == other.spectral_trace_primal
-            and self.graded == other.graded
-            and self.weights == other.weights
-        )
-
-    def __hash__(self):
-        return hash(
-            (
-                self.dim,
-                self.backend,
-                self.p_ball_gens,
-                self.q_ball_gens,
-                self.p_implicit,
-                self.q_implicit,
-                self.spectral_n,
-                self.spectral_trace_primal,
-                self.graded,
-                self.weights,
-            )
-        )
 
     def __repr__(self):
         return f"ConeObject({self.label or '?'}, dim={self.dim}, {self.backend.value})"
@@ -276,18 +243,13 @@ def tensor_side_norm(ball: ImplicitTensorBall, s: VecQ) -> Fraction:
     tensor cone); the norm bound is F(u, v) <= 1 over primal generator pairs
     of the factors.
     """
-    A, B = ball.left, ball.right
-    if A.p_ball_gens is None:
-        A = materialize_p(A)
-    if B.p_ball_gens is None:
-        B = materialize_p(B)
-    da, db = A.dim, B.dim
+    da, db = ball.left.dim, ball.right.dim
     n = da * db
     if len(s) != n:
         raise DimensionError(n, len(s), "tensor norm")
     cons = []
-    for u in A.p_ball_gens:
-        for v in B.p_ball_gens:
+    for u in primal_gens(ball.left):
+        for v in primal_gens(ball.right):
             row = [u[i] * v[j] for i in range(da) for j in range(db)]
             cons.append(constraint(row, "<=", 1))
     res = lp_maximize(problem(list(s), cons))  # F >= 0 entrywise by default
@@ -365,7 +327,6 @@ def in_ball(a: ConeObject, x: VecQ) -> bool:
 # Materialization of implicit sides
 
 
-@lru_cache(maxsize=None)
 def materialize_q(a: ConeObject) -> ConeObject:
     """Explicit dual generators via the polar, when dimension allows."""
     if a.q_ball_gens is not None:
@@ -390,6 +351,13 @@ def materialize_q(a: ConeObject) -> ConeObject:
 
 def materialize_p(a: ConeObject) -> ConeObject:
     return dual_object(materialize_q(dual_object(a)))
+
+
+def primal_gens(a: ConeObject) -> tuple[VecQ, ...]:
+    """The primal ball generators, materialized if that side is implicit."""
+    if a.p_ball_gens is not None:
+        return a.p_ball_gens
+    return materialize_p(a).p_ball_gens
 
 
 # ---------------------------------------------------------------------------

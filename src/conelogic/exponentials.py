@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice, product
-from typing import Any, Optional
+from typing import Any, ClassVar, Optional
 
 from .cones import (
     Backend,
@@ -54,11 +54,11 @@ from .cones import (
     dual_object,
     in_ball,
     in_cone,
-    materialize_p,
     materialize_q,
     norm_primal,
     one_obj,
     pairing,
+    primal_gens,
 )
 from .errors import (
     BallError,
@@ -68,7 +68,7 @@ from .errors import (
     MembershipError,
 )
 from .lp import LpStatus, constraint, lp_maximize, problem
-from .mall import Morphism, adjoint, mor, product_obj
+from .mall import Morphism, adjoint, mor, morphism_norm, product_obj
 from .multisets import (
     Mset,
     graded_count,
@@ -84,6 +84,7 @@ from .oracle import (
     DEFAULT_PARAMS,
     Bracket,
     OracleParams,
+    _compositions,
     averaged_upper,
     simplex_polynomial_bounds,
 )
@@ -350,64 +351,57 @@ def _sum_child(h: ConeObject, series_primal: bool, op: str):
     return _dist_child(dual_object(h) if series_primal else h, op)
 
 
+def _graded_sum_obj(x: ConeObject, y: ConeObject, coproduct: bool) -> ConeObject:
+    op = "graded coproduct" if coproduct else "graded product"
+    sp = _sum_side(x, y, op)
+    node = SumNode(_sum_child(x, sp, op), _sum_child(y, sp, op), coproduct)
+    return _graded_object(node, sp, f"({x.label} {'+' if coproduct else '&'} {y.label})")
+
+
 def graded_product_obj(x: ConeObject, y: ConeObject) -> ConeObject:
-    sp = _sum_side(x, y, "graded product")
-    node = SumNode(
-        _sum_child(x, sp, "graded product"), _sum_child(y, sp, "graded product"), False
-    )
-    return _graded_object(node, sp, f"({x.label} & {y.label})")
+    return _graded_sum_obj(x, y, False)
 
 
 def graded_coproduct_obj(x: ConeObject, y: ConeObject) -> ConeObject:
-    sp = _sum_side(x, y, "graded coproduct")
-    node = SumNode(
-        _sum_child(x, sp, "graded coproduct"),
-        _sum_child(y, sp, "graded coproduct"),
-        True,
-    )
-    return _graded_object(node, sp, f"({x.label} + {y.label})")
+    return _graded_sum_obj(x, y, True)
 
 
 # ---------------------------------------------------------------------------
 # Elements
 
 
-def _check_element(h: ConeObject, coords: VecQ, series: bool) -> None:
-    s = _shape(h)
-    if s.series_primal != series:
-        kind = "series" if series else "distribution"
-        raise CapabilityError(
-            f"a {kind} element needs the {kind} side primal", h.label
-        )
-    check_membership(h, coords)
-
-
 @dataclass(frozen=True)
-class GradedSeries:
-    """Element of a series-primal graded object, coordinates in label order."""
+class _GradedElement:
+    """Element of a graded object, coordinates in label order; `series` says
+    which side of the object must be primal."""
 
     obj: ConeObject
     coords: VecQ
+    series: ClassVar[bool]
 
     def __post_init__(self):
         object.__setattr__(self, "coords", vec(self.coords))
-        _check_element(self.obj, self.coords, series=True)
+        if _shape(self.obj).series_primal != self.series:
+            kind = "series" if self.series else "distribution"
+            raise CapabilityError(
+                f"a {kind} element needs the {kind} side primal", self.obj.label
+            )
+        check_membership(self.obj, self.coords)
 
     def coord(self, label) -> Fraction:
         return self.coords[node_index(_shape(self.obj).node)[label]]
 
 
-@dataclass(frozen=True)
-class GradedDistribution:
-    obj: ConeObject
-    coords: VecQ
+class GradedSeries(_GradedElement):
+    """Element of a series-primal graded object."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "coords", vec(self.coords))
-        _check_element(self.obj, self.coords, series=False)
+    series = True
 
-    def coord(self, label) -> Fraction:
-        return self.coords[node_index(_shape(self.obj).node)[label]]
+
+class GradedDistribution(_GradedElement):
+    """Element of a distribution-primal graded object."""
+
+    series = False
 
 
 def delta(a: ConeObject, x, trunc: int = DEFAULT_TRUNC) -> GradedDistribution:
@@ -488,8 +482,7 @@ class BallScheme:
 @lru_cache(maxsize=None)
 def primal_ball_scheme(h: ConeObject) -> BallScheme:
     if h.backend is Backend.POLYHEDRAL:
-        g = h if h.p_ball_gens is not None else materialize_p(h)
-        gens = g.p_ball_gens
+        gens = primal_gens(h)
         k = len(gens)
         if k == 0:
             zero = tuple(Q0 for _ in range(h.dim))
@@ -544,7 +537,6 @@ def _node_scheme(node) -> BallScheme:
     raise TypeError(f"not a shape node: {node!r}")
 
 
-@lru_cache(maxsize=None)
 def _box_scheme(h: ConeObject) -> BallScheme:
     """Outer box for a series-side ball from per-coordinate sup brackets.
 
@@ -632,23 +624,11 @@ def _sample_points(blocks: tuple[int, ...]):
     strictly positive center of each block."""
     per_block = []
     for b in blocks:
-        cands = [
-            tuple(Fraction(k, 2) for k in comp) for comp in _compositions2(b)
-        ]
+        cands = [tuple(Fraction(k, 2) for k in comp) for comp in _compositions(2, b)]
         cands.append(tuple(Fraction(1, b) for _ in range(b)))
         per_block.append(cands)
     for combo in islice(product(*per_block), SAMPLE_CAP):
         yield tuple(t for block in combo for t in block)
-
-
-def _compositions2(parts: int):
-    if parts == 1:
-        yield (2,)
-        return
-    for first in range(3):
-        for rest in _compositions2(parts - 1):
-            if first + sum(rest) <= 2:
-                yield (first,) + rest
 
 
 def _relaxed_polar_upper(
@@ -868,14 +848,8 @@ def graded_relabel(src: ConeObject, tgt: ConeObject, fn) -> Morphism:
 
 
 def _require_contraction(s: Morphism, what: str) -> None:
-    src = s.source
     try:
-        if src.p_ball_gens is None:
-            src = materialize_p(src)
-        n = max(
-            (norm_primal(s.target, mat_vec(s.matrix, u)) for u in src.p_ball_gens),
-            default=Q0,
-        )
+        n = morphism_norm(s)
     except CapabilityError:
         return  # no exact norm available (graded endpoints); trust the caller
     if n > 1:

@@ -29,6 +29,7 @@ from .cones import (
     dual_object,
     from_both_gens,
     from_p_gens,
+    materialize_p,
     materialize_q,
     one_obj,
     top_obj,
@@ -113,8 +114,11 @@ def load_env(path: str) -> dict[str, ConeObject]:
 
 
 def _explicit(a: ConeObject) -> ConeObject:
-    if a.backend is Backend.POLYHEDRAL and a.q_ball_gens is None and a.dim <= DD_MAX_DIM:
-        return materialize_q(a)
+    """Both sides explicit, as with/plus need. Explicit objects come back
+    unchanged; above DD_MAX_DIM an implicit side stays, for product_obj to
+    refuse."""
+    if a.backend is Backend.POLYHEDRAL and a.dim <= DD_MAX_DIM:
+        return materialize_p(materialize_q(a))
     return a
 
 

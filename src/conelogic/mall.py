@@ -33,16 +33,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .cones import (
     Backend,
     ConeObject,
     ImplicitTensorBall,
     dual_object,
-    materialize_p,
     norm_primal,
     one_obj,
+    primal_gens,
     zero_obj,
 )
 from .errors import CapabilityError, CompositionError, DimensionError, MembershipError
@@ -50,23 +49,11 @@ from .polyhedra import sort_generators
 from .rationals import MatQ, Q0, Q1, VecQ, eye, kron_mat, mat, mat_mul, mat_vec, vec, zeros
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Morphism:
     source: ConeObject
     target: ConeObject
     matrix: MatQ  # target.dim rows, source.dim columns
-
-    def __eq__(self, other):
-        if not isinstance(other, Morphism):
-            return NotImplemented
-        return (
-            self.source == other.source
-            and self.target == other.target
-            and self.matrix == other.matrix
-        )
-
-    def __hash__(self):
-        return hash((self.source, self.target, self.matrix))
 
     def __repr__(self):
         return f"Morphism({self.source.label} -> {self.target.label})"
@@ -140,20 +127,13 @@ def adjoint(f: Morphism) -> Morphism:
     return Morphism(dual_object(f.target), dual_object(f.source), rows)
 
 
-@lru_cache(maxsize=None)
 def morphism_norm(f: Morphism) -> Fraction:
-    """max over source primal generators of the target norm of the image."""
-    gens = f.source.p_ball_gens
-    if gens is None:
-        raise CapabilityError(
-            "morphism norm needs explicit source generators", f.source.label
-        )
-    best = Q0
-    for u in gens:
-        v = norm_primal(f.target, mat_vec(f.matrix, u))
-        if v > best:
-            best = v
-    return best
+    """The exact operator norm: max over source primal generators of the
+    target norm of the image. A lazy source ball is materialized."""
+    return max(
+        (norm_primal(f.target, mat_vec(f.matrix, u)) for u in primal_gens(f.source)),
+        default=Q0,
+    )
 
 
 def is_contraction(f: Morphism) -> bool:
@@ -192,9 +172,9 @@ def tensor_obj(a: ConeObject, b: ConeObject) -> ConeObject:
     factors, each at most its value at (u, v) and one strictly below.
     """
     _require_polyhedral("tensor", a, b)
-    pa = a.p_ball_gens if a.p_ball_gens is not None else materialize_p(a).p_ball_gens
-    pb = b.p_ball_gens if b.p_ball_gens is not None else materialize_p(b).p_ball_gens
-    pairs = [tuple(x * y for x in u for y in v) for u in pa for v in pb]
+    pairs = [
+        tuple(x * y for x in u for y in v) for u in primal_gens(a) for v in primal_gens(b)
+    ]
     return ConeObject(
         dim=a.dim * b.dim,
         p_ball_gens=sort_generators(pairs),

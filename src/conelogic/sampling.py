@@ -12,9 +12,9 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .cones import ConeObject, from_p_gens, materialize_p, norm_primal
-from .mall import Morphism
-from .rationals import MatQ, Q0, VecQ, mat_vec, unit
+from .cones import ConeObject, from_p_gens, primal_gens
+from .mall import Morphism, morphism_norm
+from .rationals import MatQ, Q0, VecQ, unit
 
 
 def make_rng(seed: int) -> random.Random:
@@ -58,9 +58,7 @@ def rand_gens(r: random.Random, dim: int, count: int) -> list[VecQ]:
 def rand_ball_point(r: random.Random, a: ConeObject) -> VecQ:
     """A point of the primal unit ball: a random sub-convex combination of
     the ball generators. Exact, so membership never needs a tolerance."""
-    gens = a.p_ball_gens
-    if gens is None:
-        gens = materialize_p(a).p_ball_gens
+    gens = primal_gens(a)
     lam = [Fraction(r.randint(0, 4), 4) for _ in gens]
     total = sum(lam, Q0)
     if total > 1:
@@ -78,23 +76,11 @@ def rand_positive_map(r: random.Random, a: ConeObject, b: ConeObject) -> Morphis
     return Morphism(a, b, m)
 
 
-def map_norm(f: Morphism) -> Fraction:
-    """Exact operator norm via the generator max; materializes the source
-    ball if it is lazy."""
-    src = f.source
-    gens = src.p_ball_gens
-    if gens is None:
-        gens = materialize_p(src).p_ball_gens
-    return max(
-        (norm_primal(f.target, mat_vec(f.matrix, u)) for u in gens), default=Q0
-    )
-
-
 def rand_contraction(r: random.Random, a: ConeObject, b: ConeObject) -> Morphism:
     """Random positive contraction a -> b; the scaling below is exact, so the
     result has norm <= 1 on the nose."""
     f = rand_positive_map(r, a, b)
-    n = map_norm(f)
+    n = morphism_norm(f)
     if n > 1:
         m = tuple(tuple(x / n for x in row) for row in f.matrix)
         f = Morphism(a, b, m)

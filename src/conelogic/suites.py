@@ -72,7 +72,6 @@ from .mall import (
 from .polyhedra import polar_of_points, reduce_generators
 from .rationals import Q0, vec
 from .sampling import (
-    map_norm,
     rand_ball_point,
     rand_contraction,
     rand_gens,
@@ -153,7 +152,7 @@ def _mall_curry(r: random.Random, trials: int) -> dict:
         g = curry(f)
         if uncurry(g).matrix != f.matrix:
             return _check("curry-uncurry", False, "round trip changed the matrix")
-        nf, ng = map_norm(f), morphism_norm(g)
+        nf, ng = morphism_norm(f), morphism_norm(g)
         if nf != ng:
             return _check(
                 "curry-uncurry", False, f"norm changed: {nf} against {ng}"

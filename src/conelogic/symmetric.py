@@ -32,7 +32,7 @@ from functools import lru_cache
 from itertools import combinations_with_replacement, product
 from math import comb, factorial
 
-from .cones import Backend, ConeObject, materialize_p, one_obj, polar_w
+from .cones import Backend, ConeObject, one_obj, polar_w, primal_gens
 from .errors import CapabilityError, DimensionError, NegativeCoefficientError
 from .mall import Morphism
 from .multisets import (
@@ -152,13 +152,6 @@ def apply_multilinear(f: SymTensor, vectors: tuple[VecQ, ...]) -> Fraction:
 # The power object and functorial powers
 
 
-def _explicit_p_gens(a: ConeObject) -> tuple[VecQ, ...]:
-    gens = a.p_ball_gens
-    if gens is None:
-        gens = materialize_p(a).p_ball_gens
-    return gens
-
-
 def sym_power_obj(a: ConeObject, n: int) -> ConeObject:
     """Symmetric n-th power: primal generators are the generator powers."""
     if a.backend is not Backend.POLYHEDRAL:
@@ -179,7 +172,7 @@ def sym_power_obj(a: ConeObject, n: int) -> ConeObject:
         )
     if a.weights is not None:
         raise CapabilityError("symmetric powers expect plain-pairing operands", a.label)
-    gens = _explicit_p_gens(a)
+    gens = primal_gens(a)
     dim = mset_count(a.dim, n)
     p = reduce_generators(power_tensor(u, n).coords for u in gens)
     w = tuple(Fraction(multiplicity(m)) for m in msets(a.dim, n))
@@ -235,7 +228,7 @@ def sym_power_mor(S: Morphism, n: int) -> Morphism:
 def old_norm(f: SymTensor, a: ConeObject) -> Fraction:
     """Max over generator n-tuples; exact, and an upper bound for the sup
     over arbitrary unit tuples by multilinearity."""
-    gens = _explicit_p_gens(a)
+    gens = primal_gens(a)
     if f.dim != a.dim:
         raise DimensionError(a.dim, f.dim, "old_norm")
     best = Q0
@@ -275,7 +268,7 @@ def new_norm_bounds(
     simplex; upper is old_norm, which the averaged-coefficient bound equals
     here (checked in tests, kept as the stated bound).
     """
-    gens = _explicit_p_gens(a)
+    gens = primal_gens(a)
     if not gens:
         v = f.coords[0] if f.degree == 0 else Q0
         return Bracket(v, v, (), "degenerate: no generators")

@@ -59,7 +59,6 @@ from conelogic.polyhedra import polar_of_points, reduce_generators
 from conelogic.rationals import unit, vec
 from conelogic.sampling import (
     make_rng,
-    map_norm,
     rand_ball_point,
     rand_contraction,
     rand_gens,
@@ -113,7 +112,7 @@ def test_criterion_03_curry_uncurry_bijection_preserves_norms():
         g = curry(f)
         assert uncurry(g).matrix == f.matrix
         assert curry(uncurry(g)).matrix == g.matrix
-        assert morphism_norm(g) == map_norm(f)
+        assert morphism_norm(g) == morphism_norm(f)
 
 
 def test_criterion_04_additive_norms_and_non_isomorphism_witness():

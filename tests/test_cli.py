@@ -214,3 +214,46 @@ def test_parse_rejects_deep_nesting(capsys):
     report = json.loads(out)
     assert report["error"]["type"] == "ParseError"
     assert "nests deeper" in report["error"]["message"]
+
+
+def _twin_env(tmp_path):
+    # a, c and b, d are bound to equal objects under different names
+    env = tmp_path / "env.json"
+    identity2 = [["1", "0"], ["0", "1"]]
+    env.write_text(
+        json.dumps(
+            {
+                "schema": 1,
+                "atoms": {
+                    "a": {"kind": "pcs", "dim": 2, "ball_gens": identity2},
+                    "b": {"kind": "pcs", "dim": 2, "ball_gens": [["1", "1"]]},
+                    "c": {"kind": "pcs", "dim": 2, "ball_gens": identity2},
+                    "d": {"kind": "pcs", "dim": 2, "ball_gens": [["1", "1"]]},
+                },
+            }
+        ),
+        encoding="utf-8",
+    )
+    return str(env)
+
+
+@pytest.mark.parametrize("formula", ["(a * b) & (c * d)", "(c * d) + (a * b)"])
+def test_interpret_keeps_each_operand_label(capsys, tmp_path, formula):
+    # equal objects under different names keep their own labels
+    code, out = run(
+        capsys, "interpret", "--env", _twin_env(tmp_path), "--formula", formula
+    )
+    assert code == 0
+    assert json.loads(out)["object"]["label"] == f"({formula})"
+
+
+@pytest.mark.parametrize("formula", ["(a -o b) & c", "c & (a -o b)", "(a | b) + c"])
+def test_interpret_additives_over_hom_and_par(capsys, tmp_path, formula):
+    code, out = run(
+        capsys, "interpret", "--env", _twin_env(tmp_path), "--formula", formula
+    )
+    assert code == 0
+    obj = json.loads(out)["object"]
+    assert obj["label"] == f"({formula})"
+    assert obj["dim"] == 6
+    assert obj["p_ball_gens"] is not None and obj["q_ball_gens"] is not None

@@ -1,11 +1,17 @@
 """Cone objects: norms by two routes, duality, membership, validation."""
 
+import importlib
+import inspect
+import pkgutil
+import typing
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import conelogic
 from conelogic.backends import bool_obj, cube_pcs, pcs_object, simplex_pcs
 from conelogic.cones import (
     Backend,
@@ -26,6 +32,7 @@ from conelogic.cones import (
     ConeObject,
 )
 from conelogic.errors import CapabilityError, MembershipError
+from conelogic.mall import Morphism
 from conelogic.rationals import unit, vec
 
 F = Fraction
@@ -168,3 +175,35 @@ def test_norm_duality_random(dim, data):
     a = from_p_gens(gens, dim)
     x = tuple(data.draw(coord) for _ in range(dim))
     assert gauge_norm(a, x) == norm_primal(a, x)
+
+
+def test_identity_ignores_only_the_label():
+    a = pcs_object([[1, 0], [F(1, 2), 1]], 2, label="a")
+    b = replace(a, label="x")
+    assert b.label == "x"
+    assert a == b and hash(a) == hash(b)
+    # every other field still counts
+    assert a != replace(a, weights=(F(1), F(2)))
+    assert a != replace(a, q_ball_gens=None)
+
+
+def _return_types(annotation):
+    yield annotation
+    for arg in typing.get_args(annotation):
+        yield from _return_types(arg)
+
+
+def test_no_cache_returns_objects_or_morphisms():
+    # Cache keys compare without labels, so a cached object or morphism
+    # would come back under the label of whichever equal input came first.
+    cached = {
+        fn
+        for info in pkgutil.iter_modules(conelogic.__path__)
+        for fn in vars(importlib.import_module(f"conelogic.{info.name}")).values()
+        if hasattr(fn, "cache_info") and fn.__module__.startswith("conelogic")
+    }
+    assert cached
+    for fn in cached:
+        ret = inspect.signature(fn.__wrapped__, eval_str=True).return_annotation
+        assert ret is not inspect.Signature.empty, fn.__qualname__
+        assert not {ConeObject, Morphism} & set(_return_types(ret)), fn.__qualname__

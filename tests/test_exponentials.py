@@ -60,8 +60,9 @@ from conelogic.exponentials import (
     series_norm_bounds,
     whynot_mor,
     whynot_obj,
+    _sample_points,
 )
-from conelogic.mall import adjoint, compose, identity, mor, product_obj
+from conelogic.mall import adjoint, compose, identity, mor, morphism_norm, product_obj
 from conelogic.rationals import vec
 
 Bool = bool_obj()
@@ -473,10 +474,18 @@ def test_bang_delta_naturality(data):
 
 def test_functors_gate_on_expansive_maps():
     grow = mor(Bool, Bool, [[F(2), F(0)], [F(0), F(1)]])
-    with pytest.raises(BallError):
+    assert morphism_norm(grow) == morphism_norm(adjoint(grow)) == 2
+    with pytest.raises(BallError) as err:
         bang_mor(grow, 2)
-    with pytest.raises(BallError):
+    assert err.value.norm == 2
+    with pytest.raises(BallError) as err:
         whynot_mor(grow, 2)
+    assert err.value.norm == 2
+    # norm exactly 1 passes the gate
+    swap = mor(Bool, Bool, [[F(0), F(1)], [F(1), F(0)]])
+    assert morphism_norm(swap) == 1
+    assert bang_mor(swap, 2).source == bang_obj(Bool, 2)
+    assert whynot_mor(swap, 2).source == whynot_obj(Bool, 2)
 
 
 # -- the exponential isomorphism ---------------------------------------------
@@ -598,3 +607,14 @@ def test_analytic_eval_agrees_with_bang_morphism(data):
     m = analytic_as_morphism(f)
     x = (data.draw(rat01),)
     assert m(delta(Half, x, 2).coords) == analytic_eval(f, x)
+
+
+def test_sample_points_cover_the_resolution_two_grid():
+    half, third = F(1, 2), F(1, 3)
+    grid = {
+        (F(1), F(0), F(0)), (F(0), F(1), F(0)), (F(0), F(0), F(1)),
+        (half, half, F(0)), (half, F(0), half), (F(0), half, half),
+    }
+    assert set(_sample_points((3,))) == grid | {(third, third, third)}
+    # blocks combine as a product; a 2-block's center is its grid midpoint
+    assert len(set(_sample_points((2, 3)))) == 3 * 7

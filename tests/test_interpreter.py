@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from conelogic.backends import cube_pcs, simplex_pcs
-from conelogic.cones import Backend, dual_object, norm_primal, one_obj
+from conelogic.cones import Backend, dual_object, norm_primal, one_obj, validate_object
 from conelogic.errors import CapabilityError, EnvError
 from conelogic.exponentials import graded_grades, whynot_obj
 from conelogic.formulas import dual_formula, normalize_dual, parse_formula
@@ -207,3 +207,22 @@ def test_whynot_of_cube_equals_dual_route():
     lhs = interpret(parse_formula("?(a^)"), env, 2)
     assert lhs == whynot_obj(cube_pcs(2), 2)
     assert dual_object(lhs) == interpret(parse_formula("!a"), env, 2)
+
+
+@pytest.mark.parametrize(
+    "text, left, right, combine",
+    [
+        ("(a -o b) & c", "a -o b", "c", max),
+        ("c & (a -o b)", "c", "a -o b", max),
+        ("(a | b) + c", "a | b", "c", lambda m, n: m + n),
+    ],
+)
+def test_additives_over_hom_and_par(text, left, right, combine):
+    obj = run(text)
+    lo, ro = run(left), run(right)
+    assert obj.dim == lo.dim + ro.dim
+    assert validate_object(obj).passed
+    x = tuple(F(k + 1, 9) for k in range(lo.dim))
+    y = tuple(F(2 * k + 1, 9) for k in range(ro.dim))
+    # the with norm is the max of the component norms, the plus norm the sum
+    assert norm_primal(obj, x + y) == combine(norm_primal(lo, x), norm_primal(ro, y))

@@ -1,5 +1,6 @@
 """Connectives and morphism algebra: norms, *-autonomy, structural laws."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -47,7 +48,7 @@ from conelogic.mall import (
     product_mor,
 )
 from conelogic.polyhedra import DD_MAX_DIM, polar_of_points, reduce_generators
-from conelogic.rationals import dot, eye, kron_vec, mat_vec, vec, zeros
+from conelogic.rationals import dot, eye, kron_vec, mat, mat_vec, vec, zeros
 
 F = Fraction
 Bool = bool_obj()
@@ -361,3 +362,18 @@ def test_connectives_and_polars_solve_no_lp(lp_solves):
     assert lp_solves[0] == built
     reduce_generators([vec([1, 0]), vec([0, 1]), vec([F(1, 2), F(1, 2)])])
     assert lp_solves[0] == built + 3
+
+
+def test_morphism_identity_ignores_labels():
+    f = mor(Bool, cube_pcs(2), [[1, 0], [F(1, 2), 1]])
+    g = replace(f, source=replace(f.source, label="x"), target=replace(f.target, label="y"))
+    assert f == g and hash(f) == hash(g)
+    assert f != replace(f, matrix=mat([[1, 0], [0, 1]]))
+    assert f != replace(f, target=Bool)
+
+
+def test_morphism_norm_materializes_a_lazy_source():
+    h = hom_obj(Bool, cube_pcs(2))
+    assert h.p_ball_gens is None
+    assert morphism_norm(identity(h)) == 1
+    assert morphism_norm(mor(h, h, [[2 * x for x in row] for row in eye(h.dim)])) == 2
