@@ -19,15 +19,14 @@ finitely generated, so they have no honest home in this exact package).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
 from .cones import Backend, ConeObject, from_both_gens, from_p_gens
-from .errors import CapabilityError, DimensionError, MembershipError
+from .errors import DimensionError, MembershipError
 from .mall import Morphism, is_contraction, mor
-from .rationals import MatQ, VecQ, eye, mat, transpose, unit, vec
+from .rationals import MatQ, VecQ, mat, transpose, unit, vec
 
 PSD_TOL = 1e-9
 DUAL_TOL = 1e-8

@@ -8,7 +8,9 @@ machine state, so identical invocations are byte-identical; inexact numbers
 always travel with their tolerance or bracket.
 
 Exit codes: 0 on success (for `check`, all suites passed), 1 when a check
-fails, 2 on bad input (syntax, environment, capability).
+fails, 2 on bad input (syntax, environment, capability). A command line
+that does not parse is bad input too: it gets an error report with
+`"command": null` instead of argparse's usage text.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .formulas import (
     parse_formula,
 )
 from .interpreter import interpret, load_env
-from .jsonio import check_schema, dump_report, frac_str, parse_frac
+from .jsonio import check_schema, dump_report, frac_str, mat_json, parse_vec, vec_json
 from .suites import SUITE_NAMES, run_suites
 
 SCHEMA = 1
@@ -46,23 +48,15 @@ def _object_json(a: ConeObject) -> dict:
         "backend": a.backend.value,
     }
     if a.backend is Backend.POLYHEDRAL:
-        out["p_ball_gens"] = (
-            None
-            if a.p_ball_gens is None
-            else [[frac_str(x) for x in g] for g in a.p_ball_gens]
-        )
-        out["q_ball_gens"] = (
-            None
-            if a.q_ball_gens is None
-            else [[frac_str(x) for x in g] for g in a.q_ball_gens]
-        )
+        out["p_ball_gens"] = None if a.p_ball_gens is None else mat_json(a.p_ball_gens)
+        out["q_ball_gens"] = None if a.q_ball_gens is None else mat_json(a.q_ball_gens)
         if a.p_ball_gens is None or a.q_ball_gens is None:
             out["implicit_side"] = (
                 "tensor ball (norms still exact; materializes on demand)"
             )
         out["layout"] = "listed coordinate basis; pairs concatenate left then right"
         if a.weights is not None:
-            out["weights"] = [frac_str(w) for w in a.weights]
+            out["weights"] = vec_json(a.weights)
     elif a.backend is Backend.GRADED:
         grades = graded_grades(a)
         dims: dict[str, int] = {}
@@ -70,7 +64,7 @@ def _object_json(a: ConeObject) -> dict:
             dims[str(g)] = dims.get(str(g), 0) + 1
         out["grade_dims"] = dims
         out["coords"] = [repr(c) for c in graded_coords(a)]
-        out["weights"] = [frac_str(w) for w in a.pairing_weights]
+        out["weights"] = vec_json(a.pairing_weights)
         out["layout"] = (
             "degree-major: grade-0 block first, then grade 1, ...; within a "
             "grade, multiset labels in the sorted order listed under 'coords'"
@@ -86,7 +80,7 @@ def _emit(report: dict) -> None:
     sys.stdout.write(dump_report(report))
 
 
-def _error_report(command: str, e: Exception) -> int:
+def _error_report(command: str | None, e: Exception) -> int:
     _emit(
         {
             "schema": SCHEMA,
@@ -152,12 +146,15 @@ def _cmd_interpret(args) -> int:
 def _load_vector(path: str, obj: ConeObject):
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    if not isinstance(data, dict) or "vector" not in data:
-        raise ConelogicError(f"{path}: expected an object with a 'vector' field")
+    if not isinstance(data, dict) or not isinstance(data.get("vector"), list):
+        raise ConelogicError(f"{path}: expected an object with a 'vector' list")
     check_schema(data, path)
     if obj.backend is Backend.SPECTRAL:
-        return tuple(float(v) for v in data["vector"])
-    return tuple(parse_frac(v) for v in data["vector"])
+        try:
+            return tuple(float(v) for v in data["vector"])
+        except (TypeError, ValueError, OverflowError) as e:
+            raise ConelogicError(f"{path}: not a number in 'vector': {e}") from e
+    return parse_vec(data["vector"])
 
 
 def _cmd_norm(args) -> int:
@@ -180,7 +177,7 @@ def _cmd_norm(args) -> int:
         }
         if obj.backend is Backend.GRADED:
             br = graded_norm_bounds(obj, x)
-            report["vector"] = [frac_str(v) for v in x]
+            report["vector"] = vec_json(x)
             if br.lower == br.upper:
                 report["result"] = {"kind": "exact", "value": frac_str(br.lower)}
             else:
@@ -202,9 +199,9 @@ def _cmd_norm(args) -> int:
             if not in_cone(obj, x):
                 raise ConelogicError("vector is outside the positive cone")
             n = norm_primal(obj, x)
-            report["vector"] = [frac_str(v) for v in x]
+            report["vector"] = vec_json(x)
             report["result"] = {"kind": "exact", "value": frac_str(n)}
-    except (ConelogicError, OSError, json.JSONDecodeError) as e:
+    except (ConelogicError, OSError, json.JSONDecodeError, UnicodeDecodeError) as e:
         return _error_report("norm", e)
     _emit(report)
     return 0
@@ -230,8 +227,16 @@ def _cmd_check(args) -> int:
     return 0 if res["all_passed"] else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises on a usage error, where argparse would print usage and exit;
+    subcommand parsers inherit the class."""
+
+    def error(self, message):
+        raise ConelogicError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="conelogic",
         description="Exact normed-cone models of linear-logic formulas.",
     )
@@ -267,7 +272,10 @@ PARSER = build_parser()
 
 
 def main(argv=None) -> int:
-    args = PARSER.parse_args(argv)
+    try:
+        args = PARSER.parse_args(argv)
+    except ConelogicError as e:
+        return _error_report(None, e)
     return args.fn(args)
 
 

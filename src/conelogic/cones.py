@@ -44,7 +44,7 @@ from typing import Any, Optional
 from .errors import CapabilityError, DimensionError, MembershipError
 from .lp import LpStatus, constraint, lp_maximize, lp_minimize, problem
 from .polyhedra import DD_MAX_DIM, polar_vertices, reduce_generators
-from .rationals import Q0, Q1, VecQ, dot, is_zero, unit, vec
+from .rationals import Q0, Q1, VecQ, is_zero, unit, vec
 
 
 class Backend(enum.Enum):

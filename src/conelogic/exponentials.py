@@ -19,6 +19,10 @@ nodes are
   SumNode(l, r, coproduct) disjoint union of coordinates (& / + at the
                           graded level). Structure only; no norms.
 
+Each node carries its Layout (coordinate labels, grades, weights), computed
+once from its children's layouts; it is a cached property, not a field, so
+it takes no part in node equality or hashing.
+
 Pairing weights are the multiset multiplicities, so that a series f pairs
 with delta_x to exactly f(x) (the convention is documented once, in
 multisets). Linear maps act plainly on coordinates; the weights enter only
@@ -43,7 +47,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import islice, product
 from typing import Any, ClassVar, Optional
 
@@ -109,14 +113,43 @@ MAX_GRADED_DIM = 100_000
 
 
 @dataclass(frozen=True)
+class Layout:
+    """Coordinate labels in the object's canonical order, with the grade and
+    the pairing weight of each coordinate."""
+
+    coords: tuple
+    grades: tuple[int, ...]
+    weights: tuple[Fraction, ...]
+
+    @cached_property
+    def index(self) -> dict:
+        """Label -> position."""
+        return {lbl: i for i, lbl in enumerate(self.coords)}
+
+
+@dataclass(frozen=True)
 class ExpNode:
     base: ConeObject
     trunc: int
+
+    @cached_property
+    def layout(self) -> Layout:
+        coords = graded_msets(self.base.dim, self.trunc)
+        return Layout(
+            coords,
+            tuple(len(m) for m in coords),
+            tuple(Fraction(multiplicity(m)) for m in coords),
+        )
 
 
 @dataclass(frozen=True)
 class PolyNode:
     obj: ConeObject
+
+    @cached_property
+    def layout(self) -> Layout:
+        d = self.obj.dim
+        return Layout(tuple(range(d)), (0,) * d, self.obj.pairing_weights)
 
 
 @dataclass(frozen=True)
@@ -125,12 +158,36 @@ class TensorNode:
     right: Any
     trunc: int
 
+    @cached_property
+    def layout(self) -> Layout:
+        lo, ro = self.left.layout, self.right.layout
+        keep = [
+            (i, j)
+            for i, a in enumerate(lo.grades)
+            for j, b in enumerate(ro.grades)
+            if a + b <= self.trunc
+        ]
+        return Layout(
+            tuple((lo.coords[i], ro.coords[j]) for i, j in keep),
+            tuple(lo.grades[i] + ro.grades[j] for i, j in keep),
+            tuple(lo.weights[i] * ro.weights[j] for i, j in keep),
+        )
+
 
 @dataclass(frozen=True)
 class SumNode:
     left: Any
     right: Any
     coproduct: bool
+
+    @cached_property
+    def layout(self) -> Layout:
+        lo, ro = self.left.layout, self.right.layout
+        return Layout(
+            tuple(("L", a) for a in lo.coords) + tuple(("R", b) for b in ro.coords),
+            lo.grades + ro.grades,
+            lo.weights + ro.weights,
+        )
 
 
 @dataclass(frozen=True)
@@ -146,12 +203,17 @@ class GradedShape:
 
 
 def _flip_sums(node):
+    """The node with every sum flipped; a subtree without sums comes back as
+    the same object, so a dual reuses its layout."""
     if isinstance(node, SumNode):
         return SumNode(
             _flip_sums(node.left), _flip_sums(node.right), not node.coproduct
         )
     if isinstance(node, TensorNode):
-        return TensorNode(_flip_sums(node.left), _flip_sums(node.right), node.trunc)
+        left, right = _flip_sums(node.left), _flip_sums(node.right)
+        if left is node.left and right is node.right:
+            return node
+        return TensorNode(left, right, node.trunc)
     return node
 
 
@@ -161,83 +223,21 @@ def _shape(h: ConeObject) -> GradedShape:
     return h.graded
 
 
-# ---------------------------------------------------------------------------
-# Coordinate layout
-
-
-@lru_cache(maxsize=None)
-def node_coords(node) -> tuple:
-    """Coordinate labels, in the object's canonical order."""
-    if isinstance(node, ExpNode):
-        return graded_msets(node.base.dim, node.trunc)
-    if isinstance(node, PolyNode):
-        return tuple(range(node.obj.dim))
-    if isinstance(node, TensorNode):
-        lc, rc = node_coords(node.left), node_coords(node.right)
-        lg, rg = node_grades(node.left), node_grades(node.right)
-        return tuple(
-            (a, b)
-            for i, a in enumerate(lc)
-            for j, b in enumerate(rc)
-            if lg[i] + rg[j] <= node.trunc
-        )
-    if isinstance(node, SumNode):
-        return tuple(("L", a) for a in node_coords(node.left)) + tuple(
-            ("R", b) for b in node_coords(node.right)
-        )
-    raise TypeError(f"not a shape node: {node!r}")
-
-
-@lru_cache(maxsize=None)
-def node_grades(node) -> tuple[int, ...]:
-    if isinstance(node, ExpNode):
-        return tuple(len(m) for m in node_coords(node))
-    if isinstance(node, PolyNode):
-        return (0,) * node.obj.dim
-    if isinstance(node, TensorNode):
-        lg, rg = node_grades(node.left), node_grades(node.right)
-        return tuple(a + b for a in lg for b in rg if a + b <= node.trunc)
-    if isinstance(node, SumNode):
-        return node_grades(node.left) + node_grades(node.right)
-    raise TypeError(f"not a shape node: {node!r}")
-
-
-@lru_cache(maxsize=None)
-def node_weights(node) -> tuple[Fraction, ...]:
-    if isinstance(node, ExpNode):
-        return tuple(Fraction(multiplicity(m)) for m in node_coords(node))
-    if isinstance(node, PolyNode):
-        return node.obj.pairing_weights
-    if isinstance(node, TensorNode):
-        lw, rw = node_weights(node.left), node_weights(node.right)
-        lg, rg = node_grades(node.left), node_grades(node.right)
-        return tuple(
-            a * b
-            for i, a in enumerate(lw)
-            for j, b in enumerate(rw)
-            if lg[i] + rg[j] <= node.trunc
-        )
-    if isinstance(node, SumNode):
-        return node_weights(node.left) + node_weights(node.right)
-    raise TypeError(f"not a shape node: {node!r}")
-
-
-@lru_cache(maxsize=None)
-def node_index(node) -> dict:
-    return {lbl: i for i, lbl in enumerate(node_coords(node))}
+def _layout(h: ConeObject) -> Layout:
+    return _shape(h).node.layout
 
 
 def graded_coords(h: ConeObject) -> tuple:
-    return node_coords(_shape(h).node)
+    return _layout(h).coords
 
 
 def graded_grades(h: ConeObject) -> tuple[int, ...]:
-    return node_grades(_shape(h).node)
+    return _layout(h).grades
 
 
 def _coord_labels(h: ConeObject) -> tuple:
     if h.backend is Backend.GRADED:
-        return node_coords(_shape(h).node)
+        return graded_coords(h)
     return tuple(range(h.dim))
 
 
@@ -246,11 +246,11 @@ def _coord_labels(h: ConeObject) -> tuple:
 
 
 def _graded_object(node, series_primal: bool, label: str) -> ConeObject:
-    weights: Optional[tuple[Fraction, ...]] = node_weights(node)
+    weights: Optional[tuple[Fraction, ...]] = node.layout.weights
     if all(w == 1 for w in weights):
         weights = None
     return ConeObject(
-        dim=len(node_coords(node)),
+        dim=len(node.layout.coords),
         p_ball_gens=None,
         q_ball_gens=None,
         backend=Backend.GRADED,
@@ -389,7 +389,7 @@ class _GradedElement:
         check_membership(self.obj, self.coords)
 
     def coord(self, label) -> Fraction:
-        return self.coords[node_index(_shape(self.obj).node)[label]]
+        return self.coords[_layout(self.obj).index[label]]
 
 
 class GradedSeries(_GradedElement):
@@ -434,7 +434,7 @@ def series_eval(f: GradedSeries, x) -> Fraction:
     if n is not None and n > 1:
         raise BallError(f"series argument escapes the ball of {arg.label!r}", norm=n)
     total = Q0
-    for m, c in zip(node_coords(node), f.coords):
+    for m, c in zip(node.layout.coords, f.coords):
         if c:
             total += multiplicity(m) * c * monomial_value(xq, m)
     return total
@@ -452,10 +452,9 @@ def pair_element(pair_obj: ConeObject, left_coords, right_coords) -> VecQ:
     node = _shape(pair_obj).node
     if not isinstance(node, TensorNode):
         raise CapabilityError("needs a graded pair object", pair_obj.label)
-    li = node_index(node.left)
-    ri = node_index(node.right)
+    li, ri = node.left.layout.index, node.right.layout.index
     lc, rc = vec(left_coords), vec(right_coords)
-    return tuple(lc[li[a]] * rc[ri[b]] for a, b in node_coords(node))
+    return tuple(lc[li[a]] * rc[ri[b]] for a, b in node.layout.coords)
 
 
 # ---------------------------------------------------------------------------
@@ -508,7 +507,7 @@ def _node_scheme(node) -> BallScheme:
     if isinstance(node, ExpNode):
         inner = primal_ball_scheme(dual_object(node.base))
         nv = sum(inner.blocks)
-        coords = node_coords(node)
+        coords = node.layout.coords
         polys = tuple(poly_product((inner.polys[c] for c in m), nv) for m in coords)
         pts = [tuple(Q0 for _ in range(node.base.dim))]  # the vacuum delta_0
         pts.extend(inner.honest)
@@ -520,10 +519,10 @@ def _node_scheme(node) -> BallScheme:
         sl, sr = _node_scheme(node.left), _node_scheme(node.right)
         nl = sum(sl.blocks)
         nv = nl + sum(sr.blocks)
-        li, ri = node_index(node.left), node_index(node.right)
+        li, ri = node.left.layout.index, node.right.layout.index
         lp = [p.shift_vars(0, nv) for p in sl.polys]
         rp = [p.shift_vars(nl, nv) for p in sr.polys]
-        coords = node_coords(node)
+        coords = node.layout.coords
         polys = tuple(lp[li[a]] * rp[ri[b]] for a, b in coords)
         honest = tuple(
             tuple(za[li[a]] * zb[ri[b]] for a, b in coords)
@@ -590,8 +589,8 @@ def _delta_like_bounds(node, e: VecQ) -> Optional[Bracket]:
     if not isinstance(node, ExpNode):
         return None
     base = node.base
-    coords = node_coords(node)
-    idx = node_index(node)
+    coords = node.layout.coords
+    idx = node.layout.index
     arg = dual_object(base)
     scale = e[idx[()]]
     if scale > 0:
@@ -636,14 +635,16 @@ def _relaxed_polar_upper(
 ) -> Optional[Fraction]:
     """LP over finitely many sampled ball constraints. The feasible set
     contains the representable series ball, so the optimum is an upper
-    bound; None when the sample leaves it unbounded."""
+    bound; None when the sample leaves it unbounded. Grid vertices repeat
+    honest members, so repeated samples are dropped, first one kept."""
     s = _node_scheme(_shape(h).node)
     w = h.pairing_weights
     samples = list(s.honest)
     for t in _sample_points(s.blocks):
         samples.append(tuple(p.eval_exact(t) for p in s.polys))
     cons = [
-        constraint([w[c] * z[c] for c in range(h.dim)], "<=", 1) for z in samples
+        constraint([w[c] * z[c] for c in range(h.dim)], "<=", 1)
+        for z in dict.fromkeys(samples)
     ]
     res = lp_maximize(problem([w[c] * e[c] for c in range(h.dim)], cons))
     if res.status is LpStatus.OPTIMAL:
@@ -732,7 +733,7 @@ def eta(a: ConeObject, trunc: int = DEFAULT_TRUNC) -> Morphism:
     if trunc < 1:
         raise CapabilityError("dereliction needs truncation >= 1", f"trunc={trunc}")
     target = whynot_obj(a, trunc)
-    idx = node_index(_shape(target).node)
+    idx = _layout(target).index
     w = a.pairing_weights
     rows = [[Q0] * a.dim for _ in range(target.dim)]
     for c in range(a.dim):
@@ -743,7 +744,7 @@ def eta(a: ConeObject, trunc: int = DEFAULT_TRUNC) -> Morphism:
 def monoid_unit(a: ConeObject, trunc: int = DEFAULT_TRUNC) -> Morphism:
     """1 -> ?a: the constant series."""
     target = whynot_obj(a, trunc)
-    idx = node_index(_shape(target).node)
+    idx = _layout(target).index
     rows = [[Q0] for _ in range(target.dim)]
     rows[idx[()]][0] = Q1
     return mor(one_obj(), target, rows)
@@ -758,10 +759,10 @@ def mu(a: ConeObject, trunc: int = DEFAULT_TRUNC) -> Morphism:
     """
     inner = whynot_obj(a, trunc)
     outer = whynot_obj(inner, trunc)
-    inner_coords = node_coords(_shape(inner).node)
-    inner_idx = node_index(_shape(inner).node)
+    inner_coords = _layout(inner).coords
+    inner_idx = _layout(inner).index
     rows = [[Q0] * outer.dim for _ in range(inner.dim)]
-    for j, m in enumerate(node_coords(_shape(outer).node)):
+    for j, m in enumerate(_layout(outer).coords):
         kt = mset_union(*(inner_coords[p] for p in m))
         if len(kt) <= trunc:
             rows[inner_idx[kt]][j] = Fraction(multiplicity(m), multiplicity(kt))
@@ -773,9 +774,9 @@ def diag_mult(a: ConeObject, trunc: int = DEFAULT_TRUNC) -> Morphism:
     diagonal; in coordinates, the Cauchy product of the gradings."""
     w = whynot_obj(a, trunc)
     src = graded_par_obj(w, w, trunc)
-    tgt_idx = node_index(_shape(w).node)
+    tgt_idx = _layout(w).index
     rows = [[Q0] * src.dim for _ in range(w.dim)]
-    for j, (m, n) in enumerate(node_coords(_shape(src).node)):
+    for j, (m, n) in enumerate(_layout(src).coords):
         kt = mset_union(m, n)
         rows[tgt_idx[kt]][j] = Fraction(
             multiplicity(m) * multiplicity(n), multiplicity(kt)
@@ -799,8 +800,8 @@ def _pair_mor(src: ConeObject, tgt: ConeObject, f: Morphism, g: Morphism) -> Mor
     nonzeros of f's column sa by those of g's column sb; products landing on
     a pair outside the truncation are dropped."""
     fcols, gcols = _label_columns(f), _label_columns(g)
-    tidx = node_index(_shape(tgt).node)
-    sp = node_coords(_shape(src).node)
+    tidx = _layout(tgt).index
+    sp = _layout(src).coords
     rows = [[Q0] * len(sp) for _ in range(tgt.dim)]
     for j, (sa, sb) in enumerate(sp):
         for ta, x in fcols[sa]:
@@ -864,10 +865,10 @@ def whynot_mor(l: Morphism, trunc: int = DEFAULT_TRUNC) -> Morphism:
     tgt = whynot_obj(l.target, trunc)
     pullback = adjoint(l).matrix  # rows: source coords, columns: target-dual
     dy = l.target.dim
-    tgt_idx = node_index(_shape(tgt).node)
+    tgt_idx = _layout(tgt).index
     lin = [Polynomial.linear(dy, pullback[c]) for c in range(l.source.dim)]
     rows = [[Q0] * src.dim for _ in range(tgt.dim)]
-    for j, m in enumerate(node_coords(_shape(src).node)):
+    for j, m in enumerate(_layout(src).coords):
         pol = poly_product((lin[c] for c in m), dy).scale(multiplicity(m))
         for exps, coeff in pol.terms.items():
             nu = _exps_to_mset(exps)
@@ -911,9 +912,9 @@ def exp_iso(
     src = bang_obj(product_obj(a, b), trunc)
     tgt = graded_tensor_obj(bang_obj(a, trunc), bang_obj(b, trunc), trunc)
     da = a.dim
-    tidx = node_index(_shape(tgt).node)
+    tidx = _layout(tgt).index
     rows = [[Q0] * src.dim for _ in range(tgt.dim)]
-    for j, m in enumerate(node_coords(_shape(src).node)):
+    for j, m in enumerate(_layout(src).coords):
         ka = tuple(c for c in m if c < da)
         kb = tuple(c - da for c in m if c >= da)
         rows[tidx[(ka, kb)]][j] = Q1

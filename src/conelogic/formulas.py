@@ -73,9 +73,6 @@ class _Token:
     pos: int
 
 
-_PUNCT = ("-o", "!", "?", "^", "*", "|", "&", "+", "(", ")")
-
-
 def _lex(text: str) -> list[_Token]:
     out = []
     i = 0

@@ -82,19 +82,18 @@ def _atom_from_json(name: str, spec) -> ConeObject:
                     f"atom {name!r}: dimension {dim} needs explicit q_gens "
                     f"(exact polar caps at {DD_MAX_DIM})"
                 )
-            try:
-                return from_p_gens(p, dim, label=name)
-            except ValueError as e:  # the exact polar rejects the points
-                raise EnvError(f"atom {name!r}: {e}") from e
+            return from_p_gens(p, dim, label=name)
         if kind == "qcs":
             return replace(qcs_object(spec["n"]), label=name)
     except KeyError as e:
         raise EnvError(f"atom {name!r}: missing field {e.args[0]!r}") from e
+    except ValueError as e:  # the exact polar rejects the points
+        raise EnvError(f"atom {name!r}: {e}") from e
     raise EnvError(f"atom {name!r}: unknown kind {kind!r}")
 
 
 def env_from_json(data: dict) -> dict[str, ConeObject]:
-    if not isinstance(data, dict) or "atoms" not in data:
+    if not isinstance(data, dict) or not isinstance(data.get("atoms"), dict):
         raise EnvError("environment needs an 'atoms' table")
     check_schema(data, "environment")
     return {name: _atom_from_json(name, spec) for name, spec in data["atoms"].items()}
@@ -104,7 +103,7 @@ def load_env(path: str) -> dict[str, ConeObject]:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as e:
+        except ValueError as e:  # not JSON, or not UTF-8
             raise EnvError(f"{path}: {e}") from e
     return env_from_json(data)
 

@@ -1,9 +1,11 @@
-"""JSON forms for rationals, vectors, graded elements, and analytic maps.
+"""JSON forms for rationals, vectors, matrices, and reports.
 
 Every document carries "schema": 1. Rationals travel as strings ("3/4"),
 with whole numbers shortened to their integer form ("2"); plain JSON
-integers are accepted on input. Graded elements serialize grade by grade,
-each grade a coefficient array in multiset order.
+integers are accepted on input. Vectors and matrices are lists and lists of
+rows of such strings; graded vectors are flat lists in the object's
+coordinate order. Reports render with sorted keys, so equal reports are
+equal bytes.
 """
 
 from __future__ import annotations
@@ -11,15 +13,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .cones import ConeObject
-from .errors import DimensionError, EnvError
-from .exponentials import (
-    AnalyticMap,
-    GradedDistribution,
-    GradedSeries,
-    analytic_map,
-    graded_grades,
-)
+from .errors import EnvError
 from .rationals import VecQ
 
 SCHEMA = 1
@@ -62,77 +56,6 @@ def parse_mat(data):
 def check_schema(data: dict, what: str) -> None:
     if data.get("schema", SCHEMA) != SCHEMA:
         raise EnvError(f"{what}: unsupported schema {data.get('schema')!r}")
-
-
-# ---------------------------------------------------------------------------
-# Graded elements and analytic maps
-
-
-def _grades_json(obj: ConeObject, coords: VecQ) -> dict[str, list[str]]:
-    grades = graded_grades(obj)
-    out: dict[str, list[str]] = {}
-    for g, c in zip(grades, coords):
-        out.setdefault(str(g), []).append(frac_str(c))
-    return out
-
-
-def _grades_parse(obj: ConeObject, data: dict) -> VecQ:
-    grades = graded_grades(obj)
-    pools = {k: list(map(parse_frac, v)) for k, v in data.items()}
-    coords = []
-    for g in grades:
-        pool = pools.get(str(g))
-        if not pool:
-            raise DimensionError(len(grades), sum(map(len, data.values())), "grades")
-        coords.append(pool.pop(0))
-    if any(pools.values()):
-        raise DimensionError(len(grades), sum(map(len, data.values())), "grades")
-    return tuple(coords)
-
-
-def series_to_json(f: GradedSeries) -> dict:
-    return {
-        "schema": SCHEMA,
-        "kind": "series",
-        "grades": _grades_json(f.obj, f.coords),
-    }
-
-
-def series_from_json(obj: ConeObject, data: dict) -> GradedSeries:
-    check_schema(data, "series")
-    return GradedSeries(obj, _grades_parse(obj, data["grades"]))
-
-
-def distribution_to_json(e: GradedDistribution) -> dict:
-    return {
-        "schema": SCHEMA,
-        "kind": "distribution",
-        "grades": _grades_json(e.obj, e.coords),
-    }
-
-
-def distribution_from_json(obj: ConeObject, data: dict) -> GradedDistribution:
-    check_schema(data, "distribution")
-    return GradedDistribution(obj, _grades_parse(obj, data["grades"]))
-
-
-def analytic_to_json(f: AnalyticMap) -> dict:
-    return {
-        "schema": SCHEMA,
-        "kind": "analytic_map",
-        "source_dim": f.source.dim,
-        "target_dim": f.target.dim,
-        "grades": {str(n): mat_json(g) for n, g in enumerate(f.grades)},
-    }
-
-
-def analytic_from_json(
-    source: ConeObject, target: ConeObject, data: dict
-) -> AnalyticMap:
-    check_schema(data, "analytic map")
-    raw = data["grades"]
-    grades = [parse_mat(raw[str(n)]) for n in range(len(raw))]
-    return analytic_map(source, target, grades)
 
 
 # ---------------------------------------------------------------------------

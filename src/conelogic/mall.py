@@ -42,11 +42,10 @@ from .cones import (
     norm_primal,
     one_obj,
     primal_gens,
-    zero_obj,
 )
 from .errors import CapabilityError, CompositionError, DimensionError, MembershipError
 from .polyhedra import sort_generators
-from .rationals import MatQ, Q0, Q1, VecQ, eye, kron_mat, mat, mat_mul, mat_vec, vec, zeros
+from .rationals import MatQ, Q0, Q1, VecQ, eye, kron_mat, kron_vec, mat, mat_mul, mat_vec, zeros
 
 
 @dataclass(frozen=True)
@@ -172,9 +171,8 @@ def tensor_obj(a: ConeObject, b: ConeObject) -> ConeObject:
     factors, each at most its value at (u, v) and one strictly below.
     """
     _require_polyhedral("tensor", a, b)
-    pairs = [
-        tuple(x * y for x in u for y in v) for u in primal_gens(a) for v in primal_gens(b)
-    ]
+    gb = primal_gens(b)
+    pairs = [kron_vec(u, v) for u in primal_gens(a) for v in gb]
     return ConeObject(
         dim=a.dim * b.dim,
         p_ball_gens=sort_generators(pairs),
@@ -406,30 +404,3 @@ def eval_mor(a: ConeObject, b: ConeObject) -> Morphism:
         rows.append(tuple(row))
     return Morphism(src, b, tuple(rows))
 
-
-_STRUCTURAL = {
-    "assoc": assoc_tensor,
-    "sym": sym_tensor,
-    "unitor_left": unitor_left,
-    "unitor_left_inv": unitor_left_inv,
-    "unitor_right": unitor_right,
-    "unitor_right_inv": unitor_right_inv,
-    "proj1": proj1,
-    "proj2": proj2,
-    "pair": pair_mor,
-    "inj1": inj1,
-    "inj2": inj2,
-    "copair": copair_mor,
-    "eval": eval_mor,
-}
-
-
-def structural(name: str, *args) -> Morphism:
-    """Catalog dispatcher; names as in _STRUCTURAL."""
-    try:
-        fn = _STRUCTURAL[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown structural morphism {name!r}; known: {sorted(_STRUCTURAL)}"
-        ) from None
-    return fn(*args)

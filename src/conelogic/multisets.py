@@ -106,10 +106,5 @@ def graded_msets(dim: int, trunc: int) -> tuple[Mset, ...]:
 
 
 @lru_cache(maxsize=None)
-def graded_positions(dim: int, trunc: int) -> dict[Mset, int]:
-    return {m: i for i, m in enumerate(graded_msets(dim, trunc))}
-
-
-@lru_cache(maxsize=None)
 def graded_count(dim: int, trunc: int) -> int:
     return sum(mset_count(dim, n) for n in range(trunc + 1))

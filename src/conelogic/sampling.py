@@ -108,10 +108,3 @@ def rand_psd(r: random.Random, n: int) -> list[list[float]]:
         [sum(g[i][k] * g[j][k] for k in range(n)) for j in range(n)]
         for i in range(n)
     ]
-
-
-def rand_sym_coords(
-    r: random.Random, labels, num_max: int = 3, den_max: int = 2
-) -> list[Fraction]:
-    """Nonnegative coefficient list over a multiset index set."""
-    return [Fraction(r.randint(0, num_max), r.randint(1, den_max)) for _ in labels]

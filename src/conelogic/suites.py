@@ -69,7 +69,7 @@ from .mall import (
     tensor_obj,
     uncurry,
 )
-from .polyhedra import polar_of_points, reduce_generators
+from .polyhedra import bipolar, reduce_generators
 from .rationals import Q0, vec
 from .sampling import (
     rand_ball_point,
@@ -132,9 +132,7 @@ def _mall_bipolar(r: random.Random, trials: int) -> dict:
             if all(g[c] == 0 for g in gens):
                 gens.append(tuple(Fraction(int(i == c)) for i in range(dim)))
         s = reduce_generators(gens)
-        res = polar_of_points(s, dim)
-        back = polar_of_points(res.vertices, dim)
-        if reduce_generators(back.vertices) != s:
+        if reduce_generators(bipolar(s, dim)) != s:
             return _check("bipolar-idempotent", False, f"counterexample at trial {t}")
     return _check(
         "bipolar-idempotent",

@@ -86,47 +86,6 @@ def power_tensor(x: VecQ, degree: int) -> SymTensor:
     )
 
 
-def to_full(t: SymTensor) -> tuple[Fraction, ...]:
-    """Row-major full d^n tensor; exact round trip with from_full."""
-    if t.dim == 0:
-        return (t.coords[0],) if t.degree == 0 else ()
-    out = []
-    for idx in product(range(t.dim), repeat=t.degree):
-        out.append(t.coord(tuple(sorted(idx))))
-    return tuple(out)
-
-
-def from_full(dim: int, degree: int, flat) -> SymTensor:
-    flat = vec(flat)
-    want = dim**degree if dim > 0 else (1 if degree == 0 else 0)
-    if len(flat) != want:
-        raise DimensionError(want, len(flat), "full tensor")
-    coords = {}
-    for pos, idx in enumerate(product(range(dim), repeat=degree)):
-        m = tuple(sorted(idx))
-        if m in coords:
-            if coords[m] != flat[pos]:
-                raise ValueError(f"tensor is not symmetric at index {idx}")
-        else:
-            coords[m] = flat[pos]
-    if dim == 0 and degree == 0:
-        coords[()] = flat[0]
-    return sym_tensor(dim, degree, coords)
-
-
-def sym_pairing(f: SymTensor, z: SymTensor) -> Fraction:
-    """Weighted pairing; equals <phi,x>^n on powers (see multisets)."""
-    if (f.dim, f.degree) != (z.dim, z.degree):
-        raise DimensionError(f.dim, z.dim, "symmetric pairing")
-    return sum(
-        (
-            Fraction(multiplicity(m)) * fc * zc
-            for m, fc, zc in zip(msets(f.dim, f.degree), f.coords, z.coords)
-        ),
-        Q0,
-    )
-
-
 def apply_multilinear(f: SymTensor, vectors: tuple[VecQ, ...]) -> Fraction:
     """f(v_1, ..., v_n) by full contraction over index tuples."""
     if len(vectors) != f.degree:

@@ -65,7 +65,6 @@ from conelogic.sampling import (
     rand_object,
     rand_pcs_matrix,
     rand_psd,
-    rand_sym_coords,
     rand_vec,
 )
 from conelogic.symmetric import (
@@ -75,6 +74,11 @@ from conelogic.symmetric import (
     sym_tensor,
 )
 from conelogic.multisets import msets
+
+
+def rand_sym_coords(r, labels, num_max=3, den_max=2):
+    """Nonnegative coefficient list over a multiset index set."""
+    return [F(r.randint(0, num_max), r.randint(1, den_max)) for _ in labels]
 
 
 def test_criterion_01_gauge_lp_equals_generator_max_under_10s():

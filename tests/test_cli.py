@@ -1,9 +1,14 @@
 """CLI commands, exit codes, and golden-file byte stability."""
 
+import contextlib
+import io
 import json
 import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conelogic import cli
 
@@ -257,3 +262,126 @@ def test_interpret_additives_over_hom_and_par(capsys, tmp_path, formula):
     assert obj["label"] == f"({formula})"
     assert obj["dim"] == 6
     assert obj["p_ball_gens"] is not None and obj["q_ball_gens"] is not None
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["parse", "--formula", "-oa"],
+        ["norm", "--env", "x", "--object", "a"],
+        ["frob"],
+        [],
+        ["check", "--trials", "x"],
+    ],
+)
+def test_usage_errors_are_json_reports(capsys, argv):
+    code, out = run(capsys, *argv)
+    assert code == 2
+    report = json.loads(out)
+    assert report["schema"] == 1
+    assert report["command"] is None
+    assert report["error"]["type"] == "ConelogicError"
+    assert report["error"]["message"].startswith("conelogic")
+
+
+def test_help_still_prints_usage(capsys):
+    with pytest.raises(SystemExit) as e:
+        cli.main(["norm", "--help"])
+    assert e.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: conelogic norm")
+
+
+def test_files_that_are_not_utf8_are_bad_input(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{")
+    env = os.path.join(GOLDEN, "env.json")
+    code, out = run(capsys, "interpret", "--env", str(bad), "--formula", "a")
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "EnvError"
+    code, out = run(
+        capsys, "norm", "--env", env, "--object", "a", "--vector", str(bad)
+    )
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "UnicodeDecodeError"
+
+
+# Random requests: formulas from grammar tokens, valid and broken env
+# documents, vectors of the interpreted dimension or of a wrong length.
+
+LEAVES = ("a", "b", "1", "0", "bot", "top")
+BINARY = ("*", "|", "&", "+", "-o")
+TOKENS = LEAVES + BINARY + ("!", "?", "^", "(", ")")
+RATIONALS = st.sampled_from(["1", "1/2", "2/3", "3", "0"])
+BROKEN_RATIONALS = st.sampled_from(["-1", 0.5, "x", "1/0", True, None])
+
+FORMULAS = st.recursive(
+    st.sampled_from(LEAVES),
+    lambda f: st.one_of(
+        f.map(lambda x: f"!{x}"),
+        f.map(lambda x: f"?{x}"),
+        f.map(lambda x: f"({x})^"),
+        st.tuples(f, st.sampled_from(BINARY), f).map(lambda t: "(%s %s %s)" % t),
+    ),
+    max_leaves=3,
+) | st.lists(st.sampled_from(TOKENS), max_size=4).map(" ".join)
+
+
+@st.composite
+def atoms(draw, entries=RATIONALS):
+    d = draw(st.integers(1, 3))
+    row = st.lists(entries, min_size=d, max_size=d)
+    rows = draw(st.lists(row, min_size=1, max_size=3))
+    kind = draw(st.sampled_from(["pcs", "polyhedral", "qcs"]))
+    if kind == "pcs":
+        return {"kind": kind, "dim": d, "ball_gens": rows}
+    if kind == "polyhedral":
+        return {"kind": kind, "p_gens": rows}
+    return {"kind": kind, "n": draw(st.integers(1, 2))}
+
+
+def _env(atom):
+    atoms_table = st.fixed_dictionaries({"a": atom, "b": atom})
+    return st.fixed_dictionaries({"schema": st.just(1), "atoms": atoms_table})
+
+
+ENV_DOCS = _env(atoms()) | st.one_of(
+    _env(atoms(RATIONALS | BROKEN_RATIONALS)),
+    _env(st.fixed_dictionaries({"kind": st.sampled_from(["pcs", "nope"])})),
+    st.sampled_from(["{", "[]", '{"atoms": 3}', '{"schema": 2, "atoms": {}}']),
+)
+
+
+def _call(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    assert code in (0, 2), (argv, out.getvalue())
+    report = json.loads(out.getvalue())
+    assert report["schema"] == 1
+    return code, report
+
+
+@settings(max_examples=60, deadline=None)
+@given(FORMULAS, ENV_DOCS, st.integers(0, 2), st.data())
+def test_random_requests_keep_the_contract(formula, env_doc, trunc, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        env = os.path.join(tmp, "env.json")
+        with open(env, "w", encoding="utf-8") as fh:
+            fh.write(env_doc if isinstance(env_doc, str) else json.dumps(env_doc))
+        _call(["parse", "--formula", formula])
+        code, report = _call(
+            ["interpret", "--env", env, "--formula", formula, "--trunc", str(trunc)]
+        )
+        dim = report["object"]["dim"] if code == 0 else data.draw(st.integers(0, 3))
+        vector = data.draw(
+            st.lists(RATIONALS, min_size=dim, max_size=dim)
+            | st.lists(RATIONALS | BROKEN_RATIONALS, max_size=3)
+            | st.just("broken")
+        )
+        path = os.path.join(tmp, "vec.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump({"schema": 1, "vector": vector}, fh)
+        _call(
+            ["norm", "--env", env, "--object", formula, "--vector", path]
+            + ["--trunc", str(trunc)]
+        )

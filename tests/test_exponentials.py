@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conelogic import exponentials
 from conelogic.backends import bool_obj, cube_pcs, simplex_pcs
 from conelogic.cones import Backend, dual_object, one_obj, pairing, norm_primal
 from conelogic.errors import (
@@ -28,8 +29,11 @@ from conelogic.errors import (
 )
 from conelogic.exponentials import (
     AnalyticMap,
+    ExpNode,
     GradedDistribution,
     GradedSeries,
+    SumNode,
+    TensorNode,
     analytic_as_morphism,
     analytic_compose,
     analytic_eval,
@@ -61,8 +65,11 @@ from conelogic.exponentials import (
     whynot_mor,
     whynot_obj,
     _sample_points,
+    _shape,
 )
+from conelogic.lp import lp_maximize
 from conelogic.mall import adjoint, compose, identity, mor, morphism_norm, product_obj
+from conelogic.multisets import multiplicity
 from conelogic.rationals import vec
 
 Bool = bool_obj()
@@ -618,3 +625,89 @@ def test_sample_points_cover_the_resolution_two_grid():
     assert set(_sample_points((3,))) == grid | {(third, third, third)}
     # blocks combine as a product; a 2-block's center is its grid midpoint
     assert len(set(_sample_points((2, 3)))) == 3 * 7
+
+
+def test_sampled_polar_lp_gets_distinct_rows(monkeypatch):
+    # Not a multiple of a delta, so the bracket runs the sampled-polar LP;
+    # its grid vertices coincide with the honest generator members.
+    bg = bang_obj(simplex_pcs(2), 2)
+    e = (F(1), F(1), F(0), F(0), F(1), F(0))
+    seen = []
+
+    def spy(prob):
+        seen.append(prob)
+        return lp_maximize(prob)
+
+    monkeypatch.setattr(exponentials, "lp_maximize", spy)
+    br = graded_norm_bounds(bg, e)
+    assert br.note.endswith("sampled-polar LP upper")
+    assert len(seen) == 1
+    rows = [c.coeffs for c in seen[0].constraints]
+    assert len(rows) == len(set(rows)) > 1
+
+
+def _layout_shapes():
+    a, b = cube_pcs(2), simplex_pcs(3)
+    wa = whynot_obj(a, 2)
+    par = graded_par_obj(wa, wa, 2)
+    return {
+        "?a": wa,
+        "!a * !b": graded_tensor_obj(bang_obj(a, 2), bang_obj(b, 2), 2),
+        "(?a | ?a) | ?a": graded_par_obj(par, wa, 2),
+        "?a & ?b": graded_product_obj(wa, whynot_obj(b, 1)),
+        "!a + !b": graded_coproduct_obj(bang_obj(a, 2), bang_obj(b, 1)),
+    }
+
+
+def _check_layout(node):
+    """Each node's layout is the definitional combination of its children's."""
+    lay = node.layout
+    assert {lbl: i for i, lbl in enumerate(lay.coords)} == lay.index
+    assert len(lay.index) == len(lay.coords) == len(lay.grades) == len(lay.weights)
+    if isinstance(node, ExpNode):
+        assert lay.grades == tuple(len(m) for m in lay.coords)
+        assert lay.weights == tuple(multiplicity(m) for m in lay.coords)
+    elif isinstance(node, TensorNode):
+        lo, ro = node.left.layout, node.right.layout
+        pairs = [
+            (i, j)
+            for i in range(len(lo.coords))
+            for j in range(len(ro.coords))
+            if lo.grades[i] + ro.grades[j] <= node.trunc
+        ]
+        assert lay.coords == tuple((lo.coords[i], ro.coords[j]) for i, j in pairs)
+        assert lay.grades == tuple(lo.grades[i] + ro.grades[j] for i, j in pairs)
+        assert lay.weights == tuple(lo.weights[i] * ro.weights[j] for i, j in pairs)
+    elif isinstance(node, SumNode):
+        lo, ro = node.left.layout, node.right.layout
+        assert lay.coords == tuple(("L", c) for c in lo.coords) + tuple(
+            ("R", c) for c in ro.coords
+        )
+        assert lay.grades == lo.grades + ro.grades
+        assert lay.weights == lo.weights + ro.weights
+    for child in (getattr(node, "left", None), getattr(node, "right", None)):
+        if child is not None:
+            _check_layout(child)
+
+
+@pytest.mark.parametrize("name", list(_layout_shapes()))
+def test_layout_combines_the_children(name):
+    h = _layout_shapes()[name]
+    lay = _shape(h).node.layout
+    assert len(lay.coords) == h.dim
+    assert lay.weights == h.pairing_weights
+    _check_layout(_shape(h).node)
+    _check_layout(_shape(dual_object(h)).node)
+
+
+@pytest.mark.parametrize("name", ["?a", "!a * !b", "(?a | ?a) | ?a"])
+def test_dual_without_sums_reuses_the_node(name):
+    h = _layout_shapes()[name]
+    assert _shape(dual_object(h)).node is _shape(h).node
+
+
+def test_dual_of_a_sum_flips_it():
+    h = _layout_shapes()["?a & ?b"]
+    flipped = _shape(dual_object(h)).node
+    assert flipped.coproduct and not _shape(h).node.coproduct
+    assert flipped.layout == _shape(h).node.layout

@@ -1,0 +1,61 @@
+"""Source hygiene: no module of the package imports a name it never uses.
+
+`__init__.py` is exempt, since its imports are the public re-exports.
+"""
+
+import ast
+import os
+
+import pytest
+
+import conelogic
+
+PKG = os.path.dirname(conelogic.__file__)
+MODULES = sorted(
+    f for f in os.listdir(PKG) if f.endswith(".py") and f != "__init__.py"
+)
+
+
+def _imported(tree):
+    """Local name -> line of every import binding outside __future__."""
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                out[a.asname or a.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for a in node.names:
+                out[a.asname or a.name] = node.lineno
+    return out
+
+
+def _annotations(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.arg, ast.AnnAssign)):
+            yield node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.returns
+
+
+def _used(tree):
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    # Quoted forward references name types too.
+    for ann in _annotations(tree):
+        for n in ast.walk(ann) if ann is not None else ():
+            if isinstance(n, ast.Constant) and isinstance(n.value, str):
+                expr = ast.parse(n.value, mode="eval")
+                used |= {m.id for m in ast.walk(expr) if isinstance(m, ast.Name)}
+    return used
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_unused_imports(module):
+    with open(os.path.join(PKG, module), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    used = _used(tree)
+    unused = sorted(
+        f"{name} (line {line})"
+        for name, line in _imported(tree).items()
+        if name not in used
+    )
+    assert not unused, f"{module} imports names it never uses: {unused}"

@@ -1,32 +1,11 @@
-"""JSON round trips for rationals, graded elements, and analytic maps."""
+"""JSON forms for rationals and vectors, and canonical reports."""
 
 from fractions import Fraction as F
 
 import pytest
 
-from conelogic.backends import simplex_pcs
-from conelogic.errors import DimensionError, EnvError
-from conelogic.exponentials import (
-    GradedSeries,
-    analytic_map,
-    delta,
-    whynot_obj,
-)
-from conelogic.jsonio import (
-    analytic_from_json,
-    analytic_to_json,
-    distribution_from_json,
-    distribution_to_json,
-    dump_report,
-    frac_str,
-    parse_frac,
-    parse_vec,
-    series_from_json,
-    series_to_json,
-    vec_json,
-)
-
-Bool = simplex_pcs(2)
+from conelogic.errors import EnvError
+from conelogic.jsonio import dump_report, frac_str, parse_frac, parse_vec, vec_json
 
 
 def test_frac_round_trip():
@@ -51,46 +30,6 @@ def test_parse_frac_rejects_inexact():
 def test_vec_round_trip():
     v = (F(1, 2), F(0), F(7))
     assert parse_vec(vec_json(v)) == v
-
-
-def test_series_round_trip_groups_by_grade():
-    w = whynot_obj(Bool, 2)
-    f = GradedSeries(w, (F(1), F(0), F(0), F(0), F(1, 2), F(0)))
-    j = series_to_json(f)
-    assert j["grades"] == {"0": ["1"], "1": ["0", "0"], "2": ["0", "1/2", "0"]}
-    assert series_from_json(w, j).coords == f.coords
-
-
-def test_distribution_round_trip():
-    e = delta(Bool, (F(1, 2), F(1, 2)), 2)
-    j = distribution_to_json(e)
-    back = distribution_from_json(e.obj, j)
-    assert back.coords == e.coords
-
-
-def test_grade_mismatch_is_an_error():
-    w = whynot_obj(Bool, 2)
-    j = {"schema": 1, "grades": {"0": ["1"], "1": ["0", "0"]}}
-    with pytest.raises(DimensionError):
-        series_from_json(w, j)
-    j2 = {"schema": 1, "grades": {"0": ["1", "1"], "1": ["0", "0"], "2": ["0", "0", "0"]}}
-    with pytest.raises(DimensionError):
-        series_from_json(w, j2)
-
-
-def test_analytic_round_trip():
-    h = simplex_pcs(1)
-    f = analytic_map(h, h, [[[0]], [[F(1, 2)]], [[F(1, 2)]]])
-    j = analytic_to_json(f)
-    back = analytic_from_json(h, h, j)
-    assert back.grades == f.grades
-    assert j["grades"]["2"] == [["1/2"]]
-
-
-def test_schema_checked():
-    w = whynot_obj(Bool, 1)
-    with pytest.raises(EnvError, match="schema"):
-        series_from_json(w, {"schema": 3, "grades": {}})
 
 
 def test_dump_report_is_canonical():

@@ -38,13 +38,14 @@ from conelogic.mall import (
     product_obj,
     proj1,
     proj2,
-    structural,
     sym_tensor,
     tensor_mor,
     tensor_obj,
     uncurry,
     unitor_left,
+    unitor_left_inv,
     unitor_right,
+    unitor_right_inv,
     product_mor,
 )
 from conelogic.polyhedra import DD_MAX_DIM, polar_of_points, reduce_generators
@@ -203,8 +204,8 @@ def test_assoc_is_coordinate_identity():
 def test_unitors():
     a = pcs_object([[1, 0], [0, 1], [1, 1]], 2)
     assert unitor_left(a).source == tensor_obj(one_obj(), a)
-    assert compose(unitor_left(a), structural("unitor_left_inv", a)) == identity(a)
-    assert compose(unitor_right(a), structural("unitor_right_inv", a)) == identity(a)
+    assert compose(unitor_left(a), unitor_left_inv(a)) == identity(a)
+    assert compose(unitor_right(a), unitor_right_inv(a)) == identity(a)
 
 
 def test_product_universal_property():
@@ -246,11 +247,6 @@ def test_spectral_operands_rejected():
         product_obj(qc, Bool)
     with pytest.raises(CapabilityError):
         mor(qc, qc, eye(4))
-
-
-def test_structural_dispatcher_unknown_name():
-    with pytest.raises(ValueError):
-        structural("frobnicate", Bool)
 
 
 rat01 = st.integers(0, 4).flatmap(

@@ -15,7 +15,7 @@ import random
 import pytest
 
 from conelogic.backends import bool_obj, cube_pcs, simplex_pcs
-from conelogic.cones import dual_object, one_obj, validate_object
+from conelogic.cones import dual_object, one_obj, pairing, validate_object
 from conelogic.errors import NegativeCoefficientError
 from conelogic.mall import Morphism, compose, identity
 from conelogic.multisets import msets
@@ -25,16 +25,13 @@ from conelogic.symmetric import (
     SymTensor,
     apply_multilinear,
     diagonal_polynomial,
-    from_full,
     new_norm_bounds,
     old_norm,
     polarization_constant,
     power_tensor,
-    sym_pairing,
     sym_power_mor,
     sym_power_obj,
     sym_tensor,
-    to_full,
 )
 
 
@@ -43,23 +40,13 @@ def xy_form():
     return sym_tensor(2, 2, {(0, 1): F(1, 2)})
 
 
-def test_full_tensor_round_trip():
-    f = sym_tensor(2, 2, {(0, 0): F(1), (0, 1): F(2), (1, 1): F(3)})
-    flat = to_full(f)
-    assert flat == (F(1), F(2), F(2), F(3))
-    assert from_full(2, 2, flat) == f
-
-
-def test_from_full_rejects_asymmetry():
-    with pytest.raises(ValueError):
-        from_full(2, 2, [0, 1, 2, 0])
-
-
 def test_power_tensor_and_pairing_identity():
+    # The power object's multiplicity weights make <phi^n, x^n> = <phi, x>^n.
     x = vec([F(1, 2), F(1, 3)])
     phi = vec([F(2), F(1)])
     for n in range(4):
-        lhs = sym_pairing(power_tensor(phi, n), power_tensor(x, n))
+        p = sym_power_obj(simplex_pcs(2), n)
+        lhs = pairing(p, power_tensor(phi, n).coords, power_tensor(x, n).coords)
         inner = phi[0] * x[0] + phi[1] * x[1]
         assert lhs == inner**n
 
