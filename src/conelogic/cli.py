@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .cones import Backend, ConeObject, in_cone, norm_primal
@@ -151,9 +152,12 @@ def _load_vector(path: str, obj: ConeObject):
     check_schema(data, path)
     if obj.backend is Backend.SPECTRAL:
         try:
-            return tuple(float(v) for v in data["vector"])
+            x = tuple(float(v) for v in data["vector"])
         except (TypeError, ValueError, OverflowError) as e:
             raise ConelogicError(f"{path}: not a number in 'vector': {e}") from e
+        if not all(map(math.isfinite, x)):
+            raise ConelogicError(f"{path}: 'vector' holds a value that is not finite")
+        return x
     return parse_vec(data["vector"])
 
 

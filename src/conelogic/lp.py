@@ -91,17 +91,20 @@ def problem(
 
 
 def _pivot(tableau: list[list[Fraction]], obj: list[Fraction], row: int, col: int) -> None:
-    piv = tableau[row][col]
-    inv = Q1 / piv
-    tableau[row] = [x * inv for x in tableau[row]]
     prow = tableau[row]
-    for i, r in enumerate(tableau):
-        if i != row and r[col] != 0:
-            f = r[col]
-            tableau[i] = [a - f * b for a, b in zip(r, prow)]
-    if obj[col] != 0:
-        f = obj[col]
-        obj[:] = [a - f * b for a, b in zip(obj, prow)]
+    inv = Q1 / prow[col]
+    cols = [j for j, x in enumerate(prow) if x]
+    for j in cols:
+        prow[j] *= inv
+    for r in tableau:
+        f = r[col]
+        if f and r is not prow:
+            for j in cols:
+                r[j] -= f * prow[j]
+    f = obj[col]
+    if f:
+        for j in cols:
+            obj[j] -= f * prow[j]
 
 
 def _simplex(

@@ -6,10 +6,12 @@ constrained by t >= 0, sum t <= 1). That sup is what the graded norms and
 the diagonal symmetric norm are; it is a non-convex program, so a point
 value would be a lie. Everything here returns a certified bracket instead:
 
-  lower   exact evaluation at explicit feasible rational points (a
-          composition grid per block, refined by a multiplicative-update
-          ascent in floats whose best point is snapped back to rationals
-          and re-evaluated exactly),
+  lower   exact evaluation at explicit feasible rational points: a
+          composition grid per block, scanned in integers (the polynomial
+          scaled to integer values at grid points, so only the winning
+          point becomes a Fraction), then the uniform center and a
+          multiplicative-update ascent in floats whose best point is
+          snapped back to rationals and re-evaluated exactly,
 
   upper   the averaged-coefficient bound: group monomials by their
           per-block degree profile, bound each group by its largest
@@ -28,8 +30,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice, product
-from math import comb, factorial
-from typing import Iterator, Optional, Sequence
+from math import comb, factorial, lcm, prod
+from typing import Optional, Sequence
 
 from .errors import NegativeCoefficientError
 from .polynomials import Polynomial
@@ -148,36 +150,52 @@ def _compositions(total: int, parts: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def _grid_candidates(
-    blocks: Sequence[int], params: OracleParams
-) -> tuple[int, Iterator[VecQ]]:
-    cap = params.candidate_cap
+def _grid_resolution(blocks: Sequence[int], params: OracleParams) -> tuple[int, int]:
+    """The grid resolution r and the number of grid points it gives."""
     if params.grid_resolution is not None:
         resolutions = [params.grid_resolution]
     else:
         resolutions = [10, 8, 6, 5, 4, 3, 2, 1]
-    chosen = resolutions[-1]
     for r in resolutions:
-        count = 1
-        for b in blocks:
-            count *= comb(r + b - 1, b - 1)
-            if count > cap:
-                break
-        if count <= cap:
-            chosen = r
+        count = prod(comb(r + b - 1, b - 1) for b in blocks)
+        if count <= params.candidate_cap:
             break
+    return r, count
 
-    def points() -> Iterator[VecQ]:
-        per_block = [
-            [tuple(Fraction(k, chosen) for k in comp) for comp in _compositions(chosen, b)]
-            for b in blocks
-        ]
-        for combo in product(*per_block):
-            yield tuple(x for part in combo for x in part)
-        # Uniform centers, useful when the grid is coarse.
-        yield tuple(Fraction(1, b) for b in blocks for _ in range(b))
 
-    return chosen, islice(points(), cap + 1)
+def _grid_argmax(
+    poly: Polynomial, blocks: Sequence[int], r: int, cap: int
+) -> tuple[Fraction, VecQ]:
+    """Best of the first cap + 1 grid points k/r, scanned in integers.
+
+    With L the lcm of the coefficient denominators and D the total degree,
+    L r^D p(k/r) = sum_e (L c_e) r^(D - |e|) prod_i k_i^(e_i) is an integer,
+    so points compare as integers; the first strict maximum wins (the zero
+    point when no value is > 0), and only the winner becomes a Fraction.
+    """
+    deg = poly.total_degree()
+    den = lcm(*(c.denominator for c in poly.terms.values()))
+    terms = [
+        (int(c * den) * r ** (deg - sum(e)), [(i, k) for i, k in enumerate(e) if k])
+        for e, c in poly.terms.items()
+    ]
+    powers = [[k**j for j in range(deg + 1)] for k in range(r + 1)]
+    best, best_k = 0, (0,) * poly.nvars
+    grid = product(*(_compositions(r, b) for b in blocks))
+    for combo in islice(grid, cap + 1):
+        k = sum(combo, ())
+        total = 0
+        for c, factors in terms:
+            for i, j in factors:
+                ki = k[i]
+                if not ki:
+                    break
+                c *= powers[ki][j]
+            else:
+                total += c
+        if total > best:
+            best, best_k = total, k
+    return Fraction(best, den * r**deg), tuple(Fraction(x, r) for x in best_k)
 
 
 def _ascent(
@@ -238,12 +256,14 @@ def simplex_polynomial_bounds(
         return Bracket(v, v, point, "affine vertex maximum")
 
     upper = averaged_upper(poly, blocks)
-    resolution, candidates = _grid_candidates(blocks, params)
-    lower, argmax = Q0, (Q0,) * poly.nvars
-    for point in candidates:
-        v = poly.eval_exact(point)
+    resolution, count = _grid_resolution(blocks, params)
+    lower, argmax = _grid_argmax(poly, blocks, resolution, params.candidate_cap)
+    if count <= params.candidate_cap:
+        # The uniform center, useful when the grid is coarse.
+        center = tuple(Fraction(1, b) for b in blocks for _ in range(b))
+        v = poly.eval_exact(center)
         if v > lower:
-            lower, argmax = v, point
+            lower, argmax = v, center
     if params.ascent_iters > 0:
         refined = _ascent(
             poly, blocks, [float(x) for x in argmax], params.ascent_iters

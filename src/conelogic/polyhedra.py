@@ -21,8 +21,10 @@ which vertices are canonical, so no LP is solved here.
 A canonical generator list is sorted, zero-free, and has no point under the
 hull of the others and 0; object equality compares these lists. Connective
 lists are canonical by construction and need only sort_generators;
-reduce_generators (one LP per point) handles user input and is the
-independent cross-check of validate_object.
+reduce_generators handles user input and is the independent cross-check of
+validate_object. It drops every point that lies under a single other point
+by a componentwise comparison, and solves one LP per survivor only when
+three or more survive.
 
 Double description is only run up to ambient dimension 8; beyond that the
 package raises CapabilityError (norm evaluation is designed to never need a
@@ -50,12 +52,21 @@ def reduce_generators(points: Iterable[VecQ]) -> tuple[VecQ, ...]:
     """Canonical form of an arbitrary generator set in the orthant.
 
     sort_generators, then removes every point that is coordinatewise
-    dominated by a convex combination of the *other* points and 0 (one small
-    feasibility LP per point; simultaneous removal is sound because the
-    extreme points of the downward hull dominate everything else).
+    dominated by a convex combination of the *other* points and 0. A point
+    under one other point goes by comparison; if three or more survive,
+    each gets one small feasibility LP against the other survivors (two
+    survivors are incomparable, so both stay). Simultaneous removal is
+    sound because the extreme points of the downward hull dominate
+    everything else.
     """
     pts = sort_generators(points)
-    return tuple(p for p in pts if not dominates([g for g in pts if g != p], p))
+    kept = [
+        p for p in pts
+        if not any(g != p and all(a <= b for a, b in zip(p, g)) for g in pts)
+    ]
+    if len(kept) <= 2:
+        return tuple(kept)
+    return tuple(p for p in kept if not dominates([g for g in kept if g != p], p))
 
 
 def dominates(points: Sequence[VecQ], x: VecQ) -> bool:

@@ -4,6 +4,9 @@ Terms live in a dict from exponent tuples to Fractions; zero coefficients
 are dropped eagerly so equality of term dicts is equality of polynomials.
 Only what the oracles and the graded pullbacks need: ring operations,
 truncated products, substitution, exact and float evaluation, gradients.
+The term dict is never mutated after construction, so the float view the
+oracle's ascent reads (each coefficient as a float with its nonzero
+exponents) is built once per polynomial, on first use.
 """
 
 from __future__ import annotations
@@ -17,11 +20,12 @@ Expvec = tuple[int, ...]
 
 
 class Polynomial:
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "terms", "_floats")
 
     def __init__(self, nvars: int, terms: Optional[dict[Expvec, Fraction]] = None):
         self.nvars = nvars
         self.terms: dict[Expvec, Fraction] = {}
+        self._floats: Optional[list[tuple[float, list[tuple[int, int]]]]] = None
         if terms:
             for e, c in terms.items():
                 if len(e) != nvars:
@@ -162,24 +166,29 @@ class Polynomial:
             total += v
         return total
 
+    def _float_terms(self) -> list[tuple[float, list[tuple[int, int]]]]:
+        if self._floats is None:
+            self._floats = [
+                (float(c), [(i, k) for i, k in enumerate(e) if k])
+                for e, c in self.terms.items()
+            ]
+        return self._floats
+
     def eval_float(self, point: Sequence[float]) -> float:
         total = 0.0
-        for e, c in self.terms.items():
-            v = float(c)
-            for i, k in enumerate(e):
-                if k:
-                    v *= point[i] ** k
+        for c, factors in self._float_terms():
+            v = c
+            for i, k in factors:
+                v *= point[i] ** k
             total += v
         return total
 
     def grad_float(self, point: Sequence[float]) -> list[float]:
         g = [0.0] * self.nvars
-        for e, c in self.terms.items():
-            for i, k in enumerate(e):
-                if k == 0:
-                    continue
-                v = float(c) * k
-                for j, kj in enumerate(e):
+        for c, factors in self._float_terms():
+            for i, k in factors:
+                v = c * k
+                for j, kj in factors:
                     p = kj - 1 if j == i else kj
                     if p:
                         v *= point[j] ** p

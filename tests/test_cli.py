@@ -305,6 +305,25 @@ def test_files_that_are_not_utf8_are_bad_input(capsys, tmp_path):
     assert json.loads(out)["error"]["type"] == "UnicodeDecodeError"
 
 
+
+@pytest.mark.parametrize("entry", ["Infinity", "-Infinity", "NaN"])
+def test_spectral_norm_rejects_non_finite_entries(capsys, tmp_path, entry):
+    vector = tmp_path / "x.json"
+    vector.write_text('{"schema": 1, "vector": [%s, 0, 0, 1]}' % entry)
+    env = os.path.join(GOLDEN, "env.json")
+    code, out = run(
+        capsys, "norm", "--env", env, "--object", "q", "--vector", str(vector)
+    )
+    assert code == 2
+
+    def strict(name):
+        raise ValueError(f"{name} is not JSON")
+
+    report = json.loads(out, parse_constant=strict)
+    assert report["schema"] == 1
+    assert report["error"]["type"] == "ConelogicError"
+    assert "not finite" in report["error"]["message"]
+
 # Random requests: formulas from grammar tokens, valid and broken env
 # documents, vectors of the interpreted dimension or of a wrong length.
 

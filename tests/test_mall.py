@@ -341,7 +341,8 @@ def lp_solves(monkeypatch):
 
 
 def test_connectives_and_polars_solve_no_lp(lp_solves):
-    a = from_p_gens([[1, F(1, 2)], [F(1, 3), 1], [F(1, 2), F(1, 2)]], 2)
+    # (2/3, 2/3) is under neither other point, only under their hull
+    a = from_p_gens([[1, F(1, 2)], [F(1, 3), 1], [F(2, 3), F(2, 3)]], 2)
     b = from_p_gens([[1, 0, F(1, 2)], [0, 1, 1]], 3)
     built = lp_solves[0]
     assert built > 0  # raw input: one reduction LP per point

@@ -5,9 +5,14 @@ closed-form maxima (t^e peaks at t_i = e_i / |e|), and the averaged
 coefficient bound is computable by hand for one or two terms.
 """
 
+import itertools
+from dataclasses import replace
 from fractions import Fraction as F
+from math import comb, prod
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conelogic.errors import NegativeCoefficientError
 from conelogic.oracle import (
@@ -129,3 +134,126 @@ def test_bracket_scaling():
     s = br.scaled(F(2))
     assert (s.lower, s.upper) == (F(1, 2), F(1))
     assert br.width == F(1, 4)
+
+
+# The integer grid scan against the Fraction loop it replaced: every grid
+# point and then the uniform center as Fractions, evaluated exactly, the
+# first strict maximum kept, at most candidate_cap + 1 candidates.
+
+
+def _compositions(total, parts):
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def reference_grid_bracket(poly, blocks, params):
+    if params.grid_resolution is not None:
+        resolutions = [params.grid_resolution]
+    else:
+        resolutions = [10, 8, 6, 5, 4, 3, 2, 1]
+    cap = params.candidate_cap
+    r = next(
+        (x for x in resolutions if prod(comb(x + b - 1, b - 1) for b in blocks) <= cap),
+        resolutions[-1],
+    )
+
+    def points():
+        grids = [list(_compositions(r, b)) for b in blocks]
+        for combo in itertools.product(*grids):
+            yield tuple(F(k, r) for part in combo for k in part)
+        yield tuple(F(1, b) for b in blocks for _ in range(b))
+
+    lower, argmax = F(0), (F(0),) * poly.nvars
+    for point in itertools.islice(points(), cap + 1):
+        v = poly.eval_exact(point)
+        if v > lower:
+            lower, argmax = v, point
+    return lower, argmax, f"grid 1/{r} + ascent"
+
+
+def assert_grid_matches_reference(poly, blocks, params):
+    params = replace(params, ascent_iters=0)
+    br = simplex_polynomial_bounds(poly, blocks, params)
+    assert (br.lower, br.argmax, br.note) == reference_grid_bracket(poly, blocks, params)
+
+
+@pytest.mark.parametrize(
+    "terms, blocks, params",
+    [
+        # tie between the two vertices: the first one wins
+        ({(2, 0): F(1), (0, 2): F(1)}, (2,), OracleParams()),
+        # zero at every grid vertex: the center wins
+        ({(1, 1): F(1)}, (2,), OracleParams(grid_resolution=1)),
+        # zero on the truncated grid, center not reached: the zero point
+        ({(1, 1, 1): F(1)}, (3,), OracleParams(grid_resolution=2, candidate_cap=2)),
+        # three blocks, mixed denominators
+        (
+            {(1, 1, 0, 1): F(2, 3), (0, 2, 1, 0): F(5, 4), (0, 0, 0, 2): F(1, 6)},
+            (1, 2, 1),
+            OracleParams(),
+        ),
+    ],
+)
+def test_grid_scan_cases(terms, blocks, params):
+    nvars = sum(blocks)
+    assert_grid_matches_reference(Polynomial(nvars, terms), blocks, params)
+
+
+@st.composite
+def grid_problems(draw):
+    blocks = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
+    n = sum(blocks)
+    coeff = st.sampled_from([F(1), F(1, 2), F(2, 3), F(3), F(5, 4)])
+    exps = st.tuples(*([st.integers(0, 2)] * n))
+    poly = Polynomial(n, draw(st.dictionaries(exps, coeff, min_size=1, max_size=5)))
+    assume(poly.total_degree() >= 2)
+    params = OracleParams(
+        grid_resolution=draw(st.sampled_from([None, 1, 2, 3, 4])),
+        candidate_cap=draw(st.sampled_from([1, 2, 5, 30, 400])),
+    )
+    return poly, blocks, params
+
+
+@settings(max_examples=150, deadline=None)
+@given(grid_problems())
+def test_grid_scan_matches_the_fraction_loop(problem):
+    assert_grid_matches_reference(*problem)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.tuples(
+            st.dictionaries(
+                st.tuples(*([st.integers(0, 3)] * n)),
+                st.fractions(min_value=-5, max_value=5, max_denominator=7),
+                max_size=6,
+            ).map(lambda terms: Polynomial(n, terms)),
+            st.lists(st.floats(0, 1), min_size=n, max_size=n),
+        )
+    )
+)
+def test_float_view_matches_the_term_loop(poly_and_point):
+    poly, t = poly_and_point
+    value = 0.0
+    grad = [0.0] * poly.nvars
+    for e, c in poly.terms.items():
+        v = float(c)
+        for i, k in enumerate(e):
+            if k:
+                v *= t[i] ** k
+        value += v
+        for i, k in enumerate(e):
+            if k:
+                g = float(c) * k
+                for j, kj in enumerate(e):
+                    p = kj - 1 if j == i else kj
+                    if p:
+                        g *= t[j] ** p
+                grad[i] += g
+    assert poly.eval_float(t) == value  # bit for bit, not approximately
+    assert poly.grad_float(t) == grad

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conelogic import lp
 from conelogic.polyhedra import (
     _dd_vertices,
     bipolar,
@@ -19,6 +20,7 @@ from conelogic.polyhedra import (
     polar_of_points,
     polar_vertices,
     reduce_generators,
+    sort_generators,
 )
 from conelogic.rationals import vec
 
@@ -121,6 +123,68 @@ def test_dominates():
     assert not dominates(gens, vec([F(3, 4), F(3, 4)]))
     assert dominates(gens, vec([0, 0]))
 
+
+
+@st.composite
+def generator_inputs(draw):
+    """Points with exact duplicates, chains (scaled-down copies), the zero
+    point and zero coordinates."""
+    dim = draw(st.integers(1, 3))
+    value = st.sampled_from([F(0), F(1, 3), F(1, 2), F(2, 3), F(1), F(2)])
+    pts = draw(st.lists(st.tuples(*([value] * dim)), max_size=6))
+    for p in list(pts):
+        how = draw(st.sampled_from(["none", "duplicate", "scaled", "zeroed", "zero"]))
+        if how == "duplicate":
+            pts.append(p)
+        elif how == "scaled":
+            f = draw(st.sampled_from([F(1, 2), F(2, 3)]))
+            pts.append(tuple(f * x for x in p))
+        elif how == "zeroed":
+            c = draw(st.integers(0, dim - 1))
+            pts.append(p[:c] + (F(0),) + p[c + 1 :])
+        elif how == "zero":
+            pts.append((F(0),) * dim)
+    return [vec(p) for p in draw(st.permutations(pts))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(generator_inputs())
+def test_reduce_equals_the_lp_only_definition(pts):
+    canon = sort_generators(pts)
+    expected = tuple(
+        p for p in canon if not dominates([g for g in canon if g != p], p)
+    )
+    assert reduce_generators(pts) == expected
+
+
+@pytest.fixture
+def lp_solves(monkeypatch):
+    """Counts the exact LPs (lp_feasible reaches lp_maximize in the lp module)."""
+    count = [0]
+    real = lp.lp_maximize
+
+    def counted(prob):
+        count[0] += 1
+        return real(prob)
+
+    monkeypatch.setattr(lp, "lp_maximize", counted)
+    return count
+
+
+@pytest.mark.parametrize(
+    "pts, kept, solves",
+    [
+        # two incomparable points: both canonical, no LP
+        ([[1, F(1, 2)], [F(1, 3), 1]], [[F(1, 3), 1], [1, F(1, 2)]], 0),
+        # a chain: everything under its top, no LP
+        ([[F(1, 4), F(1, 4)], [1, 1], [F(1, 2), F(1, 2)], [1, 1]], [[1, 1]], 0),
+        # three pairwise-incomparable points: one LP each
+        ([[1, 0], [0, 1], [F(1, 2), F(1, 2)]], [[0, 1], [1, 0]], 3),
+    ],
+)
+def test_reduce_solves_lps_only_for_three_survivors(lp_solves, pts, kept, solves):
+    assert reduce_generators(vec(p) for p in pts) == tuple(vec(p) for p in kept)
+    assert lp_solves[0] == solves
 
 coord = st.integers(0, 5).flatmap(
     lambda p: st.integers(1, 3).map(lambda q: F(p, q))
