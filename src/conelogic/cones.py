@@ -43,7 +43,7 @@ from typing import Any, Optional
 
 from .errors import CapabilityError, DimensionError, MembershipError
 from .lp import LpStatus, constraint, lp_maximize, lp_minimize, problem
-from .polyhedra import DD_MAX_DIM, polar_vertices, reduce_generators
+from .polyhedra import DD_MAX_DIM, polar_of_points, polar_vertices, reduce_generators
 from .rationals import Q0, Q1, VecQ, is_zero, unit, vec
 
 
@@ -137,20 +137,38 @@ def polar_w(
     coordinate scaling commutes with canonicalization (domination and lex
     order are both preserved), so the result is canonical in f-coordinates.
     """
+    return _unweight(polar_vertices(gens, dim), weights)
+
+
+def _unweight(
+    ys: tuple[VecQ, ...], weights: Optional[tuple[Fraction, ...]]
+) -> tuple[VecQ, ...]:
+    """f_c = y_c / w_c for each plain-polar vertex y (see polar_w)."""
     if weights is None:
-        return polar_vertices(gens, dim)
-    ys = polar_vertices(gens, dim)
-    return tuple(tuple(y[c] / weights[c] for c in range(dim)) for y in ys)
+        return ys
+    return tuple(tuple(y[c] / w for c, w in enumerate(weights)) for y in ys)
 
 
 def from_p_gens(gens, dim: int, label: str = "", weights=None) -> ConeObject:
-    """Polyhedral object from primal ball generators; dual side by polar."""
-    p = reduce_generators(vec(g) for g in gens)
-    for g in p:
+    """Polyhedral object from primal ball generators; dual side by polar.
+
+    One double description run gives both sides: the polar's vertices and
+    the canonical primal list (the input points whose cuts define facets of
+    the polar, which is reduce_generators' list), so no LP is solved.
+    Generators must lie in the orthant and span every coordinate.
+    """
+    pts = [vec(g) for g in gens]
+    for g in pts:
         if len(g) != dim:
             raise DimensionError(dim, len(g), "generator")
-    q = polar_w(p, dim, weights)
-    return ConeObject(dim=dim, p_ball_gens=p, q_ball_gens=q, label=label, weights=weights)
+    res = polar_of_points(pts, dim).checked()
+    return ConeObject(
+        dim=dim,
+        p_ball_gens=res.kept,
+        q_ball_gens=_unweight(res.vertices, weights),
+        label=label,
+        weights=weights,
+    )
 
 
 def from_both_gens(p_gens, q_gens, dim: int, label: str = "") -> ConeObject:
@@ -381,21 +399,27 @@ class ValidationReport:
         return all(c.passed for c in self.checks)
 
 
+def _in_orthant(gens: tuple[VecQ, ...]) -> bool:
+    return all(x >= 0 for g in gens for x in g)
+
+
 def _side_checks(name: str, gens: tuple[VecQ, ...], dim: int) -> list[CheckOutcome]:
     out = []
     ok = all(len(g) == dim for g in gens)
     out.append(CheckOutcome(f"{name}-shape", ok, "" if ok else "generator length mismatch"))
-    ok = all(all(x >= 0 for x in g) and not is_zero(g) for g in gens)
+    nonneg = _in_orthant(gens)
+    ok = nonneg and not any(is_zero(g) for g in gens)
     out.append(CheckOutcome(f"{name}-orthant", ok, "" if ok else "zero or negative generator"))
-    canon = reduce_generators(gens)
-    ok = canon == gens
-    out.append(
-        CheckOutcome(
-            f"{name}-canonical",
-            ok,
-            "" if ok else f"canonical form differs: {canon}",
+    if nonneg:  # canonical forms exist only in the orthant
+        canon = reduce_generators(gens)
+        ok = canon == gens
+        out.append(
+            CheckOutcome(
+                f"{name}-canonical",
+                ok,
+                "" if ok else f"canonical form differs: {canon}",
+            )
         )
-    )
     spanned = all(any(g[c] > 0 for g in gens) for c in range(dim))
     out.append(
         CheckOutcome(f"{name}-spanning", spanned, "" if spanned else "unspanned coordinate")
@@ -426,7 +450,7 @@ def validate_object(a: ConeObject) -> ValidationReport:
         spanning = all(
             any(g[c] > 0 for g in gens) for gens in (p, q) for c in range(a.dim)
         )
-        if spanning:
+        if spanning and _in_orthant(p) and _in_orthant(q):
             polar_ok = polar_w(p, a.dim, a.weights) == q and polar_w(q, a.dim, a.weights) == p
             checks.append(
                 CheckOutcome(

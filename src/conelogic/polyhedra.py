@@ -11,20 +11,32 @@ description method run on the homogenization
     C = { (a, t) : a >= 0, t >= 0, t - <x, a> >= 0 for all x in S },
 
 starting from the orthant cone (whose extreme rays are the unit vectors) and
-cutting with one point-constraint at a time. Rays with t > 0 scale to
-vertices; rays with t = 0 are recession directions, which exist exactly when
-some coordinate is unspanned by S (all points zero there). That case is
-detected up front and reported as a status flag instead of a generator list.
-Every ray carries its set of tight constraints; they decide adjacency and
-which vertices are canonical, so no LP is solved here.
+cutting with one point-constraint at a time. The arithmetic is fraction-free:
+each cut is scaled by the lcm of its point's denominators, rays are
+primitive integer vectors (the new ray of an adjacent pair is divided by the
+gcd of its entries), and only the final rays become Fractions. Rays with
+t > 0 scale to vertices; rays with t = 0 are recession directions, which
+exist exactly when some coordinate is unspanned by S (all points zero
+there). That case is detected up front and reported as a status flag
+instead of a generator list.
+
+Every ray carries the bitmask of its tight constraints; the masks decide
+adjacency, which vertices are canonical, and which input points are: a
+point is canonical exactly when its cut defines a facet of the polar, that
+is, when the set of vertices tight at it is inside no other point's. So the
+same run gives both generator lists, and no LP is solved here.
 
 A canonical generator list is sorted, zero-free, and has no point under the
 hull of the others and 0; object equality compares these lists. Connective
 lists are canonical by construction and need only sort_generators;
-reduce_generators handles user input and is the independent cross-check of
-validate_object. It drops every point that lies under a single other point
-by a componentwise comparison, and solves one LP per survivor only when
-three or more survive.
+reduce_generators handles generator lists that come with no polar (both
+sides given, symmetric powers) and is the independent cross-check of the
+double description route in validate_object. It drops every point that lies
+under a single other point by a componentwise comparison, and solves one LP
+per survivor only when three or more survive.
+
+Every generator list here must lie in the orthant; a point with a negative
+entry is refused with a ValueError.
 
 Double description is only run up to ambient dimension 8; beyond that the
 package raises CapabilityError (norm evaluation is designed to never need a
@@ -34,18 +46,31 @@ polar above that size).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import CapabilityError, DimensionError
 from .lp import LpStatus, constraint, lp_feasible
-from .rationals import Q0, VecQ, is_zero, unit, vec
+from .rationals import VecQ, is_zero, vec
 
 DD_MAX_DIM = 8
 
 
 def sort_generators(points: Iterable[VecQ]) -> tuple[VecQ, ...]:
     """Drop zero vectors and exact duplicates, then sort lexicographically."""
-    return tuple(sorted(set(p for p in points if not is_zero(p))))
+    out: list[VecQ] = []
+    for p in sorted(p for p in points if not is_zero(p)):
+        if not out or p != out[-1]:
+            out.append(p)
+    return tuple(out)
+
+
+def _check_orthant(points: Iterable[VecQ]) -> None:
+    for p in points:
+        if any(x < 0 for x in p):
+            raise ValueError(
+                f"generators must lie in the orthant, got ({', '.join(map(str, p))})"
+            )
 
 
 def reduce_generators(points: Iterable[VecQ]) -> tuple[VecQ, ...]:
@@ -57,9 +82,10 @@ def reduce_generators(points: Iterable[VecQ]) -> tuple[VecQ, ...]:
     each gets one small feasibility LP against the other survivors (two
     survivors are incomparable, so both stay). Simultaneous removal is
     sound because the extreme points of the downward hull dominate
-    everything else.
+    everything else. A point with a negative entry raises ValueError.
     """
     pts = sort_generators(points)
+    _check_orthant(pts)
     kept = [
         p for p in pts
         if not any(g != p and all(a <= b for a, b in zip(p, g)) for g in pts)
@@ -83,68 +109,90 @@ def dominates(points: Sequence[VecQ], x: VecQ) -> bool:
 
 
 class PolarResult(NamedTuple):
-    """Either a vertex list (bounded polar) or the unspanned coordinates."""
+    """Either a vertex list (bounded polar) or the unspanned coordinates.
+
+    kept is the canonical form of the input points (reduce_generators'
+    list), read off the same double description run; None when unbounded.
+    """
 
     vertices: Optional[tuple[VecQ, ...]]
     unbounded_coords: tuple[int, ...]
+    kept: Optional[tuple[VecQ, ...]]
 
     @property
     def bounded(self) -> bool:
         return self.vertices is not None
 
+    def checked(self) -> "PolarResult":
+        """This result, or ValueError when the polar is unbounded."""
+        if not self.bounded:
+            raise ValueError(
+                f"polar is unbounded in coordinates {self.unbounded_coords} "
+                "(generators do not span)"
+            )
+        return self
+
 
 def polar_of_points(points: Iterable[VecQ], dim: int) -> PolarResult:
-    """Canonical vertices of polar(points), or the unspanned coordinates.
+    """Canonical vertices of polar(points) and the canonical input points,
+    or the unspanned coordinates.
 
     A vertex v is canonical exactly when the supports of the points tight at
     v (<p, v> = 1) cover every coordinate: otherwise some e >= 0, e != 0 is
     feasible at v and lifts v above the hull of the other vertices and 0.
-    Double description already carries the tight sets, so no LP runs.
+    An input point is canonical exactly when its cut defines a facet: its
+    tight vertices are not all tight at another point's cut (an empty set
+    is inside every other one; a lone point always defines a facet). By
+    Farkas, a point under the hull of the others and 0 is one whose cut
+    the other cuts and a >= 0 imply; the polar is full-dimensional, so that
+    is one whose cut defines no facet. Such a cut's face misses 0, so it is
+    not cut out by coordinate facets alone: a facet of another point
+    contains it, and the orthant cuts need no tight sets. Double
+    description carries the tight sets, so no LP runs.
     """
     pts = [vec(p) for p in points]
     for p in pts:
         if len(p) != dim:
             raise DimensionError(dim, len(p), "polar input point")
-        if any(x < 0 for x in p):
-            raise ValueError(f"polar input must lie in the orthant, got {p}")
+    _check_orthant(pts)
     if dim == 0:
-        return PolarResult((), ())
+        return PolarResult((), (), ())
     if dim > DD_MAX_DIM:
         raise CapabilityError(
             f"double description capped at dimension {DD_MAX_DIM}",
             f"requested dimension {dim}",
         )
-    pts = list(dict.fromkeys(p for p in pts if not is_zero(p)))
+    pts = list(sort_generators(pts))
     unspanned = tuple(c for c in range(dim) if all(p[c] == 0 for p in pts))
     if unspanned:
-        return PolarResult(None, unspanned)
-    supports = [frozenset(c for c, x in enumerate(p) if x) for p in pts]
+        return PolarResult(None, unspanned, None)
+    supports = [sum(1 << c for c, x in enumerate(p) if x) for p in pts]
+    full = (1 << dim) - 1
     verts = []
-    for v, tight in _dd_vertices(pts, dim):
-        if len(frozenset().union(*(supports[i] for i in tight))) == dim:
+    # The vertices tight at each point's cut, as bitmasks over vertex indices.
+    point_tight = [0] * len(pts)
+    for k, (v, tight) in enumerate(_dd_vertices(pts, dim)):
+        cover = 0
+        for i in tight:
+            point_tight[i] |= 1 << k
+            cover |= supports[i]
+        if cover == full:
             verts.append(v)
-    return PolarResult(sort_generators(verts), ())
+    kept = tuple(
+        p for i, (p, mine) in enumerate(zip(pts, point_tight))
+        if not any(j != i and mine & z == mine for j, z in enumerate(point_tight))
+    )
+    return PolarResult(sort_generators(verts), (), kept)
 
 
 def polar_vertices(points: Iterable[VecQ], dim: int) -> tuple[VecQ, ...]:
     """polar_of_points, raising on an unbounded polar."""
-    res = polar_of_points(points, dim)
-    if not res.bounded:
-        raise ValueError(
-            f"polar is unbounded in coordinates {res.unbounded_coords} "
-            "(generators do not span)"
-        )
-    return res.vertices
+    return polar_of_points(points, dim).checked().vertices
 
 
 def bipolar(points: Iterable[VecQ], dim: int) -> tuple[VecQ, ...]:
     """Canonical generators of the closed downward hull: polar twice."""
     return polar_vertices(polar_vertices(points, dim), dim)
-
-
-def _normalize_ray(r: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    s = sum(r, Q0)
-    return tuple(x / s for x in r)  # rays here are nonneg and nonzero
 
 
 def _dd_vertices(pts: list[VecQ], dim: int) -> list[tuple[VecQ, frozenset[int]]]:
@@ -153,25 +201,31 @@ def _dd_vertices(pts: list[VecQ], dim: int) -> list[tuple[VecQ, frozenset[int]]]
     Extreme rays of the homogenized polar cone, dehomogenized at t = 1.
     """
     n = dim + 1
-    # Each ray carries the set of ids of constraints active at it.
-    # Ids 0..dim are the orthant constraints (dim is the t >= 0 row);
-    # dim+1+i is the i-th point constraint.
-    rays = [(unit(n, k), frozenset(range(n)) - {k}) for k in range(n)]
+    # Each ray is a primitive nonnegative integer vector (its only
+    # representative, so equal rays are equal tuples) with the bitmask of the
+    # constraints active at it. Bits 0..dim are the orthant constraints (dim
+    # is the t >= 0 row); bit dim+1+i is the i-th point constraint.
+    rays = [
+        (tuple(int(j == k) for j in range(n)), ((1 << n) - 1) ^ (1 << k))
+        for k in range(n)
+    ]
 
     for i, p in enumerate(pts):
-        cid = n + i
-        p_nonzeros = [(c, x) for c, x in enumerate(p) if x]
-        # Value of t - <p, a> at each ray, computed once per cut.
+        cid = 1 << (n + i)
+        # t - <p, a> >= 0 scaled by the lcm of p's denominators: same sign,
+        # same tight set, integer coefficients.
+        scale = lcm(*(x.denominator for x in p))
+        cut = [(c, x.numerator * (scale // x.denominator)) for c, x in enumerate(p) if x]
         pos, neg, new_rays = [], [], []
         for r, z in rays:
-            val = r[-1] - sum(x * r[c] for c, x in p_nonzeros)
-            if val.numerator > 0:
+            val = scale * r[-1] - sum(a * r[c] for c, a in cut)
+            if val > 0:
                 pos.append((r, z, val))
                 new_rays.append((r, z))
-            elif val.numerator < 0:
+            elif val < 0:
                 neg.append((r, z, val))
             else:
-                new_rays.append((r, z | {cid}))
+                new_rays.append((r, z | cid))
 
         all_zsets = [z for (_, z) in rays]
         for rp, zp, vp in pos:
@@ -182,15 +236,16 @@ def _dd_vertices(pts: list[VecQ], dim: int) -> list[tuple[VecQ, frozenset[int]]]
                 # determine extreme rays, so counting is enough.) Adjacent
                 # rays of a pointed cone in R^n share at least n - 2 active
                 # constraints (Fukuda & Prodon 1996), a cheap first filter.
-                if len(common) < n - 2:
+                if common.bit_count() < n - 2:
                     continue
-                if sum(1 for z in all_zsets if common <= z) != 2:
+                if sum(1 for z in all_zsets if common & z == common) != 2:
                     continue
-                combo = tuple(vp * b - vn * a for a, b in zip(rp, rn))
-                new_rays.append((_normalize_ray(combo), common | {cid}))
+                combo = [vp * b - vn * a for a, b in zip(rp, rn)]
+                g = gcd(*combo)
+                new_rays.append((tuple(x // g for x in combo), common | cid))
         # Dedupe rays (the adjacency test can produce a ray twice via
         # different pairs when degeneracies align).
-        seen: dict[tuple[Fraction, ...], frozenset[int]] = {}
+        seen: dict[tuple[int, ...], int] = {}
         for r, z in new_rays:
             seen[r] = seen.get(r, z) | z
         rays = list(seen.items())
@@ -199,6 +254,6 @@ def _dd_vertices(pts: list[VecQ], dim: int) -> list[tuple[VecQ, frozenset[int]]]
     for r, z in rays:
         t = r[-1]
         assert t > 0, "recession ray survived the spanning pre-check"
-        tight = frozenset(j - n for j in z if j >= n)
-        verts.append((tuple(x / t for x in r[:-1]), tight))
+        tight = frozenset(i for i in range(len(pts)) if z >> (n + i) & 1)
+        verts.append((tuple(Fraction(x, t) for x in r[:-1]), tight))
     return verts

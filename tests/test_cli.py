@@ -177,6 +177,26 @@ def test_interpret_rejects_a_non_spanning_atom(capsys, tmp_path):
     assert "'bad'" in report["error"]["message"]
 
 
+@pytest.mark.parametrize(
+    "atom",
+    [
+        # (1/2, -1) is under (1, 1), so a dominance filter alone would drop it
+        {"kind": "polyhedral", "p_gens": [["1", "1"], ["1/2", "-1"]]},
+        {"kind": "polyhedral", "p_gens": [["2", "-1"], ["0", "1"]]},
+        {"kind": "polyhedral", "p_gens": [["1", "1"]], "q_gens": [["1", "0"], ["1", "-1"]]},
+    ],
+)
+def test_interpret_rejects_negative_generators(capsys, tmp_path, atom):
+    env = tmp_path / "env.json"
+    env.write_text(json.dumps({"schema": 1, "atoms": {"a": atom}}), encoding="utf-8")
+    code, out = run(capsys, "interpret", "--env", str(env), "--formula", "a")
+    assert code == 2
+    report = json.loads(out)
+    assert report["schema"] == 1
+    assert report["error"]["type"] == "EnvError"
+    assert "orthant" in report["error"]["message"]
+
+
 def test_check_rejects_trials_below_one(capsys):
     code, out = run(capsys, "check", "--suite", "pcs", "--trials", "-5")
     assert code == 2

@@ -147,6 +147,23 @@ def test_validate_flags_wrong_polar():
     assert not rep.passed
 
 
+def test_validate_reports_negative_generators():
+    # Both sides explicit and spanning: the audit reports the negative entry
+    # and skips the canonical and polarity checks, which need the orthant.
+    bad = ConeObject(
+        dim=2,
+        p_ball_gens=(vec([1, 1]), vec([F(1, 2), -1])),
+        q_ball_gens=(vec([1, 1]),),
+    )
+    rep = validate_object(bad)
+    names = [c.name for c in rep.checks]
+    assert "p-canonical" not in names and "mutual-polarity" not in names
+    assert [c.name for c in rep.checks if not c.passed] == [
+        "p-orthant",
+        "unit-norm-generators",
+    ]
+
+
 def test_materialize_round_trip():
     a = pcs_object([[1, 0], [0, 1], [F(2, 3), F(2, 3)]], 2)
     lazy = ConeObject(dim=2, p_ball_gens=a.p_ball_gens, q_ball_gens=None)

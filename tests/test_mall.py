@@ -342,10 +342,11 @@ def lp_solves(monkeypatch):
 
 def test_connectives_and_polars_solve_no_lp(lp_solves):
     # (2/3, 2/3) is under neither other point, only under their hull
-    a = from_p_gens([[1, F(1, 2)], [F(1, 3), 1], [F(2, 3), F(2, 3)]], 2)
+    raw = [[1, F(1, 2)], [F(1, 3), 1], [F(2, 3), F(2, 3)]]
+    a = from_p_gens(raw, 2)
     b = from_p_gens([[1, 0, F(1, 2)], [0, 1, 1]], 3)
     built = lp_solves[0]
-    assert built > 0  # raw input: one reduction LP per point
+    assert built == 0  # raw input: reduced by the polar's double description
     tensor_obj(a, b)
     tensor_obj(dual_object(a), b)
     product_obj(a, b)
@@ -359,6 +360,9 @@ def test_connectives_and_polars_solve_no_lp(lp_solves):
     assert lp_solves[0] == built
     reduce_generators([vec([1, 0]), vec([0, 1]), vec([F(1, 2), F(1, 2)])])
     assert lp_solves[0] == built + 3
+    # The LP route still reduces the same raw input: one LP per point.
+    assert reduce_generators(vec(p) for p in raw) == a.p_ball_gens
+    assert lp_solves[0] == built + 6
 
 
 def test_morphism_identity_ignores_labels():

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conelogic import lp
+from conelogic.cones import from_p_gens, validate_object
 from conelogic.polyhedra import (
     _dd_vertices,
     bipolar,
@@ -230,6 +231,72 @@ def test_polar_matches_bruteforce_oracle(dim_and_pts):
     # double-description vertex keeps (duplicates left in the cuts).
     nonzero = [p for p in pts if any(p)]
     assert got == reduce_generators(v for v, _ in _dd_vertices(nonzero, dim))
+
+
+@st.composite
+def redundant_point_sets(draw):
+    """Spanning and degenerate sets plus scaled-down copies and midpoints of
+    their points, which are never canonical."""
+    dim = draw(st.integers(2, 4))
+    pts = draw(st.one_of(spanning_point_sets(dim), degenerate_point_sets(dim)))
+    extra = []
+    for _ in range(draw(st.integers(0, 3))):
+        p, q = draw(st.sampled_from(pts)), draw(st.sampled_from(pts))
+        if draw(st.booleans()):
+            f = draw(st.sampled_from([F(1, 2), F(2, 3)]))
+            extra.append(tuple(f * x for x in p))
+        else:
+            extra.append(tuple((x + y) / 2 for x, y in zip(p, q)))
+    return dim, [vec(p) for p in draw(st.permutations(pts + extra))]
+
+
+@settings(max_examples=120, deadline=None)
+@given(redundant_point_sets())
+def test_polar_keeps_what_the_lp_reduction_keeps(dim_and_pts):
+    dim, pts = dim_and_pts
+    res = polar_of_points(pts, dim)
+    assert res.kept == reduce_generators(pts)
+    assert res.vertices == polar_vertices(reduce_generators(pts), dim)
+
+
+@settings(max_examples=80, deadline=None)
+@given(redundant_point_sets())
+def test_dd_vertices_are_distinct_with_the_points_at_one(dim_and_pts):
+    dim, pts = dim_and_pts
+    pts = list(sort_generators(pts))
+    verts = _dd_vertices(pts, dim)
+    assert len({v for v, _ in verts}) == len(verts)
+    for v, tight in verts:
+        assert tight == {
+            i for i, p in enumerate(pts) if sum((a * b for a, b in zip(p, v)), F(0)) == 1
+        }
+
+
+@settings(max_examples=60, deadline=None)
+@given(redundant_point_sets())
+def test_objects_from_p_gens_validate(dim_and_pts):
+    dim, pts = dim_and_pts
+    a = from_p_gens(pts, dim)
+    rep = validate_object(a)
+    assert rep.passed, [c for c in rep.checks if not c.passed]
+
+
+@pytest.mark.parametrize(
+    "pts",
+    [
+        [[1, 1], [F(1, 2), -1]],  # under (1, 1): the pairwise filter would drop it
+        [[F(1, 2), -1], [1, -2]],  # incomparable, yet under 1/2 (1, -2)
+        [[2, -1], [0, 1]],
+    ],
+)
+def test_negative_entries_are_refused(pts):
+    pts = [vec(p) for p in pts]
+    with pytest.raises(ValueError, match="orthant"):
+        reduce_generators(pts)
+    with pytest.raises(ValueError, match="orthant"):
+        polar_of_points(pts, 2)
+    with pytest.raises(ValueError, match="orthant"):
+        from_p_gens(pts, 2)
 
 
 @settings(max_examples=40, deadline=None)
