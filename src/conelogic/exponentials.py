@@ -575,10 +575,10 @@ def _box_scheme(h: ConeObject) -> BallScheme:
 
 
 def _honest_lower(h: ConeObject, e: VecQ, scheme: BallScheme):
-    w = h.pairing_weights
+    we = [(c, wc * ec) for c, (wc, ec) in enumerate(zip(h.pairing_weights, e)) if ec]
     best, arg = Q0, None
     for z in scheme.honest:
-        v = sum((wc * ec * zc for wc, ec, zc in zip(w, e, z)), Q0)
+        v = sum((x * z[c] for c, x in we), Q0)
         if v > best:
             best, arg = v, z
     return best, arg

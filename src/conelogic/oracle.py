@@ -7,11 +7,14 @@ the diagonal symmetric norm are; it is a non-convex program, so a point
 value would be a lie. Everything here returns a certified bracket instead:
 
   lower   exact evaluation at explicit feasible rational points: a
-          composition grid per block, scanned in integers (the polynomial
-          scaled to integer values at grid points, so only the winning
-          point becomes a Fraction), then the uniform center and a
-          multiplicative-update ascent in floats whose best point is
-          snapped back to rationals and re-evaluated exactly,
+          composition grid per block, scanned in integers (the
+          polynomial's integer view scaled to integer values at grid
+          points, so only the winning point becomes a Fraction), then the
+          uniform center and a multiplicative-update ascent in floats
+          whose best point is snapped back to rationals and re-evaluated
+          exactly; the ascent stops once an update leaves its point
+          unchanged, since every later update would too and none could
+          beat the best value under the strict comparison,
 
   upper   the averaged-coefficient bound: group monomials by their
           per-block degree profile, bound each group by its largest
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice, product
-from math import comb, factorial, lcm, prod
+from math import comb, factorial, prod
 from typing import Optional, Sequence
 
 from .errors import NegativeCoefficientError
@@ -168,17 +171,13 @@ def _grid_argmax(
 ) -> tuple[Fraction, VecQ]:
     """Best of the first cap + 1 grid points k/r, scanned in integers.
 
-    With L the lcm of the coefficient denominators and D the total degree,
-    L r^D p(k/r) = sum_e (L c_e) r^(D - |e|) prod_i k_i^(e_i) is an integer,
-    so points compare as integers; the first strict maximum wins (the zero
-    point when no value is > 0), and only the winner becomes a Fraction.
+    With the polynomial's integer view (L, D, terms), L r^D p(k/r) =
+    sum_e (L c_e) r^(D - |e|) prod_i k_i^(e_i) is an integer, so points
+    compare as integers; the first strict maximum wins (the zero point when
+    no value is > 0), and only the winner becomes a Fraction.
     """
-    deg = poly.total_degree()
-    den = lcm(*(c.denominator for c in poly.terms.values()))
-    terms = [
-        (int(c * den) * r ** (deg - sum(e)), [(i, k) for i, k in enumerate(e) if k])
-        for e, c in poly.terms.items()
-    ]
+    den, deg, view = poly.int_terms()
+    terms = [(c * r**gap, factors) for c, gap, factors in view]
     powers = [[k**j for j in range(deg + 1)] for k in range(r + 1)]
     best, best_k = 0, (0,) * poly.nvars
     grid = product(*(_compositions(r, b) for b in blocks))
@@ -211,6 +210,7 @@ def _ascent(
     best_val = poly.eval_float(t)
     slices = _block_slices(blocks)
     for _ in range(iters):
+        prev = list(t)
         grad = poly.grad_float(t)
         moved = False
         for s in slices:
@@ -221,7 +221,9 @@ def _ascent(
             for j, i in enumerate(range(s.start, s.stop)):
                 t[i] = u[j] / z
             moved = True
-        if not moved:
+        if not moved or t == prev:
+            # A fixed point: every later update leaves t as it is, so none
+            # can beat best_val under the strict > below.
             break
         val = poly.eval_float(t)
         if val > best_val:

@@ -4,28 +4,37 @@ Terms live in a dict from exponent tuples to Fractions; zero coefficients
 are dropped eagerly so equality of term dicts is equality of polynomials.
 Only what the oracles and the graded pullbacks need: ring operations,
 truncated products, substitution, exact and float evaluation, gradients.
-The term dict is never mutated after construction, so the float view the
-oracle's ascent reads (each coefficient as a float with its nonzero
-exponents) is built once per polynomial, on first use.
+The term dict is never mutated after construction, so two derived views
+are built once per polynomial, on first use: the float view the oracle's
+ascent reads (each coefficient as a float with its nonzero exponents), and
+the integer view (L, D, [(L c_e, D - |e|, nonzero exponents)]) with L the
+lcm of the coefficient denominators and D the total degree. Exact
+evaluation reads the integer view: the point is scaled by the lcm m of its
+denominators to integers k, L m^D p(k/m) is summed in integers, and one
+Fraction is made at the end. The oracle's grid scan reads the same view
+with m the grid resolution.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Optional, Sequence
 
 from .rationals import Q0, Q1
 
 Expvec = tuple[int, ...]
+IntTerms = tuple[int, int, list[tuple[int, int, list[tuple[int, int]]]]]
 
 
 class Polynomial:
-    __slots__ = ("nvars", "terms", "_floats")
+    __slots__ = ("nvars", "terms", "_floats", "_ints")
 
     def __init__(self, nvars: int, terms: Optional[dict[Expvec, Fraction]] = None):
         self.nvars = nvars
         self.terms: dict[Expvec, Fraction] = {}
         self._floats: Optional[list[tuple[float, list[tuple[int, int]]]]] = None
+        self._ints: Optional[IntTerms] = None
         if terms:
             for e, c in terms.items():
                 if len(e) != nvars:
@@ -154,17 +163,54 @@ class Polynomial:
 
     # -- evaluation --------------------------------------------------------
 
+    def int_terms(self) -> IntTerms:
+        """The integer view (L, D, [(L c_e, D - |e|, [(i, e_i) for e_i > 0])]).
+
+        L is the lcm of the coefficient denominators and D the total
+        degree, so for an integer point k and a scale m > 0,
+        L m^D p(k/m) = sum over terms of (L c_e) m^(D - |e|) prod k_i^e_i
+        is an integer.
+        """
+        if self._ints is None:
+            den = lcm(*(c.denominator for c in self.terms.values()))
+            deg = self.total_degree()
+            self._ints = (
+                den,
+                deg,
+                [
+                    (
+                        c.numerator * (den // c.denominator),
+                        deg - sum(e),
+                        [(i, k) for i, k in enumerate(e) if k],
+                    )
+                    for e, c in self.terms.items()
+                ],
+            )
+        return self._ints
+
     def eval_exact(self, point: Sequence[Fraction]) -> Fraction:
+        """p(point) as one Fraction, summed in integers: the point is
+        scaled by the lcm m of its denominators and the integer view's sum
+        is divided by L m^D once."""
         if len(point) != self.nvars:
             raise ValueError("point length mismatch")
-        total = Q0
-        for e, c in self.terms.items():
-            v = c
-            for i, k in enumerate(e):
-                for _ in range(k):
-                    v *= point[i]
-            total += v
-        return total
+        den, deg, terms = self.int_terms()
+        m = lcm(*(x.denominator for x in point))
+        ks = [x.numerator * (m // x.denominator) for x in point]
+        mpow = [1]
+        for _ in range(deg):
+            mpow.append(mpow[-1] * m)
+        total = 0
+        for c, gap, factors in terms:
+            c *= mpow[gap]
+            for i, k in factors:
+                ki = ks[i]
+                if not ki:
+                    break
+                c *= ki**k
+            else:
+                total += c
+        return Fraction(total, den * mpow[deg])
 
     def _float_terms(self) -> list[tuple[float, list[tuple[int, int]]]]:
         if self._floats is None:

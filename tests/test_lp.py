@@ -165,3 +165,77 @@ def test_matches_scipy_on_bounded_problems(nvars, ncons, data):
     )
     assert sp.status == 0
     assert abs(-sp.fun - float(res.value)) < 1e-7
+
+
+# Duality cross-check on drawn LPs with every relation, negative right-hand
+# sides and free variables. The dual of
+#   max c.x  s.t.  a_i.x (<=, >=, ==) b_i,  x_j >= 0 or free
+# is
+#   min b.y  s.t.  sum_i a_ij y_i (>= for x_j >= 0, == for free x_j) c_j,
+#                  y_i >= 0 for <=, y_i <= 0 for >=, y_i free for ==,
+# written below with y_i = -y'_i for the >= rows so that y' >= 0.
+small = st.sampled_from(
+    sorted({F(k, d) for d in (1, 2, 3, 6) for k in range(-4 * d, 4 * d + 1)}, key=abs)
+)
+
+
+@st.composite
+def drawn_lps(draw):
+    n = draw(st.integers(1, 4))
+    obj = [draw(small) for _ in range(n)]
+    rel = st.sampled_from(["<=", ">=", "=="])
+    rows = [
+        ([draw(small) for _ in range(n)], draw(rel), draw(small))
+        for _ in range(draw(st.integers(0, 5)))
+    ]
+    nonneg = [draw(st.booleans()) for _ in range(n)]
+    return obj, rows, nonneg
+
+
+def dual_of(obj, rows, nonneg):
+    sign = [-1 if rel == ">=" else 1 for _, rel, _ in rows]
+    dual_obj = [s * rhs for s, (_, _, rhs) in zip(sign, rows)]
+    dual_cons = [
+        constraint(
+            [s * coeffs[j] for s, (coeffs, _, _) in zip(sign, rows)],
+            ">=" if nonneg[j] else "==",
+            obj[j],
+        )
+        for j in range(len(obj))
+    ]
+    dual_nonneg = [rel != "==" for _, rel, _ in rows]
+    return problem(dual_obj, dual_cons, dual_nonneg)
+
+
+def assert_feasible_witness(prob, res):
+    x = res.witness
+    assert all(type(v) is F for v in x)
+    for c in prob.constraints:
+        lhs = sum((a * v for a, v in zip(c.coeffs, x)), F(0))
+        assert {"<=": lhs <= c.rhs, ">=": lhs >= c.rhs, "==": lhs == c.rhs}[c.rel]
+    assert all(v >= 0 for v, nn in zip(x, prob.nonneg) if nn)
+    assert sum((a * v for a, v in zip(prob.objective, x)), F(0)) == res.value
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn_lps())
+def test_primal_and_dual_agree(lp):
+    obj, rows, nonneg = lp
+    primal = problem(obj, [constraint(*r) for r in rows], nonneg)
+    dual = dual_of(obj, rows, nonneg)
+    res, dres = lp_maximize(primal), lp_minimize(dual)
+    if res.status is LpStatus.OPTIMAL:
+        assert type(res.value) is F
+        assert_feasible_witness(primal, res)
+        assert dres.status is LpStatus.OPTIMAL
+        assert dres.value == res.value
+        assert dres.witness is not None
+        for c in dual.constraints:
+            lhs = sum((a * v for a, v in zip(c.coeffs, dres.witness)), F(0))
+            assert lhs >= c.rhs if c.rel == ">=" else lhs == c.rhs
+    else:
+        # weak duality: an infeasible or unbounded side never faces an
+        # optimal one
+        assert dres.status is not LpStatus.OPTIMAL
+        if res.status is LpStatus.UNBOUNDED:
+            assert dres.status is LpStatus.INFEASIBLE

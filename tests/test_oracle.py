@@ -18,6 +18,9 @@ from conelogic.errors import NegativeCoefficientError
 from conelogic.oracle import (
     Bracket,
     OracleParams,
+    _ascent,
+    _block_slices,
+    _grid_argmax,
     averaged_upper,
     simplex_polynomial_bounds,
 )
@@ -137,8 +140,19 @@ def test_bracket_scaling():
 
 
 # The integer grid scan against the Fraction loop it replaced: every grid
-# point and then the uniform center as Fractions, evaluated exactly, the
-# first strict maximum kept, at most candidate_cap + 1 candidates.
+# point and then the uniform center as Fractions, evaluated term by term in
+# Fractions, the first strict maximum kept, at most candidate_cap + 1
+# candidates.
+
+
+def fraction_value(poly, point):
+    total = F(0)
+    for e, c in poly.terms.items():
+        v = F(c)
+        for x, k in zip(point, e):
+            v *= F(x) ** k
+        total += v
+    return total
 
 
 def _compositions(total, parts):
@@ -169,7 +183,7 @@ def reference_grid_bracket(poly, blocks, params):
 
     lower, argmax = F(0), (F(0),) * poly.nvars
     for point in itertools.islice(points(), cap + 1):
-        v = poly.eval_exact(point)
+        v = fraction_value(poly, point)
         if v > lower:
             lower, argmax = v, point
     return lower, argmax, f"grid 1/{r} + ascent"
@@ -201,6 +215,26 @@ def assert_grid_matches_reference(poly, blocks, params):
 def test_grid_scan_cases(terms, blocks, params):
     nvars = sum(blocks)
     assert_grid_matches_reference(Polynomial(nvars, terms), blocks, params)
+
+
+@pytest.mark.parametrize(
+    "terms, blocks, r, cap, expected",
+    [
+        ({(2, 0): F(1), (0, 2): F(1)}, (2,), 10, 20000, (F(1), (F(0), F(1)))),
+        ({(1, 1): F(1)}, (2,), 1, 20000, (F(0), (F(0), F(0)))),
+        ({(1, 1, 1): F(1)}, (3,), 2, 2, (F(0), (F(0), F(0), F(0)))),
+        # 2/3 t1 + 5/4 t1^2 (1 - t1) + 1/6 on the grid t1 = k/10: k = 9
+        (
+            {(1, 1, 0, 1): F(2, 3), (0, 2, 1, 0): F(5, 4), (0, 0, 0, 2): F(1, 6)},
+            (1, 2, 1),
+            10,
+            20000,
+            (F(2083, 2400), (F(1), F(9, 10), F(1, 10), F(1))),
+        ),
+    ],
+)
+def test_grid_argmax_pinned(terms, blocks, r, cap, expected):
+    assert _grid_argmax(Polynomial(sum(blocks), terms), blocks, r, cap) == expected
 
 
 @st.composite
@@ -257,3 +291,115 @@ def test_float_view_matches_the_term_loop(poly_and_point):
                 grad[i] += g
     assert poly.eval_float(t) == value  # bit for bit, not approximately
     assert poly.grad_float(t) == grad
+
+
+# Exact evaluation in integers against the term-by-term Fraction sum: zero
+# coordinates, integer entries (int and Fraction), constant and zero
+# polynomials, and points snapped from floats with large denominators.
+coordinate = st.one_of(
+    st.just(F(0)),
+    st.integers(-3, 3),
+    st.fractions(min_value=-3, max_value=3, max_denominator=12),
+    st.floats(0, 1).map(lambda x: F(x).limit_denominator(10**6)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 4).flatmap(
+        lambda n: st.tuples(
+            st.dictionaries(
+                st.tuples(*([st.integers(0, 3)] * n)),
+                st.fractions(min_value=-5, max_value=5, max_denominator=9),
+                max_size=6,
+            ).map(lambda terms: Polynomial(n, terms)),
+            st.lists(coordinate, min_size=n, max_size=n),
+        )
+    )
+)
+def test_eval_exact_matches_the_term_sum(poly_and_point):
+    poly, point = poly_and_point
+    value = poly.eval_exact(point)
+    assert type(value) is F
+    assert value == fraction_value(poly, point)
+
+
+def test_eval_exact_on_constant_and_zero_polynomials():
+    point = (F(1, 3), 0, F(999999, 1000000))
+    assert Polynomial.zero(3).eval_exact(point) == 0
+    assert Polynomial.constant(3, F(-5, 7)).eval_exact(point) == F(-5, 7)
+    assert Polynomial.constant(0, 4).eval_exact(()) == 4
+
+
+# The ascent stops at its fixed point; the plain loop below runs every
+# iteration and must land on the same point.
+
+
+def reference_ascent(poly, blocks, start, iters):
+    t = list(start)
+    best = list(start)
+    best_val = poly.eval_float(t)
+    slices = _block_slices(blocks)
+    for _ in range(iters):
+        grad = poly.grad_float(t)
+        moved = False
+        for s in slices:
+            u = [max(t[i], 1e-12) * max(grad[i], 0.0) for i in range(s.start, s.stop)]
+            z = sum(u)
+            if z <= 0.0:
+                continue
+            for j, i in enumerate(range(s.start, s.stop)):
+                t[i] = u[j] / z
+            moved = True
+        if not moved:
+            break
+        val = poly.eval_float(t)
+        if val > best_val:
+            best_val = val
+            best = list(t)
+    return best
+
+
+def counted_gradients(monkeypatch):
+    calls = []
+    grad = Polynomial.grad_float
+
+    def counting(self, point):
+        calls.append(1)
+        return grad(self, point)
+
+    monkeypatch.setattr(Polynomial, "grad_float", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "terms, blocks, start",
+    [
+        ({(1, 1): F(1)}, (2,), [0.5, 0.5]),  # t1 t2 at its peak
+        ({(2,): F(3)}, (1,), [1.0]),  # one coordinate: t = 1 is kept
+        ({(1, 1): F(1)}, (1, 1), [1.0, 1.0]),
+    ],
+)
+def test_ascent_stops_at_a_fixed_point(monkeypatch, terms, blocks, start):
+    poly = Polynomial(sum(blocks), terms)
+    calls = counted_gradients(monkeypatch)
+    assert _ascent(poly, blocks, start, 120) == start
+    assert len(calls) == 1
+    calls.clear()
+    assert reference_ascent(poly, blocks, start, 120) == start
+    assert len(calls) == 120
+
+
+@settings(max_examples=150, deadline=None)
+@given(grid_problems(), st.data())
+def test_ascent_matches_the_full_loop(problem, data):
+    poly, blocks, _ = problem
+    start = []
+    for b in blocks:
+        k = data.draw(st.lists(st.integers(0, 6), min_size=b, max_size=b))
+        total = sum(k) or 1
+        start.extend(x / total for x in k)
+    iters = data.draw(st.sampled_from([0, 1, 5, 120]))
+    got = _ascent(poly, blocks, start, iters)
+    want = reference_ascent(poly, blocks, start, iters)
+    assert [x.hex() for x in got] == [x.hex() for x in want]  # bit for bit
