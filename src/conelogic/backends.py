@@ -23,9 +23,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .cones import Backend, ConeObject, from_both_gens, from_p_gens
+from .cones import Backend, ConeObject, from_p_gens
 from .errors import DimensionError, MembershipError
 from .mall import Morphism, is_contraction, mor
+from .polyhedra import sort_generators
 from .rationals import MatQ, VecQ, mat, transpose, unit, vec
 
 PSD_TOL = 1e-9
@@ -41,19 +42,25 @@ def pcs_object(ball_gens: Sequence[Sequence], dim: int, label: str = "") -> Cone
     return from_p_gens(ball_gens, dim, label=label or f"pcs({dim})")
 
 
+def _units_and_ones(d: int) -> tuple[tuple[VecQ, ...], tuple[VecQ, ...]]:
+    """The unit vectors and the all-ones point, each list canonical as it
+    stands: no unit vector is under the hull of the others, and a single
+    point is its own reduction. So the simplex and the cube need no LP."""
+    units = sort_generators(unit(d, i) for i in range(d))
+    return units, sort_generators([vec([1] * d)])
+
+
 def simplex_pcs(d: int) -> ConeObject:
     """The probability-simplex ball: norm is the coordinate sum (l1-type)."""
-    p = tuple(unit(d, i) for i in range(d))
-    q = (vec([1] * d),)
-    return from_both_gens(p, q, d, label=f"simplex({d})")
+    units, ones = _units_and_ones(d)
+    return ConeObject(d, p_ball_gens=units, q_ball_gens=ones, label=f"simplex({d})")
 
 
 def cube_pcs(d: int) -> ConeObject:
     """The unit-cube ball: norm is the coordinate max (linf-type), dual of
     the simplex."""
-    p = (vec([1] * d),)
-    q = tuple(unit(d, i) for i in range(d))
-    return from_both_gens(p, q, d, label=f"cube({d})")
+    units, ones = _units_and_ones(d)
+    return ConeObject(d, p_ball_gens=ones, q_ball_gens=units, label=f"cube({d})")
 
 
 def bool_obj() -> ConeObject:

@@ -1,10 +1,19 @@
 """Multiplicative-additive connectives and the morphism algebra.
 
 Morphisms are positive linear contractive-or-not maps between cone objects,
-stored as exact target-dim x source-dim matrices acting on coordinate
-columns. For valid (spanning) polyhedral and graded objects, positivity of
-the map is exactly entrywise nonnegativity of the matrix, because the cones
-involved are the full coordinate orthants.
+exact target-dim x source-dim matrices acting on coordinate columns. They
+are stored sparsely, column-major (compressed sparse columns; Davis, Direct
+Methods for Sparse Linear Systems, 2006): `cols[j]` lists the nonzero
+(target row, Fraction) pairs of source coordinate j in ascending row order.
+The form is canonical, so dataclass equality and hashing agree with dense
+equality. `matrix` is a dense view built on first use, for readers at the
+boundary (reports, PCS matrices, small base maps); compose, adjoint,
+morphism_norm and application touch only nonzeros. `mor` takes dense rows
+and hands their columns to `sparse_mor`, which sorts them, drops zeros and
+runs the positivity audit over the nonzeros. For valid (spanning)
+polyhedral and graded objects, positivity of the map is exactly entrywise
+nonnegativity of the matrix, because the cones involved are the full
+coordinate orthants.
 
 The connective zoo:
 
@@ -33,6 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .cones import (
     Backend,
@@ -45,92 +55,170 @@ from .cones import (
 )
 from .errors import CapabilityError, CompositionError, DimensionError, MembershipError
 from .polyhedra import sort_generators
-from .rationals import MatQ, Q0, Q1, VecQ, eye, kron_mat, kron_vec, mat, mat_mul, mat_vec, zeros
+from .rationals import MatQ, Q0, Q1, VecQ, kron_vec, mat, zeros
+
+
+# A column lists the nonzero entries of one source coordinate's image as
+# (target row, value) pairs in ascending row order.
+Col = tuple[tuple[int, Fraction], ...]
 
 
 @dataclass(frozen=True)
 class Morphism:
     source: ConeObject
     target: ConeObject
-    matrix: MatQ  # target.dim rows, source.dim columns
+    cols: tuple[Col, ...]  # one per source coordinate, zeros dropped
 
     def __repr__(self):
         return f"Morphism({self.source.label} -> {self.target.label})"
 
+    @cached_property
+    def matrix(self) -> MatQ:
+        """Dense view: target.dim rows, source.dim columns."""
+        rows = [[Q0] * len(self.cols) for _ in range(self.target.dim)]
+        for j, col in enumerate(self.cols):
+            for i, x in col:
+                rows[i][j] = x
+        return tuple(map(tuple, rows))
+
     def __call__(self, x: VecQ) -> VecQ:
         if len(x) != self.source.dim:
             raise DimensionError(self.source.dim, len(x), "apply morphism")
-        return mat_vec(self.matrix, x)
+        out = [Q0] * self.target.dim
+        for col, u in zip(self.cols, x):
+            if u:
+                for i, v in col:
+                    out[i] += v * u
+        return tuple(out)
+
+
+def _require_non_spectral(source: ConeObject, target: ConeObject) -> None:
+    if source.backend is Backend.SPECTRAL or target.backend is Backend.SPECTRAL:
+        raise CapabilityError(
+            "the spectral backend is object-level only", "no spectral morphisms"
+        )
 
 
 def mor(source: ConeObject, target: ConeObject, rows, validate: bool = True) -> Morphism:
+    """The dense entry point: rows of exact scalars, target.dim by
+    source.dim, coerced to Fractions and stored by columns."""
     m = mat(rows)
     if len(m) != target.dim:
         raise DimensionError(target.dim, len(m), "morphism rows")
     if m and len(m[0]) != source.dim:
         raise DimensionError(source.dim, len(m[0]), "morphism columns")
-    if source.backend is Backend.SPECTRAL or target.backend is Backend.SPECTRAL:
-        raise CapabilityError(
-            "the spectral backend is object-level only", "no spectral morphisms"
-        )
+    cols = [[(i, row[j]) for i, row in enumerate(m)] for j in range(source.dim)]
     if validate:
-        check_positive_matrix(m, source, target)
-    return Morphism(source, target, m)
+        return sparse_mor(source, target, cols)
+    return _canonical_mor(source, target, cols)
 
 
-def check_positive_matrix(m: MatQ, source: ConeObject, target: ConeObject) -> None:
-    """Positivity audit: entrywise nonnegativity.
+def sparse_mor(source: ConeObject, target: ConeObject, cols) -> Morphism:
+    """The sparse entry point: cols[j] holds (target row, Fraction) pairs for
+    source coordinate j, rows distinct, in any order. Zeros are dropped and
+    each column is sorted, so the result is canonical; then the positivity
+    audit runs over the nonzeros."""
+    f = _canonical_mor(source, target, cols)
+    check_positive_columns(f.cols)
+    return f
+
+
+def _canonical_mor(source: ConeObject, target: ConeObject, cols) -> Morphism:
+    if len(cols) != source.dim:
+        raise DimensionError(source.dim, len(cols), "morphism columns")
+    _require_non_spectral(source, target)
+    out = []
+    for col in cols:
+        c = [(i, x) for i, x in col if x]
+        if len(c) > 1:
+            c.sort()
+        if c and not 0 <= c[0][0] <= c[-1][0] < target.dim:
+            raise DimensionError(target.dim, c[-1][0] + 1, "morphism rows")
+        out.append(tuple(c))
+    return Morphism(source, target, tuple(out))
+
+
+def check_positive_columns(cols: tuple[Col, ...]) -> None:
+    """Positivity audit: entrywise nonnegativity, read off the nonzeros.
 
     For spanning objects the source cone contains every coordinate ray and
     the target cone is inside the orthant, so entrywise nonnegativity is both
     necessary and sufficient for mapping cone into cone. The entries are
-    Fractions (mor coerces them), so the sign is read off the numerator.
+    Fractions, so the sign is read off the numerator. The witness is the
+    first negative entry in row-major order.
     """
-    for r, row in enumerate(m):
-        for c, x in enumerate(row):
-            if x.numerator < 0:
-                raise MembershipError(
-                    f"matrix entry ({r},{c}) = {x} is negative: image of the "
-                    f"coordinate ray {c} leaves the target cone",
-                    witness=(r, c),
-                )
+    bad = [(i, j, x) for j, col in enumerate(cols) for i, x in col if x.numerator < 0]
+    if bad:
+        r, c, x = min(bad, key=lambda t: t[:2])
+        raise MembershipError(
+            f"matrix entry ({r},{c}) = {x} is negative: image of the "
+            f"coordinate ray {c} leaves the target cone",
+            witness=(r, c),
+        )
+
+
+def _unit_cols(n: int, offset: int = 0) -> tuple[Col, ...]:
+    """Columns of the 0/1 map sending coordinate j to row j + offset."""
+    return tuple(((j + offset, Q1),) for j in range(n))
+
+
+def _shifted(cols: tuple[Col, ...], offset: int) -> tuple[Col, ...]:
+    return tuple(tuple((i + offset, x) for i, x in col) for col in cols)
 
 
 def identity(a: ConeObject) -> Morphism:
-    return Morphism(a, a, eye(a.dim))
+    return Morphism(a, a, _unit_cols(a.dim))
 
 
 def compose(g: Morphism, f: Morphism) -> Morphism:
-    """g after f. The cost is proportional to the nonzero products (see
-    rationals.mat_mul), not to the dense shape."""
+    """g after f, column by column: column j of g f is the sum over the
+    nonzeros f[k, j] of f[k, j] times column k of g (Gustavson, ACM TOMS
+    1978), so the cost is proportional to the nonzero products. A column of
+    f holding a single 1 reuses g's column as it is."""
     if f.target != g.source:
         raise CompositionError(
             f"cannot compose: {f!r} ends at {f.target.label!r} (dim {f.target.dim}), "
             f"{g!r} starts at {g.source.label!r} (dim {g.source.dim})"
         )
-    return Morphism(f.source, g.target, mat_mul(g.matrix, f.matrix))
+    gcols = g.cols
+    out = []
+    for col in f.cols:
+        if len(col) == 1:
+            k, x = col[0]
+            if x == 1:
+                out.append(gcols[k])
+            else:
+                out.append(tuple((i, x * y) for i, y in gcols[k]))
+            continue
+        acc: dict[int, Fraction] = {}
+        for k, x in col:
+            for i, y in gcols[k]:
+                acc[i] = acc.get(i, Q0) + x * y
+        out.append(tuple(sorted((i, v) for i, v in acc.items() if v)))
+    return Morphism(f.source, g.target, tuple(out))
 
 
 def adjoint(f: Morphism) -> Morphism:
     """f*: dual(target) -> dual(source), transpose conjugated by weights.
 
     <f* psi, v>_src = <psi, f v>_tgt. With plain pairings this is the plain
-    transpose; graded endpoints contribute their multiset weights.
+    transpose; graded endpoints contribute their multiset weights. Column j
+    of f* is row j of f, entry i scaled by wt[j] / ws[i].
     """
     ws = f.source.pairing_weights
     wt = f.target.pairing_weights
-    rows = tuple(
-        tuple(f.matrix[j][i] * wt[j] / ws[i] for j in range(f.target.dim))
-        for i in range(f.source.dim)
-    )
-    return Morphism(dual_object(f.target), dual_object(f.source), rows)
+    out: list[list] = [[] for _ in range(f.target.dim)]
+    for i, col in enumerate(f.cols):
+        for j, x in col:
+            out[j].append((i, x * wt[j] / ws[i]))
+    return Morphism(dual_object(f.target), dual_object(f.source), tuple(map(tuple, out)))
 
 
 def morphism_norm(f: Morphism) -> Fraction:
     """The exact operator norm: max over source primal generators of the
     target norm of the image. A lazy source ball is materialized."""
     return max(
-        (norm_primal(f.target, mat_vec(f.matrix, u)) for u in primal_gens(f.source)),
+        (norm_primal(f.target, f(u)) for u in primal_gens(f.source)),
         default=Q0,
     )
 
@@ -255,11 +343,11 @@ def curry(f: Morphism) -> Morphism:
     c = f.target
     h = hom_obj(b, c)
     db, dc = b.dim, c.dim
-    rows = []
-    for j in range(db):
-        for k in range(dc):
-            rows.append(tuple(f.matrix[k][i * db + j] for i in range(a.dim)))
-    return Morphism(a, h, tuple(rows))
+    cols = tuple(
+        tuple((j * dc + k, x) for j in range(db) for k, x in f.cols[i * db + j])
+        for i in range(a.dim)
+    )
+    return Morphism(a, h, cols)
 
 
 def uncurry(g: Morphism) -> Morphism:
@@ -268,23 +356,27 @@ def uncurry(g: Morphism) -> Morphism:
     a = g.source
     src = tensor_obj(a, b)
     db, dc = b.dim, c.dim
-    rows = []
-    for k in range(dc):
-        rows.append(
-            tuple(
-                g.matrix[j * dc + k][i]
-                for i in range(a.dim)
-                for j in range(db)
-            )
-        )
-    return Morphism(src, c, tuple(rows))
+    cols = []
+    for col in g.cols:
+        split: list[list] = [[] for _ in range(db)]
+        for r, x in col:
+            j, k = divmod(r, dc)
+            split[j].append((k, x))
+        cols.extend(map(tuple, split))
+    return Morphism(src, c, tuple(cols))
 
 
 def tensor_mor(f: Morphism, g: Morphism) -> Morphism:
+    """f (x) g: source pair (j, l) maps to the target pairs (i, k) with entry
+    f[i, j] g[k, l], row-major on both sides."""
+    dg = g.target.dim
+    cols = tuple(
+        tuple((i * dg + k, x * y) for i, x in fc for k, y in gc)
+        for fc in f.cols
+        for gc in g.cols
+    )
     return Morphism(
-        tensor_obj(f.source, g.source),
-        tensor_obj(f.target, g.target),
-        kron_mat(f.matrix, g.matrix),
+        tensor_obj(f.source, g.source), tensor_obj(f.target, g.target), cols
     )
 
 
@@ -292,12 +384,7 @@ def product_mor(f: Morphism, g: Morphism) -> Morphism:
     """f x g on the with; block-diagonal matrix."""
     src = product_obj(f.source, g.source)
     tgt = product_obj(f.target, g.target)
-    rows = []
-    for r in f.matrix:
-        rows.append(r + zeros(g.source.dim))
-    for r in g.matrix:
-        rows.append(zeros(f.source.dim) + r)
-    return Morphism(src, tgt, tuple(rows))
+    return Morphism(src, tgt, f.cols + _shifted(g.cols, f.target.dim))
 
 
 # ---------------------------------------------------------------------------
@@ -309,52 +396,40 @@ def assoc_tensor(a: ConeObject, b: ConeObject, c: ConeObject) -> Morphism:
     underlying coordinate map the identity; only the objects differ."""
     src = tensor_obj(tensor_obj(a, b), c)
     tgt = tensor_obj(a, tensor_obj(b, c))
-    return Morphism(src, tgt, eye(src.dim))
+    return Morphism(src, tgt, _unit_cols(src.dim))
 
 
 def sym_tensor(a: ConeObject, b: ConeObject) -> Morphism:
     src = tensor_obj(a, b)
     tgt = tensor_obj(b, a)
     da, db = a.dim, b.dim
-    rows = []
-    for j in range(db):
-        for i in range(da):
-            row = [Q0] * (da * db)
-            row[i * db + j] = Q1
-            rows.append(tuple(row))
-    return Morphism(src, tgt, tuple(rows))
+    cols = tuple(((j * da + i, Q1),) for i in range(da) for j in range(db))
+    return Morphism(src, tgt, cols)
 
 
 def unitor_left(a: ConeObject) -> Morphism:
     """1 (x) a -> a, identity on coordinates."""
-    return Morphism(tensor_obj(one_obj(), a), a, eye(a.dim))
+    return Morphism(tensor_obj(one_obj(), a), a, _unit_cols(a.dim))
 
 
 def unitor_left_inv(a: ConeObject) -> Morphism:
-    return Morphism(a, tensor_obj(one_obj(), a), eye(a.dim))
+    return Morphism(a, tensor_obj(one_obj(), a), _unit_cols(a.dim))
 
 
 def unitor_right(a: ConeObject) -> Morphism:
-    return Morphism(tensor_obj(a, one_obj()), a, eye(a.dim))
+    return Morphism(tensor_obj(a, one_obj()), a, _unit_cols(a.dim))
 
 
 def unitor_right_inv(a: ConeObject) -> Morphism:
-    return Morphism(a, tensor_obj(a, one_obj()), eye(a.dim))
+    return Morphism(a, tensor_obj(a, one_obj()), _unit_cols(a.dim))
 
 
 def proj1(a: ConeObject, b: ConeObject) -> Morphism:
-    rows = tuple(
-        tuple(Q1 if c == r else Q0 for c in range(a.dim + b.dim)) for r in range(a.dim)
-    )
-    return Morphism(product_obj(a, b), a, rows)
+    return Morphism(product_obj(a, b), a, _unit_cols(a.dim) + ((),) * b.dim)
 
 
 def proj2(a: ConeObject, b: ConeObject) -> Morphism:
-    rows = tuple(
-        tuple(Q1 if c == a.dim + r else Q0 for c in range(a.dim + b.dim))
-        for r in range(b.dim)
-    )
-    return Morphism(product_obj(a, b), b, rows)
+    return Morphism(product_obj(a, b), b, ((),) * a.dim + _unit_cols(b.dim))
 
 
 def pair_mor(f: Morphism, g: Morphism) -> Morphism:
@@ -362,23 +437,16 @@ def pair_mor(f: Morphism, g: Morphism) -> Morphism:
     if f.source != g.source:
         raise CompositionError("pair needs a common source")
     tgt = product_obj(f.target, g.target)
-    return Morphism(f.source, tgt, f.matrix + g.matrix)
+    cols = tuple(fc + gc for fc, gc in zip(f.cols, _shifted(g.cols, f.target.dim)))
+    return Morphism(f.source, tgt, cols)
 
 
 def inj1(a: ConeObject, b: ConeObject) -> Morphism:
-    tgt = coproduct_obj(a, b)
-    rows = tuple(
-        tuple(Q1 if c == r else Q0 for c in range(a.dim)) for r in range(a.dim)
-    ) + tuple(zeros(a.dim) for _ in range(b.dim))
-    return Morphism(a, tgt, rows)
+    return Morphism(a, coproduct_obj(a, b), _unit_cols(a.dim))
 
 
 def inj2(a: ConeObject, b: ConeObject) -> Morphism:
-    tgt = coproduct_obj(a, b)
-    rows = tuple(zeros(b.dim) for _ in range(a.dim)) + tuple(
-        tuple(Q1 if c == r else Q0 for c in range(b.dim)) for r in range(b.dim)
-    )
-    return Morphism(b, tgt, rows)
+    return Morphism(b, coproduct_obj(a, b), _unit_cols(b.dim, a.dim))
 
 
 def copair_mor(f: Morphism, g: Morphism) -> Morphism:
@@ -386,21 +454,17 @@ def copair_mor(f: Morphism, g: Morphism) -> Morphism:
     if f.target != g.target:
         raise CompositionError("copair needs a common target")
     src = coproduct_obj(f.source, g.source)
-    rows = tuple(rf + rg for rf, rg in zip(f.matrix, g.matrix))
-    return Morphism(src, f.target, rows)
+    return Morphism(src, f.target, f.cols + g.cols)
 
 
 def eval_mor(a: ConeObject, b: ConeObject) -> Morphism:
-    """(a -o b) (x) a -> b, the evaluation of *-autonomy."""
+    """(a -o b) (x) a -> b, the evaluation of *-autonomy: row k sums the
+    source coordinates (hom coordinate i*db + k, a coordinate i)."""
     h = hom_obj(a, b)
     src = tensor_obj(h, a)
     da, db = a.dim, b.dim
-    rows = []
+    cols: list[Col] = [()] * (h.dim * da)
     for k in range(db):
-        row = [Q0] * (h.dim * da)
         for i in range(da):
-            hom_coord = i * db + k
-            row[hom_coord * da + i] = Q1
-        rows.append(tuple(row))
-    return Morphism(src, b, tuple(rows))
-
+            cols[(i * db + k) * da + i] = ((k, Q1),)
+    return Morphism(src, b, tuple(cols))

@@ -53,10 +53,6 @@ def unit(n: int, i: int) -> VecQ:
     return tuple(Q1 if j == i else Q0 for j in range(n))
 
 
-def eye(n: int) -> MatQ:
-    return tuple(unit(n, i) for i in range(n))
-
-
 def dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
     if len(a) != len(b):
         from .errors import DimensionError
@@ -82,28 +78,6 @@ def mat_vec(m: MatQ, x: VecQ) -> VecQ:
     return tuple(dot(row, x) for row in m)
 
 
-def mat_mul(a: MatQ, b: MatQ) -> MatQ:
-    """Exact product a b, dense in and out, formed row by row from the nonzero
-    products a[i][k] * b[k][j] only (Gustavson, ACM TOMS 1978): the cost is
-    proportional to their number, not to rows x inner x columns. An empty b
-    has no column count, so inner dimension 0 gives rows of length 0."""
-    if a and len(a[0]) != len(b):
-        from .errors import DimensionError
-
-        raise DimensionError(len(a[0]), len(b), "mat_mul")
-    cols = range(len(b[0])) if b else range(0)
-    b_nonzeros = [[(j, y) for j, y in enumerate(row) if y] for row in b]
-    out = []
-    for row in a:
-        acc: dict[int, Fraction] = {}
-        for k, x in enumerate(row):
-            if x:
-                for j, y in b_nonzeros[k]:
-                    acc[j] = acc.get(j, Q0) + x * y
-        out.append(tuple(acc.get(j, Q0) for j in cols))
-    return tuple(out)
-
-
 def transpose(m: MatQ) -> MatQ:
     if not m:
         return ()
@@ -113,17 +87,6 @@ def transpose(m: MatQ) -> MatQ:
 def kron_vec(a: VecQ, b: VecQ) -> VecQ:
     """Kronecker product; coordinate (i, j) lands at index i*len(b) + j."""
     return tuple(x * y for x in a for y in b)
-
-
-def kron_mat(a: MatQ, b: MatQ) -> MatQ:
-    """Kronecker product of matrices, row-major on both index pairs."""
-    if not a or not b:
-        return ()
-    return tuple(
-        tuple(a[i][j] * b[k][l] for j in range(len(a[0])) for l in range(len(b[0])))
-        for i in range(len(a))
-        for k in range(len(b))
-    )
 
 
 def is_zero(a: VecQ) -> bool:

@@ -13,7 +13,7 @@ import random
 from fractions import Fraction
 
 from .cones import ConeObject, from_p_gens, primal_gens
-from .mall import Morphism, morphism_norm
+from .mall import Morphism, mor, morphism_norm
 from .rationals import MatQ, Q0, VecQ, unit
 
 
@@ -73,7 +73,7 @@ def rand_ball_point(r: random.Random, a: ConeObject) -> VecQ:
 
 def rand_positive_map(r: random.Random, a: ConeObject, b: ConeObject) -> Morphism:
     m = tuple(tuple(rand_frac(r, 2, 3) for _ in range(a.dim)) for _ in range(b.dim))
-    return Morphism(a, b, m)
+    return mor(a, b, m, validate=False)
 
 
 def rand_contraction(r: random.Random, a: ConeObject, b: ConeObject) -> Morphism:
@@ -82,8 +82,8 @@ def rand_contraction(r: random.Random, a: ConeObject, b: ConeObject) -> Morphism
     f = rand_positive_map(r, a, b)
     n = morphism_norm(f)
     if n > 1:
-        m = tuple(tuple(x / n for x in row) for row in f.matrix)
-        f = Morphism(a, b, m)
+        cols = tuple(tuple((i, x / n) for i, x in col) for col in f.cols)
+        f = Morphism(a, b, cols)
     return f
 
 

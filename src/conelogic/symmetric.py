@@ -34,7 +34,7 @@ from math import comb, factorial
 
 from .cones import Backend, ConeObject, one_obj, polar_w, primal_gens
 from .errors import CapabilityError, DimensionError, NegativeCoefficientError
-from .mall import Morphism
+from .mall import Morphism, mor
 from .multisets import (
     Mset,
     arrangements,
@@ -177,7 +177,8 @@ def sym_power_matrix(m: MatQ, n: int, dim_src: int, dim_tgt: int) -> MatQ:
 def sym_power_mor(S: Morphism, n: int) -> Morphism:
     src = sym_power_obj(S.source, n)
     tgt = sym_power_obj(S.target, n)
-    return Morphism(src, tgt, sym_power_matrix(S.matrix, n, S.source.dim, S.target.dim))
+    m = sym_power_matrix(S.matrix, n, S.source.dim, S.target.dim)
+    return mor(src, tgt, m, validate=False)
 
 
 # ---------------------------------------------------------------------------

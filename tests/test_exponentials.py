@@ -12,6 +12,7 @@ Hand-derived anchors used below, all over the two-point base:
 """
 
 from fractions import Fraction as F
+import itertools
 import random
 
 import pytest
@@ -528,6 +529,159 @@ def test_exp_iso_delta_naturality_and_pairing():
 def test_exp_iso_needs_polyhedral_factors():
     with pytest.raises(CapabilityError):
         exp_iso(Bool, whynot_obj(Bool, 2), 2)
+
+
+# -- the sparse structure maps against dense references -----------------------
+#
+# Each reference fills a dense row list entry by entry from the definition;
+# whynot_mor and bang_mor expand their products over index tuples by brute
+# force instead of through polynomials or symmetric-power blocks.
+
+
+def _zero_rows(src, tgt):
+    return [[F(0)] * src.dim for _ in range(tgt.dim)]
+
+
+def _labels(h):
+    return graded_coords(h) if h.backend is Backend.GRADED else tuple(range(h.dim))
+
+
+def _index(h):
+    return {lbl: i for i, lbl in enumerate(_labels(h))}
+
+
+def _dense(rows):
+    return tuple(map(tuple, rows))
+
+
+def _ref_eta(a, n):
+    tgt = whynot_obj(a, n)
+    rows, idx = _zero_rows(a, tgt), _index(tgt)
+    for c, w in enumerate(a.pairing_weights):
+        rows[idx[(c,)]][c] = w
+    return _dense(rows)
+
+
+def _ref_monoid_unit(a, n):
+    tgt = whynot_obj(a, n)
+    rows = _zero_rows(one_obj(), tgt)
+    rows[_index(tgt)[()]][0] = F(1)
+    return _dense(rows)
+
+
+def _ref_mu(a, n):
+    inner = whynot_obj(a, n)
+    outer = whynot_obj(inner, n)
+    rows, idx, ic = _zero_rows(outer, inner), _index(inner), graded_coords(inner)
+    for j, m in enumerate(graded_coords(outer)):
+        kt = tuple(sorted(c for p in m for c in ic[p]))
+        if len(kt) <= n:
+            rows[idx[kt]][j] = F(multiplicity(m), multiplicity(kt))
+    return _dense(rows)
+
+
+def _ref_diag_mult(a, n):
+    w = whynot_obj(a, n)
+    src = graded_par_obj(w, w, n)
+    rows, idx = _zero_rows(src, w), _index(w)
+    for j, (m, k) in enumerate(graded_coords(src)):
+        kt = tuple(sorted(m + k))
+        rows[idx[kt]][j] = F(multiplicity(m) * multiplicity(k), multiplicity(kt))
+    return _dense(rows)
+
+
+def _ref_relabel(src, tgt, fn):
+    rows, idx = _zero_rows(src, tgt), _index(tgt)
+    for j, lbl in enumerate(_labels(src)):
+        rows[idx[fn(lbl)]][j] = F(1)
+    return _dense(rows)
+
+
+def _ref_whynot_mor(l, n):
+    # ?l sends the series coordinate m to multiplicity(m) * prod_{c in m}
+    # (l* y)_c; the coefficient of y^nu is spread over multiplicity(nu)
+    src, tgt = whynot_obj(l.source, n), whynot_obj(l.target, n)
+    ws, wt = l.source.pairing_weights, l.target.pairing_weights
+    pull = [
+        [l.matrix[j][c] * wt[j] / ws[c] for j in range(l.target.dim)]
+        for c in range(l.source.dim)
+    ]
+    rows, idx = _zero_rows(src, tgt), _index(tgt)
+    for col, m in enumerate(graded_coords(src)):
+        for t in itertools.product(range(l.target.dim), repeat=len(m)):
+            term = F(multiplicity(m))
+            for c, j in zip(m, t):
+                term *= pull[c][j]
+            nu = tuple(sorted(t))
+            rows[idx[nu]][col] += term / multiplicity(nu)
+    return _dense(rows)
+
+
+def _ref_bang_mor(s, n):
+    # delta_x has coordinates x^mu; (s x)^nu expands over index tuples t
+    # as prod_k s[nu_k][t_k] x_{t_k}, collected on the multiset of t
+    src, tgt = bang_obj(s.source, n), bang_obj(s.target, n)
+    rows, sidx = _zero_rows(src, tgt), _index(src)
+    for r, nu in enumerate(graded_coords(tgt)):
+        for t in itertools.product(range(s.source.dim), repeat=len(nu)):
+            term = F(1)
+            for i, j in zip(nu, t):
+                term *= s.matrix[i][j]
+            rows[r][sidx[tuple(sorted(t))]] += term
+    return _dense(rows)
+
+
+def _ref_exp_iso(a, b, n):
+    src = bang_obj(product_obj(a, b), n)
+    tgt = graded_tensor_obj(bang_obj(a, n), bang_obj(b, n), n)
+    rows, idx = _zero_rows(src, tgt), _index(tgt)
+    for j, m in enumerate(graded_coords(src)):
+        ka = tuple(c for c in m if c < a.dim)
+        kb = tuple(c - a.dim for c in m if c >= a.dim)
+        rows[idx[(ka, kb)]][j] = F(1)
+    return _dense(rows), tuple(zip(*rows)) if rows else ()
+
+
+def _spread_map(src, tgt):
+    # entries k/(3 d^2) for k in 0..2, zeros included: norm at most 2/3
+    # from the cube onto the simplex
+    d = src.dim
+    rows = [[F((i + 2 * j) % 3, 3 * d * d) for j in range(d)] for i in range(tgt.dim)]
+    return mor(src, tgt, rows)
+
+
+@pytest.mark.parametrize("dim, n", [(2, 2), (2, 3), (3, 2)])
+def test_structure_maps_match_dense_references(dim, n):
+    cube, simplex = cube_pcs(dim), simplex_pcs(dim)
+    w = whynot_obj(cube, n)
+    for a in (cube, simplex, w):
+        assert eta(a, n).matrix == _ref_eta(a, n)
+    assert monoid_unit(cube, n).matrix == _ref_monoid_unit(cube, n)
+    for a in (cube, simplex):
+        assert mu(a, n).matrix == _ref_mu(a, n)
+        assert diag_mult(a, n).matrix == _ref_diag_mult(a, n)
+    ww = graded_par_obj(w, w, n)
+    swap = lambda t: (t[1], t[0])  # noqa: E731
+    assert graded_relabel(ww, ww, swap).matrix == _ref_relabel(ww, ww, swap)
+    onew = graded_par_obj(one_obj(), w, n)
+    lam = lambda m: (0, m)  # noqa: E731
+    assert graded_relabel(w, onew, lam).matrix == _ref_relabel(w, onew, lam)
+    s = _spread_map(cube, simplex)
+    assert morphism_norm(s) <= 1 and morphism_norm(adjoint(s)) <= 1
+    assert whynot_mor(s, n).matrix == _ref_whynot_mor(s, n)
+    assert bang_mor(s, n).matrix == _ref_bang_mor(s, n)
+    d = diag_mult(cube, n)
+    wi = identity(w)
+    for f, g in ((d, wi), (eta(cube, n), wi)):
+        m = graded_par_mor(f, g, n)
+        assert m.matrix == _pair_mor_by_definition(m.source, m.target, f, g)
+    bb = bang_mor(s, n)
+    m = graded_tensor_mor(bb, bb, n)
+    assert m.matrix == _pair_mor_by_definition(m.source, m.target, bb, bb)
+    a1, a2 = (cube_pcs(1), simplex_pcs(dim - 1)) if dim > 2 else (cube, simplex_pcs(1))
+    phi, phi_inv = exp_iso(a1, a2, n)
+    want, want_inv = _ref_exp_iso(a1, a2, n)
+    assert phi.matrix == want and phi_inv.matrix == want_inv
 
 
 # -- analytic maps -----------------------------------------------------------

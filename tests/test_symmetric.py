@@ -17,7 +17,7 @@ import pytest
 from conelogic.backends import bool_obj, cube_pcs, simplex_pcs
 from conelogic.cones import dual_object, one_obj, pairing, validate_object
 from conelogic.errors import NegativeCoefficientError
-from conelogic.mall import Morphism, compose, identity
+from conelogic.mall import compose, identity, mor
 from conelogic.multisets import msets
 from conelogic.oracle import averaged_upper
 from conelogic.rationals import vec
@@ -161,8 +161,8 @@ def test_sandwich_on_random_samples():
 
 def test_power_functor_identity_and_composition():
     b = bool_obj()
-    s = Morphism(b, b, ((F(1, 2), F(1, 4)), (F(1, 2), F(1, 2))))
-    t = Morphism(b, b, ((F(1, 3), F(0)), (F(1, 3), F(1))))
+    s = mor(b, b, ((F(1, 2), F(1, 4)), (F(1, 2), F(1, 2))))
+    t = mor(b, b, ((F(1, 3), F(0)), (F(1, 3), F(1))))
     for n in (0, 1, 2, 3):
         assert sym_power_mor(identity(b), n).matrix == identity(
             sym_power_obj(b, n)
@@ -174,7 +174,7 @@ def test_power_functor_identity_and_composition():
 
 def test_power_functor_acts_as_power_on_points():
     b = bool_obj()
-    s = Morphism(b, b, ((F(1, 2), F(1, 4)), (F(1, 2), F(1, 2))))
+    s = mor(b, b, ((F(1, 2), F(1, 4)), (F(1, 2), F(1, 2))))
     x = vec([F(1, 3), F(2, 3)])
     for n in (2, 3):
         lhs = sym_power_mor(s, n)(power_tensor(x, n).coords)
@@ -184,5 +184,5 @@ def test_power_functor_acts_as_power_on_points():
 
 def test_grade_one_block_is_the_map_itself():
     b = bool_obj()
-    s = Morphism(b, b, ((F(1, 2), F(0)), (F(1, 4), F(1))))
+    s = mor(b, b, ((F(1, 2), F(0)), (F(1, 4), F(1))))
     assert sym_power_mor(s, 1).matrix == s.matrix
