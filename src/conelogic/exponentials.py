@@ -95,7 +95,7 @@ from .oracle import (
 )
 from .polynomials import Polynomial, poly_product
 from .rationals import MatQ, Q0, Q1, VecQ, mat, mat_vec, vec
-from .symmetric import sym_power_matrix
+from .symmetric import sym_power_blocks
 
 DEFAULT_TRUNC = 3
 
@@ -864,41 +864,37 @@ def _require_contraction(s: Morphism, what: str) -> None:
         raise BallError(f"{what} only transports contractions", norm=n)
 
 
+def _graded_power(src: ConeObject, tgt: ConeObject, cols, dim_tgt: int, trunc: int) -> Morphism:
+    """Grades 0..trunc of the symmetric powers of the map with these
+    columns, block-diagonal in the degree-major graded layout."""
+    out, roff = [], 0
+    for n, block in enumerate(sym_power_blocks(cols, dim_tgt, trunc)):
+        out.extend([(roff + i, x) for i, x in col] for col in block)
+        roff += mset_count(dim_tgt, n)
+    return sparse_mor(src, tgt, out)
+
+
 def whynot_mor(l: Morphism, trunc: int = DEFAULT_TRUNC) -> Morphism:
-    """?l: ?A -> ?B for a contraction l: A -> B, by precomposition with the
-    adjoint: the image series is f(l* y), expanded monomial by monomial."""
-    pullback = adjoint(l)  # matrix row c: source coordinate c as a target form
+    """?l: ?A -> ?B for a contraction l: A -> B, f -> f . l*. The image of
+    the series coordinate mu is multiplicity(mu) prod_{c in mu} (l* y)_c with
+    its y^nu coefficient spread over multiplicity(nu), so ?l = Sym(l'): l'
+    is l conjugated by the pairing weights, its column c the row c of l*."""
+    pullback = adjoint(l)
     _require_contraction(pullback, "?")
-    src = whynot_obj(l.source, trunc)
-    tgt = whynot_obj(l.target, trunc)
-    dy = l.target.dim
-    tgt_idx = _layout(tgt).index
-    lin = [Polynomial.linear(dy, pullback.matrix[c]) for c in range(l.source.dim)]
-    cols = []
-    for m in _layout(src).coords:
-        pol = poly_product((lin[c] for c in m), dy).scale(multiplicity(m))
-        col = []
-        for exps, coeff in pol.terms.items():
-            nu = _exps_to_mset(exps)
-            col.append((tgt_idx[nu], coeff / multiplicity(nu)))
-        cols.append(col)
-    return sparse_mor(src, tgt, cols)
+    conj: list[list] = [[] for _ in range(l.source.dim)]
+    for r, col in enumerate(pullback.cols):
+        for c, x in col:
+            conj[c].append((r, x))
+    src, tgt = whynot_obj(l.source, trunc), whynot_obj(l.target, trunc)
+    return _graded_power(src, tgt, conj, l.target.dim, trunc)
 
 
 def bang_mor(s: Morphism, trunc: int = DEFAULT_TRUNC) -> Morphism:
-    """!s: !A -> !B, delta_x -> delta_{sx}; block-diagonal symmetric powers."""
+    """!s: !A -> !B, delta_x -> delta_{sx}. delta_x has the plain coordinates
+    x^mu, and (s x)^nu expands by the multinomial theorem, so !s = Sym(s)."""
     _require_contraction(s, "!")
-    src = bang_obj(s.source, trunc)
-    tgt = bang_obj(s.target, trunc)
-    ds, dt = s.source.dim, s.target.dim
-    cols = []
-    roff = 0
-    for n in range(trunc + 1):
-        block = sym_power_matrix(s.matrix, n, ds, dt)
-        for j in range(mset_count(ds, n)):
-            cols.append([(roff + i, brow[j]) for i, brow in enumerate(block)])
-        roff += mset_count(dt, n)
-    return sparse_mor(src, tgt, cols)
+    src, tgt = bang_obj(s.source, trunc), bang_obj(s.target, trunc)
+    return _graded_power(src, tgt, s.cols, s.target.dim, trunc)
 
 
 def exp_iso(

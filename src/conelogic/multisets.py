@@ -40,7 +40,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, combinations_with_replacement, permutations
+from itertools import chain, combinations_with_replacement
 from math import comb, factorial
 
 Mset = tuple[int, ...]
@@ -77,12 +77,6 @@ def multiplicity(m: Mset) -> int:
     for c in Counter(m).values():
         denom *= factorial(c)
     return factorial(len(m)) // denom
-
-
-@lru_cache(maxsize=None)
-def arrangements(m: Mset) -> tuple[tuple[int, ...], ...]:
-    """The distinct arrangements themselves; len == multiplicity(m)."""
-    return tuple(sorted(set(permutations(m))))
 
 
 def mset_union(*ms: Mset) -> Mset:

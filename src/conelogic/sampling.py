@@ -17,10 +17,6 @@ from .mall import Morphism, mor, morphism_norm
 from .rationals import MatQ, Q0, VecQ, unit
 
 
-def make_rng(seed: int) -> random.Random:
-    return random.Random(seed)
-
-
 def rand_frac(r: random.Random, num_max: int = 4, den_max: int = 3) -> Fraction:
     return Fraction(r.randint(0, num_max), r.randint(1, den_max))
 

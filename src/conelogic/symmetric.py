@@ -21,23 +21,28 @@ x_S bounds each diagonal term by |S|^n times the new norm. The bracket's
 upper bound is old_norm itself (the averaged-coefficient bound of the
 mixing polynomial collapses to exactly the generator-tuple maximum).
 
+The power functor acts on a map S plainly on multiset coordinates, its
+columns expanded by the multinomial theorem. sym_power_blocks computes
+grades 0..N in integers, each column from its prefix one grade down; it is
+the one route for Sym^n S here and for !s and ?l in exponentials.
+
 Coordinates and pairing weights follow the multisets module conventions.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 from .cones import Backend, ConeObject, one_obj, polar_w, primal_gens
 from .errors import CapabilityError, DimensionError, NegativeCoefficientError
-from .mall import Morphism, mor
+from .mall import Morphism, sparse_mor
 from .multisets import (
     Mset,
-    arrangements,
     monomial_value,
     mset_count,
     mset_positions,
@@ -47,7 +52,7 @@ from .multisets import (
 from .oracle import Bracket, DEFAULT_PARAMS, OracleParams, simplex_polynomial_bounds
 from .polyhedra import DD_MAX_DIM, reduce_generators
 from .polynomials import Polynomial, poly_product
-from .rationals import MatQ, Q0, Q1, VecQ, vec
+from .rationals import Q0, Q1, VecQ, vec
 
 
 @dataclass(frozen=True)
@@ -152,33 +157,42 @@ def sym_power_obj(a: ConeObject, n: int) -> ConeObject:
     )
 
 
-def sym_power_matrix(m: MatQ, n: int, dim_src: int, dim_tgt: int) -> MatQ:
-    """Grade-n block of the power functor: permanent-style sums over
-    arrangements, acting plainly on multiset coordinates."""
-    cols = msets(dim_src, n)
-    rows_idx = msets(dim_tgt, n)
-    out = []
-    for nu in rows_idx:
-        row = []
-        for mu in cols:
-            total = Q0
-            for arr in arrangements(mu):
-                term = Q1
-                for t in range(n):
-                    term *= m[nu[t]][arr[t]]
-                    if term == 0:
-                        break
-                total += term
-            row.append(total)
-        out.append(tuple(row))
-    return tuple(out)
+def sym_power_blocks(cols, dim_tgt: int, trunc: int) -> list[list[list]]:
+    """Grades 0..trunc of the symmetric powers of the map with these sparse
+    columns, from len(cols) coordinates to dim_tgt. Block n lists, per
+    multiset mu in msets order, the nonzeros (position of nu, Fraction) of
+    column mu of Sym^n: S * multiplicity(mu) / multiplicity(nu), with S the
+    coefficient of y^nu in the product of the columns in mu read as linear
+    forms in y (the multinomial theorem). The entries are scaled to integers
+    by the lcm L of their denominators, and column mu is its prefix mu[:-1]
+    from grade n - 1 times the column mu[-1], so zeros are never visited and
+    each nonzero becomes one Fraction over L^n at the end."""
+    scale = lcm(*(x.denominator for col in cols for _, x in col))
+    icols = [[(r, x.numerator * (scale // x.denominator)) for r, x in col] for col in cols]
+    blocks, prods = [[[(0, Q1)]]], {(): {(): 1}}
+    for n in range(1, trunc + 1):
+        pos, den, block, nxt = mset_positions(dim_tgt, n), scale**n, [], {}
+        for mu in msets(len(cols), n):
+            acc = nxt[mu] = {}
+            for nu, s in prods[mu[:-1]].items():
+                for r, a in icols[mu[-1]]:
+                    k = bisect_right(nu, r)
+                    key = nu[:k] + (r,) + nu[k:]
+                    acc[key] = acc.get(key, 0) + s * a
+            m = multiplicity(mu)
+            block.append([(pos[nu], Fraction(s * m, multiplicity(nu) * den))
+                          for nu, s in acc.items() if s])
+        blocks.append(block)
+        prods = nxt
+    return blocks
 
 
 def sym_power_mor(S: Morphism, n: int) -> Morphism:
+    """Sym^n S on the power objects: grade n of sym_power_blocks, so
+    Sym^n S (x)^n = (S x)^n."""
     src = sym_power_obj(S.source, n)
     tgt = sym_power_obj(S.target, n)
-    m = sym_power_matrix(S.matrix, n, S.source.dim, S.target.dim)
-    return mor(src, tgt, m, validate=False)
+    return sparse_mor(src, tgt, sym_power_blocks(S.cols, S.target.dim, n)[n])
 
 
 # ---------------------------------------------------------------------------

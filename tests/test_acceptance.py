@@ -6,6 +6,7 @@ loosening any of them is a red flag, not a fix.
 """
 
 import json
+import random
 import time
 from fractions import Fraction as F
 
@@ -58,7 +59,6 @@ from conelogic.mall import (
 from conelogic.polyhedra import polar_of_points, reduce_generators
 from conelogic.rationals import unit, vec
 from conelogic.sampling import (
-    make_rng,
     rand_ball_point,
     rand_contraction,
     rand_gens,
@@ -82,7 +82,7 @@ def rand_sym_coords(r, labels, num_max=3, den_max=2):
 
 
 def test_criterion_01_gauge_lp_equals_generator_max_under_10s():
-    r = make_rng(101)
+    r = random.Random(101)
     t0 = time.monotonic()
     for _ in range(100):
         a = rand_object(r, r.randint(2, 4), max_gens=6)
@@ -93,7 +93,7 @@ def test_criterion_01_gauge_lp_equals_generator_max_under_10s():
 
 
 def test_criterion_02_bipolar_idempotent():
-    r = make_rng(102)
+    r = random.Random(102)
     for _ in range(100):
         dim = r.randint(2, 4)
         gens = rand_gens(r, dim, r.randint(1, 5))
@@ -107,7 +107,7 @@ def test_criterion_02_bipolar_idempotent():
 
 
 def test_criterion_03_curry_uncurry_bijection_preserves_norms():
-    r = make_rng(103)
+    r = random.Random(103)
     for _ in range(50):
         a = rand_object(r, 2)
         b = rand_object(r, 2)
@@ -120,7 +120,7 @@ def test_criterion_03_curry_uncurry_bijection_preserves_norms():
 
 
 def test_criterion_04_additive_norms_and_non_isomorphism_witness():
-    r = make_rng(104)
+    r = random.Random(104)
     for _ in range(50):
         a = rand_object(r, r.randint(1, 3))
         b = rand_object(r, r.randint(1, 3))
@@ -139,7 +139,7 @@ def test_criterion_04_additive_norms_and_non_isomorphism_witness():
 
 
 def test_criterion_05_symmetric_norm_sandwich():
-    r = make_rng(105)
+    r = random.Random(105)
     tol = F(1, 10**6)
     max_ratio = F(0)
     flagged = 0
@@ -177,7 +177,7 @@ def test_criterion_05_symmetric_norm_sandwich():
 
 def test_criterion_06_exponential_iso_pairing_identity():
     n = 3
-    r = make_rng(106)
+    r = random.Random(106)
     factors = (one_obj(), simplex_pcs(2))
     samples = 0
     for a in factors:
@@ -232,14 +232,14 @@ def test_criterion_08_composition_truncates_exactly_and_monotonely():
     comp3 = analytic_compose(gm, fm, 3)
     assert [g[0][0] for g in comp4.grades] == [0, 0, 1, 0, 1]
     assert [g[0][0] for g in comp3.grades] == [0, 0, 1, 0]
-    r = make_rng(108)
+    r = random.Random(108)
     for _ in range(20):
         t = rand_ball_point(r, half)
         assert analytic_eval(comp3, t)[0] <= analytic_eval(comp4, t)[0]
 
 
 def test_criterion_09_pcs_matrix_round_trip():
-    r = make_rng(109)
+    r = random.Random(109)
     for _ in range(50):
         ds, dt = r.randint(2, 3), r.randint(2, 3)
         u = rand_pcs_matrix(r, ds, dt)
@@ -249,7 +249,7 @@ def test_criterion_09_pcs_matrix_round_trip():
 
 
 def test_criterion_10_spectral_norm_duality():
-    r = make_rng(110)
+    r = random.Random(110)
     for _ in range(100):
         n = r.randint(2, 8)
         m = matrix_from_json(rand_psd(r, n))

@@ -72,6 +72,7 @@ from conelogic.lp import lp_maximize
 from conelogic.mall import adjoint, compose, identity, mor, morphism_norm, product_obj
 from conelogic.multisets import multiplicity
 from conelogic.rationals import vec
+from test_symmetric import map_rows
 
 Bool = bool_obj()
 BoolStar = dual_object(Bool)
@@ -682,6 +683,37 @@ def test_structure_maps_match_dense_references(dim, n):
     phi, phi_inv = exp_iso(a1, a2, n)
     want, want_inv = _ref_exp_iso(a1, a2, n)
     assert phi.matrix == want and phi_inv.matrix == want_inv
+
+
+@settings(max_examples=25, deadline=None)
+@given(map_rows(), st.integers(0, 4), st.booleans(), st.booleans())
+def test_functors_match_the_references_on_random_maps(drawn, n, cube_src, cube_tgt):
+    # the same draws as the symmetric-power kernel's test, scaled down to a
+    # contraction both ways between simplex or cube endpoints
+    ds, dt, rows = drawn
+    a = cube_pcs(ds) if cube_src else simplex_pcs(ds)
+    b = cube_pcs(dt) if cube_tgt else simplex_pcs(dt)
+    f = mor(a, b, rows)
+    k = max(morphism_norm(f), morphism_norm(adjoint(f)), F(1))
+    f = mor(a, b, [[x / k for x in row] for row in rows])
+    assert bang_mor(f, n).matrix == _ref_bang_mor(f, n)
+    assert whynot_mor(f, n).matrix == _ref_whynot_mor(f, n)
+
+
+@pytest.mark.parametrize(
+    "base, n",
+    [(simplex_pcs(2), 2), (cube_pcs(2), 3), (Bool, 2)],
+    ids=["simplex2-2", "cube2-3", "bool-2"],
+)
+def test_whynot_at_weighted_endpoints(base, n):
+    # eta lands in ?base and mu leaves ??base, so both have weighted
+    # endpoints; mu's entries are where the weight conjugation shows
+    e = eta(base, n)
+    assert whynot_mor(e, n).matrix == _ref_whynot_mor(e, n)
+    assert whynot_mor(e, n).matrix == adjoint(bang_mor(adjoint(e), n)).matrix
+    if n == 2:
+        m = mu(base, n)
+        assert whynot_mor(m, n).matrix == _ref_whynot_mor(m, n)
 
 
 # -- analytic maps -----------------------------------------------------------

@@ -1,9 +1,12 @@
-"""Source hygiene: no module of the package imports a name it never uses.
+"""Source hygiene: no module of the package imports a name it never uses,
+and every name the benchmark's tracer patches still exists.
 
-`__init__.py` is exempt, since its imports are the public re-exports.
+`__init__.py` is exempt from the import check, since its imports are the
+public re-exports.
 """
 
 import ast
+import importlib
 import os
 
 import pytest
@@ -59,3 +62,35 @@ def test_no_unused_imports(module):
         if name not in used
     )
     assert not unused, f"{module} imports names it never uses: {unused}"
+
+
+def _tracer_layers():
+    """LAYERS from perfbench/layers.py, read as a literal without importing
+    the benchmark."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "layers.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "LAYERS" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/layers.py defines no LAYERS")
+
+
+@pytest.mark.parametrize(
+    "layer, spec", [pytest.param(k, v, id=k) for k, v in sorted(_tracer_layers().items())]
+)
+def test_traced_names_exist(layer, spec):
+    # The tracer looks each function up in its module and each method in
+    # the class dict; a name deleted or renamed in the package would make
+    # every traced benchmark run fail.
+    module, names = spec
+    mod = importlib.import_module(f"conelogic.{module}")
+    missing = []
+    for name in names:
+        owner, _, attr = name.rpartition(".")
+        space = vars(getattr(mod, owner)) if owner else vars(mod)
+        if not callable(space.get(attr)):
+            missing.append(name)
+    assert not missing, f"{layer}: conelogic.{module} lacks {missing}"

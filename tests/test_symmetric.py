@@ -10,9 +10,12 @@ Oracle values derived by hand before the assertions:
 """
 
 from fractions import Fraction as F
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conelogic.backends import bool_obj, cube_pcs, simplex_pcs
 from conelogic.cones import dual_object, one_obj, pairing, validate_object
@@ -29,6 +32,7 @@ from conelogic.symmetric import (
     old_norm,
     polarization_constant,
     power_tensor,
+    sym_power_blocks,
     sym_power_mor,
     sym_power_obj,
     sym_tensor,
@@ -186,3 +190,69 @@ def test_grade_one_block_is_the_map_itself():
     b = bool_obj()
     s = mor(b, b, ((F(1, 2), F(0)), (F(1, 4), F(1))))
     assert sym_power_mor(s, 1).matrix == s.matrix
+
+
+# -- the symmetric-power kernel ------------------------------------------------
+
+
+def _ref_sym_power_matrix(m, n, dim_src, dim_tgt):
+    # Entry (nu, mu) of Sym^n m: the sum over the distinct arrangements a of
+    # mu of prod_t m[nu_t][a_t], filled densely, zeros included.
+    out = []
+    for nu in msets(dim_tgt, n):
+        row = []
+        for mu in msets(dim_src, n):
+            total = F(0)
+            for arr in set(itertools.permutations(mu)):
+                term = F(1)
+                for t in range(n):
+                    term *= m[nu[t]][arr[t]]
+                total += term
+            row.append(total)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def _dense_block(block, dim_src, dim_tgt, n):
+    rows = [[F(0)] * len(msets(dim_src, n)) for _ in msets(dim_tgt, n)]
+    for j, col in enumerate(block):
+        for i, x in col:
+            rows[i][j] = x
+    return tuple(map(tuple, rows))
+
+
+entries = st.one_of(
+    st.just(F(0)), st.fractions(min_value=0, max_value=2, max_denominator=6)
+)
+
+
+@st.composite
+def map_rows(draw):
+    """dim_src, dim_tgt in 1..3 and dim_tgt rows of nonnegative entries,
+    zeros and non-integers both likely."""
+    ds, dt = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    rows = [[draw(entries) for _ in range(ds)] for _ in range(dt)]
+    return ds, dt, rows
+
+
+@settings(max_examples=40, deadline=None)
+@given(map_rows(), st.integers(0, 4))
+def test_power_blocks_match_the_arrangement_sum(drawn, trunc):
+    ds, dt, rows = drawn
+    cols = [[(i, row[j]) for i, row in enumerate(rows)] for j in range(ds)]
+    blocks = sym_power_blocks(cols, dt, trunc)
+    assert len(blocks) == trunc + 1
+    for n, block in enumerate(blocks):
+        assert len(block) == len(msets(ds, n))
+        assert all(x for col in block for _, x in col)  # zeros are never kept
+        assert _dense_block(block, ds, dt, n) == _ref_sym_power_matrix(rows, n, ds, dt)
+
+
+def test_power_blocks_entry_is_the_multinomial_coefficient():
+    # m = [[1/2, 1], [1/3, 0]]: column (0, 1) of Sym^2 is the product of the
+    # forms y0/2 + y1/3 and y0, i.e. y0^2/2 + y0 y1/3, times
+    # multiplicity((0, 1)) = 2 and over multiplicity(nu): 1 at (0, 0) and
+    # (1/3) * 2 / 2 = 1/3 at (0, 1).
+    cols = [[(0, F(1, 2)), (1, F(1, 3))], [(0, F(1))]]
+    block = sym_power_blocks(cols, 2, 2)[2]
+    assert dict(block[1]) == {0: F(1), 1: F(1, 3)}
