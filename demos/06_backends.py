@@ -21,7 +21,6 @@ from conelogic import (
     morphism_to_pcs_matrix,
     norm_primal,
     pcs_contraction_flag,
-    pcs_matrix_to_morphism,
     qcs_duality_report,
     qcs_object,
     qcs_op_norm,

@@ -42,6 +42,13 @@ One restriction is baked in: representable series have nonnegative
 coordinates, and distribution norms take the sup against those. On genuine
 delta mixtures this loses nothing (the constant-1 series already attains
 the supremum); it is what keeps every bracket direction certified.
+
+An analytic map A -> B between polyhedral objects, truncated at N, is a
+Morphism !A -> B: column m holds the coefficient of the monomial x^m, so
+f(x) is f applied to delta_x. Its norm is bracketed over the ball scheme
+of !A, and composition substitutes polynomials up to degree N rather than
+building mu on ??A (the coKleisli composite g . !f . dig gives the same
+matrix, at far greater cost).
 """
 
 from __future__ import annotations
@@ -70,7 +77,6 @@ from .errors import (
     CapabilityError,
     CompositionError,
     DimensionError,
-    MembershipError,
 )
 from .lp import LpStatus, constraint, lp_maximize, problem
 from .mall import Morphism, adjoint, mor, morphism_norm, product_obj, sparse_mor
@@ -80,9 +86,7 @@ from .multisets import (
     graded_msets,
     monomial_value,
     mset_count,
-    mset_positions,
     mset_union,
-    msets,
     multiplicity,
 )
 from .oracle import (
@@ -93,8 +97,8 @@ from .oracle import (
     averaged_upper,
     simplex_polynomial_bounds,
 )
-from .polynomials import Polynomial, poly_product
-from .rationals import MatQ, Q0, Q1, VecQ, mat, mat_vec, vec
+from .polynomials import Polynomial, poly_product, poly_sum
+from .rationals import Q0, Q1, VecQ, mat, vec
 from .symmetric import sym_power_blocks
 
 DEFAULT_TRUNC = 3
@@ -942,118 +946,67 @@ def _mset_exps(m: Mset, dim: int) -> tuple[int, ...]:
 # Analytic maps
 
 
-@dataclass(frozen=True)
-class AnalyticMap:
-    """Positive analytic map between polyhedral objects, truncated.
-
-    grades[n] is a target.dim by mset_count(source.dim, n) matrix acting on
-    the plain power coordinates of x^n; evaluation sums the grade images.
-    """
-
-    source: ConeObject
-    target: ConeObject
-    trunc: int
-    grades: tuple[MatQ, ...]
-
-    def __post_init__(self):
-        for h in (self.source, self.target):
-            if h.backend is not Backend.POLYHEDRAL:
-                raise CapabilityError(
-                    "analytic maps run between polyhedral objects", h.label
-                )
-        if len(self.grades) != self.trunc + 1:
-            raise DimensionError(self.trunc + 1, len(self.grades), "analytic grades")
-        for n, g in enumerate(self.grades):
-            if len(g) != self.target.dim:
-                raise DimensionError(self.target.dim, len(g), f"grade {n} rows")
-            cols = mset_count(self.source.dim, n)
-            for row in g:
-                if len(row) != cols:
-                    raise DimensionError(cols, len(row), f"grade {n} columns")
-                for v in row:
-                    if v < 0:
-                        raise MembershipError(
-                            f"grade {n} has a negative coefficient ({v})"
-                        )
-
-
-def analytic_map(source: ConeObject, target: ConeObject, grades) -> AnalyticMap:
-    gs = tuple(mat(g) for g in grades)
-    return AnalyticMap(source, target, len(gs) - 1, gs)
-
-
-def analytic_eval(f: AnalyticMap, x) -> VecQ:
-    """f(x) = sum of the grade images of the power coordinates of x."""
-    xq = vec(x)
-    check_membership(f.source, xq)
-    n = norm_primal(f.source, xq)
-    if n > 1:
-        raise BallError(f"analytic argument escapes the ball of {f.source.label!r}", norm=n)
-    out = [Q0] * f.target.dim
-    for deg, g in enumerate(f.grades):
-        powers = tuple(monomial_value(xq, m) for m in msets(f.source.dim, deg))
-        for c, v in enumerate(mat_vec(g, powers)):
-            out[c] += v
-    return tuple(out)
-
-
-def analytic_as_morphism(f: AnalyticMap) -> Morphism:
-    """The same data as a linear map !source -> target (grades side by side);
-    applying it to delta_x gives exactly analytic_eval(f, x)."""
-    src = bang_obj(f.source, f.trunc)
-    rows: list[list[Fraction]] = [[] for _ in range(f.target.dim)]
-    for g in f.grades:
-        for row, grow in zip(rows, g):
-            row.extend(grow)
-    return mor(src, f.target, rows)
-
-
-def analytic_from_hom(h: Morphism) -> AnalyticMap:
-    """Inverse of analytic_as_morphism: slice the grade blocks back out."""
-    shape = _shape(h.source)
-    node = shape.node
-    if shape.series_primal or not isinstance(node, ExpNode):
-        raise CapabilityError(
-            "needs a morphism out of a bang object", h.source.label
-        )
-    source = dual_object(node.base)
-    grades = []
-    off = 0
-    for n in range(node.trunc + 1):
+def analytic_map(source: ConeObject, target: ConeObject, grades) -> Morphism:
+    """The positive analytic map source -> target with one coefficient
+    matrix per degree, truncated at len(grades) - 1, as the linear map
+    !source -> target. grades[n] is target.dim by mset_count(source.dim, n)
+    and acts on the power coordinates x^m; the grades sit side by side in
+    the degree-major layout of !source."""
+    for h in (source, target):
+        if h.backend is not Backend.POLYHEDRAL:
+            raise CapabilityError("analytic maps run between polyhedral objects", h.label)
+    gs = [mat(g) for g in grades]
+    if not gs:
+        raise DimensionError(1, 0, "analytic grades")
+    rows: list[list[Fraction]] = [[] for _ in range(target.dim)]
+    for n, g in enumerate(gs):
+        if len(g) != target.dim:
+            raise DimensionError(target.dim, len(g), f"grade {n} rows")
         k = mset_count(source.dim, n)
-        grades.append(tuple(tuple(row[off : off + k]) for row in h.matrix))
-        off += k
-    return AnalyticMap(source, h.target, node.trunc, tuple(grades))
+        for row, grow in zip(rows, g):
+            if len(grow) != k:
+                raise DimensionError(k, len(grow), f"grade {n} columns")
+            row.extend(grow)
+    return mor(bang_obj(source, len(gs) - 1), target, rows)
 
 
-def analytic_norm_bounds(
-    f: AnalyticMap, params: OracleParams = DEFAULT_PARAMS
-) -> Bracket:
-    """Bracket sup over the source ball of ||f(x)||: one oracle run per
-    dual generator of the target, combined by taking the max."""
-    s = primal_ball_scheme(f.source)
+def _analytic_node(f: Morphism) -> ExpNode:
+    """The exponential node of f's source, which must be a bang object !A;
+    A itself is dual_object(node.base)."""
+    shape = _shape(f.source)
+    if shape.series_primal or not isinstance(shape.node, ExpNode):
+        raise CapabilityError("an analytic map is a morphism out of !A", f.source.label)
+    return shape.node
+
+
+def analytic_eval(f: Morphism, x) -> VecQ:
+    """f(x) = f applied to delta_x; delta refuses x outside the ball of A."""
+    node = _analytic_node(f)
+    return f(delta(dual_object(node.base), x, node.trunc).coords)
+
+
+def analytic_norm_bounds(f: Morphism, params: OracleParams = DEFAULT_PARAMS) -> Bracket:
+    """Bracket sup over the ball of A of ||f(x)||: one oracle run per dual
+    generator of the target, combined by taking the max. Column x^m of f
+    contributes the monomial polynomial of !A's ball scheme at m."""
+    node = _analytic_node(f)
+    mono = _node_scheme(node).polys
+    s = primal_ball_scheme(dual_object(node.base))
     nv = sum(s.blocks)
-    mono: dict[Mset, Polynomial] = {}
-    for n in range(f.trunc + 1):
-        for m in msets(f.source.dim, n):
-            mono[m] = poly_product((s.polys[d] for d in m), nv)
-    coord_polys = []
-    for c in range(f.target.dim):
-        p = Polynomial.zero(nv)
-        for n, g in enumerate(f.grades):
-            for pos, m in enumerate(msets(f.source.dim, n)):
-                if g[c][pos]:
-                    p = p + mono[m].scale(g[c][pos])
-        coord_polys.append(p)
+    terms: list[list[Polynomial]] = [[] for _ in range(f.target.dim)]
+    for p, col in zip(mono, f.cols):
+        for i, x in col:
+            terms[i].append(p.scale(x))
+    coord_polys = [poly_sum(t, nv) for t in terms]
     tq = materialize_q(f.target)
     wt = f.target.pairing_weights
     lower = upper = Q0
     arg = None
     for psi in tq.q_ball_gens:
-        pol = Polynomial.zero(nv)
-        for c in range(f.target.dim):
-            if psi[c]:
-                pol = pol + coord_polys[c].scale(wt[c] * psi[c])
+        pol = poly_sum(
+            (coord_polys[c].scale(wt[c] * psi[c]) for c in range(f.target.dim) if psi[c]),
+            nv,
+        )
         br = simplex_polynomial_bounds(pol, s.blocks, params)
         if br.lower > lower:
             lower = br.lower
@@ -1067,42 +1020,36 @@ def analytic_norm_bounds(
     return Bracket(lower, upper, arg, "max over target dual generators")
 
 
-def analytic_compose(
-    g: AnalyticMap, f: AnalyticMap, trunc: Optional[int] = None
-) -> AnalyticMap:
+def _analytic_polys(f: Morphism, dim: int) -> list[Polynomial]:
+    """Coordinate c of f(x) as a polynomial in the dim coordinates of x."""
+    terms: list[list[Polynomial]] = [[] for _ in range(f.target.dim)]
+    for m, col in zip(_layout(f.source).coords, f.cols):
+        for i, x in col:
+            terms[i].append(Polynomial.monomial(dim, _mset_exps(m, dim), x))
+    return [poly_sum(t, dim) for t in terms]
+
+
+def analytic_compose(g: Morphism, f: Morphism, trunc: Optional[int] = None) -> Morphism:
     """(g truncated) after f, coefficients by truncated substitution.
 
     Requires f to map the ball into the ball; with only a bracket for
     ||f||, the gate fires when the violation is provable (lower bound > 1).
     """
-    if f.target != g.source:
+    fn, gn = _analytic_node(f), _analytic_node(g)
+    if f.target != dual_object(gn.base):
         raise CompositionError("analytic composition needs a matching middle object")
     if trunc is None:
-        trunc = max(f.trunc, g.trunc)
+        trunc = max(fn.trunc, gn.trunc)
     fb = analytic_norm_bounds(f)
     if fb.lower > 1:
         raise BallError("composition needs ||f|| <= 1", norm=fb.lower)
-    dp, dq = f.source.dim, g.source.dim
-    middle = []
-    for qc in range(dq):
-        p = Polynomial.zero(dp)
-        for n, gr in enumerate(f.grades):
-            for pos, m in enumerate(msets(dp, n)):
-                if gr[qc][pos]:
-                    p = p + Polynomial.monomial(dp, _mset_exps(m, dp), gr[qc][pos])
-        middle.append(p)
-    out = [
-        [[Q0] * mset_count(dp, n) for _ in range(g.target.dim)]
-        for n in range(trunc + 1)
-    ]
-    for r in range(g.target.dim):
-        gpoly = Polynomial.zero(dq)
-        for n, gr in enumerate(g.grades):
-            for pos, m in enumerate(msets(dq, n)):
-                if gr[r][pos]:
-                    gpoly = gpoly + Polynomial.monomial(dq, _mset_exps(m, dq), gr[r][pos])
+    a = dual_object(fn.base)
+    middle = _analytic_polys(f, a.dim)
+    src = bang_obj(a, trunc)
+    idx = _layout(src).index
+    cols: list[list] = [[] for _ in range(src.dim)]
+    for r, gpoly in enumerate(_analytic_polys(g, f.target.dim)):
         comp = gpoly.substitute(middle, max_degree=trunc)
         for exps, coeff in comp.terms.items():
-            n = sum(exps)
-            out[n][r][mset_positions(dp, n)[_exps_to_mset(exps)]] = coeff
-    return AnalyticMap(f.source, g.target, trunc, tuple(mat(g_) for g_ in out))
+            cols[idx[_exps_to_mset(exps)]].append((r, coeff))
+    return sparse_mor(src, g.target, cols)

@@ -13,7 +13,7 @@ dimension 0.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 Scalar = Union[int, str, Fraction]
 VecQ = tuple[Fraction, ...]
@@ -51,31 +51,6 @@ def zeros(n: int) -> VecQ:
 
 def unit(n: int, i: int) -> VecQ:
     return tuple(Q1 if j == i else Q0 for j in range(n))
-
-
-def dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
-    if len(a) != len(b):
-        from .errors import DimensionError
-
-        raise DimensionError(len(a), len(b), "dot")
-    return sum((x * y for x, y in zip(a, b)), Q0)
-
-
-def add(a: VecQ, b: VecQ) -> VecQ:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def sub(a: VecQ, b: VecQ) -> VecQ:
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def scale(c: Scalar, a: VecQ) -> VecQ:
-    cq = q(c)
-    return tuple(cq * x for x in a)
-
-
-def mat_vec(m: MatQ, x: VecQ) -> VecQ:
-    return tuple(dot(row, x) for row in m)
 
 
 def transpose(m: MatQ) -> MatQ:

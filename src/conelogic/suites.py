@@ -335,8 +335,8 @@ def _exp_composition(r: random.Random) -> dict:
     gm = analytic_map(half, half, [[[0]], [[1]], [[1]]])
     comp4 = analytic_compose(gm, fm, 4)
     comp3 = analytic_compose(gm, fm, 3)
-    flat4 = [g[0][0] for g in comp4.grades]
-    flat3 = [g[0][0] for g in comp3.grades]
+    flat4 = list(comp4.matrix[0])
+    flat3 = list(comp3.matrix[0])
     if flat4 != [0, 0, 1, 0, 1] or flat3 != [0, 0, 1, 0]:
         return _check(
             "composition",

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from conelogic.backends import (
-    PSD_TOL,
     bool_obj,
     cube_pcs,
     lattice_meet_samples,

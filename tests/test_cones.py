@@ -12,9 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import conelogic
-from conelogic.backends import bool_obj, cube_pcs, pcs_object, simplex_pcs
+from conelogic.backends import cube_pcs, pcs_object, simplex_pcs
 from conelogic.cones import (
-    Backend,
     dual_object,
     from_p_gens,
     gauge_norm,
@@ -31,7 +30,7 @@ from conelogic.cones import (
     zero_obj,
     ConeObject,
 )
-from conelogic.errors import CapabilityError, MembershipError
+from conelogic.errors import MembershipError
 from conelogic.mall import Morphism
 from conelogic.rationals import unit, vec
 

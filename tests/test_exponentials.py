@@ -26,19 +26,17 @@ from conelogic.errors import (
     BallError,
     CapabilityError,
     CompositionError,
+    DimensionError,
     MembershipError,
 )
 from conelogic.exponentials import (
-    AnalyticMap,
     ExpNode,
     GradedDistribution,
     GradedSeries,
     SumNode,
     TensorNode,
-    analytic_as_morphism,
     analytic_compose,
     analytic_eval,
-    analytic_from_hom,
     analytic_map,
     analytic_norm_bounds,
     bang_mor,
@@ -70,7 +68,7 @@ from conelogic.exponentials import (
 )
 from conelogic.lp import lp_maximize
 from conelogic.mall import adjoint, compose, identity, mor, morphism_norm, product_obj
-from conelogic.multisets import multiplicity
+from conelogic.multisets import mset_count, multiplicity
 from conelogic.rationals import vec
 from test_symmetric import map_rows
 
@@ -743,9 +741,9 @@ def test_analytic_compose_pinned():
     assert analytic_eval(g4, (t,)) == (t**2 + t**4,)
     g3 = analytic_compose(affine_square_map(), square_map(), 3)
     assert analytic_eval(g3, (t,)) == (t**2,)
-    # grade matrices: t^2 + t^4 puts units at grades 2 and 4
-    assert [g[0][0] for g in g4.grades] == [0, 0, 1, 0, 1]
-    assert [g[0][0] for g in g3.grades] == [0, 0, 1, 0]
+    # one column per monomial: t^2 + t^4 puts units at columns 2 and 4
+    assert g4.matrix[0] == (0, 0, 1, 0, 1)
+    assert g3.matrix[0] == (0, 0, 1, 0)
 
 
 def test_analytic_compose_gates_expansive_inner():
@@ -774,32 +772,75 @@ def test_analytic_norm_bracket():
     assert bs.lower == bs.upper == 1
 
 
-def test_analytic_morphism_round_trip():
-    f = analytic_compose(affine_square_map(), square_map(), 4)
-    m = analytic_as_morphism(f)
-    assert analytic_from_hom(m) == f
-    t = (F(2, 3),)
-    assert m(delta(Half, t, 4).coords) == analytic_eval(f, t)
-
-
 def test_analytic_map_validation():
     with pytest.raises(MembershipError):
         analytic_map(Half, Half, [[[0]], [[-1]]])
     with pytest.raises(CapabilityError):
         analytic_map(whynot_obj(Bool, 2), Half, [[[0]]])
+    with pytest.raises(DimensionError):
+        analytic_map(Half, Half, [[[0]], [[0, 1]]])
+    with pytest.raises(CapabilityError):
+        analytic_eval(identity(Half), (F(1, 2),))
+
+
+def test_analytic_map_refuses_empty_grades():
+    # no grade at all would be a map truncated at -1
+    with pytest.raises(DimensionError):
+        analytic_map(Half, Half, [])
 
 
 @settings(max_examples=15, deadline=None)
 @given(st.data())
 def test_analytic_eval_agrees_with_bang_morphism(data):
-    # F as a morphism out of !source applied to delta_x is F(x)
+    # F is the morphism !source -> target with the grades side by side, and
+    # applying it to delta_x is F(x)
     c0 = data.draw(rat01) * F(1, 4)
     c1 = data.draw(rat01) * F(1, 4)
     c2 = data.draw(rat01) * F(1, 2)
     f = analytic_map(Half, Half, [[[c0]], [[c1]], [[c2]]])
-    m = analytic_as_morphism(f)
-    x = (data.draw(rat01),)
-    assert m(delta(Half, x, 2).coords) == analytic_eval(f, x)
+    assert f.source == bang_obj(Half, 2) and f.target == Half
+    assert f.matrix == ((c0, c1, c2),)
+    x = data.draw(rat01)
+    assert analytic_eval(f, (x,)) == (c0 + c1 * x + c2 * x * x,)
+
+
+def _rand_analytic(r, a, b, n):
+    """A random positive analytic map a -> b truncated at n; about two thirds
+    of the coefficients are zero, and the constant terms are drawn too."""
+    return analytic_map(
+        a,
+        b,
+        [
+            [
+                [
+                    F(r.randint(0, 2), r.randint(3, 9)) * r.randint(0, 1)
+                    for _ in range(mset_count(a.dim, k))
+                ]
+                for _ in range(b.dim)
+            ]
+            for k in range(n + 1)
+        ],
+    )
+
+
+def test_analytic_compose_matches_cokleisli():
+    # The coKleisli composite g . !f . dig, with dig = adjoint(mu(A*)), is
+    # the same matrix as the truncated substitution.
+    r = random.Random(1207)
+    objs = [simplex_pcs(1), simplex_pcs(2), cube_pcs(2)]
+    checked = 0
+    for _ in range(80):
+        a, b = r.choice(objs), r.choice(objs)
+        n = r.randint(1, 3)
+        f, g = _rand_analytic(r, a, b, n), _rand_analytic(r, b, a, n)
+        try:
+            direct = analytic_compose(g, f, n)
+        except BallError:
+            continue  # ||f|| > 1 provably; the composite is not defined
+        dig = adjoint(mu(dual_object(a), n))
+        assert direct == compose(g, compose(bang_mor(f, n), dig))
+        checked += 1
+    assert checked >= 60
 
 
 def test_sample_points_cover_the_resolution_two_grid():

@@ -1,5 +1,6 @@
-"""Source hygiene: no module of the package imports a name it never uses,
-and every name the benchmark's tracer patches still exists.
+"""Source hygiene: no module of the package, test file or demo imports a
+name it never uses, and every name the benchmark's tracer patches still
+exists.
 
 `__init__.py` is exempt from the import check, since its imports are the
 public re-exports.
@@ -14,9 +15,19 @@ import pytest
 import conelogic
 
 PKG = os.path.dirname(conelogic.__file__)
-MODULES = sorted(
-    f for f in os.listdir(PKG) if f.endswith(".py") and f != "__init__.py"
-)
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# Package modules keep their bare file name as the id; scripts get their
+# folder in front.
+SOURCES = [
+    (os.path.join(PKG, f), f)
+    for f in sorted(os.listdir(PKG))
+    if f.endswith(".py") and f != "__init__.py"
+] + [
+    (os.path.join(ROOT, d, f), f"{d}/{f}")
+    for d in ("tests", "demos")
+    for f in sorted(os.listdir(os.path.join(ROOT, d)))
+    if f.endswith(".py")
+]
 
 
 def _imported(tree):
@@ -51,9 +62,11 @@ def _used(tree):
     return used
 
 
-@pytest.mark.parametrize("module", MODULES)
-def test_no_unused_imports(module):
-    with open(os.path.join(PKG, module), encoding="utf-8") as fh:
+@pytest.mark.parametrize(
+    "path", [pytest.param(p, id=i) for p, i in SOURCES]
+)
+def test_no_unused_imports(path):
+    with open(path, encoding="utf-8") as fh:
         tree = ast.parse(fh.read())
     used = _used(tree)
     unused = sorted(
@@ -61,14 +74,13 @@ def test_no_unused_imports(module):
         for name, line in _imported(tree).items()
         if name not in used
     )
-    assert not unused, f"{module} imports names it never uses: {unused}"
+    assert not unused, f"{path} imports names it never uses: {unused}"
 
 
 def _tracer_layers():
     """LAYERS from perfbench/layers.py, read as a literal without importing
     the benchmark."""
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "layers.py")
-    with open(path, encoding="utf-8") as fh:
+    with open(os.path.join(ROOT, "perfbench", "layers.py"), encoding="utf-8") as fh:
         tree = ast.parse(fh.read())
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(

@@ -7,12 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conelogic.backends import bool_obj, cube_pcs, pcs_object, qcs_object, simplex_pcs
+from conelogic.backends import bool_obj, cube_pcs, pcs_object, qcs_object
 from conelogic import cones, lp
 from conelogic.cones import (
     dual_object,
     from_p_gens,
-    norm_dual,
     norm_primal,
     one_obj,
     validate_object,
@@ -46,10 +45,9 @@ from conelogic.mall import (
     unitor_left_inv,
     unitor_right,
     unitor_right_inv,
-    product_mor,
 )
 from conelogic.polyhedra import DD_MAX_DIM, polar_of_points, reduce_generators
-from conelogic.rationals import dot, kron_vec, mat_vec, unit, vec, zeros
+from conelogic.rationals import kron_vec, unit, vec, zeros
 
 F = Fraction
 Bool = bool_obj()

@@ -18,14 +18,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conelogic.backends import bool_obj, cube_pcs, simplex_pcs
-from conelogic.cones import dual_object, one_obj, pairing, validate_object
+from conelogic.cones import one_obj, pairing, validate_object
 from conelogic.errors import NegativeCoefficientError
 from conelogic.mall import compose, identity, mor
 from conelogic.multisets import msets
 from conelogic.oracle import averaged_upper
 from conelogic.rationals import vec
 from conelogic.symmetric import (
-    SymTensor,
     apply_multilinear,
     diagonal_polynomial,
     new_norm_bounds,
