@@ -84,14 +84,14 @@ class ConeObject:
     # GRADED only: layout payload owned by the exponential modules.
     graded: Any = None
     # Pairing weights; None means the plain coordinate pairing. Graded
-    # objects carry multiset multiplicities here.
-    weights: Optional[tuple[Fraction, ...]] = None
+    # objects carry their integer multiset multiplicities here.
+    weights: Optional[tuple[Fraction | int, ...]] = None
 
     def __repr__(self):
         return f"ConeObject({self.label or '?'}, dim={self.dim}, {self.backend.value})"
 
     @property
-    def pairing_weights(self) -> tuple[Fraction, ...]:
+    def pairing_weights(self) -> tuple[Fraction | int, ...]:
         if self.weights is not None:
             return self.weights
         return (Q1,) * self.dim
@@ -149,7 +149,7 @@ def _unweight(
     return tuple(tuple(y[c] / w for c, w in enumerate(weights)) for y in ys)
 
 
-def from_p_gens(gens, dim: int, label: str = "", weights=None) -> ConeObject:
+def from_p_gens(gens, dim: int, label: str = "") -> ConeObject:
     """Polyhedral object from primal ball generators; dual side by polar.
 
     One double description run gives both sides: the polar's vertices and
@@ -165,9 +165,8 @@ def from_p_gens(gens, dim: int, label: str = "", weights=None) -> ConeObject:
     return ConeObject(
         dim=dim,
         p_ball_gens=res.kept,
-        q_ball_gens=_unweight(res.vertices, weights),
+        q_ball_gens=res.vertices,
         label=label,
-        weights=weights,
     )
 
 
@@ -404,9 +403,10 @@ def _in_orthant(gens: tuple[VecQ, ...]) -> bool:
 
 
 def _side_checks(name: str, gens: tuple[VecQ, ...], dim: int) -> list[CheckOutcome]:
-    out = []
     ok = all(len(g) == dim for g in gens)
-    out.append(CheckOutcome(f"{name}-shape", ok, "" if ok else "generator length mismatch"))
+    out = [CheckOutcome(f"{name}-shape", ok, "" if ok else "generator length mismatch")]
+    if not ok:  # the checks below index the generators by coordinate
+        return out
     nonneg = _in_orthant(gens)
     ok = nonneg and not any(is_zero(g) for g in gens)
     out.append(CheckOutcome(f"{name}-orthant", ok, "" if ok else "zero or negative generator"))
@@ -442,10 +442,12 @@ def validate_object(a: ConeObject) -> ValidationReport:
             checks.append(CheckOutcome("materialize", False, str(e)))
             return ValidationReport(a.label, tuple(checks))
     p, q = obj.p_ball_gens, obj.q_ball_gens
-    if p is not None:
-        checks.extend(_side_checks("p", p, a.dim))
-    if q is not None:
-        checks.extend(_side_checks("q", q, a.dim))
+    for name, gens in (("p", p), ("q", q)):
+        if gens is not None:
+            side = _side_checks(name, gens, a.dim)
+            checks.extend(side)
+            if not side[0].passed:  # shape; the checks below index coordinates
+                return ValidationReport(a.label, tuple(checks))
     if p is not None and q is not None and a.dim <= DD_MAX_DIM and a.dim > 0:
         spanning = all(
             any(g[c] > 0 for g in gens) for gens in (p, q) for c in range(a.dim)

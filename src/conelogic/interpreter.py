@@ -58,18 +58,32 @@ from .mall import (
 from .polyhedra import DD_MAX_DIM
 
 
+def _int_field(name: str, value, field: str, least: int) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise EnvError(f"atom {name!r}: {field!r} must be an integer >= {least}, got {value!r}")
+    return value
+
+
+def _gens_field(name: str, spec: dict, field: str):
+    rows = spec[field]
+    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+        raise EnvError(f"atom {name!r}: {field!r} must be a list of generator lists")
+    return parse_mat(rows)
+
+
 def _atom_from_json(name: str, spec) -> ConeObject:
     if not isinstance(spec, dict) or "kind" not in spec:
         raise EnvError(f"atom {name!r}: expected an object with a 'kind'")
     kind = spec["kind"]
     try:
         if kind == "pcs":
-            return pcs_object(parse_mat(spec["ball_gens"]), spec["dim"], label=name)
+            gens = _gens_field(name, spec, "ball_gens")
+            return pcs_object(gens, _int_field(name, spec["dim"], "dim", 0), label=name)
         if kind == "polyhedral":
-            p = parse_mat(spec["p_gens"])
-            dim = spec.get("dim", len(p[0]) if p else 0)
+            p = _gens_field(name, spec, "p_gens")
+            dim = _int_field(name, spec.get("dim", len(p[0]) if p else 0), "dim", 0)
             if "q_gens" in spec:
-                obj = from_both_gens(p, parse_mat(spec["q_gens"]), dim, label=name)
+                obj = from_both_gens(p, _gens_field(name, spec, "q_gens"), dim, label=name)
                 report = validate_object(obj)
                 if not report.passed:
                     bad = "; ".join(
@@ -84,7 +98,7 @@ def _atom_from_json(name: str, spec) -> ConeObject:
                 )
             return from_p_gens(p, dim, label=name)
         if kind == "qcs":
-            return replace(qcs_object(spec["n"]), label=name)
+            return replace(qcs_object(_int_field(name, spec["n"], "n", 1)), label=name)
     except KeyError as e:
         raise EnvError(f"atom {name!r}: missing field {e.args[0]!r}") from e
     except ValueError as e:  # the exact polar rejects the points

@@ -33,50 +33,39 @@ Convention, fixed once:
 
 Graded objects stack degrees 0..N in degree-major order, so a truncated
 series is one flat vector whose grade-n slice is the degree-n block.
+graded_layout(dim, N) is the one table of those labels, their positions
+and their weights; !A, ?A and Sym^n A all read it.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain, combinations_with_replacement
 from math import comb, factorial
 
 Mset = tuple[int, ...]
 
 
-@lru_cache(maxsize=None)
 def msets(dim: int, degree: int) -> tuple[Mset, ...]:
-    """All size-`degree` multisets over range(dim), lexicographic."""
-    if degree == 0:
-        return ((),)
-    if dim == 0:
-        return ()
+    """All size-`degree` multisets over range(dim), lexicographic; the empty
+    multiset is the one of size 0, also over no coordinates."""
     return tuple(combinations_with_replacement(range(dim), degree))
 
 
-@lru_cache(maxsize=None)
 def mset_count(dim: int, degree: int) -> int:
-    if degree == 0:
-        return 1
-    if dim == 0:
-        return 0
-    return comb(dim + degree - 1, degree)
+    return comb(dim + degree - 1, degree) if degree else 1
 
 
-@lru_cache(maxsize=None)
-def mset_positions(dim: int, degree: int) -> dict[Mset, int]:
-    return {m: i for i, m in enumerate(msets(dim, degree))}
-
-
-@lru_cache(maxsize=None)
 def multiplicity(m: Mset) -> int:
-    """Distinct arrangements of the multiset; the pairing weight."""
-    denom = 1
-    for c in Counter(m).values():
-        denom *= factorial(c)
-    return factorial(len(m)) // denom
+    """Distinct arrangements of the sorted multiset, the pairing weight: n!
+    divided by 1, 2, ..., k along each run of k equal entries, exactly."""
+    out, run = factorial(len(m)), 1
+    for a, b in zip(m, m[1:]):
+        run = run + 1 if a == b else 1
+        out //= run
+    return out
 
 
 def mset_union(*ms: Mset) -> Mset:
@@ -90,15 +79,29 @@ def monomial_value(x, m: Mset) -> Fraction:
     return v
 
 
-@lru_cache(maxsize=None)
-def graded_msets(dim: int, trunc: int) -> tuple[Mset, ...]:
-    """Degree-major coordinate list for a truncated graded object."""
-    out: list[Mset] = []
-    for n in range(trunc + 1):
-        out.extend(msets(dim, n))
-    return tuple(out)
+@dataclass(frozen=True)
+class Layout:
+    """Coordinate labels in an object's canonical order, with the grade and
+    the pairing weight of each coordinate."""
+
+    coords: tuple
+    grades: tuple[int, ...]
+    weights: tuple
+
+    @cached_property
+    def index(self) -> dict:
+        """Label -> position."""
+        return {lbl: i for i, lbl in enumerate(self.coords)}
 
 
 @lru_cache(maxsize=None)
-def graded_count(dim: int, trunc: int) -> int:
-    return sum(mset_count(dim, n) for n in range(trunc + 1))
+def graded_layout(dim: int, trunc: int) -> Layout:
+    """The multisets of size <= trunc over range(dim), degree-major, with
+    their integer multiplicities as weights. Grade n is the last block of
+    graded_layout(dim, n), mset_count(dim, n) labels long."""
+    coords = tuple(m for n in range(trunc + 1) for m in msets(dim, n))
+    return Layout(
+        coords,
+        tuple(len(m) for m in coords),
+        tuple(multiplicity(m) for m in coords),
+    )

@@ -34,25 +34,32 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations_with_replacement, product
 from math import comb, factorial, lcm
 
 from .cones import Backend, ConeObject, one_obj, polar_w, primal_gens
 from .errors import CapabilityError, DimensionError, NegativeCoefficientError
 from .mall import Morphism, sparse_mor
-from .multisets import (
-    Mset,
-    monomial_value,
-    mset_count,
-    mset_positions,
-    msets,
-    multiplicity,
-)
+from .multisets import Layout, Mset, graded_layout, monomial_value, mset_count
 from .oracle import Bracket, DEFAULT_PARAMS, OracleParams, simplex_polynomial_bounds
 from .polyhedra import DD_MAX_DIM, reduce_generators
 from .polynomials import Polynomial, poly_product
 from .rationals import Q0, Q1, VecQ, vec
+
+
+def _top_grade(dim: int, n: int) -> tuple[Layout, int]:
+    """The multiset table of grades 0..n over dim coordinates, and where its
+    last block, grade n, starts."""
+    lay = graded_layout(dim, n)
+    return lay, len(lay.coords) - mset_count(dim, n)
+
+
+def _position(dim: int, n: int, m: Mset) -> int:
+    """Position of the size-n multiset m within grade n."""
+    if len(m) != n:
+        raise KeyError(m)
+    lay, start = _top_grade(dim, n)
+    return lay.index[m] - start
 
 
 @dataclass(frozen=True)
@@ -69,25 +76,24 @@ class SymTensor:
             raise DimensionError(want, len(self.coords), "symmetric coordinates")
 
     def coord(self, m: Mset) -> Fraction:
-        return self.coords[mset_positions(self.dim, self.degree)[m]]
+        return self.coords[_position(self.dim, self.degree, m)]
 
 
 def sym_tensor(dim: int, degree: int, entries) -> SymTensor:
     """Build from a multiset->value mapping or a flat multiset-order list."""
     if isinstance(entries, dict):
-        pos = mset_positions(dim, degree)
         coords = [Q0] * mset_count(dim, degree)
         for m, v in entries.items():
-            coords[pos[tuple(sorted(m))]] = Fraction(v)
+            coords[_position(dim, degree, tuple(sorted(m)))] = Fraction(v)
         return SymTensor(dim, degree, tuple(coords))
     return SymTensor(dim, degree, vec(entries))
 
 
 def power_tensor(x: VecQ, degree: int) -> SymTensor:
     """(x)^n: plain monomial coordinates x^mu."""
-    dim = len(x)
+    lay, start = _top_grade(len(x), degree)
     return SymTensor(
-        dim, degree, tuple(monomial_value(x, m) for m in msets(dim, degree))
+        len(x), degree, tuple(monomial_value(x, m) for m in lay.coords[start:])
     )
 
 
@@ -137,9 +143,10 @@ def sym_power_obj(a: ConeObject, n: int) -> ConeObject:
     if a.weights is not None:
         raise CapabilityError("symmetric powers expect plain-pairing operands", a.label)
     gens = primal_gens(a)
-    dim = mset_count(a.dim, n)
+    lay, start = _top_grade(a.dim, n)
+    dim = len(lay.coords) - start
     p = reduce_generators(power_tensor(u, n).coords for u in gens)
-    w = tuple(Fraction(multiplicity(m)) for m in msets(a.dim, n))
+    w = lay.weights[start:]
     weights = None if all(x == 1 for x in w) else w
     # Generator powers can leave mixed-multiset coordinates unspanned (the
     # power map is a curved embedding); the polar is bounded only when they
@@ -160,30 +167,33 @@ def sym_power_obj(a: ConeObject, n: int) -> ConeObject:
 def sym_power_blocks(cols, dim_tgt: int, trunc: int) -> list[list[list]]:
     """Grades 0..trunc of the symmetric powers of the map with these sparse
     columns, from len(cols) coordinates to dim_tgt. Block n lists, per
-    multiset mu in msets order, the nonzeros (position of nu, Fraction) of
-    column mu of Sym^n: S * multiplicity(mu) / multiplicity(nu), with S the
-    coefficient of y^nu in the product of the columns in mu read as linear
-    forms in y (the multinomial theorem). The entries are scaled to integers
-    by the lcm L of their denominators, and column mu is its prefix mu[:-1]
-    from grade n - 1 times the column mu[-1], so zeros are never visited and
-    each nonzero becomes one Fraction over L^n at the end."""
+    grade-n multiset mu of the source table, the nonzeros (position of nu in
+    grade n, Fraction) of column mu of Sym^n: S * multiplicity(mu) /
+    multiplicity(nu), with S the coefficient of y^nu in the product of the
+    columns in mu read as linear forms in y (the multinomial theorem). The
+    entries are scaled to integers by the lcm L of their denominators, and
+    column mu is its prefix mu[:-1] from grade n - 1 times the column mu[-1],
+    so zeros are never visited and each nonzero becomes one Fraction over
+    L^n at the end."""
     scale = lcm(*(x.denominator for col in cols for _, x in col))
     icols = [[(r, x.numerator * (scale // x.denominator)) for r, x in col] for col in cols]
+    src, tgt = graded_layout(len(cols), trunc), graded_layout(dim_tgt, trunc)
+    tidx, tw = tgt.index, tgt.weights
     blocks, prods = [[[(0, Q1)]]], {(): {(): 1}}
+    lo, tlo = 1, 1  # where grade n starts in the source and target tables
     for n in range(1, trunc + 1):
-        pos, den, block, nxt = mset_positions(dim_tgt, n), scale**n, [], {}
-        for mu in msets(len(cols), n):
+        hi, den, block, nxt = lo + mset_count(len(cols), n), scale**n, [], {}
+        for mu, m in zip(src.coords[lo:hi], src.weights[lo:hi]):
             acc = nxt[mu] = {}
             for nu, s in prods[mu[:-1]].items():
                 for r, a in icols[mu[-1]]:
                     k = bisect_right(nu, r)
                     key = nu[:k] + (r,) + nu[k:]
                     acc[key] = acc.get(key, 0) + s * a
-            m = multiplicity(mu)
-            block.append([(pos[nu], Fraction(s * m, multiplicity(nu) * den))
+            block.append([(tidx[nu] - tlo, Fraction(s * m, tw[tidx[nu]] * den))
                           for nu, s in acc.items() if s])
         blocks.append(block)
-        prods = nxt
+        prods, lo, tlo = nxt, hi, tlo + mset_count(dim_tgt, n)
     return blocks
 
 
@@ -225,11 +235,12 @@ def diagonal_polynomial(f: SymTensor, gens: tuple[VecQ, ...]) -> Polynomial:
         Polynomial.linear(k, [g[c] for g in gens]) for c in range(f.dim)
     ]
     total = Polynomial.zero(k)
-    for m, c in zip(msets(f.dim, f.degree), f.coords):
+    lay, start = _top_grade(f.dim, f.degree)
+    for m, w, c in zip(lay.coords[start:], lay.weights[start:], f.coords):
         if c == 0:
             continue
         mono = poly_product((coord_polys[i] for i in m), k)
-        total = total + mono.scale(Fraction(multiplicity(m)) * c)
+        total = total + mono.scale(w * c)
     return total
 
 
@@ -252,6 +263,5 @@ def new_norm_bounds(
     return Bracket(br.lower, upper, br.argmax, br.note)
 
 
-@lru_cache(maxsize=None)
 def polarization_constant(n: int) -> Fraction:
     return Fraction(sum(comb(n, k) * k**n for k in range(1, n + 1)), factorial(n))

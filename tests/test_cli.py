@@ -197,6 +197,33 @@ def test_interpret_rejects_negative_generators(capsys, tmp_path, atom):
     assert "orthant" in report["error"]["message"]
 
 
+@pytest.mark.parametrize(
+    "atom",
+    [
+        {"kind": "polyhedral", "p_gens": [["1", "0"], ["0", "1"]], "dim": "2"},
+        {"kind": "polyhedral", "p_gens": [["1", "0"], ["0", "1"]], "dim": 2.0},
+        {"kind": "pcs", "dim": True, "ball_gens": [["1"]]},
+        {"kind": "qcs", "n": "3"},
+        {"kind": "qcs", "n": 2.5},
+        {"kind": "qcs", "n": True},
+        {"kind": "polyhedral", "p_gens": "11"},
+        {"kind": "polyhedral", "p_gens": ["11"]},
+        {"kind": "pcs", "dim": 1, "ball_gens": {"a": 1}},
+        {"kind": "polyhedral", "p_gens": [["1", "0"], ["0", "1"]], "q_gens": [["1"]]},
+        {"kind": "polyhedral", "p_gens": [], "dim": -1},
+    ],
+)
+def test_interpret_rejects_malformed_atom_fields(capsys, tmp_path, atom):
+    env = tmp_path / "env.json"
+    env.write_text(json.dumps({"schema": 1, "atoms": {"a": atom}}), encoding="utf-8")
+    code, out = run(capsys, "interpret", "--env", str(env), "--formula", "a")
+    assert code == 2
+    report = json.loads(out)
+    assert report["schema"] == 1
+    assert report["error"]["type"] == "EnvError"
+    assert report["error"]["message"].startswith("atom 'a': ")
+
+
 def test_check_rejects_trials_below_one(capsys):
     code, out = run(capsys, "check", "--suite", "pcs", "--trials", "-5")
     assert code == 2
@@ -218,6 +245,23 @@ def test_interpret_rejects_negative_trunc(capsys):
         )
         assert code == 2
         assert "--trunc" in json.loads(out)["error"]["message"]
+
+
+@pytest.mark.parametrize("formula", ["?a", "!a"])
+def test_interpret_refuses_a_huge_trunc_at_once(capsys, formula):
+    # the size guard is one binomial, not a sum over every degree
+    code, out = run(
+        capsys,
+        "interpret",
+        "--env", os.path.join(GOLDEN, "env.json"),
+        "--formula", formula,
+        "--trunc", "1000000000000",
+    )
+    assert code == 2
+    report = json.loads(out)
+    assert report["schema"] == 1
+    assert report["error"]["type"] == "CapabilityError"
+    assert "graded dimension exceeds" in report["error"]["message"]
 
 
 def test_norm_rejects_negative_trunc(capsys):
@@ -352,6 +396,10 @@ BINARY = ("*", "|", "&", "+", "-o")
 TOKENS = LEAVES + BINARY + ("!", "?", "^", "(", ")")
 RATIONALS = st.sampled_from(["1", "1/2", "2/3", "3", "0"])
 BROKEN_RATIONALS = st.sampled_from(["-1", 0.5, "x", "1/0", True, None])
+# Values that are no dim, no n or no generator list (or only sometimes one).
+BROKEN_FIELDS = st.sampled_from(
+    ["2", 2.0, 2.5, True, -1, 0, "11", ["11"], [["1"]], [], {"a": 1}, None]
+)
 
 FORMULAS = st.recursive(
     st.sampled_from(LEAVES),
@@ -366,16 +414,26 @@ FORMULAS = st.recursive(
 
 
 @st.composite
-def atoms(draw, entries=RATIONALS):
+def atoms(draw, entries=RATIONALS, broken=None):
+    """An atom; a `broken` strategy may replace its dim, n and generator
+    fields, and adds optional dim and q_gens fields to polyhedral atoms."""
+
+    def field(value):
+        return value if broken is None else draw(st.just(value) | broken)
+
     d = draw(st.integers(1, 3))
     row = st.lists(entries, min_size=d, max_size=d)
     rows = draw(st.lists(row, min_size=1, max_size=3))
     kind = draw(st.sampled_from(["pcs", "polyhedral", "qcs"]))
     if kind == "pcs":
-        return {"kind": kind, "dim": d, "ball_gens": rows}
+        return {"kind": kind, "dim": field(d), "ball_gens": field(rows)}
     if kind == "polyhedral":
-        return {"kind": kind, "p_gens": rows}
-    return {"kind": kind, "n": draw(st.integers(1, 2))}
+        atom = {"kind": kind, "p_gens": field(rows)}
+        if broken is not None:
+            extra = {"dim": broken | st.just(d), "q_gens": broken | st.just(rows)}
+            atom.update(draw(st.fixed_dictionaries({}, optional=extra)))
+        return atom
+    return {"kind": kind, "n": field(draw(st.integers(1, 2)))}
 
 
 def _env(atom):
@@ -385,6 +443,7 @@ def _env(atom):
 
 ENV_DOCS = _env(atoms()) | st.one_of(
     _env(atoms(RATIONALS | BROKEN_RATIONALS)),
+    _env(atoms(broken=BROKEN_FIELDS)),
     _env(st.fixed_dictionaries({"kind": st.sampled_from(["pcs", "nope"])})),
     st.sampled_from(["{", "[]", '{"atoms": 3}', '{"schema": 2, "atoms": {}}']),
 )

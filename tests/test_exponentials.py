@@ -105,6 +105,15 @@ def test_whynot_trunc_zero_and_guardrails():
         whynot_obj(whynot_obj(whynot_obj(Bool, 3), 3), 3)  # dimension explosion
 
 
+def test_size_guard_reads_the_closed_form():
+    # C(2 + 446, 446) = 100,128 multisets of size <= 446 over 2 coordinates,
+    # the first truncation over the cap; 445 gives 99,681 and passes.
+    with pytest.raises(CapabilityError, match="has 100128 coordinates"):
+        whynot_obj(simplex_pcs(2), 446)
+    with pytest.raises(CapabilityError, match="graded dimension exceeds"):
+        whynot_obj(simplex_pcs(2), 10**12)
+
+
 def test_bang_is_dual_of_whynot():
     bg = bang_obj(Bool, 2)
     assert bg.label == "!Bool"
@@ -385,6 +394,8 @@ def test_eta_entries_are_the_pairing_weights():
     idx2 = {m: i for i, m in enumerate(graded_coords(whynot_obj(w, 3)))}
     pos_01 = idx[(0, 1)]
     assert e2.matrix[idx2[(pos_01,)]][pos_01] == 2
+    # the table's int weights enter as Fractions, so the adjoint stays exact
+    assert all(type(x) is F for col in adjoint(e2).cols for _, x in col)
     with pytest.raises(CapabilityError):
         eta(Bool, 0)
 

@@ -1,6 +1,6 @@
 """Source hygiene: no module of the package, test file or demo imports a
-name it never uses, and every name the benchmark's tracer patches still
-exists.
+name it never uses, every name the benchmark's tracer patches still
+exists, and the package's global caches are exactly the listed ones.
 
 `__init__.py` is exempt from the import check, since its imports are the
 public re-exports.
@@ -106,3 +106,36 @@ def test_traced_names_exist(layer, spec):
         if not callable(space.get(attr)):
             missing.append(name)
     assert not missing, f"{layer}: conelogic.{module} lacks {missing}"
+
+
+# Every process-wide memo in the package. A new one is a global unbounded
+# cache, so it has to be argued for here: the multiset table, the oracle's
+# simplex grid, and the two ball-scheme caches that equal objects rebuilt by
+# each norm request of a bracket round hit.
+GLOBAL_CACHES = [
+    "exponentials._node_scheme",
+    "exponentials.primal_ball_scheme",
+    "multisets.graded_layout",
+    "oracle._compositions",
+]
+
+
+def _cache_decorated(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for dec in node.decorator_list:
+                target = dec.func if isinstance(dec, ast.Call) else dec
+                name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
+                if name in ("lru_cache", "cache"):
+                    yield node.name
+
+
+def test_global_caches_are_listed():
+    found = []
+    for path, name in SOURCES:
+        if "/" in name:
+            continue  # tests and demos
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        found += [f"{name[:-3]}.{fn}" for fn in _cache_decorated(tree)]
+    assert sorted(found) == GLOBAL_CACHES

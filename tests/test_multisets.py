@@ -2,15 +2,14 @@
 
 from fractions import Fraction
 from itertools import permutations
+from math import comb
 
 from hypothesis import given, strategies as st
 
 from conelogic.multisets import (
-    graded_count,
-    graded_msets,
+    graded_layout,
     monomial_value,
     mset_count,
-    mset_positions,
     mset_union,
     msets,
     multiplicity,
@@ -21,14 +20,19 @@ def test_counts_match_enumeration():
     for dim in range(5):
         for degree in range(5):
             assert len(msets(dim, degree)) == mset_count(dim, degree)
+            # The closed form the size guard of whynot_obj reads.
+            lay = graded_layout(dim, degree)
+            assert len(lay.coords) == comb(dim + degree, degree)
 
 
 def test_lex_order_and_positions():
     ms = msets(3, 2)
     assert ms == ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
     assert ms == tuple(sorted(ms))
-    pos = mset_positions(3, 2)
-    assert pos[(1, 2)] == 4
+    lay = graded_layout(3, 2)
+    # Grade 2 is the last block: it starts after () and the three singletons.
+    assert lay.coords[4:] == ms
+    assert lay.index[(1, 2)] - 4 == 4
 
 
 def test_degree_zero_and_dim_zero():
@@ -36,6 +40,8 @@ def test_degree_zero_and_dim_zero():
     assert msets(0, 3) == ()
     assert mset_count(0, 0) == 1
     assert mset_count(0, 3) == 0
+    lay = graded_layout(0, 3)
+    assert (lay.coords, lay.grades, lay.weights) == (((),), (0,), (1,))
 
 
 def test_multiplicity_values():
@@ -59,10 +65,13 @@ def test_mset_union_merges_sorted():
 
 
 def test_graded_enumeration_is_degree_major():
-    g = graded_msets(2, 2)
-    assert g == ((), (0,), (1,), (0, 0), (0, 1), (1, 1))
-    assert graded_count(2, 2) == 6
-    assert g.index((0, 1)) == 4
+    lay = graded_layout(2, 2)
+    assert lay.coords == ((), (0,), (1,), (0, 0), (0, 1), (1, 1))
+    assert lay.grades == (0, 1, 1, 2, 2, 2)
+    assert lay.weights == (1, 1, 1, 1, 2, 1)
+    assert all(type(w) is int for w in lay.weights)
+    assert lay.index[(0, 1)] == 4
+    assert graded_layout(2, 2) is lay
 
 
 @given(

@@ -18,7 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conelogic.backends import bool_obj, cube_pcs, simplex_pcs
-from conelogic.cones import one_obj, pairing, validate_object
+from conelogic.cones import one_obj, pairing, validate_object, zero_obj
+from conelogic.exponentials import bang_mor, whynot_mor
 from conelogic.errors import NegativeCoefficientError
 from conelogic.mall import compose, identity, mor
 from conelogic.multisets import msets
@@ -227,9 +228,9 @@ entries = st.one_of(
 
 @st.composite
 def map_rows(draw):
-    """dim_src, dim_tgt in 1..3 and dim_tgt rows of nonnegative entries,
+    """dim_src, dim_tgt in 0..3 and dim_tgt rows of nonnegative entries,
     zeros and non-integers both likely."""
-    ds, dt = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    ds, dt = draw(st.integers(0, 3)), draw(st.integers(0, 3))
     rows = [[draw(entries) for _ in range(ds)] for _ in range(dt)]
     return ds, dt, rows
 
@@ -255,3 +256,23 @@ def test_power_blocks_entry_is_the_multinomial_coefficient():
     cols = [[(0, F(1, 2)), (1, F(1, 3))], [(0, F(1))]]
     block = sym_power_blocks(cols, 2, 2)[2]
     assert dict(block[1]) == {0: F(1), 1: F(1, 3)}
+
+
+def test_powers_out_of_the_zero_object():
+    # Sym^0 of any map is the identity on 1; above grade 0 the source has no
+    # coordinate, so Sym^n is the empty map into the n-th power.
+    S = mor(zero_obj(), simplex_pcs(2), [[], []])
+    assert sym_power_mor(S, 0).matrix == ((F(1),),)
+    for n, dim in ((1, 2), (2, 3)):
+        f = sym_power_mor(S, n)
+        assert (f.source.dim, f.target.dim, f.cols) == (0, dim, ())
+        assert f.target == sym_power_obj(simplex_pcs(2), n)
+
+
+def test_exponentials_into_the_zero_object():
+    # !s sends delta_x to delta_0 = (1), and ?l keeps only the constant term:
+    # both are the 1 x 6 matrix with a 1 at the vacuum coordinate ().
+    s = mor(simplex_pcs(2), zero_obj(), [])
+    for f in (bang_mor(s, 2), whynot_mor(s, 2)):
+        assert (f.source.dim, f.target.dim) == (6, 1)
+        assert f.cols == (((0, F(1)),), (), (), (), (), ())
