@@ -29,6 +29,7 @@ from .exponentials import (
     graded_norm_bounds,
 )
 from .formulas import (
+    atom_names,
     dual_formula,
     format_formula,
     formula_to_json,
@@ -121,7 +122,7 @@ def _cmd_interpret(args) -> int:
         return _trunc_error("interpret", args.trunc)
     try:
         ast = parse_formula(args.formula)
-        env = load_env(args.env)
+        env = load_env(args.env, atom_names(ast))
         obj = interpret(ast, env, args.trunc)
     except (ConelogicError, OSError, json.JSONDecodeError) as e:
         return _error_report("interpret", e)
@@ -166,7 +167,7 @@ def _cmd_norm(args) -> int:
         return _trunc_error("norm", args.trunc)
     try:
         ast = parse_formula(args.object)
-        env = load_env(args.env)
+        env = load_env(args.env, atom_names(ast))
         obj = interpret(ast, env, args.trunc)
         x = _load_vector(args.vector, obj)
         if len(x) != obj.dim:

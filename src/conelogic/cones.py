@@ -175,8 +175,11 @@ def from_both_gens(p_gens, q_gens, dim: int, label: str = "") -> ConeObject:
 
     Mutual polarity is *not* recomputed here; run validate_object to check it.
     """
-    p = reduce_generators(vec(g) for g in p_gens)
-    q = reduce_generators(vec(g) for g in q_gens)
+    p, q = [vec(g) for g in p_gens], [vec(g) for g in q_gens]
+    for g in p + q:
+        if len(g) != dim:
+            raise DimensionError(dim, len(g), "generator")
+    p, q = reduce_generators(p), reduce_generators(q)
     return ConeObject(dim=dim, p_ball_gens=p, q_ball_gens=q, label=label)
 
 

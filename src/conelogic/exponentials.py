@@ -57,7 +57,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import islice, product
-from math import comb
+from math import comb, lcm
 from typing import Any, ClassVar, Optional
 
 from .cones import (
@@ -467,6 +467,27 @@ class BallScheme:
     honest: tuple[VecQ, ...]
     exact: bool
 
+    @cached_property
+    def honest_ints(self) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
+        """Each honest member z as (D, ((c, D z_c) for each nonzero z_c)),
+        with D the lcm of its denominators."""
+        out = []
+        for z in self.honest:
+            d = lcm(*(x.denominator for x in z if x))
+            nz = tuple((c, x.numerator * (d // x.denominator)) for c, x in enumerate(z) if x)
+            out.append((d, nz))
+        return tuple(out)
+
+    @cached_property
+    def samples(self) -> tuple[VecQ, ...]:
+        """The honest members, then the family at each grid point of
+        _sample_points. Grid vertices repeat honest members, so a repeated
+        point keeps only its first place."""
+        pts = list(self.honest)
+        for t in _sample_points(self.blocks):
+            pts.append(tuple(p.eval_exact(t) for p in self.polys))
+        return tuple(dict.fromkeys(pts))
+
 
 @lru_cache(maxsize=None)
 def primal_ball_scheme(h: ConeObject) -> BallScheme:
@@ -565,13 +586,20 @@ def _box_scheme(h: ConeObject) -> BallScheme:
 
 
 def _honest_lower(h: ConeObject, e: VecQ, scheme: BallScheme):
-    we = [(c, wc * ec) for c, (wc, ec) in enumerate(zip(h.pairing_weights, e)) if ec]
-    best, arg = Q0, None
-    for z in scheme.honest:
-        v = sum((x * z[c] for c, x in we), Q0)
-        if v > best:
-            best, arg = v, z
-    return best, arg
+    """max over honest members z of sum w_c e_c z_c, with the first strict
+    maximum as argmax. w.e is scaled to integers a/L once and member z is
+    n/D, so its value is (a . n)/(L D); members compare by cross-multiplying."""
+    we = [wc * ec for wc, ec in zip(h.pairing_weights, e)]
+    big_l = lcm(*(x.denominator for x in we if x))
+    a = [x.numerator * (big_l // x.denominator) for x in we]
+    best_s, best_d, arg = 0, 1, None
+    for z, (d, nz) in zip(scheme.honest, scheme.honest_ints):
+        v = sum(a[c] * n for c, n in nz)
+        if v * best_d > best_s * d:
+            best_s, best_d, arg = v, d, z
+    if arg is None:
+        return Q0, None
+    return Fraction(best_s, big_l * best_d), arg
 
 
 def _delta_like_bounds(node, e: VecQ) -> Optional[Bracket]:
@@ -623,17 +651,10 @@ def _sample_points(blocks: tuple[int, ...]):
 def _relaxed_polar_upper(h: ConeObject, e: VecQ) -> Optional[Fraction]:
     """LP over finitely many sampled ball constraints. The feasible set
     contains the representable series ball, so the optimum is an upper
-    bound; None when the sample leaves it unbounded. Grid vertices repeat
-    honest members, so repeated samples are dropped, first one kept."""
+    bound; None when the sample leaves it unbounded."""
     s = _node_scheme(_shape(h).node)
     w = h.pairing_weights
-    samples = list(s.honest)
-    for t in _sample_points(s.blocks):
-        samples.append(tuple(p.eval_exact(t) for p in s.polys))
-    cons = [
-        constraint([w[c] * z[c] for c in range(h.dim)], "<=", 1)
-        for z in dict.fromkeys(samples)
-    ]
+    cons = [constraint([w[c] * z[c] for c in range(h.dim)], "<=", 1) for z in s.samples]
     res = lp_maximize(problem([w[c] * e[c] for c in range(h.dim)], cons))
     if res.status is LpStatus.OPTIMAL:
         return res.value

@@ -190,6 +190,13 @@ def parse_formula(text: str) -> Formula:
     return node
 
 
+def atom_names(f: Formula) -> frozenset[str]:
+    """The atom names a formula mentions."""
+    if f.kind == "atom":
+        return frozenset((f.name,))
+    return frozenset().union(*map(atom_names, f.children))
+
+
 # ---------------------------------------------------------------------------
 # Printing
 

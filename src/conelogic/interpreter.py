@@ -8,6 +8,8 @@ An environment is a JSON document binding atom names to objects:
                  "q": {"kind": "qcs", "n": 3} } }
 
 q_gens may be omitted when the dimension allows the exact polar (<= 8).
+The CLI builds only the atoms its formula names (env_from_json's `names`),
+so a broken atom fails only the requests that name it.
 Interpretation is a straight recursion: polyhedral operands use the MALL
 constructors, graded operands route through the exponential module, and
 spectral operands survive only under duality (the constructors reject them
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import replace
-from typing import Mapping
+from typing import Collection, Mapping, Optional
 
 from .backends import pcs_object, qcs_object
 from .cones import (
@@ -36,7 +38,7 @@ from .cones import (
     validate_object,
     zero_obj,
 )
-from .errors import CapabilityError, EnvError
+from .errors import CapabilityError, DimensionError, EnvError
 from .exponentials import (
     DEFAULT_TRUNC,
     bang_obj,
@@ -101,25 +103,34 @@ def _atom_from_json(name: str, spec) -> ConeObject:
             return replace(qcs_object(_int_field(name, spec["n"], "n", 1)), label=name)
     except KeyError as e:
         raise EnvError(f"atom {name!r}: missing field {e.args[0]!r}") from e
-    except ValueError as e:  # the exact polar rejects the points
+    except (ValueError, DimensionError) as e:  # the polar rejects the points; a wrong length
         raise EnvError(f"atom {name!r}: {e}") from e
     raise EnvError(f"atom {name!r}: unknown kind {kind!r}")
 
 
-def env_from_json(data: dict) -> dict[str, ConeObject]:
+def env_from_json(
+    data: dict, names: Optional[Collection[str]] = None
+) -> dict[str, ConeObject]:
+    """Atoms of an environment document. The document is checked whole, but
+    only the atoms in `names` are built (all of them when None), in document
+    order; a name the document lacks is left for interpret to report."""
     if not isinstance(data, dict) or not isinstance(data.get("atoms"), dict):
         raise EnvError("environment needs an 'atoms' table")
     check_schema(data, "environment")
-    return {name: _atom_from_json(name, spec) for name, spec in data["atoms"].items()}
+    return {
+        name: _atom_from_json(name, spec)
+        for name, spec in data["atoms"].items()
+        if names is None or name in names
+    }
 
 
-def load_env(path: str) -> dict[str, ConeObject]:
+def load_env(path: str, names: Optional[Collection[str]] = None) -> dict[str, ConeObject]:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
         except ValueError as e:  # not JSON, or not UTF-8
             raise EnvError(f"{path}: {e}") from e
-    return env_from_json(data)
+    return env_from_json(data, names)
 
 
 # ---------------------------------------------------------------------------

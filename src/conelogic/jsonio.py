@@ -34,7 +34,10 @@ def parse_frac(v) -> Fraction:
             return Fraction(v)
         except (ValueError, ZeroDivisionError) as e:
             raise EnvError(f"not a rational: {v!r}") from e
-    raise EnvError(f"not a rational: {v!r} (floats are not exact)")
+    if isinstance(v, float):
+        raise EnvError(f"not a rational: {v!r} (floats are not exact)")
+    kind = {list: "array", dict: "object", type(None): "null"}.get(type(v), type(v).__name__)
+    raise EnvError(f"not a rational: {v!r} (a JSON {kind}, not a string or integer)")
 
 
 def vec_json(x) -> list[str]:

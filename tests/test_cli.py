@@ -154,27 +154,80 @@ def test_interpret_missing_env_file(capsys, tmp_path):
     assert report["error"]["type"] == "FileNotFoundError"
 
 
-def test_interpret_rejects_a_non_spanning_atom(capsys, tmp_path):
-    # the bad atom is never mentioned by the formula; the env still fails
-    env = tmp_path / "env.json"
-    env.write_text(
-        json.dumps(
-            {
-                "schema": 1,
-                "atoms": {
-                    "a": {"kind": "polyhedral", "p_gens": [["1", "1"]]},
-                    "bad": {"kind": "polyhedral", "p_gens": [["1", "0"]]},
-                },
-            }
-        ),
-        encoding="utf-8",
-    )
-    code, out = run(capsys, "interpret", "--env", str(env), "--formula", "a")
+def _write_env(tmp_path, atoms, name="env.json"):
+    env = tmp_path / name
+    env.write_text(json.dumps({"schema": 1, "atoms": atoms}), encoding="utf-8")
+    return str(env)
+
+
+NON_SPANNING = {
+    "a": {"kind": "polyhedral", "p_gens": [["1", "1"]]},
+    "bad": {"kind": "polyhedral", "p_gens": [["1", "0"]]},
+}
+
+
+def _env_error(code, out, name):
     assert code == 2
     report = json.loads(out)
     assert report["schema"] == 1
     assert report["error"]["type"] == "EnvError"
-    assert "'bad'" in report["error"]["message"]
+    assert report["error"]["message"].startswith(f"atom {name!r}: ")
+
+
+def test_interpret_rejects_a_non_spanning_atom(capsys, tmp_path):
+    # only the atoms a formula names are built: the bad atom fails only the
+    # formulas that name it
+    env = _write_env(tmp_path, NON_SPANNING)
+    code, out = run(capsys, "interpret", "--env", env, "--formula", "a")
+    assert code == 0
+    alone = _write_env(tmp_path, {"a": NON_SPANNING["a"]}, "alone.json")
+    _, alone = run(capsys, "interpret", "--env", alone, "--formula", "a")
+    assert json.loads(out)["object"] == json.loads(alone)["object"]
+    assert json.loads(out)["object"]["q_ball_gens"] == [["0", "1"], ["1", "0"]]
+    for formula in ("bad", "a * bad", "!bad^"):
+        code, out = run(capsys, "interpret", "--env", env, "--formula", formula)
+        _env_error(code, out, "bad")
+
+
+def test_norm_builds_only_the_named_atoms(capsys, tmp_path):
+    env = _write_env(tmp_path, NON_SPANNING)
+    vector = tmp_path / "vec.json"
+    vector.write_text(json.dumps({"schema": 1, "vector": ["1/3", "1/2"]}), encoding="utf-8")
+    code, out = run(capsys, "norm", "--env", env, "--object", "a", "--vector", str(vector))
+    assert code == 0
+    assert json.loads(out)["result"] == {"kind": "exact", "value": "1/2"}
+    code, out = run(capsys, "norm", "--env", env, "--object", "bad", "--vector", str(vector))
+    _env_error(code, out, "bad")
+
+
+def test_two_bad_named_atoms_report_the_first_in_document_order(capsys, tmp_path):
+    env = _write_env(
+        tmp_path,
+        {
+            "z": {"kind": "polyhedral", "p_gens": [["1", "0"]]},
+            "a": {"kind": "polyhedral", "p_gens": [["1", "1"]]},
+            "y": {"kind": "qcs", "n": 0},
+        },
+    )
+    for formula in ("y * z", "z & y", "(y -o a) | z"):
+        code, out = run(capsys, "interpret", "--env", env, "--formula", formula)
+        _env_error(code, out, "z")
+    code, out = run(capsys, "interpret", "--env", env, "--formula", "y * a")
+    _env_error(code, out, "y")
+    code, out = run(capsys, "interpret", "--env", env, "--formula", "a * nope")
+    assert code == 2
+    assert json.loads(out)["error"] == {"type": "EnvError", "message": "unbound atom 'nope'"}
+
+
+def test_an_unused_atom_beyond_the_exact_polar_fails_no_request(capsys, tmp_path):
+    big = {"kind": "polyhedral", "p_gens": [["1"] * 9]}  # dim 9 and no q_gens
+    env = _write_env(tmp_path, {"big": big, "a": NON_SPANNING["a"]})
+    code, out = run(capsys, "interpret", "--env", env, "--formula", "?a", "--trunc", "2")
+    assert code == 0
+    assert json.loads(out)["object"]["dim"] == 6
+    code, out = run(capsys, "interpret", "--env", env, "--formula", "big")
+    _env_error(code, out, "big")
+    assert "q_gens" in json.loads(out)["error"]["message"]
 
 
 @pytest.mark.parametrize(

@@ -15,6 +15,7 @@ import conelogic
 from conelogic.backends import cube_pcs, pcs_object, simplex_pcs
 from conelogic.cones import (
     dual_object,
+    from_both_gens,
     from_p_gens,
     gauge_norm,
     in_ball,
@@ -30,7 +31,7 @@ from conelogic.cones import (
     zero_obj,
     ConeObject,
 )
-from conelogic.errors import MembershipError
+from conelogic.errors import DimensionError, MembershipError
 from conelogic.mall import Morphism
 from conelogic.rationals import unit, vec
 
@@ -161,6 +162,22 @@ def test_validate_reports_negative_generators():
         "p-orthant",
         "unit-norm-generators",
     ]
+
+
+@pytest.mark.parametrize(
+    "p, q",
+    [
+        ([[1, 0], [0, 1]], [[1]]),
+        ([[1, 0], [0, 1]], [[1, 1, 1]]),
+        ([[1, 0], [1]], [[1, 1]]),
+    ],
+)
+def test_from_both_gens_checks_generator_lengths(p, q):
+    # a short generator once made norm_primal((1, 1)) silently 1
+    with pytest.raises(DimensionError) as info:
+        from_both_gens(p, q, 2)
+    assert (info.value.expected, info.value.where) == (2, "generator")
+    assert from_both_gens([[1, 0], [0, 1]], [[1, 1]], 2) == simplex_pcs(2)
 
 
 def test_materialize_round_trip():

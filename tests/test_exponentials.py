@@ -14,6 +14,7 @@ Hand-derived anchors used below, all over the two-point base:
 from fractions import Fraction as F
 import itertools
 import random
+import types
 
 import pytest
 from hypothesis import given, settings
@@ -284,6 +285,73 @@ def test_sum_objects_carry_no_norms():
     assert graded_norm_bounds(wp, (F(0),) * 12).upper == 0
     with pytest.raises(CapabilityError):
         graded_norm_bounds(wp, (F(1),) + (F(0),) * 11)
+
+
+def _ref_honest_lower(w, e, members):
+    """max over members z of sum w_c e_c z_c in Fractions; first strict max."""
+    best, arg = F(0), None
+    for z in members:
+        v = sum((F(wc) * ec * zc for wc, ec, zc in zip(w, e, z)), F(0))
+        if v > best:
+            best, arg = v, z
+    return best, arg
+
+
+# Entries with unlike denominators, zeros, and integers among the weights.
+honest_entry = st.sampled_from([F(0), F(0), F(1), F(1, 2), F(2, 3), F(3, 4), F(5, 6), F(7, 12)])
+
+
+@st.composite
+def honest_cases(draw):
+    """Weights, an element and honest members. Members are drawn from a small
+    pool, so equal members recur (ties); each is a fresh tuple, so the argmax
+    can be told apart by identity."""
+    d = draw(st.integers(1, 5))
+    vector = st.lists(honest_entry, min_size=d, max_size=d)
+    w = draw(st.lists(st.integers(1, 6) | honest_entry.filter(bool), min_size=d, max_size=d))
+    pool = draw(st.lists(vector, min_size=1, max_size=4))
+    members = [tuple(pool[i]) for i in draw(st.lists(st.integers(0, len(pool) - 1), max_size=12))]
+    e = draw(vector)
+    if draw(st.booleans()):  # an e whose support misses every member
+        e = [x if all(z[c] == 0 for z in members) else F(0) for c, x in enumerate(e)]
+    return w, tuple(e), members
+
+
+@settings(max_examples=300, deadline=None)
+@given(honest_cases())
+def test_honest_lower_matches_the_fraction_reference(case):
+    w, e, members = case
+    scheme = exponentials.BallScheme((), (), tuple(members), False)
+    h = types.SimpleNamespace(pairing_weights=tuple(w))  # all _honest_lower reads of h
+    value, arg = exponentials._honest_lower(h, e, scheme)
+    ref_value, ref_arg = _ref_honest_lower(w, e, members)
+    assert value == ref_value and type(value) is F
+    assert arg is ref_arg
+
+
+def test_honest_lower_keeps_the_first_of_tied_members():
+    first, second = (F(1, 2), F(1, 3)), (F(1, 2), F(1, 3))
+    scheme = exponentials.BallScheme((), (), ((F(1, 4), F(0)), first, second), False)
+    h = types.SimpleNamespace(pairing_weights=(2, F(3, 2)))
+    value, arg = exponentials._honest_lower(h, (F(1), F(2, 3)), scheme)
+    assert value == 2 * F(1, 2) + F(3, 2) * F(2, 3) * F(1, 3) and arg is first
+    assert exponentials._honest_lower(h, (F(0), F(0)), scheme) == (0, None)
+    apart = exponentials.BallScheme((), (), ((F(1, 4), F(0)), (F(1), F(0))), False)
+    assert exponentials._honest_lower(h, (F(0), F(5, 7)), apart) == (0, None)
+    # integer members: one denominator and the nonzeros scaled by it
+    assert scheme.honest_ints == ((4, ((0, 1),)), (6, ((0, 3), (1, 2))), (6, ((0, 3), (1, 2))))
+
+
+@pytest.mark.parametrize(
+    "h",
+    [bang_obj(simplex_pcs(2), 2), bang_obj(cube_pcs(2), 3), bang_obj(Bool, 3)],
+    ids=["simplex2-2", "cube2-3", "bool-3"],
+)
+def test_scheme_samples_keep_members_then_grid_in_order(h):
+    s = exponentials._node_scheme(_shape(h).node)
+    grid = [tuple(p.eval_exact(t) for p in s.polys) for t in _sample_points(s.blocks)]
+    assert s.samples == tuple(dict.fromkeys(list(s.honest) + grid))
+    assert len(s.samples) < len(s.honest) + len(grid)  # grid vertices repeat members
 
 
 def test_whynot_rejects_spectral():

@@ -8,6 +8,7 @@ from conelogic.errors import ParseError
 from conelogic.formulas import (
     Formula,
     atom,
+    atom_names,
     dual_formula,
     format_formula,
     MAX_DEPTH,
@@ -123,6 +124,11 @@ def test_json_shape():
     assert j["children"][0] == {"kind": "bang", "children": [{"kind": "atom", "name": "a"}]}
 
 
+def test_atom_names():
+    assert atom_names(parse_formula("!a * b -o (c & a^)")) == {"a", "b", "c"}
+    assert atom_names(parse_formula("1 | bot + (0 & top)^")) == frozenset()
+
+
 leaf = st.sampled_from(
     [atom("a"), atom("b"), Formula("one"), Formula("bot"), Formula("zero"), Formula("top")]
 )
@@ -149,6 +155,15 @@ formulas = st.recursive(leaf, extend, max_leaves=12)
 @given(formulas)
 def test_print_parse_round_trip(f):
     assert parse_formula(format_formula(f)) == f
+
+
+@settings(max_examples=150, deadline=None)
+@given(formulas)
+def test_atom_names_survive_printing_and_duals(f):
+    names = atom_names(f)
+    assert names <= {"a", "b"}
+    assert atom_names(parse_formula(format_formula(f))) == names
+    assert atom_names(dual_formula(f)) == names
 
 
 @settings(max_examples=150, deadline=None)

@@ -47,6 +47,33 @@ def test_env_kinds_and_labels():
     assert env["q"].backend is Backend.SPECTRAL and env["q"].dim == 4
 
 
+def test_env_builds_only_the_named_atoms():
+    doc = {
+        "schema": 1,
+        "atoms": {
+            "z": {"kind": "polyhedral", "p_gens": [["1", "0"]]},  # does not span
+            "a": {"kind": "pcs", "dim": 2, "ball_gens": [["1", "0"], ["0", "1"]]},
+            "y": {"kind": "wat"},
+            "q": {"kind": "qcs", "n": 2},
+        },
+    }
+    assert env_from_json(doc, {"a"}) == {"a": simplex_pcs(2)}
+    env = env_from_json(doc, ["q", "a", "nope"])  # document order; unknown names skipped
+    assert list(env) == ["a", "q"] and env["q"].label == "q"
+    assert env_from_json(doc, ()) == {}
+    with pytest.raises(EnvError, match="'z'"):
+        env_from_json(doc, {"y", "z"})
+    with pytest.raises(EnvError, match="'z'"):  # names=None builds every atom
+        env_from_json(doc)
+    # the document is still checked whole
+    with pytest.raises(EnvError, match="schema"):
+        env_from_json({**doc, "schema": 9}, {"a"})
+    with pytest.raises(EnvError, match="atoms"):
+        env_from_json({"schema": 1}, {"a"})
+    with pytest.raises(EnvError, match="unbound atom 'nope'"):
+        interpret(parse_formula("a * nope"), env_from_json(doc, {"a", "nope"}))
+
+
 def test_env_rejects_wrong_polar():
     with pytest.raises(EnvError, match="mutual-polarity"):
         env_from_json(
@@ -73,6 +100,9 @@ def test_env_errors():
         env_from_json({"schema": 9, "atoms": {}})
     with pytest.raises(EnvError, match="floats"):
         env_from_json({"atoms": {"x": {"kind": "pcs", "dim": 1, "ball_gens": [[0.5]]}}})
+    with pytest.raises(EnvError, match="a JSON array") as info:
+        env_from_json({"atoms": {"x": {"kind": "pcs", "dim": 1, "ball_gens": [[["1"]]]}}})
+    assert "floats" not in str(info.value)
     with pytest.raises(EnvError, match="q_gens"):
         env_from_json(
             {"atoms": {"x": {"kind": "polyhedral", "p_gens": [[1] * 9]}}}

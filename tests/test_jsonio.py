@@ -21,6 +21,10 @@ def test_parse_frac_rejects_inexact():
         parse_frac(0.5)
     with pytest.raises(EnvError):
         parse_frac(True)
+    for entry, kind in ((["1"], "array"), (None, "null"), ({"n": 1}, "object")):
+        with pytest.raises(EnvError, match=f"a JSON {kind}") as info:
+            parse_frac(entry)
+        assert "floats" not in str(info.value)
     with pytest.raises(EnvError):
         parse_frac("1/0")
     with pytest.raises(EnvError):
