@@ -86,6 +86,7 @@ from .multisets import (
     Mset,
     graded_layout,
     monomial_value,
+    monomial_values,
     mset_count,
     mset_union,
 )
@@ -97,7 +98,7 @@ from .oracle import (
     averaged_upper,
     simplex_polynomial_bounds,
 )
-from .polynomials import Polynomial, poly_product, poly_sum
+from .polynomials import Polynomial, layout_products, poly_sum
 from .rationals import Q0, Q1, VecQ, mat, vec
 from .symmetric import sym_power_blocks
 
@@ -405,8 +406,7 @@ def delta(a: ConeObject, x, trunc: int = DEFAULT_TRUNC) -> GradedDistribution:
         n = graded_norm_bounds(a, xq).lower  # gate on the provable part
     if n > 1:
         raise BallError(f"delta needs ||x|| <= 1 in {a.label!r}", norm=n)
-    coords = tuple(monomial_value(xq, m) for m in _layout(target).coords)
-    return GradedDistribution(target, coords)
+    return GradedDistribution(target, monomial_values(xq, _layout(target)))
 
 
 def series_eval(f: GradedSeries, x) -> Fraction:
@@ -517,14 +517,11 @@ def _node_scheme(node) -> BallScheme:
         return primal_ball_scheme(node.obj)
     if isinstance(node, ExpNode):
         inner = primal_ball_scheme(dual_object(node.base))
-        nv = sum(inner.blocks)
-        coords = node.layout.coords
-        polys = tuple(poly_product((inner.polys[c] for c in m), nv) for m in coords)
+        lay = node.layout
+        polys = tuple(layout_products(inner.polys, lay, sum(inner.blocks)))
         pts = [tuple(Q0 for _ in range(node.base.dim))]  # the vacuum delta_0
         pts.extend(inner.honest)
-        honest = tuple(
-            tuple(monomial_value(y, m) for m in coords) for y in pts[:HONEST_CAP]
-        )
+        honest = tuple(monomial_values(y, lay) for y in pts[:HONEST_CAP])
         return BallScheme(inner.blocks, polys, honest, inner.exact)
     if isinstance(node, TensorNode):
         sl, sr = _node_scheme(node.left), _node_scheme(node.right)
@@ -679,11 +676,18 @@ def _dist_bounds(h: ConeObject, e: VecQ) -> Bracket:
 def _series_bounds(h: ConeObject, e: VecQ, params: OracleParams) -> Bracket:
     s = primal_ball_scheme(dual_object(h))
     w = h.pairing_weights
-    nv = sum(s.blocks)
-    pol = Polynomial.zero(nv)
+    # sum_c w_c e_c polys[c], accumulated as Polynomial.__add__ would.
+    terms: dict = {}
     for c in range(h.dim):
         if e[c]:
-            pol = pol + s.polys[c].scale(w[c] * e[c])
+            k = w[c] * e[c]
+            for t, v in s.polys[c].terms.items():
+                v = terms.get(t, Q0) + k * v
+                if v == 0:
+                    terms.pop(t, None)
+                else:
+                    terms[t] = v
+    pol = Polynomial._of(sum(s.blocks), terms)
     low, arg = _honest_lower(h, e, s)
     if s.exact:
         br = simplex_polynomial_bounds(pol, s.blocks, params)

@@ -43,7 +43,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain, combinations_with_replacement
-from math import comb, factorial
+from math import comb, factorial, lcm
+from operator import mul
+from typing import Callable, Sequence
 
 Mset = tuple[int, ...]
 
@@ -77,6 +79,28 @@ def monomial_value(x, m: Mset) -> Fraction:
     for c in m:
         v *= x[c]
     return v
+
+
+def prefix_products(lay: "Layout", factors: Sequence, times: Callable, one) -> list:
+    """The product of factors[c] over c in m, left to right from one, for
+    every label m of the degree-major table lay: each is times of its
+    prefix m[:-1], one grade down and so already made, and factors[m[-1]]."""
+    index = lay.index
+    out: list = []
+    for m in lay.coords:
+        out.append(times(out[index[m[:-1]]], factors[m[-1]]) if m else one)
+    return out
+
+
+def monomial_values(x, lay: "Layout") -> tuple[Fraction, ...]:
+    """monomial_value(x, m) for every label m of lay, in integers: x is
+    scaled by the lcm D of its denominators, and coordinate m is one
+    Fraction, its integer prefix product over D^|m|."""
+    d = lcm(*(c.denominator for c in x))
+    ks = [c.numerator * (d // c.denominator) for c in x]
+    dens = [d**k for k in range(max(lay.grades) + 1)]
+    prods = prefix_products(lay, ks, mul, 1)
+    return tuple(Fraction(v, dens[k]) for v, k in zip(prods, lay.grades))
 
 
 @dataclass(frozen=True)

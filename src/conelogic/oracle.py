@@ -14,7 +14,13 @@ value would be a lie. Everything here returns a certified bracket instead:
           whose best point is snapped back to rationals and re-evaluated
           exactly; the ascent stops once an update leaves its point
           unchanged, since every later update would too and none could
-          beat the best value under the strict comparison,
+          beat the best value under the strict comparison. The upper
+          bound comes first, so the grid scan stops at the first point
+          that reaches it, and the center and the ascent run only while
+          the bracket is still open (lower < upper): no feasible point
+          exceeds the upper bound, so neither could change the result.
+          A polynomial with a coefficient beyond float range has no float
+          view; its ascent is skipped and the note says so,
 
   upper   the averaged-coefficient bound: group monomials by their
           per-block degree profile, bound each group by its largest
@@ -33,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice, product
-from math import comb, factorial, prod
+from math import ceil, comb, factorial, prod
 from typing import Optional, Sequence
 
 from .errors import NegativeCoefficientError
@@ -47,6 +53,19 @@ class OracleParams:
     ascent_iters: int = 120
     snap_denominator: int = 10**6
     candidate_cap: int = 20000
+
+    def __post_init__(self):
+        for name, least in (
+            ("grid_resolution", 1),
+            ("ascent_iters", 0),
+            ("snap_denominator", 1),
+            ("candidate_cap", 0),
+        ):
+            v = getattr(self, name)
+            if name == "grid_resolution" and v is None:
+                continue
+            if type(v) is not int or v < least:
+                raise ValueError(f"OracleParams.{name} must be an int >= {least}, got {v!r}")
 
 
 DEFAULT_PARAMS = OracleParams()
@@ -167,7 +186,11 @@ def _grid_resolution(blocks: Sequence[int], params: OracleParams) -> tuple[int, 
 
 
 def _grid_argmax(
-    poly: Polynomial, blocks: Sequence[int], r: int, cap: int
+    poly: Polynomial,
+    blocks: Sequence[int],
+    r: int,
+    cap: int,
+    upper: Optional[Fraction] = None,
 ) -> tuple[Fraction, VecQ]:
     """Best of the first cap + 1 grid points k/r, scanned in integers.
 
@@ -175,10 +198,15 @@ def _grid_argmax(
     sum_e (L c_e) r^(D - |e|) prod_i k_i^(e_i) is an integer, so points
     compare as integers; the first strict maximum wins (the zero point when
     no value is > 0), and only the winner becomes a Fraction.
+
+    Given a certified upper bound U on the sup, the scan stops at the first
+    point whose integer reaches ceil(U L r^D): no feasible point exceeds
+    U, so that point is the maximum and the first strict one.
     """
     den, deg, view = poly.int_terms()
     terms = [(c * r**gap, factors) for c, gap, factors in view]
     powers = [[k**j for j in range(deg + 1)] for k in range(r + 1)]
+    stop = None if upper is None else ceil(upper * den * r**deg)
     best, best_k = 0, (0,) * poly.nvars
     grid = product(*(_compositions(r, b) for b in blocks))
     for combo in islice(grid, cap + 1):
@@ -194,6 +222,8 @@ def _grid_argmax(
                 total += c
         if total > best:
             best, best_k = total, k
+            if stop is not None and total >= stop:
+                break
     return Fraction(best, den * r**deg), tuple(Fraction(x, r) for x in best_k)
 
 
@@ -259,23 +289,34 @@ def simplex_polynomial_bounds(
 
     upper = averaged_upper(poly, blocks)
     resolution, count = _grid_resolution(blocks, params)
-    lower, argmax = _grid_argmax(poly, blocks, resolution, params.candidate_cap)
-    if count <= params.candidate_cap:
+    lower, argmax = _grid_argmax(
+        poly, blocks, resolution, params.candidate_cap, upper
+    )
+    note = f"grid 1/{resolution} + ascent"
+    # Once lower == upper no candidate can beat lower, so the center and
+    # the ascent run only while the bracket is open.
+    if count <= params.candidate_cap and lower < upper:
         # The uniform center, useful when the grid is coarse.
         center = tuple(Fraction(1, b) for b in blocks for _ in range(b))
         v = poly.eval_exact(center)
         if v > lower:
             lower, argmax = v, center
-    if params.ascent_iters > 0:
-        refined = _ascent(
-            poly, blocks, [float(x) for x in argmax], params.ascent_iters
-        )
-        snapped = _snap(refined, blocks, params.snap_denominator)
-        v = poly.eval_exact(snapped)
-        if v > lower:
-            lower, argmax = v, snapped
+    if params.ascent_iters > 0 and lower < upper:
+        try:
+            refined = _ascent(
+                poly, blocks, [float(x) for x in argmax], params.ascent_iters
+            )
+        except OverflowError:
+            # A coefficient beyond float range leaves no float view to
+            # climb on; the exact grid bound stands.
+            note = f"grid 1/{resolution}, ascent skipped: coefficients beyond float range"
+        else:
+            snapped = _snap(refined, blocks, params.snap_denominator)
+            v = poly.eval_exact(snapped)
+            if v > lower:
+                lower, argmax = v, snapped
     if lower > upper:
         raise AssertionError(
             f"oracle inconsistency: lower {lower} exceeds upper {upper}"
         )
-    return Bracket(lower, upper, argmax, f"grid 1/{resolution} + ascent")
+    return Bracket(lower, upper, argmax, note)

@@ -4,37 +4,47 @@ Terms live in a dict from exponent tuples to Fractions; zero coefficients
 are dropped eagerly so equality of term dicts is equality of polynomials.
 Only what the oracles and the graded pullbacks need: ring operations,
 truncated products, substitution, exact and float evaluation, gradients.
-The term dict is never mutated after construction, so two derived views
+The term dict is never mutated after construction, so three derived views
 are built once per polynomial, on first use: the float view the oracle's
-ascent reads (each coefficient as a float with its nonzero exponents), and
-the integer view (L, D, [(L c_e, D - |e|, nonzero exponents)]) with L the
-lcm of the coefficient denominators and D the total degree. Exact
-evaluation reads the integer view: the point is scaled by the lcm m of its
-denominators to integers k, L m^D p(k/m) is summed in integers, and one
-Fraction is made at the end. The oracle's grid scan reads the same view
-with m the grid resolution.
+ascent reads (each coefficient as a float with its nonzero exponents), the
+gradient plan built from it (each partial derivative term as c k and the
+slots of its powers in a per-call power table), and the integer view
+(L, D, [(L c_e, D - |e|, nonzero exponents)]) with L the lcm of the
+coefficient denominators and D the total degree. Exact evaluation reads
+the integer view: the point is scaled by the lcm m of its denominators to
+integers k, L m^D p(k/m) is summed in integers, and one Fraction is made
+at the end. The oracle's grid scan reads the same view with m the grid
+resolution.
+
+layout_products builds the monomial family of a multiset table, the
+product of the forms over every multiset, each from its prefix one grade
+down, in integers over one common denominator.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import add
 from typing import Iterable, Optional, Sequence
 
+from .multisets import Layout, prefix_products
 from .rationals import Q0, Q1
 
 Expvec = tuple[int, ...]
 IntTerms = tuple[int, int, list[tuple[int, int, list[tuple[int, int]]]]]
+GradPlan = tuple[list[tuple[int, int]], list[tuple[int, float, list[int]]]]
 
 
 class Polynomial:
-    __slots__ = ("nvars", "terms", "_floats", "_ints")
+    __slots__ = ("nvars", "terms", "_floats", "_ints", "_grad")
 
     def __init__(self, nvars: int, terms: Optional[dict[Expvec, Fraction]] = None):
         self.nvars = nvars
         self.terms: dict[Expvec, Fraction] = {}
         self._floats: Optional[list[tuple[float, list[tuple[int, int]]]]] = None
         self._ints: Optional[IntTerms] = None
+        self._grad: Optional[GradPlan] = None
         if terms:
             for e, c in terms.items():
                 if len(e) != nvars:
@@ -65,6 +75,14 @@ class Polynomial:
     @staticmethod
     def monomial(nvars: int, exps: Expvec, c=1) -> "Polynomial":
         return Polynomial(nvars, {tuple(exps): Fraction(c)})
+
+    @staticmethod
+    def _of(nvars: int, terms: dict[Expvec, Fraction]) -> "Polynomial":
+        """Adopt a term dict already made of nonzero Fractions with
+        nvars-long exponents, without checking it again."""
+        out = Polynomial(nvars)
+        out.terms = terms
+        return out
 
     # -- ring --------------------------------------------------------------
 
@@ -229,16 +247,33 @@ class Polynomial:
             total += v
         return total
 
+    def _grad_plan(self) -> GradPlan:
+        """The gradient as ([(j, p)], [(i, c k, [slots])]): one entry per
+        term and variable i with exponent k > 0, whose value is c k times
+        the product of point[j] ** p over its slots, in the term's
+        variable order; the (j, p) powers are listed once."""
+        if self._grad is None:
+            slot: dict[tuple[int, int], int] = {}
+            parts = []
+            for c, factors in self._float_terms():
+                for i, k in factors:
+                    slots = []
+                    for j, kj in factors:
+                        p = kj - 1 if j == i else kj
+                        if p:
+                            slots.append(slot.setdefault((j, p), len(slot)))
+                    parts.append((i, c * k, slots))
+            self._grad = (list(slot), parts)
+        return self._grad
+
     def grad_float(self, point: Sequence[float]) -> list[float]:
+        powers, parts = self._grad_plan()
+        table = [point[j] ** p for j, p in powers]
         g = [0.0] * self.nvars
-        for c, factors in self._float_terms():
-            for i, k in factors:
-                v = c * k
-                for j, kj in factors:
-                    p = kj - 1 if j == i else kj
-                    if p:
-                        v *= point[j] ** p
-                g[i] += v
+        for i, v, slots in parts:
+            for s in slots:
+                v *= table[s]
+            g[i] += v
         return g
 
 
@@ -250,7 +285,43 @@ def poly_sum(polys: Iterable[Polynomial], nvars: int) -> Polynomial:
 
 
 def poly_product(polys: Iterable[Polynomial], nvars: int) -> Polynomial:
+    """The product left to right from 1; the monomial families of the
+    multiset tables are made by layout_products instead."""
     out = Polynomial.constant(nvars, Q1)
     for p in polys:
         out = out * p
     return out
+
+
+def _int_mul(left: dict[Expvec, int], right: list[tuple[Expvec, int]]) -> dict[Expvec, int]:
+    """Polynomial.mul on integer coefficients: the same loops, so the same
+    keys in the same order."""
+    out: dict[Expvec, int] = {}
+    for e1, c1 in left.items():
+        for e2, c2 in right:
+            e = tuple(map(add, e1, e2))
+            v = out.get(e, 0) + c1 * c2
+            if v == 0:
+                out.pop(e, None)
+            else:
+                out[e] = v
+    return out
+
+
+def layout_products(forms: Sequence[Polynomial], lay: Layout, nvars: int) -> list[Polynomial]:
+    """poly_product(forms[c] for c in m) for every label m of the multiset
+    table lay, term for term and in the same key order.
+
+    The forms are scaled to integers over one common denominator g, each
+    product is its prefix's one grade down times forms[m[-1]], multiplied
+    in ints as poly_product multiplies, and only the result becomes
+    Fractions, one v / g^|m| per term.
+    """
+    g = lcm(*(c.denominator for p in forms for c in p.terms.values()))
+    ints = [[(e, c.numerator * (g // c.denominator)) for e, c in p.terms.items()] for p in forms]
+    prods = prefix_products(lay, ints, _int_mul, {(0,) * nvars: 1})
+    dens = [g**k for k in range(max(lay.grades) + 1)]
+    return [
+        Polynomial._of(nvars, {e: Fraction(v, dens[k]) for e, v in p.items()})
+        for p, k in zip(prods, lay.grades)
+    ]

@@ -43,7 +43,7 @@ from .mall import Morphism, sparse_mor
 from .multisets import Layout, Mset, graded_layout, monomial_value, mset_count
 from .oracle import Bracket, DEFAULT_PARAMS, OracleParams, simplex_polynomial_bounds
 from .polyhedra import DD_MAX_DIM, reduce_generators
-from .polynomials import Polynomial, poly_product
+from .polynomials import Polynomial, layout_products
 from .rationals import Q0, Q1, VecQ, vec
 
 
@@ -236,11 +236,10 @@ def diagonal_polynomial(f: SymTensor, gens: tuple[VecQ, ...]) -> Polynomial:
     ]
     total = Polynomial.zero(k)
     lay, start = _top_grade(f.dim, f.degree)
-    for m, w, c in zip(lay.coords[start:], lay.weights[start:], f.coords):
-        if c == 0:
-            continue
-        mono = poly_product((coord_polys[i] for i in m), k)
-        total = total + mono.scale(w * c)
+    monos = layout_products(coord_polys, lay, k)[start:]
+    for mono, w, c in zip(monos, lay.weights[start:], f.coords):
+        if c != 0:
+            total = total + mono.scale(w * c)
     return total
 
 

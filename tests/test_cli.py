@@ -5,6 +5,7 @@ import io
 import json
 import os
 import tempfile
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -449,6 +450,8 @@ BINARY = ("*", "|", "&", "+", "-o")
 TOKENS = LEAVES + BINARY + ("!", "?", "^", "(", ")")
 RATIONALS = st.sampled_from(["1", "1/2", "2/3", "3", "0"])
 BROKEN_RATIONALS = st.sampled_from(["-1", 0.5, "x", "1/0", True, None])
+# Exact entries whose floats overflow or vanish.
+EXTREME_RATIONALS = st.sampled_from(["1" + "0" * 400, "1/1" + "0" * 400])
 # Values that are no dim, no n or no generator list (or only sometimes one).
 BROKEN_FIELDS = st.sampled_from(
     ["2", 2.0, 2.5, True, -1, 0, "11", ["11"], [["1"]], [], {"a": 1}, None]
@@ -525,7 +528,7 @@ def test_random_requests_keep_the_contract(formula, env_doc, trunc, data):
         )
         dim = report["object"]["dim"] if code == 0 else data.draw(st.integers(0, 3))
         vector = data.draw(
-            st.lists(RATIONALS, min_size=dim, max_size=dim)
+            st.lists(RATIONALS | EXTREME_RATIONALS, min_size=dim, max_size=dim)
             | st.lists(RATIONALS | BROKEN_RATIONALS, max_size=3)
             | st.just("broken")
         )
@@ -536,3 +539,67 @@ def test_random_requests_keep_the_contract(formula, env_doc, trunc, data):
             ["norm", "--env", env, "--object", formula, "--vector", path]
             + ["--trunc", str(trunc)]
         )
+
+
+# Two reports whose lower bound comes from the ascent, and entries beyond
+# float range, which leave the oracle no float view to climb on.
+
+ASCENT_ATOM = {"kind": "polyhedral", "p_gens": [["1/8", "3/8", "2"], ["1/4", "3/8", "1"]]}
+BIG = "1" + "0" * 400
+
+
+def _norm_report(capsys, tmp_path, obj, vector, trunc, atom=ASCENT_ATOM):
+    env = tmp_path / "env.json"
+    env.write_text(json.dumps({"schema": 1, "atoms": {"a": atom}}))
+    vec = tmp_path / "x.json"
+    vec.write_text(json.dumps({"schema": 1, "vector": vector}))
+    code, out = run(
+        capsys, "norm", "--env", str(env), "--object", obj, "--vector", str(vec),
+        "--trunc", str(trunc),
+    )
+    report = json.loads(out)
+    assert report["schema"] == 1
+    return code, report
+
+
+@pytest.mark.parametrize(
+    "vector, trunc, lower, upper",
+    [
+        (["1/3", "1/3", "0", "0", "0", "2/3", "1/3", "1/3", "1/3", "0"], 2, "1241/240", "79/9"),
+        (
+            ["1", "1", "0", "1", "0", "1", "0", "1", "1", "0",
+             "0", "0", "1", "2/3", "2/3", "1/3", "1", "0", "2/3", "2/3"],
+            3,
+            "2158818806678007081686939/78422281462684439188875",
+            "935/27",
+        ),
+    ],
+)
+def test_ascent_brackets_are_pinned(capsys, tmp_path, vector, trunc, lower, upper):
+    code, report = _norm_report(capsys, tmp_path, "?a", vector, trunc)
+    assert code == 0
+    assert report["result"] == {
+        "kind": "bracket",
+        "lower": lower,
+        "provenance": "distribution-family oracle (grid 1/10 + ascent)",
+        "upper": upper,
+    }
+
+
+@pytest.mark.parametrize("obj", ["?a", "!a"])
+@pytest.mark.parametrize("big", [BIG, str(17 * 10**307)], ids=["1e400", "1.7e308"])
+def test_norm_takes_entries_beyond_float_range(capsys, tmp_path, obj, big):
+    atom = {"kind": "polyhedral", "p_gens": [["1", "1/2"], ["2/3", "3"]]}
+    vector = ["1", "1", "1", big, "1", "1"]
+    code, report = _norm_report(capsys, tmp_path, obj, vector, 2, atom)
+    assert code == 0
+    result = report["result"]
+    if obj == "!a":
+        assert result["kind"] == "exact"  # the singleton lower meets the LP upper
+        return
+    assert result["kind"] == "bracket"
+    assert Fraction(result["lower"]) <= Fraction(result["upper"])
+    assert result["provenance"] == (
+        "distribution-family oracle "
+        "(grid 1/10, ascent skipped: coefficients beyond float range)"
+    )

@@ -22,7 +22,14 @@ from hypothesis import strategies as st
 
 from conelogic import exponentials
 from conelogic.backends import bool_obj, cube_pcs, simplex_pcs
-from conelogic.cones import Backend, dual_object, one_obj, pairing, norm_primal
+from conelogic.cones import (
+    Backend,
+    dual_object,
+    from_p_gens,
+    norm_primal,
+    one_obj,
+    pairing,
+)
 from conelogic.errors import (
     BallError,
     CapabilityError,
@@ -69,7 +76,15 @@ from conelogic.exponentials import (
 )
 from conelogic.lp import lp_maximize
 from conelogic.mall import adjoint, compose, identity, mor, morphism_norm, product_obj
-from conelogic.multisets import mset_count, multiplicity
+from conelogic.multisets import (
+    graded_layout,
+    monomial_value,
+    monomial_values,
+    mset_count,
+    multiplicity,
+)
+from conelogic.oracle import OracleParams
+from conelogic.polynomials import Polynomial, layout_products, poly_product
 from conelogic.rationals import vec
 from test_symmetric import map_rows
 
@@ -1017,3 +1032,100 @@ def test_dual_of_a_sum_flips_it():
     flipped = _shape(dual_object(h)).node
     assert flipped.coproduct and not _shape(h).node.coproduct
     assert flipped.layout == _shape(h).node.layout
+
+
+# The !A family polynomials and honest members are built prefix by prefix
+# over the multiset table, in integers; they must be poly_product's and
+# monomial_value's, term for term and in the same key order.
+
+
+@st.composite
+def polyhedral_atoms(draw):
+    d = draw(st.integers(1, 3))
+    entry = st.fractions(min_value=0, max_value=3, max_denominator=4)
+    diag = [draw(st.fractions(min_value=F(1, 4), max_value=3, max_denominator=4)) for _ in range(d)]
+    pts = [[diag[i] if j == i else F(0) for j in range(d)] for i in range(d)]
+    pts += draw(st.lists(st.lists(entry, min_size=d, max_size=d), max_size=2))
+    return from_p_gens(pts, d)
+
+
+@settings(max_examples=40, deadline=None)
+@given(polyhedral_atoms(), st.integers(0, 3))
+def test_family_polynomials_are_the_monomial_products(a, n):
+    node = _shape(bang_obj(a, n)).node
+    s = exponentials._node_scheme(node)
+    inner = exponentials.primal_ball_scheme(dual_object(node.base))
+    nv = sum(inner.blocks)
+    coords = node.layout.coords
+    want = [poly_product((inner.polys[c] for c in m), nv) for m in coords]
+    assert [list(p.terms.items()) for p in s.polys] == [list(p.terms.items()) for p in want]
+    assert all(type(c) is F for p in s.polys for c in p.terms.values())
+    pts = [tuple(F(0) for _ in range(a.dim))] + list(inner.honest)
+    assert s.honest == tuple(
+        tuple(monomial_value(y, m) for m in coords) for y in pts[: exponentials.HONEST_CAP]
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(0, 3).flatmap(
+        lambda k: st.tuples(
+            st.just(k),
+            st.lists(
+                st.dictionaries(
+                    st.tuples(*([st.integers(0, 2)] * k)),
+                    st.fractions(min_value=-3, max_value=3, max_denominator=5),
+                    max_size=3,
+                ).map(lambda terms: Polynomial(k, terms)),
+                min_size=1,
+                max_size=3,
+            ),
+        )
+    ),
+    st.integers(0, 3),
+)
+def test_layout_products_equal_poly_product(k_and_forms, n):
+    # signed forms, so that products cancel and keys drop out mid-product
+    k, forms = k_and_forms
+    lay = graded_layout(len(forms), n)
+    got = layout_products(forms, lay, k)
+    for m, p in zip(lay.coords, got):
+        want = poly_product((forms[c] for c in m), k)
+        assert list(p.terms.items()) == list(want.terms.items())
+
+
+def test_layout_products_reinsert_a_cancelled_key_last():
+    # (2 + t - t^2)(2 - 2t + t^2): the t^2 sum is 0 after two products and
+    # nonzero after the third, so Polynomial.mul moves t^2 behind t^3.
+    f = Polynomial(1, {(0,): F(2), (1,): F(1), (2,): F(-1)})
+    g = Polynomial(1, {(0,): F(2), (1,): F(-2), (2,): F(1)})
+    lay = graded_layout(2, 2)
+    fg = layout_products([f, g], lay, 1)[lay.index[(0, 1)]]
+    assert list(fg.terms) == [(0,), (1,), (3,), (2,), (4,)]
+    assert list(fg.terms.items()) == list((f * g).terms.items())
+
+
+def test_monomial_values_read_the_table():
+    x = (F(1, 2), F(0), F(2, 3))
+    lay = graded_layout(3, 3)
+    assert monomial_values(x, lay) == tuple(monomial_value(x, m) for m in lay.coords)
+    assert monomial_values((), graded_layout(0, 2)) == (F(1),)
+
+
+def test_ascent_lower_bounds_are_pinned():
+    # ?a over p_gens [[1/8, 3/8, 2], [1/4, 3/8, 1]]; the grid alone gives
+    # 139/27 at truncation 2, and the ascent lifts it.
+    a = from_p_gens([[F(1, 8), F(3, 8), F(2)], [F(1, 4), F(3, 8), F(1)]], 3)
+    v2 = vec(["1/3", "1/3", 0, 0, 0, "2/3", "1/3", "1/3", "1/3", 0])
+    br = graded_norm_bounds(whynot_obj(a, 2), v2)
+    assert (br.lower, br.upper) == (F(1241, 240), F(79, 9))
+    assert br.note == "distribution-family oracle (grid 1/10 + ascent)"
+    grid = graded_norm_bounds(whynot_obj(a, 2), v2, OracleParams(ascent_iters=0))
+    assert (grid.lower, grid.upper) == (F(139, 27), F(79, 9))
+    v3 = vec(
+        [1, 1, 0, 1, 0, 1, 0, 1, 1, 0, 0, 0, 1, "2/3", "2/3", "1/3", 1, 0, "2/3", "2/3"]
+    )
+    br = graded_norm_bounds(whynot_obj(a, 3), v3)
+    assert br.lower == F(
+        2158818806678007081686939, 78422281462684439188875
+    ) and br.upper == F(935, 27)

@@ -21,6 +21,8 @@ from conelogic.oracle import (
     _ascent,
     _block_slices,
     _grid_argmax,
+    _grid_resolution,
+    _snap,
     averaged_upper,
     simplex_polynomial_bounds,
 )
@@ -403,3 +405,161 @@ def test_ascent_matches_the_full_loop(problem, data):
     got = _ascent(poly, blocks, start, iters)
     want = reference_ascent(poly, blocks, start, iters)
     assert [x.hex() for x in got] == [x.hex() for x in want]  # bit for bit
+
+
+# The grid scan stops at the certified upper bound, and the center and the
+# ascent run only while the bracket is open. Both are checked against the
+# full scan and against a reference that always runs every step.
+
+
+@st.composite
+def nonnegative_problems(draw):
+    blocks = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
+    n = sum(blocks)
+    coeff = st.sampled_from([F(1), F(1, 2), F(2, 3), F(3), F(5, 4), F(7, 9)])
+    exps = st.tuples(*([st.integers(0, 3)] * n))
+    poly = Polynomial(n, draw(st.dictionaries(exps, coeff, min_size=1, max_size=4)))
+    assume(poly.total_degree() >= 2)
+    return poly, blocks
+
+
+@settings(max_examples=200, deadline=None)
+@given(nonnegative_problems(), st.integers(1, 6), st.sampled_from([0, 1, 3, 50, 20000]))
+def test_stopped_grid_scan_equals_the_full_scan(problem, r, cap):
+    poly, blocks = problem
+    upper = averaged_upper(poly, blocks)
+    full = _grid_argmax(poly, blocks, r, cap)
+    assert _grid_argmax(poly, blocks, r, cap, upper) == full
+    assert full[0] <= upper
+
+
+def test_grid_scan_stops_at_a_closed_bracket():
+    # t1^2 + t2^2 has upper 1, reached at the first grid point (0, 1); a
+    # stop value one notch above a reached value is never met.
+    p = Polynomial(2, {(2, 0): F(1), (0, 2): F(1)})
+    assert _grid_argmax(p, (2,), 10, 20000, F(1)) == (F(1), (F(0), F(1)))
+    q = Polynomial(2, {(1, 1): F(1)})  # sup 1/4 at the center
+    assert _grid_argmax(q, (2,), 2, 20000, F(1, 4)) == (F(1, 4), (F(1, 2), F(1, 2)))
+    assert _grid_argmax(q, (2,), 4, 20000, F(1, 2)) == _grid_argmax(q, (2,), 4, 20000)
+    # 2 t1^2 + t2^2 at r = 1: (0, 1) gives 1, one unit below the stop value
+    # 2, so the scan goes on to (1, 0).
+    p2 = Polynomial(2, {(2, 0): F(2), (0, 2): F(1)})
+    assert averaged_upper(p2, (2,)) == 2
+    assert _grid_argmax(p2, (2,), 1, 20000, F(2)) == (F(2), (F(1), F(0)))
+
+
+def reference_bounds(poly, blocks, params):
+    """The oracle with the center and the ascent always run, as before the
+    bracket could close early."""
+    upper = averaged_upper(poly, blocks)
+    r, count = _grid_resolution(blocks, params)
+    lower, argmax = _grid_argmax(poly, blocks, r, params.candidate_cap)
+    if count <= params.candidate_cap:
+        center = tuple(F(1, b) for b in blocks for _ in range(b))
+        v = fraction_value(poly, center)
+        if v > lower:
+            lower, argmax = v, center
+    if params.ascent_iters > 0:
+        refined = _ascent(poly, blocks, [float(x) for x in argmax], params.ascent_iters)
+        snapped = _snap(refined, blocks, params.snap_denominator)
+        v = fraction_value(poly, snapped)
+        if v > lower:
+            lower, argmax = v, snapped
+    return Bracket(lower, upper, argmax, f"grid 1/{r} + ascent")
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    nonnegative_problems(),
+    st.sampled_from([None, 1, 2, 3]),
+    st.sampled_from([0, 1, 5, 120]),
+    st.sampled_from([1, 5, 400, 20000]),
+)
+def test_bounds_equal_the_always_run_reference(problem, r, iters, cap):
+    poly, blocks = problem
+    params = OracleParams(grid_resolution=r, ascent_iters=iters, candidate_cap=cap)
+    assert simplex_polynomial_bounds(poly, blocks, params) == reference_bounds(
+        poly, blocks, params
+    )
+
+
+def test_closed_bracket_evaluates_no_candidate(monkeypatch):
+    calls = []
+    exact = Polynomial.eval_exact
+
+    def counting(self, point):
+        calls.append(point)
+        return exact(self, point)
+
+    monkeypatch.setattr(Polynomial, "eval_exact", counting)
+    grads = counted_gradients(monkeypatch)
+    closed = Polynomial(2, {(2, 0): F(1), (0, 2): F(1)})
+    br = simplex_polynomial_bounds(closed, (2,))
+    assert (br.lower, br.upper, br.note) == (F(1), F(1), "grid 1/10 + ascent")
+    assert calls == [] and grads == []
+    simplex_polynomial_bounds(Polynomial.monomial(2, (1, 1)), (2,))
+    assert len(calls) == 2 and grads  # the center and the snapped point
+
+
+def test_coefficients_beyond_float_range_skip_the_ascent():
+    huge = F(10**400)
+    p = Polynomial(2, {(1, 1): huge, (2, 0): F(1)})
+    br = simplex_polynomial_bounds(p, (2,))
+    assert br.note == "grid 1/10, ascent skipped: coefficients beyond float range"
+    assert br.lower == p.eval_exact(br.argmax) == huge / 4 + F(1, 4)
+    assert br.lower <= br.upper
+
+
+@pytest.mark.parametrize(
+    "field, bad",
+    [
+        ("grid_resolution", 0),
+        ("ascent_iters", -1),
+        ("snap_denominator", 0),
+        ("candidate_cap", -1),
+    ],
+)
+def test_oracle_params_refuse_bad_fields(field, bad):
+    with pytest.raises(ValueError, match=f"OracleParams.{field} "):
+        OracleParams(**{field: bad})
+    least = bad + 1
+    assert getattr(OracleParams(**{field: least}), field) == least
+    with pytest.raises(ValueError, match=field):
+        OracleParams(**{field: 2.0})
+
+
+def test_oracle_params_take_no_resolution():
+    assert OracleParams(grid_resolution=None).grid_resolution is None
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda n: st.tuples(
+            st.dictionaries(
+                st.tuples(*([st.integers(0, 4)] * n)),
+                st.fractions(min_value=0, max_value=9, max_denominator=11),
+                max_size=8,
+            ).map(lambda terms: Polynomial(n, terms)),
+            st.lists(
+                st.lists(st.floats(0, 2, allow_subnormal=False), min_size=n, max_size=n),
+                min_size=1,
+                max_size=3,
+            ),
+        )
+    )
+)
+def test_grad_float_reads_its_plan_bit_for_bit(poly_and_points):
+    poly, points = poly_and_points
+    for t in points:  # the cached plan serves every point
+        want = [0.0] * poly.nvars
+        for e, c in poly.terms.items():
+            factors = [(i, k) for i, k in enumerate(e) if k]
+            for i, k in factors:
+                v = float(c) * k
+                for j, kj in factors:
+                    p = kj - 1 if j == i else kj
+                    if p:
+                        v *= t[j] ** p
+                want[i] += v
+        assert [x.hex() for x in poly.grad_float(t)] == [x.hex() for x in want]
