@@ -29,14 +29,20 @@ with delta_x to exactly f(x) (the convention is documented once, in
 multisets). Linear maps act plainly on coordinates; the weights enter only
 in pairings and adjoints.
 
-Norms are certified brackets, never point values. The primal ball of a
-distribution-side object is parametrized exactly by delta families over the
-argument ball (BallScheme); a series norm is then the sup of a
-nonnegative-coefficient polynomial over simplices, bracketed by the oracle.
-The series-side ball has no exact finite parametrization, so distribution
-norms are bracketed from inside by explicit series (singletons and the
-constant series) and from outside by a coordinate box plus an LP relaxation
-over finitely many sampled ball constraints.
+Norms are certified brackets, never point values, and they take one route.
+A BallScheme is a family of primal ball members parametrized by simplices,
+with explicit honest members beside it, and BallScheme.bracket(k) brackets
+the sup over the ball of sum_c k_c z_c for k >= 0: the best honest member
+below, and above the averaged upper bound of the family polynomial
+sum_c k_c polys[c], or the oracle on it when the family is exact. The
+primal ball of a distribution-side object is parametrized exactly by delta
+families over the argument ball, so a series norm is one bracket with k
+the weighted element. The series-side ball has no exact finite
+parametrization: its scheme is a coordinate box whose corners are brackets
+of the unit vectors, so distribution norms are bracketed from inside by
+explicit series (singletons and the constant series) and from outside by
+that box, lowered where it can be by an LP relaxation over finitely many
+sampled ball constraints.
 
 One restriction is baked in: representable series have nonnegative
 coordinates, and distribution norms take the sup against those. On genuine
@@ -53,7 +59,7 @@ matrix, at far greater cost).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import islice, product
@@ -90,16 +96,9 @@ from .multisets import (
     mset_count,
     mset_union,
 )
-from .oracle import (
-    DEFAULT_PARAMS,
-    Bracket,
-    OracleParams,
-    _compositions,
-    averaged_upper,
-    simplex_polynomial_bounds,
-)
-from .polynomials import Polynomial, layout_products, poly_sum
-from .rationals import Q0, Q1, VecQ, mat, vec
+from .oracle import Bracket, _compositions, averaged_upper, simplex_polynomial_bounds
+from .polynomials import Polynomial, layout_products, poly_combination, poly_sum
+from .rationals import Q0, Q1, VecQ, mat, unit, vec
 from .symmetric import sym_power_blocks
 
 DEFAULT_TRUNC = 3
@@ -488,6 +487,21 @@ class BallScheme:
             pts.append(tuple(p.eval_exact(t) for p in self.polys))
         return tuple(dict.fromkeys(pts))
 
+    def bracket(self, k: VecQ) -> Bracket:
+        """Bracket the sup over the ball of sum_c k_c z_c, for k >= 0: the
+        best honest member below; above, the averaged upper bound of the
+        family polynomial sum_c k_c polys[c], or, when the family is
+        exact, the oracle on it, whose argmax is mapped through polys."""
+        low, arg = _honest_lower(k, self)
+        pol = poly_combination(k, self.polys, sum(self.blocks))
+        if not self.exact:
+            upper = averaged_upper(pol, self.blocks)
+            return Bracket(low, upper, arg, "honest lower / averaged upper")
+        br = simplex_polynomial_bounds(pol, self.blocks)
+        if br.lower > low:
+            low, arg = br.lower, tuple(p.eval_exact(br.argmax) for p in self.polys)
+        return Bracket(low, br.upper, arg, f"distribution-family oracle ({br.note})")
+
 
 @lru_cache(maxsize=None)
 def primal_ball_scheme(h: ConeObject) -> BallScheme:
@@ -549,26 +563,23 @@ def _box_scheme(h: ConeObject) -> BallScheme:
 
     A representable f in the unit ball satisfies w_c f_c z_c <= <f, z> <= 1
     at every distribution ball member z, so f_c <= 1/(w_c M_c) with M_c the
-    coordinate sup. M_c is lower-bounded by honest members (and by the
-    oracle when the distribution family is exact), making the corners safe
-    overestimates; singletons e_c/(w_c upper(M_c)) are certified members.
+    coordinate sup, bracketed by the distribution scheme's bracket of the
+    unit vector e_c. Its lower bound makes the corners safe overestimates;
+    singletons e_c/(w_c upper(M_c)) are certified members.
     """
     s = primal_ball_scheme(dual_object(h))
     w = h.pairing_weights
     corners = []
     honest = []
     for c in range(h.dim):
-        br = simplex_polynomial_bounds(s.polys[c], s.blocks)
-        m_lo = max((z[c] for z in s.honest), default=Q0)
-        if s.exact and br.lower > m_lo:
-            m_lo = br.lower
-        if m_lo <= 0:
+        br = s.bracket(unit(h.dim, c))
+        if br.lower <= 0:
             raise CapabilityError(
                 "series ball is unbounded in a dead coordinate",
                 f"coordinate {c} of {h.label!r} never appears on the "
                 "distribution side",
             )
-        corners.append(Polynomial.constant(0, Q1 / (w[c] * m_lo)))
+        corners.append(Polynomial.constant(0, Q1 / (w[c] * br.lower)))
         point = [Q0] * h.dim
         point[c] = Q1 / (w[c] * br.upper)
         honest.append(tuple(point))
@@ -582,13 +593,17 @@ def _box_scheme(h: ConeObject) -> BallScheme:
 # dual-ball member achieving the lower bound.
 
 
-def _honest_lower(h: ConeObject, e: VecQ, scheme: BallScheme):
-    """max over honest members z of sum w_c e_c z_c, with the first strict
-    maximum as argmax. w.e is scaled to integers a/L once and member z is
+def _weighted(h: ConeObject, e: VecQ) -> VecQ:
+    """The objective k_c = w_c e_c of <., e> on the dual ball."""
+    return tuple(wc * ec for wc, ec in zip(h.pairing_weights, e))
+
+
+def _honest_lower(k: VecQ, scheme: BallScheme):
+    """max over honest members z of sum k_c z_c, with the first strict
+    maximum as argmax. k is scaled to integers a/L once and member z is
     n/D, so its value is (a . n)/(L D); members compare by cross-multiplying."""
-    we = [wc * ec for wc, ec in zip(h.pairing_weights, e)]
-    big_l = lcm(*(x.denominator for x in we if x))
-    a = [x.numerator * (big_l // x.denominator) for x in we]
+    big_l = lcm(*(x.denominator for x in k if x))
+    a = [x.numerator * (big_l // x.denominator) for x in k]
     best_s, best_d, arg = 0, 1, None
     for z, (d, nz) in zip(scheme.honest, scheme.honest_ints):
         v = sum(a[c] * n for c, n in nz)
@@ -619,7 +634,9 @@ def _delta_like_bounds(node, e: VecQ) -> Optional[Bracket]:
             except CapabilityError:
                 ok = False
             if ok:
-                return Bracket(scale, scale, x, "recognized multiple of a delta")
+                # The constant series 1 pairs with scale * delta_x to scale.
+                one = unit(len(coords), idx[()])
+                return Bracket(scale, scale, one, "recognized multiple of a delta")
     elif node.trunc >= 1 and all(
         e[i] == 0 for i, m in enumerate(coords) if len(m) != 1
     ):
@@ -645,96 +662,60 @@ def _sample_points(blocks: tuple[int, ...]):
         yield tuple(t for block in combo for t in block)
 
 
-def _relaxed_polar_upper(h: ConeObject, e: VecQ) -> Optional[Fraction]:
-    """LP over finitely many sampled ball constraints. The feasible set
-    contains the representable series ball, so the optimum is an upper
-    bound; None when the sample leaves it unbounded."""
+def _relaxed_polar_upper(h: ConeObject, k: VecQ) -> Optional[Fraction]:
+    """LP maximizing sum_c k_c f_c over finitely many sampled ball
+    constraints. The feasible set contains the representable series ball,
+    so the optimum is an upper bound; None when the sample leaves it
+    unbounded."""
     s = _node_scheme(_shape(h).node)
     w = h.pairing_weights
     cons = [constraint([w[c] * z[c] for c in range(h.dim)], "<=", 1) for z in s.samples]
-    res = lp_maximize(problem([w[c] * e[c] for c in range(h.dim)], cons))
+    res = lp_maximize(problem(list(k), cons))
     if res.status is LpStatus.OPTIMAL:
         return res.value
     return None
 
 
 def _dist_bounds(h: ConeObject, e: VecQ) -> Bracket:
-    box = primal_ball_scheme(dual_object(h))
-    w = h.pairing_weights
-    upper = sum(
-        (w[c] * e[c] * box.polys[c].constant_term() for c in range(h.dim)), Q0
-    )
-    lower, arg = _honest_lower(h, e, box)
-    lp_up = _relaxed_polar_upper(h, e)
-    note = "singleton-series lower / box upper"
-    if lp_up is not None and lp_up < upper:
-        upper = lp_up
-        note = "singleton-series lower / sampled-polar LP upper"
-    return Bracket(lower, upper, arg, note)
+    """The box scheme's bracket, its upper bound lowered by the sampled
+    polar LP where that is tighter."""
+    k = _weighted(h, e)
+    br = primal_ball_scheme(dual_object(h)).bracket(k)
+    lp_up = _relaxed_polar_upper(h, k)
+    if lp_up is not None and lp_up < br.upper:
+        return Bracket(br.lower, lp_up, br.argmax, "singleton-series lower / sampled-polar LP upper")
+    return replace(br, note="singleton-series lower / box upper")
 
 
-def _series_bounds(h: ConeObject, e: VecQ, params: OracleParams) -> Bracket:
-    s = primal_ball_scheme(dual_object(h))
-    w = h.pairing_weights
-    # sum_c w_c e_c polys[c], accumulated as Polynomial.__add__ would.
-    terms: dict = {}
-    for c in range(h.dim):
-        if e[c]:
-            k = w[c] * e[c]
-            for t, v in s.polys[c].terms.items():
-                v = terms.get(t, Q0) + k * v
-                if v == 0:
-                    terms.pop(t, None)
-                else:
-                    terms[t] = v
-    pol = Polynomial._of(sum(s.blocks), terms)
-    low, arg = _honest_lower(h, e, s)
-    if s.exact:
-        br = simplex_polynomial_bounds(pol, s.blocks, params)
-        if br.lower > low:
-            low = br.lower
-            arg = (
-                tuple(p.eval_exact(br.argmax) for p in s.polys)
-                if br.argmax is not None
-                else None
-            )
-        return Bracket(low, br.upper, arg, f"distribution-family oracle ({br.note})")
-    return Bracket(
-        low, averaged_upper(pol, s.blocks), arg, "honest lower / averaged upper"
-    )
+def _series_bounds(h: ConeObject, e: VecQ) -> Bracket:
+    return primal_ball_scheme(dual_object(h)).bracket(_weighted(h, e))
 
 
-def _primal_norm_bounds(h: ConeObject, e: VecQ, params: OracleParams) -> Bracket:
+def _primal_norm_bounds(h: ConeObject, e: VecQ) -> Bracket:
     shape = _shape(h)
     check_membership(h, e)
     if all(c == 0 for c in e):
         return Bracket(Q0, Q0, None, "zero element")
     if shape.series_primal:
-        return _series_bounds(h, e, params)
+        return _series_bounds(h, e)
     exact = _delta_like_bounds(shape.node, e)
     if exact is not None:
         return exact
     return _dist_bounds(h, e)
 
 
-def series_norm_bounds(
-    f: GradedSeries, params: OracleParams = DEFAULT_PARAMS
-) -> Bracket:
+def series_norm_bounds(f: GradedSeries) -> Bracket:
     """Bracket sup over the argument ball of f(x)."""
-    return _primal_norm_bounds(f.obj, f.coords, params)
+    return _primal_norm_bounds(f.obj, f.coords)
 
 
-def distribution_norm_bounds(
-    e: GradedDistribution, params: OracleParams = DEFAULT_PARAMS
-) -> Bracket:
+def distribution_norm_bounds(e: GradedDistribution) -> Bracket:
     """Bracket the distribution norm (sup against representable series)."""
-    return _primal_norm_bounds(e.obj, e.coords, params)
+    return _primal_norm_bounds(e.obj, e.coords)
 
 
-def graded_norm_bounds(
-    h: ConeObject, coords, params: OracleParams = DEFAULT_PARAMS
-) -> Bracket:
-    return _primal_norm_bounds(h, vec(coords), params)
+def graded_norm_bounds(h: ConeObject, coords) -> Bracket:
+    return _primal_norm_bounds(h, vec(coords))
 
 
 # ---------------------------------------------------------------------------
@@ -980,7 +961,7 @@ def analytic_eval(f: Morphism, x) -> VecQ:
     return f(delta(dual_object(node.base), x, node.trunc).coords)
 
 
-def analytic_norm_bounds(f: Morphism, params: OracleParams = DEFAULT_PARAMS) -> Bracket:
+def analytic_norm_bounds(f: Morphism) -> Bracket:
     """Bracket sup over the ball of A of ||f(x)||: one oracle run per dual
     generator of the target, combined by taking the max. Column x^m of f
     contributes the monomial polynomial of !A's ball scheme at m."""
@@ -988,28 +969,17 @@ def analytic_norm_bounds(f: Morphism, params: OracleParams = DEFAULT_PARAMS) -> 
     mono = _node_scheme(node).polys
     s = primal_ball_scheme(dual_object(node.base))
     nv = sum(s.blocks)
-    terms: list[list[Polynomial]] = [[] for _ in range(f.target.dim)]
-    for p, col in zip(mono, f.cols):
-        for i, x in col:
-            terms[i].append(p.scale(x))
-    coord_polys = [poly_sum(t, nv) for t in terms]
+    coord_polys = [poly_combination(row, mono, nv) for row in f.matrix]
     tq = materialize_q(f.target)
     wt = f.target.pairing_weights
     lower = upper = Q0
     arg = None
     for psi in tq.q_ball_gens:
-        pol = poly_sum(
-            (coord_polys[c].scale(wt[c] * psi[c]) for c in range(f.target.dim) if psi[c]),
-            nv,
-        )
-        br = simplex_polynomial_bounds(pol, s.blocks, params)
+        pol = poly_combination([w * x for w, x in zip(wt, psi)], coord_polys, nv)
+        br = simplex_polynomial_bounds(pol, s.blocks)
         if br.lower > lower:
             lower = br.lower
-            arg = (
-                tuple(p.eval_exact(br.argmax) for p in s.polys)
-                if br.argmax is not None
-                else None
-            )
+            arg = tuple(p.eval_exact(br.argmax) for p in s.polys)
         if br.upper > upper:
             upper = br.upper
     return Bracket(lower, upper, arg, "max over target dual generators")

@@ -88,9 +88,6 @@ class Bracket:
     def is_exact(self) -> bool:
         return self.lower == self.upper
 
-    def scaled(self, c: Fraction) -> "Bracket":
-        return Bracket(self.lower * c, self.upper * c, self.argmax, self.note)
-
 
 def _check_blocks(poly: Polynomial, blocks: Sequence[int]) -> None:
     if sum(blocks) != poly.nvars:

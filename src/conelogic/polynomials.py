@@ -18,7 +18,8 @@ resolution.
 
 layout_products builds the monomial family of a multiset table, the
 product of the forms over every multiset, each from its prefix one grade
-down, in integers over one common denominator.
+down, in integers over one common denominator. poly_combination is the one
+linear combination sum_c k_c P_c that every bracket objective is built by.
 """
 
 from __future__ import annotations
@@ -282,6 +283,26 @@ def poly_sum(polys: Iterable[Polynomial], nvars: int) -> Polynomial:
     for p in polys:
         out = out + p
     return out
+
+
+def poly_combination(coeffs: Sequence, polys: Sequence[Polynomial], nvars: int) -> Polynomial:
+    """sum_c coeffs[c] polys[c] over the nonzero coeffs, as poly_sum of the
+    scaled polys would make it: the same keys in the same order (a sum that
+    reaches 0 is popped, and comes back last), in one dict. A single
+    coefficient 1 gives that polynomial itself, its derived views kept;
+    polynomials are never mutated, so it can be shared."""
+    picked = [(k, p) for k, p in zip(coeffs, polys) if k]
+    if len(picked) == 1 and picked[0][0] == 1:
+        return picked[0][1]
+    terms: dict[Expvec, Fraction] = {}
+    for k, p in picked:
+        for e, c in p.terms.items():
+            v = terms.get(e, Q0) + k * c
+            if v == 0:
+                terms.pop(e, None)
+            else:
+                terms[e] = v
+    return Polynomial._of(nvars, terms)
 
 
 def poly_product(polys: Iterable[Polynomial], nvars: int) -> Polynomial:

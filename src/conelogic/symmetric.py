@@ -41,9 +41,9 @@ from .cones import Backend, ConeObject, one_obj, polar_w, primal_gens
 from .errors import CapabilityError, DimensionError, NegativeCoefficientError
 from .mall import Morphism, sparse_mor
 from .multisets import Layout, Mset, graded_layout, monomial_value, mset_count
-from .oracle import Bracket, DEFAULT_PARAMS, OracleParams, simplex_polynomial_bounds
+from .oracle import Bracket, simplex_polynomial_bounds
 from .polyhedra import DD_MAX_DIM, reduce_generators
-from .polynomials import Polynomial, layout_products
+from .polynomials import Polynomial, layout_products, poly_combination
 from .rationals import Q0, Q1, VecQ, vec
 
 
@@ -234,18 +234,12 @@ def diagonal_polynomial(f: SymTensor, gens: tuple[VecQ, ...]) -> Polynomial:
     coord_polys = [
         Polynomial.linear(k, [g[c] for g in gens]) for c in range(f.dim)
     ]
-    total = Polynomial.zero(k)
     lay, start = _top_grade(f.dim, f.degree)
     monos = layout_products(coord_polys, lay, k)[start:]
-    for mono, w, c in zip(monos, lay.weights[start:], f.coords):
-        if c != 0:
-            total = total + mono.scale(w * c)
-    return total
+    return poly_combination([w * c for w, c in zip(lay.weights[start:], f.coords)], monos, k)
 
 
-def new_norm_bounds(
-    f: SymTensor, a: ConeObject, params: OracleParams = DEFAULT_PARAMS
-) -> Bracket:
+def new_norm_bounds(f: SymTensor, a: ConeObject) -> Bracket:
     """Bracket sup { f(x,...,x) : x in the primal ball }.
 
     Lower from the oracle's grid-plus-ascent over the generator mixing
@@ -257,7 +251,7 @@ def new_norm_bounds(
         v = f.coords[0] if f.degree == 0 else Q0
         return Bracket(v, v, (), "degenerate: no generators")
     poly = diagonal_polynomial(f, gens)
-    br = simplex_polynomial_bounds(poly, (len(gens),), params)
+    br = simplex_polynomial_bounds(poly, (len(gens),))
     upper = old_norm(f, a)
     return Bracket(br.lower, upper, br.argmax, br.note)
 

@@ -14,7 +14,6 @@ Hand-derived anchors used below, all over the two-point base:
 from fractions import Fraction as F
 import itertools
 import random
-import types
 
 import pytest
 from hypothesis import given, settings
@@ -83,8 +82,14 @@ from conelogic.multisets import (
     mset_count,
     multiplicity,
 )
-from conelogic.oracle import OracleParams
-from conelogic.polynomials import Polynomial, layout_products, poly_product
+from conelogic.oracle import OracleParams, averaged_upper, simplex_polynomial_bounds
+from conelogic.polynomials import (
+    Polynomial,
+    layout_products,
+    poly_combination,
+    poly_product,
+    poly_sum,
+)
 from conelogic.rationals import vec
 from test_symmetric import map_rows
 
@@ -220,6 +225,14 @@ def test_delta_norm_recognized_exactly():
     e = GradedDistribution(d.obj, tuple(F(2, 5) * c for c in d.coords))
     bs = distribution_norm_bounds(e)
     assert bs.lower == bs.upper == F(2, 5)
+    # The witness is the constant series: a member of the object's dual
+    # ball, of its dimension, pairing with the element to the norm.
+    d2 = delta(simplex_pcs(2), (F(1, 3), F(1, 2)), 2)
+    for el in (d, e, d2):
+        b = distribution_norm_bounds(el)
+        assert b.note == "recognized multiple of a delta"
+        assert b.argmax == (1,) + (0,) * (el.obj.dim - 1)
+        assert pairing(dual_object(el.obj), b.argmax, el.coords) == b.lower
 
 
 def test_delta_norm_upper_within_tolerance_on_pcs_base():
@@ -337,8 +350,8 @@ def honest_cases(draw):
 def test_honest_lower_matches_the_fraction_reference(case):
     w, e, members = case
     scheme = exponentials.BallScheme((), (), tuple(members), False)
-    h = types.SimpleNamespace(pairing_weights=tuple(w))  # all _honest_lower reads of h
-    value, arg = exponentials._honest_lower(h, e, scheme)
+    k = tuple(F(wc) * ec for wc, ec in zip(w, e))  # the weighted vector
+    value, arg = exponentials._honest_lower(k, scheme)
     ref_value, ref_arg = _ref_honest_lower(w, e, members)
     assert value == ref_value and type(value) is F
     assert arg is ref_arg
@@ -347,12 +360,12 @@ def test_honest_lower_matches_the_fraction_reference(case):
 def test_honest_lower_keeps_the_first_of_tied_members():
     first, second = (F(1, 2), F(1, 3)), (F(1, 2), F(1, 3))
     scheme = exponentials.BallScheme((), (), ((F(1, 4), F(0)), first, second), False)
-    h = types.SimpleNamespace(pairing_weights=(2, F(3, 2)))
-    value, arg = exponentials._honest_lower(h, (F(1), F(2, 3)), scheme)
+    # weights (2, 3/2) times the elements (1, 2/3), (0, 0) and (0, 5/7)
+    value, arg = exponentials._honest_lower((F(2), F(1)), scheme)
     assert value == 2 * F(1, 2) + F(3, 2) * F(2, 3) * F(1, 3) and arg is first
-    assert exponentials._honest_lower(h, (F(0), F(0)), scheme) == (0, None)
+    assert exponentials._honest_lower((F(0), F(0)), scheme) == (0, None)
     apart = exponentials.BallScheme((), (), ((F(1, 4), F(0)), (F(1), F(0))), False)
-    assert exponentials._honest_lower(h, (F(0), F(5, 7)), apart) == (0, None)
+    assert exponentials._honest_lower((F(0), F(15, 14)), apart) == (0, None)
     # integer members: one denominator and the nonzeros scaled by it
     assert scheme.honest_ints == ((4, ((0, 1),)), (6, ((0, 3), (1, 2))), (6, ((0, 3), (1, 2))))
 
@@ -1105,6 +1118,77 @@ def test_layout_products_reinsert_a_cancelled_key_last():
     assert list(fg.terms.items()) == list((f * g).terms.items())
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 2).flatmap(
+        lambda k: st.tuples(
+            st.just(k),
+            st.lists(
+                st.tuples(
+                    st.sampled_from([F(0), F(-1), F(1), F(1, 2)]),
+                    st.dictionaries(
+                        st.tuples(*([st.integers(0, 1)] * k)),
+                        st.sampled_from([F(-2), F(-1), F(1), F(2)]),
+                        max_size=3,
+                    ).map(lambda terms: Polynomial(k, terms)),
+                ),
+                max_size=6,
+            ),
+        )
+    )
+)
+def test_poly_combination_equals_poly_sum(k_and_pairs):
+    # few keys and signed coefficients, so that sums cancel and come back
+    k, pairs = k_and_pairs
+    got = poly_combination([c for c, _ in pairs], [p for _, p in pairs], k)
+    want = poly_sum((p.scale(c) for c, p in pairs), k)
+    assert list(got.terms.items()) == list(want.terms.items())
+    assert all(type(c) is F for c in got.terms.values())
+
+
+def test_poly_combination_reinserts_a_cancelled_key_last():
+    t = lambda j: Polynomial.monomial(1, (j,))  # noqa: E731
+    polys = [t(1) + t(2), t(3), t(2), t(2)]
+    got = poly_combination([F(1), F(1), F(-1), F(3)], polys, 1)
+    assert list(got.terms.items()) == [((1,), F(1)), ((3,), F(1)), ((2,), F(3))]
+    # one coefficient 1 shares the polynomial, its derived views included
+    assert poly_combination([F(0), F(1), F(0)], polys, 1) is polys[1]
+
+
+@st.composite
+def graded_elements(draw):
+    """An element of ?a or !a at truncation 0-3 over a random polyhedral
+    atom: a sparse nonnegative vector, or on the ! side possibly a scaled
+    delta at a mix of the atom's generators."""
+    a, n = draw(polyhedral_atoms()), draw(st.integers(0, 3))
+    h = draw(st.sampled_from([whynot_obj(a, n), bang_obj(a, n)]))
+    if not _shape(h).series_primal and draw(st.booleans()):
+        gens = a.p_ball_gens
+        lam = [F(draw(st.integers(0, 3))) for _ in gens]
+        total = sum(lam) or F(1)
+        x = tuple(sum(l * g[c] for l, g in zip(lam, gens)) / total for c in range(a.dim))
+        scale = draw(st.sampled_from([F(1, 3), F(1), F(5, 2)]))
+        return h, tuple(scale * y for y in delta(a, x, n).coords)
+    entry = st.sampled_from([F(0), F(0), F(1, 3), F(2, 3), F(1)])
+    return h, tuple(draw(st.lists(entry, min_size=h.dim, max_size=h.dim)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(graded_elements())
+def test_every_graded_bracket_has_a_witness_of_the_object(case):
+    h, e = case
+    br = graded_norm_bounds(h, e)
+    assert br.lower <= br.upper
+    if br.argmax is not None:
+        assert len(br.argmax) == h.dim
+        assert pairing(dual_object(h), br.argmax, e) == br.lower
+    s = exponentials.primal_ball_scheme(dual_object(h))
+    if s.exact:
+        k = [w * x for w, x in zip(h.pairing_weights, e)]
+        pol = poly_combination(k, s.polys, sum(s.blocks))
+        assert s.bracket(k).upper == averaged_upper(pol, s.blocks)
+
+
 def test_monomial_values_read_the_table():
     x = (F(1, 2), F(0), F(2, 3))
     lay = graded_layout(3, 3)
@@ -1117,10 +1201,15 @@ def test_ascent_lower_bounds_are_pinned():
     # 139/27 at truncation 2, and the ascent lifts it.
     a = from_p_gens([[F(1, 8), F(3, 8), F(2)], [F(1, 4), F(3, 8), F(1)]], 3)
     v2 = vec(["1/3", "1/3", 0, 0, 0, "2/3", "1/3", "1/3", "1/3", 0])
-    br = graded_norm_bounds(whynot_obj(a, 2), v2)
+    h = whynot_obj(a, 2)
+    br = graded_norm_bounds(h, v2)
     assert (br.lower, br.upper) == (F(1241, 240), F(79, 9))
     assert br.note == "distribution-family oracle (grid 1/10 + ascent)"
-    grid = graded_norm_bounds(whynot_obj(a, 2), v2, OracleParams(ascent_iters=0))
+    # the grid alone, on the scheme's combination polynomial
+    s = exponentials.primal_ball_scheme(dual_object(h))
+    k = [w * x for w, x in zip(h.pairing_weights, v2)]
+    pol = poly_combination(k, s.polys, sum(s.blocks))
+    grid = simplex_polynomial_bounds(pol, s.blocks, OracleParams(ascent_iters=0))
     assert (grid.lower, grid.upper) == (F(139, 27), F(79, 9))
     v3 = vec(
         [1, 1, 0, 1, 0, 1, 0, 1, 1, 0, 0, 0, 1, "2/3", "2/3", "1/3", 1, 0, "2/3", "2/3"]

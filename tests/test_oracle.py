@@ -134,10 +134,8 @@ def test_constant_polynomial_collapses():
     assert br.is_exact and br.lower == F(5, 7)
 
 
-def test_bracket_scaling():
+def test_bracket_width():
     br = Bracket(F(1, 4), F(1, 2))
-    s = br.scaled(F(2))
-    assert (s.lower, s.upper) == (F(1, 2), F(1))
     assert br.width == F(1, 4)
 
 
