@@ -18,7 +18,9 @@ geometry lives in the balls. Norms are therefore generator maxima:
     norm_dual(f)   = max_{u in p_ball_gens} <f, u>,
 
 and the Minkowski gauge LP over the same side's generators must agree exactly
-(that agreement is LP duality, and it is checked, not assumed).
+(that agreement is LP duality, and it is checked, not assumed). The maxima
+run in integers: an object keeps its dual generators as integer rows
+(q_rows), and rows compare by cross-multiplying (rationals.max_pairing).
 
 Three backends share the ConeObject container:
 
@@ -39,12 +41,13 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Any, Optional
 
 from .errors import CapabilityError, DimensionError, MembershipError
 from .lp import LpStatus, constraint, lp_maximize, lp_minimize, problem
 from .polyhedra import DD_MAX_DIM, polar_of_points, polar_vertices, reduce_generators
-from .rationals import Q0, Q1, VecQ, is_zero, unit, vec
+from .rationals import Q0, Q1, IntRows, VecQ, int_rows, is_zero, max_pairing, unit, vec
 
 
 class Backend(enum.Enum):
@@ -89,6 +92,11 @@ class ConeObject:
 
     def __repr__(self):
         return f"ConeObject({self.label or '?'}, dim={self.dim}, {self.backend.value})"
+
+    @cached_property
+    def q_rows(self) -> IntRows:
+        """q_ball_gens as integer rows (rationals.int_rows), for norm_primal."""
+        return int_rows(self.q_ball_gens)
 
     @property
     def pairing_weights(self) -> tuple[Fraction | int, ...]:
@@ -137,13 +145,7 @@ def polar_w(
     coordinate scaling commutes with canonicalization (domination and lex
     order are both preserved), so the result is canonical in f-coordinates.
     """
-    return _unweight(polar_vertices(gens, dim), weights)
-
-
-def _unweight(
-    ys: tuple[VecQ, ...], weights: Optional[tuple[Fraction, ...]]
-) -> tuple[VecQ, ...]:
-    """f_c = y_c / w_c for each plain-polar vertex y (see polar_w)."""
+    ys = polar_vertices(gens, dim)
     if weights is None:
         return ys
     return tuple(tuple(y[c] / w for c, w in enumerate(weights)) for y in ys)
@@ -246,13 +248,11 @@ def check_membership(a: ConeObject, x: VecQ) -> None:
 # Norms
 
 
-def _gen_max(gens: tuple[VecQ, ...], weights: tuple[Fraction, ...], x: VecQ) -> Fraction:
-    best = Q0
-    for g in gens:
-        v = sum((w * gi * xi for w, gi, xi in zip(weights, g, x)), Q0)
-        if v > best:
-            best = v
-    return best
+def _gen_max(rows: IntRows, weights: Optional[tuple[Fraction | int, ...]], x: VecQ) -> Fraction:
+    """max(0, max over generators g of sum_c w_c g_c x_c), with the
+    generators held as int_rows."""
+    k = x if weights is None else tuple(w * xi for w, xi in zip(weights, x))
+    return max_pairing(k, rows)[0]
 
 
 def tensor_side_norm(ball: ImplicitTensorBall, s: VecQ) -> Fraction:
@@ -292,7 +292,7 @@ def norm_primal(a: ConeObject, x: VecQ) -> Fraction:
             "use series_norm_bounds / distribution_norm_bounds",
         )
     if a.q_ball_gens is not None:
-        return _gen_max(a.q_ball_gens, a.pairing_weights, x)
+        return _gen_max(a.q_rows, a.weights, x)
     if a.q_implicit is not None:
         return tensor_side_norm(a.q_implicit, x)
     raise CapabilityError("object has no usable dual side", a.label)
@@ -466,8 +466,9 @@ def validate_object(a: ConeObject) -> ValidationReport:
             )
     # Unit-norm generators: reduced generators sit on the unit sphere.
     if p is not None and q is not None:
-        ok = all(_gen_max(q, obj.pairing_weights, g) == 1 for g in p) and all(
-            _gen_max(p, obj.pairing_weights, g) == 1 for g in q
+        pr, qr = int_rows(p), int_rows(q)
+        ok = all(_gen_max(qr, obj.weights, g) == 1 for g in p) and all(
+            _gen_max(pr, obj.weights, g) == 1 for g in q
         )
         checks.append(
             CheckOutcome("unit-norm-generators", ok, "" if ok else "generator off the sphere")

@@ -63,7 +63,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import islice, product
-from math import comb, lcm
+from math import comb
 from typing import Any, ClassVar, Optional
 
 from .cones import (
@@ -98,7 +98,7 @@ from .multisets import (
 )
 from .oracle import Bracket, _compositions, averaged_upper, simplex_polynomial_bounds
 from .polynomials import Polynomial, layout_products, poly_combination, poly_sum
-from .rationals import Q0, Q1, VecQ, mat, unit, vec
+from .rationals import Q0, Q1, IntRows, VecQ, int_rows, mat, max_pairing, unit, vec
 from .symmetric import sym_power_blocks
 
 DEFAULT_TRUNC = 3
@@ -467,15 +467,10 @@ class BallScheme:
     exact: bool
 
     @cached_property
-    def honest_ints(self) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
+    def honest_ints(self) -> IntRows:
         """Each honest member z as (D, ((c, D z_c) for each nonzero z_c)),
         with D the lcm of its denominators."""
-        out = []
-        for z in self.honest:
-            d = lcm(*(x.denominator for x in z if x))
-            nz = tuple((c, x.numerator * (d // x.denominator)) for c, x in enumerate(z) if x)
-            out.append((d, nz))
-        return tuple(out)
+        return int_rows(self.honest)
 
     @cached_property
     def samples(self) -> tuple[VecQ, ...]:
@@ -565,7 +560,9 @@ def _box_scheme(h: ConeObject) -> BallScheme:
     at every distribution ball member z, so f_c <= 1/(w_c M_c) with M_c the
     coordinate sup, bracketed by the distribution scheme's bracket of the
     unit vector e_c. Its lower bound makes the corners safe overestimates;
-    singletons e_c/(w_c upper(M_c)) are certified members.
+    singletons e_c/(w_c upper(M_c)) are certified members. A coordinate
+    whose lower bound is 0 has no box: either no family member reaches it,
+    or only an inexact family does and no honest member certifies it.
     """
     s = primal_ball_scheme(dual_object(h))
     w = h.pairing_weights
@@ -573,11 +570,17 @@ def _box_scheme(h: ConeObject) -> BallScheme:
     honest = []
     for c in range(h.dim):
         br = s.bracket(unit(h.dim, c))
-        if br.lower <= 0:
+        if br.lower <= 0 and not s.polys[c].terms:
             raise CapabilityError(
                 "series ball is unbounded in a dead coordinate",
-                f"coordinate {c} of {h.label!r} never appears on the "
-                "distribution side",
+                f"coordinate {c} of {h.label!r} never appears on the distribution side",
+            )
+        if br.lower <= 0:
+            raise CapabilityError(
+                "series ball has no certified box",
+                f"coordinate {c} of {h.label!r} is zero at every honest member of the "
+                "inexact distribution-side family, so its sup has no certified positive "
+                "lower bound",
             )
         corners.append(Polynomial.constant(0, Q1 / (w[c] * br.lower)))
         point = [Q0] * h.dim
@@ -599,19 +602,10 @@ def _weighted(h: ConeObject, e: VecQ) -> VecQ:
 
 
 def _honest_lower(k: VecQ, scheme: BallScheme):
-    """max over honest members z of sum k_c z_c, with the first strict
-    maximum as argmax. k is scaled to integers a/L once and member z is
-    n/D, so its value is (a . n)/(L D); members compare by cross-multiplying."""
-    big_l = lcm(*(x.denominator for x in k if x))
-    a = [x.numerator * (big_l // x.denominator) for x in k]
-    best_s, best_d, arg = 0, 1, None
-    for z, (d, nz) in zip(scheme.honest, scheme.honest_ints):
-        v = sum(a[c] * n for c, n in nz)
-        if v * best_d > best_s * d:
-            best_s, best_d, arg = v, d, z
-    if arg is None:
-        return Q0, None
-    return Fraction(best_s, big_l * best_d), arg
+    """max over honest members z of sum_c k_c z_c, with the first strict
+    maximum as argmax (rationals.max_pairing)."""
+    low, i = max_pairing(k, scheme.honest_ints)
+    return low, None if i is None else scheme.honest[i]
 
 
 def _delta_like_bounds(node, e: VecQ) -> Optional[Bracket]:

@@ -2,10 +2,11 @@
 
 Every document carries "schema": 1. Rationals travel as strings ("3/4"),
 with whole numbers shortened to their integer form ("2"); plain JSON
-integers are accepted on input. Vectors and matrices are lists and lists of
-rows of such strings; graded vectors are flat lists in the object's
-coordinate order. Reports render with sorted keys, so equal reports are
-equal bytes.
+integers are accepted on input. An unsigned ASCII "n" or "n/d" is read as
+ints, any other string by Fraction's parser. Vectors and matrices are lists
+and lists of rows of such strings; graded vectors are flat lists in the
+object's coordinate order. Reports render with sorted keys, so equal
+reports are equal bytes.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ SCHEMA = 1
 
 
 def frac_str(x: Fraction) -> str:
-    x = Fraction(x)
+    if type(x) is not Fraction:
+        x = Fraction(x)
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
@@ -31,6 +33,9 @@ def parse_frac(v) -> Fraction:
         return Fraction(v)
     if isinstance(v, str):
         try:
+            n, slash, d = v.partition("/")
+            if v.isascii() and n.isdigit() and (d.isdigit() or not slash):
+                return Fraction(int(n), int(d) if slash else 1)
             return Fraction(v)
         except (ValueError, ZeroDivisionError) as e:
             raise EnvError(f"not a rational: {v!r}") from e

@@ -39,7 +39,7 @@ from math import lcm
 from typing import Sequence
 
 from .errors import DimensionError
-from .rationals import Q0, Scalar, VecQ, q, vec
+from .rationals import Q0, Scalar, VecQ, int_vector, q, vec
 
 
 class LpStatus(enum.Enum):
@@ -105,12 +105,6 @@ def problem(
     nonneg: Sequence[bool] = (),
 ) -> LpProblem:
     return LpProblem(vec(objective), tuple(constraints), tuple(nonneg))
-
-
-def _integer_row(row: Sequence[Fraction]) -> tuple[int, list[int]]:
-    """The lcm m of the row's denominators, and the row times m."""
-    m = lcm(*(x.denominator for x in row))
-    return m, [x.numerator * (m // x.denominator) for x in row]
 
 
 def _pivot(tableau: list[list[int]], obj: list[int], row: int, col: int, d: int) -> int:
@@ -211,7 +205,7 @@ def lp_maximize(prob: LpProblem) -> LpResult:
         if c.rhs < 0:
             row = [-x for x in row]
             rel = {REL_LE: REL_GE, REL_GE: REL_LE, REL_EQ: REL_EQ}[rel]
-        scale, ints = _integer_row(row)
+        scale, ints = int_vector(row)
         rows.append(ints)
         rels.append(rel)
         scales.append(scale)
@@ -293,7 +287,7 @@ def lp_maximize(prob: LpProblem) -> LpResult:
 
     # Phase 2 objective: d L times the reduced costs relative to the
     # current basis, with L the lcm of the cost denominators.
-    obj_scale, cost = _integer_row(expand(prob.objective))
+    obj_scale, cost = int_vector(expand(prob.objective))
     cost += [0] * (n_slack + n_art)
     obj2 = [d * c for c in cost] + [0]
     for i in range(m):

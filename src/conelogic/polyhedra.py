@@ -12,13 +12,15 @@ description method run on the homogenization
 
 starting from the orthant cone (whose extreme rays are the unit vectors) and
 cutting with one point-constraint at a time. The arithmetic is fraction-free:
-each cut is scaled by the lcm of its point's denominators, rays are
-primitive integer vectors (the new ray of an adjacent pair is divided by the
-gcd of its entries), and only the final rays become Fractions. Rays with
-t > 0 scale to vertices; rays with t = 0 are recession directions, which
-exist exactly when some coordinate is unspanned by S (all points zero
-there). That case is detected up front and reported as a status flag
-instead of a generator list.
+each point is read once as an integer key over one common denominator, and
+the keys are checked, deduped and sorted; each cut is the primitive integer
+row of its key; rays are primitive integer vectors (the new ray of an
+adjacent pair is divided by the gcd of its entries); and the canonical
+vertices are sorted by integer keys over the lcm of their t's before they
+become Fractions. Rays with t > 0 scale to vertices; rays with t = 0 are
+recession directions, which exist exactly when some coordinate is unspanned
+by S (all points zero there). That case is detected up front and reported
+as a status flag instead of a generator list.
 
 Every ray carries the bitmask of its tight constraints; the masks decide
 adjacency, which vertices are canonical, and which input points are: a
@@ -154,7 +156,16 @@ def polar_of_points(points: Iterable[VecQ], dim: int) -> PolarResult:
     for p in pts:
         if len(p) != dim:
             raise DimensionError(dim, len(p), "polar input point")
-    _check_orthant(pts)
+    # Each point times one common denominator: integer keys that order,
+    # compare and sign exactly as the points do.
+    den = lcm(*(x.denominator for p in pts for x in p))
+    keys = [tuple(x.numerator * (den // x.denominator) for x in p) for p in pts]
+    by_key = {}
+    for p, key in zip(pts, keys):
+        if any(x < 0 for x in key):
+            _check_orthant([p])
+        if any(key):
+            by_key.setdefault(key, p)
     if dim == 0:
         return PolarResult((), (), ())
     if dim > DD_MAX_DIM:
@@ -162,27 +173,32 @@ def polar_of_points(points: Iterable[VecQ], dim: int) -> PolarResult:
             f"double description capped at dimension {DD_MAX_DIM}",
             f"requested dimension {dim}",
         )
-    pts = list(sort_generators(pts))
-    unspanned = tuple(c for c in range(dim) if all(p[c] == 0 for p in pts))
+    keys = sorted(by_key)
+    unspanned = tuple(c for c in range(dim) if not any(key[c] for key in keys))
     if unspanned:
         return PolarResult(None, unspanned, None)
-    supports = [sum(1 << c for c, x in enumerate(p) if x) for p in pts]
+    supports = [sum(1 << c for c, x in enumerate(key) if x) for key in keys]
     full = (1 << dim) - 1
     verts = []
     # The vertices tight at each point's cut, as bitmasks over vertex indices.
-    point_tight = [0] * len(pts)
-    for k, (v, tight) in enumerate(_dd_vertices(pts, dim)):
+    point_tight = [0] * len(keys)
+    for k, (r, tight) in enumerate(_dd_rays(den, keys, dim)):
         cover = 0
         for i in tight:
             point_tight[i] |= 1 << k
             cover |= supports[i]
         if cover == full:
-            verts.append(v)
+            verts.append(r)
     kept = tuple(
-        p for i, (p, mine) in enumerate(zip(pts, point_tight))
+        by_key[key] for i, (key, mine) in enumerate(zip(keys, point_tight))
         if not any(j != i and mine & z == mine for j, z in enumerate(point_tight))
     )
-    return PolarResult(sort_generators(verts), (), kept)
+    # Vertex r[:-1]/t, keyed over the lcm of the t's: sorted and deduped in
+    # integers, and only the canonical vertices become Fractions.
+    big_t = lcm(*(r[-1] for r in verts))
+    vkeys = {tuple(x * (big_t // r[-1]) for x in r[:-1]): r for r in verts}
+    verts = [tuple(Fraction(x, r[-1]) for x in r[:-1]) for _, r in sorted(vkeys.items())]
+    return PolarResult(tuple(verts), (), kept)
 
 
 def polar_vertices(points: Iterable[VecQ], dim: int) -> tuple[VecQ, ...]:
@@ -195,10 +211,12 @@ def bipolar(points: Iterable[VecQ], dim: int) -> tuple[VecQ, ...]:
     return polar_vertices(polar_vertices(points, dim), dim)
 
 
-def _dd_vertices(pts: list[VecQ], dim: int) -> list[tuple[VecQ, frozenset[int]]]:
-    """Every vertex of polar(pts), with the indices of the points tight at it.
+def _dd_rays(den: int, keys: list[tuple[int, ...]], dim: int) -> list[tuple[tuple, list]]:
+    """Every extreme ray of the homogenized polar cone of the points
+    keys[i] / den, with the indices of the points tight at it.
 
-    Extreme rays of the homogenized polar cone, dehomogenized at t = 1.
+    A ray is a primitive integer vector (a, t) with t > 0, since the
+    spanning pre-check has passed; its vertex is a / t.
     """
     n = dim + 1
     # Each ray is a primitive nonnegative integer vector (its only
@@ -210,12 +228,14 @@ def _dd_vertices(pts: list[VecQ], dim: int) -> list[tuple[VecQ, frozenset[int]]]
         for k in range(n)
     ]
 
-    for i, p in enumerate(pts):
+    for i, key in enumerate(keys):
         cid = 1 << (n + i)
-        # t - <p, a> >= 0 scaled by the lcm of p's denominators: same sign,
-        # same tight set, integer coefficients.
-        scale = lcm(*(x.denominator for x in p))
-        cut = [(c, x.numerator * (scale // x.denominator)) for c, x in enumerate(p) if x]
+        # t - <p, a> >= 0 as the primitive integer row of (den, key): the
+        # lcm of p's own denominators times (1, p). Same sign, same tight
+        # set, integer coefficients.
+        g = gcd(den, *key)
+        scale = den // g
+        cut = [(c, x // g) for c, x in enumerate(key) if x]
         pos, neg, new_rays = [], [], []
         for r, z in rays:
             val = scale * r[-1] - sum(a * r[c] for c, a in cut)
@@ -250,10 +270,5 @@ def _dd_vertices(pts: list[VecQ], dim: int) -> list[tuple[VecQ, frozenset[int]]]
             seen[r] = seen.get(r, z) | z
         rays = list(seen.items())
 
-    verts = []
-    for r, z in rays:
-        t = r[-1]
-        assert t > 0, "recession ray survived the spanning pre-check"
-        tight = frozenset(i for i in range(len(pts)) if z >> (n + i) & 1)
-        verts.append((tuple(Fraction(x, t) for x in r[:-1]), tight))
-    return verts
+    assert all(r[-1] > 0 for r, _ in rays), "recession ray survived the spanning pre-check"
+    return [(r, [i for i in range(len(keys)) if z >> (n + i) & 1]) for r, z in rays]

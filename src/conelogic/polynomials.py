@@ -30,7 +30,7 @@ from operator import add
 from typing import Iterable, Optional, Sequence
 
 from .multisets import Layout, prefix_products
-from .rationals import Q0, Q1
+from .rationals import Q0, Q1, int_vector
 
 Expvec = tuple[int, ...]
 IntTerms = tuple[int, int, list[tuple[int, int, list[tuple[int, int]]]]]
@@ -191,20 +191,11 @@ class Polynomial:
         is an integer.
         """
         if self._ints is None:
-            den = lcm(*(c.denominator for c in self.terms.values()))
+            den, nums = int_vector(list(self.terms.values()))
             deg = self.total_degree()
-            self._ints = (
-                den,
-                deg,
-                [
-                    (
-                        c.numerator * (den // c.denominator),
-                        deg - sum(e),
-                        [(i, k) for i, k in enumerate(e) if k],
-                    )
-                    for e, c in self.terms.items()
-                ],
-            )
+            rows = [(n, deg - sum(e), [(i, k) for i, k in enumerate(e) if k])
+                    for n, e in zip(nums, self.terms)]
+            self._ints = (den, deg, rows)
         return self._ints
 
     def eval_exact(self, point: Sequence[Fraction]) -> Fraction:
@@ -214,8 +205,7 @@ class Polynomial:
         if len(point) != self.nvars:
             raise ValueError("point length mismatch")
         den, deg, terms = self.int_terms()
-        m = lcm(*(x.denominator for x in point))
-        ks = [x.numerator * (m // x.denominator) for x in point]
+        m, ks = int_vector(point)
         mpow = [1]
         for _ in range(deg):
             mpow.append(mpow[-1] * m)

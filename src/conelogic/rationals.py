@@ -4,7 +4,7 @@ Vectors are tuples of Fraction, matrices are tuples of row tuples. Plain
 immutable tuples keep equality and hashing exact and structural, which the
 rest of the package leans on (generator lists are deduplicated and sorted,
 objects compare by canonical generator lists). All arithmetic is exact; no
-floats enter here.
+floats enter here. Hot loops run in integers (int_vector, max_pairing).
 
 The zero-dimensional vector () is legal: the additive zero object lives in
 dimension 0.
@@ -13,11 +13,13 @@ dimension 0.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Union
+from math import lcm
+from typing import Iterable, Optional, Sequence, Union
 
 Scalar = Union[int, str, Fraction]
 VecQ = tuple[Fraction, ...]
 MatQ = tuple[VecQ, ...]
+IntRows = tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
 
 Q0 = Fraction(0)
 Q1 = Fraction(1)
@@ -66,3 +68,29 @@ def kron_vec(a: VecQ, b: VecQ) -> VecQ:
 
 def is_zero(a: VecQ) -> bool:
     return all(x == 0 for x in a)
+
+
+def int_vector(xs: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """The lcm m of the denominators, and the vector times m."""
+    m = lcm(*(x.denominator for x in xs))
+    return m, [x.numerator * (m // x.denominator) for x in xs]
+
+
+def int_rows(points: Iterable[VecQ]) -> IntRows:
+    """Each point z as (D, ((c, D z_c) for each nonzero z_c)), with D the
+    lcm of its denominators."""
+    rows = map(int_vector, points)
+    return tuple((d, tuple((c, n) for c, n in enumerate(ns) if n)) for d, ns in rows)
+
+
+def max_pairing(k: VecQ, rows: IntRows) -> tuple[Fraction, Optional[int]]:
+    """max(0, max over rows z of sum_c k_c z_c), with the index of the first
+    strict maximum (None when no row is positive). With k = a/L and z = n/D
+    the value is (a . n)/(L D), so rows compare by cross-multiplying."""
+    big_l, a = int_vector(k)
+    best_s, best_d, arg = 0, 1, None
+    for i, (d, nz) in enumerate(rows):
+        v = sum(a[c] * n for c, n in nz)
+        if v * best_d > best_s * d:
+            best_s, best_d, arg = v, d, i
+    return Fraction(best_s, big_l * best_d), arg

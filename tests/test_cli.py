@@ -112,6 +112,23 @@ def test_unbound_atom_exit_code(capsys):
     assert json.loads(out)["error"]["type"] == "EnvError"
 
 
+def test_norm_refuses_a_box_without_certificate(capsys, tmp_path):
+    env = tmp_path / "env.json"
+    env.write_text(json.dumps({"schema": 1, "atoms": {
+        "a": {"kind": "polyhedral", "p_gens": [["1", "0"], ["0", "1"]]}}}))
+    vec = tmp_path / "vec.json"
+    vec.write_text(json.dumps({"schema": 1, "vector": ["1"] * 28}))
+    code, out = run(capsys, "norm", "--env", str(env), "--object", "!?a",
+                    "--vector", str(vec), "--trunc", "2")
+    assert code == 2
+    report = json.loads(out)
+    assert report["schema"] == 1 and report["command"] == "norm"
+    assert report["error"]["type"] == "CapabilityError"
+    msg = report["error"]["message"]
+    assert "coordinate 8 of" in msg and "no certified positive lower bound" in msg
+    assert "never appears" not in msg
+
+
 def test_norm_dimension_mismatch(capsys):
     code, out = run(
         capsys,

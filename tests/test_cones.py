@@ -240,3 +240,30 @@ def test_no_cache_returns_objects_or_morphisms():
         ret = inspect.signature(fn.__wrapped__, eval_str=True).return_annotation
         assert ret is not inspect.Signature.empty, fn.__qualname__
         assert not {ConeObject, Morphism} & set(_return_types(ret)), fn.__qualname__
+
+
+# Entries with unlike denominators and zeros; elements may be negative, so
+# the clip at 0 is exercised.
+gen_entry = st.integers(0, 6).flatmap(lambda n: st.sampled_from([1, 2, 3, 5, 12]).map(lambda d: F(n, d)))
+elt_entry = st.integers(-3, 6).flatmap(lambda n: st.sampled_from([1, 2, 7]).map(lambda d: F(n, d)))
+
+
+@st.composite
+def gen_max_cases(draw):
+    d = draw(st.integers(1, 4))
+    gens = draw(st.lists(st.tuples(*[gen_entry] * d), min_size=1, max_size=5))
+    weights = draw(st.none() | st.tuples(*[gen_entry.filter(bool)] * d))
+    x = draw(st.just((F(0),) * d) | st.tuples(*[elt_entry] * d))
+    return d, tuple(gens), weights, x
+
+
+@settings(max_examples=200, deadline=None)
+@given(gen_max_cases())
+def test_norm_primal_is_the_fraction_generator_max(case):
+    d, gens, weights, x = case
+    a = ConeObject(dim=d, p_ball_gens=None, q_ball_gens=gens, weights=weights)
+    w = weights or (F(1),) * d
+    ref = max([F(0)] + [sum((wc * gc * xc for wc, gc, xc in zip(w, g, x)), F(0)) for g in gens])
+    got = norm_primal(a, x)
+    assert got == ref and type(got) is F
+    assert norm_primal(a, x) == ref  # again, from the cached integer rows

@@ -370,6 +370,25 @@ def test_honest_lower_keeps_the_first_of_tied_members():
     assert scheme.honest_ints == ((4, ((0, 1),)), (6, ((0, 3), (1, 2))), (6, ((0, 3), (1, 2))))
 
 
+def test_box_scheme_refusal_names_the_missing_certificate():
+    # Over !?a the distribution family reaches coordinate 5 only through the
+    # inexact box of ?a, and no honest member is nonzero there.
+    h = bang_obj(whynot_obj(simplex_pcs(2), 1), 2)
+    with pytest.raises(CapabilityError, match="no certified positive lower bound") as info:
+        graded_norm_bounds(h, (F(1),) + (F(0),) * 9)
+    assert "coordinate 5 of" in str(info.value)
+    assert "never appears" not in str(info.value)
+
+
+def test_box_scheme_keeps_the_dead_coordinate_wording(monkeypatch):
+    one, zero = Polynomial.constant(0, 1), Polynomial.zero(0)
+    dead = exponentials.BallScheme((), (one, zero, one), ((F(1), F(0), F(1)),), False)
+    monkeypatch.setattr(exponentials, "primal_ball_scheme", lambda _: dead)
+    with pytest.raises(CapabilityError, match="dead coordinate") as info:
+        exponentials._box_scheme(whynot_obj(simplex_pcs(2), 1))
+    assert "coordinate 1 of" in str(info.value) and "never appears" in str(info.value)
+
+
 @pytest.mark.parametrize(
     "h",
     [bang_obj(simplex_pcs(2), 2), bang_obj(cube_pcs(2), 3), bang_obj(Bool, 3)],

@@ -6,6 +6,7 @@ satisfy everything. Completely independent of the double description code.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 from conelogic import lp
 from conelogic.cones import from_p_gens, validate_object
 from conelogic.polyhedra import (
-    _dd_vertices,
+    _dd_rays,
     bipolar,
     dominates,
     polar_of_points,
@@ -66,6 +67,14 @@ def oracle_polar_vertices(points, dim):
         ):
             verts.add(sol)
     return verts
+
+
+def dd_vertices(pts, dim):
+    """Every double-description vertex of polar(pts), with the indices of
+    the points tight at it."""
+    den = math.lcm(*(x.denominator for p in pts for x in p))
+    keys = [tuple(int(x * den) for x in p) for p in pts]
+    return [(tuple(F(x, r[-1]) for x in r[:-1]), set(tight)) for r, tight in _dd_rays(den, keys, dim)]
 
 
 def test_polar_of_square_gens():
@@ -230,7 +239,43 @@ def test_polar_matches_bruteforce_oracle(dim_and_pts):
     # The tight-support test keeps exactly what the LP reduction of every
     # double-description vertex keeps (duplicates left in the cuts).
     nonzero = [p for p in pts if any(p)]
-    assert got == reduce_generators(v for v, _ in _dd_vertices(nonzero, dim))
+    assert got == reduce_generators(v for v, _ in dd_vertices(nonzero, dim))
+
+
+@st.composite
+def raw_point_sets(draw):
+    """Points with mixed denominators, exact duplicates (also written over
+    another denominator), zero points, and sometimes an unspanned
+    coordinate."""
+    dim = draw(st.integers(1, 4))
+    entry = st.integers(0, 4).flatmap(
+        lambda n: st.sampled_from([1, 2, 3, 4, 6, 7]).map(lambda d: F(n, d))
+    )
+    pts = draw(st.lists(st.tuples(*[entry] * dim), max_size=5))
+    if pts and draw(st.booleans()):
+        pts.append(draw(st.sampled_from(pts)))
+    if draw(st.booleans()):
+        pts.append((F(0),) * dim)
+    if draw(st.booleans()):
+        c = draw(st.integers(0, dim - 1))
+        pts = [p[:c] + (F(0),) + p[c + 1:] for p in pts]
+    mixed = [tuple(x if draw(st.booleans()) else F(x.numerator * 3, x.denominator * 3) for x in p)
+             for p in pts]
+    return dim, [vec(p) for p in draw(st.permutations(mixed))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(raw_point_sets())
+def test_polar_of_raw_points_matches_the_oracle(dim_and_pts):
+    dim, pts = dim_and_pts
+    res = polar_of_points(pts, dim)
+    unspanned = tuple(c for c in range(dim) if all(p[c] == 0 for p in pts))
+    if unspanned:
+        assert not res.bounded and res.unbounded_coords == unspanned and res.kept is None
+        return
+    assert res.vertices == reduce_generators(oracle_polar_vertices(pts, dim))
+    assert all(type(x) is F for v in res.vertices for x in v)
+    assert res.kept == reduce_generators(pts)
 
 
 @st.composite
@@ -264,7 +309,7 @@ def test_polar_keeps_what_the_lp_reduction_keeps(dim_and_pts):
 def test_dd_vertices_are_distinct_with_the_points_at_one(dim_and_pts):
     dim, pts = dim_and_pts
     pts = list(sort_generators(pts))
-    verts = _dd_vertices(pts, dim)
+    verts = dd_vertices(pts, dim)
     assert len({v for v, _ in verts}) == len(verts)
     for v, tight in verts:
         assert tight == {
