@@ -7,8 +7,13 @@ vector, and the exit code and report `conelogic` printed. The workload's
 request on a missing environment file is left out, since its report names
 a path.
 
-A change that moves a report rewrites the reports from the stored
-requests, and the file's diff shows every report that moved:
+golden/mall_constants.json adds what that workload never draws: the MALL
+constants and unit operands, and products and sums with a tensor factor,
+each as an `interpret` and a `norm` request on one fixed environment with
+mixed denominators.
+
+A change that moves a report rewrites the reports of both files from the
+stored requests, and the files' diffs show every report that moved:
 
     PYTHONPATH=src python tests/test_mall_corpus.py
 """
@@ -21,7 +26,29 @@ import tempfile
 
 from conelogic import cli
 
-CORPUS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "mall_corpus.json")
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+CORPUS = os.path.join(GOLDEN, "mall_corpus.json")
+CONSTANTS = os.path.join(GOLDEN, "mall_constants.json")
+
+CONSTANT_ENV = {
+    "schema": 1,
+    "atoms": {
+        "a": {"kind": "polyhedral", "p_gens": [["1/2", "3/4", "1"], ["2/3", "1/3", "1/5"]]},
+        "b": {"kind": "polyhedral", "p_gens": [["3/4", "1/6"], ["1/4", "1/2"]]},
+    },
+}
+CONSTANT_FORMULAS = (
+    "a * 0",
+    "0 -o a",
+    "a & top",
+    "a + 0",
+    "a * 1",
+    "a -o bot",
+    "1 & 1",
+    "(a * b) & a",
+    "(a * b) + a",
+    "(a * b)^",
+)
 
 
 def _write_json(path, doc):
@@ -48,9 +75,23 @@ def replay(requests, workdir):
         yield req, code, buf.getvalue()
 
 
-def _load():
-    with open(CORPUS, encoding="utf-8") as fh:
+def _load(path=CORPUS):
+    with open(path, encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def constant_requests():
+    """An `interpret` and a `norm` request per constant formula; the norm
+    vector has the object's dimension, read off the interpret report."""
+    reqs = []
+    with tempfile.TemporaryDirectory() as wd:
+        for f in CONSTANT_FORMULAS:
+            shown = {"command": "interpret", "formula": f, "env": CONSTANT_ENV}
+            _, _, out = next(replay([shown], wd))
+            dim = json.loads(out)["object"]["dim"]
+            vector = [f"{i % 3 + 1}/{i % 4 + 2}" for i in range(dim)]
+            reqs += [shown, {"command": "norm", "formula": f, "env": CONSTANT_ENV, "vector": vector}]
+    return reqs
 
 
 def test_corpus_is_the_mall_workload():
@@ -75,6 +116,22 @@ def test_corpus_replays_byte_identical(tmp_path):
     assert not moved, f"{len(moved)} reports moved, first {moved[:3]}"
 
 
+def test_constants_are_the_listed_requests():
+    stored = [
+        {k: v for k, v in r.items() if k not in ("exit", "report")}
+        for r in _load(CONSTANTS)["requests"]
+    ]
+    assert stored == constant_requests()
+
+
+def test_constants_replay_byte_identical(tmp_path):
+    moved = []
+    for req, code, out in replay(_load(CONSTANTS)["requests"], str(tmp_path)):
+        if (code, out) != (req["exit"], req["report"]):
+            moved.append((req["command"], req["formula"], code, out[:200]))
+    assert not moved, f"{len(moved)} reports moved, first {moved[:3]}"
+
+
 def write_corpus(requests, path=CORPUS):
     """Rewrite every exit code and report from its request."""
     with tempfile.TemporaryDirectory() as wd:
@@ -87,4 +144,5 @@ def write_corpus(requests, path=CORPUS):
 
 
 if __name__ == "__main__":
-    print(write_corpus(_load()["requests"]))
+    for path in (CORPUS, CONSTANTS):
+        print(path, write_corpus(_load(path)["requests"], path))
