@@ -42,12 +42,13 @@ import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 from typing import Any, Optional
 
 from .errors import CapabilityError, DimensionError, MembershipError
 from .lp import LpStatus, constraint, lp_maximize, lp_minimize, problem
 from .polyhedra import DD_MAX_DIM, polar_of_points, polar_vertices, reduce_generators
-from .rationals import Q0, Q1, IntRows, VecQ, int_rows, is_zero, max_pairing, unit, vec
+from .rationals import Q0, Q1, IntRows, VecQ, int_keys, int_rows, is_zero, max_pairing, unit, vec
 
 
 class Backend(enum.Enum):
@@ -261,17 +262,22 @@ def tensor_side_norm(ball: ImplicitTensorBall, s: VecQ) -> Fraction:
     Variables are the entries of F (free sign, constrained positive
     entrywise, which for spanning factors is exactly positivity on the
     tensor cone); the norm bound is F(u, v) <= 1 over primal generator pairs
-    of the factors.
+    of the factors. Each bound is built in integers, as the primitive row
+    of the Kronecker product of the factors' int_keys: the row the LP would
+    scale the Fraction row (u (x) v, 1) to, so no pivot moves.
     """
-    da, db = ball.left.dim, ball.right.dim
-    n = da * db
+    n = ball.left.dim * ball.right.dim
     if len(s) != n:
         raise DimensionError(n, len(s), "tensor norm")
+    den_a, ka = int_keys(primal_gens(ball.left))
+    den_b, kb = int_keys(primal_gens(ball.right))
+    den = den_a * den_b
     cons = []
-    for u in primal_gens(ball.left):
-        for v in primal_gens(ball.right):
-            row = [u[i] * v[j] for i in range(da) for j in range(db)]
-            cons.append(constraint(row, "<=", 1))
+    for u in ka:
+        for v in kb:
+            row = [x * y for x in u for y in v]
+            g = gcd(den, *row)
+            cons.append(constraint([x // g for x in row], "<=", den // g))
     res = lp_maximize(problem(list(s), cons))  # F >= 0 entrywise by default
     if res.status is not LpStatus.OPTIMAL:
         raise MembershipError(f"tensor norm LP is {res.status.value}; element outside the span?")

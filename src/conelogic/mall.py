@@ -29,6 +29,11 @@ The connective zoo:
     product_obj(a, b)    the with: norm is the max of the component norms,
     coproduct_obj(a, b)  the plus: norm is the sum.
 
+tensor_obj builds its generator list in integers: the Kronecker products of
+the factors' int_keys, sorted by sort_keys, which makes the Fractions last.
+product_obj makes no Fraction (its pairs reuse the operands' own), so it
+sorts them as they are. The other three reach these two via dual_object.
+
 curry/uncurry are pure index reshapes between hom(a, tensor(b, c)-shaped
 sources and targets; they preserve the norm exactly, which is the
 *-autonomy acceptance check.
@@ -54,8 +59,8 @@ from .cones import (
     primal_gens,
 )
 from .errors import CapabilityError, CompositionError, DimensionError, MembershipError
-from .polyhedra import sort_generators
-from .rationals import MatQ, Q0, Q1, VecQ, kron_vec, mat, zeros
+from .polyhedra import sort_generators, sort_keys
+from .rationals import MatQ, Q0, Q1, VecQ, int_keys, mat, zeros
 
 
 # A column lists the nonzero entries of one source coordinate's image as
@@ -256,14 +261,17 @@ def tensor_obj(a: ConeObject, b: ConeObject) -> ConeObject:
     u of a canonical list has a certificate phi >= 0 with <phi, u> >
     max(0, <phi, g>) for every other g; if phi certifies u and psi certifies
     v, phi (x) psi certifies u (x) v, as <phi, u'><psi, v'> has nonnegative
-    factors, each at most its value at (u, v) and one strictly below.
+    factors, each at most its value at (u, v) and one strictly below. The
+    pairs are built in integers: the Kronecker products of the factors'
+    int_keys, over the product of their denominators, sorted by sort_keys.
     """
     _require_polyhedral("tensor", a, b)
-    gb = primal_gens(b)
-    pairs = [kron_vec(u, v) for u in primal_gens(a) for v in gb]
+    den_a, ka = int_keys(primal_gens(a))
+    den_b, kb = int_keys(primal_gens(b))
+    pairs = [tuple(x * y for x in u for y in v) for u in ka for v in kb]
     return ConeObject(
         dim=a.dim * b.dim,
-        p_ball_gens=sort_generators(pairs),
+        p_ball_gens=sort_keys(den_a * den_b, pairs),
         q_ball_gens=None,
         label=f"({a.label} * {b.label})",
         q_implicit=ImplicitTensorBall(a, b),
@@ -378,13 +386,6 @@ def tensor_mor(f: Morphism, g: Morphism) -> Morphism:
     return Morphism(
         tensor_obj(f.source, g.source), tensor_obj(f.target, g.target), cols
     )
-
-
-def product_mor(f: Morphism, g: Morphism) -> Morphism:
-    """f x g on the with; block-diagonal matrix."""
-    src = product_obj(f.source, g.source)
-    tgt = product_obj(f.target, g.target)
-    return Morphism(src, tgt, f.cols + _shifted(g.cols, f.target.dim))
 
 
 # ---------------------------------------------------------------------------

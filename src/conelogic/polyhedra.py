@@ -30,7 +30,10 @@ same run gives both generator lists, and no LP is solved here.
 
 A canonical generator list is sorted, zero-free, and has no point under the
 hull of the others and 0; object equality compares these lists. Connective
-lists are canonical by construction and need only sort_generators;
+lists are canonical by construction and need only sorting. A list whose
+Fractions exist already is sorted as it is (sort_generators); one born as
+integer keys over one denominator (a tensor's Kronecker pairs, the vertices
+here) is sorted on the keys by sort_keys, which makes its Fractions last.
 reduce_generators handles generator lists that come with no polar (both
 sides given, symmetric powers) and is the independent cross-check of the
 double description route in validate_object. It drops every point that lies
@@ -53,7 +56,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import CapabilityError, DimensionError
 from .lp import LpStatus, constraint, lp_feasible
-from .rationals import VecQ, is_zero, vec
+from .rationals import VecQ, int_keys, is_zero, vec
 
 DD_MAX_DIM = 8
 
@@ -65,6 +68,15 @@ def sort_generators(points: Iterable[VecQ]) -> tuple[VecQ, ...]:
         if not out or p != out[-1]:
             out.append(p)
     return tuple(out)
+
+
+def sort_keys(den: int, keys: Iterable[tuple[int, ...]]) -> tuple[VecQ, ...]:
+    """sort_generators of the points key / den, run on the keys: with den > 0
+    they sort and compare as the points do. Only the sorted list becomes
+    Fractions, one normalized Fraction(n, den) per distinct numerator."""
+    keys = sorted({k for k in keys if any(k)})
+    frac = {n: Fraction(n, den) for n in {n for k in keys for n in k}}
+    return tuple(tuple(map(frac.__getitem__, k)) for k in keys)
 
 
 def _check_orthant(points: Iterable[VecQ]) -> None:
@@ -156,10 +168,7 @@ def polar_of_points(points: Iterable[VecQ], dim: int) -> PolarResult:
     for p in pts:
         if len(p) != dim:
             raise DimensionError(dim, len(p), "polar input point")
-    # Each point times one common denominator: integer keys that order,
-    # compare and sign exactly as the points do.
-    den = lcm(*(x.denominator for p in pts for x in p))
-    keys = [tuple(x.numerator * (den // x.denominator) for x in p) for p in pts]
+    den, keys = int_keys(pts)
     by_key = {}
     for p, key in zip(pts, keys):
         if any(x < 0 for x in key):
@@ -196,9 +205,8 @@ def polar_of_points(points: Iterable[VecQ], dim: int) -> PolarResult:
     # Vertex r[:-1]/t, keyed over the lcm of the t's: sorted and deduped in
     # integers, and only the canonical vertices become Fractions.
     big_t = lcm(*(r[-1] for r in verts))
-    vkeys = {tuple(x * (big_t // r[-1]) for x in r[:-1]): r for r in verts}
-    verts = [tuple(Fraction(x, r[-1]) for x in r[:-1]) for _, r in sorted(vkeys.items())]
-    return PolarResult(tuple(verts), (), kept)
+    verts = sort_keys(big_t, [tuple(x * (big_t // r[-1]) for x in r[:-1]) for r in verts])
+    return PolarResult(verts, (), kept)
 
 
 def polar_vertices(points: Iterable[VecQ], dim: int) -> tuple[VecQ, ...]:

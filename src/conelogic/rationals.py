@@ -4,7 +4,8 @@ Vectors are tuples of Fraction, matrices are tuples of row tuples. Plain
 immutable tuples keep equality and hashing exact and structural, which the
 rest of the package leans on (generator lists are deduplicated and sorted,
 objects compare by canonical generator lists). All arithmetic is exact; no
-floats enter here. Hot loops run in integers (int_vector, max_pairing).
+floats enter here. Hot loops run in integers (int_vector, int_keys,
+max_pairing).
 
 The zero-dimensional vector () is legal: the additive zero object lives in
 dimension 0.
@@ -61,11 +62,6 @@ def transpose(m: MatQ) -> MatQ:
     return tuple(tuple(m[i][j] for i in range(len(m))) for j in range(len(m[0])))
 
 
-def kron_vec(a: VecQ, b: VecQ) -> VecQ:
-    """Kronecker product; coordinate (i, j) lands at index i*len(b) + j."""
-    return tuple(x * y for x in a for y in b)
-
-
 def is_zero(a: VecQ) -> bool:
     return all(x == 0 for x in a)
 
@@ -74,6 +70,13 @@ def int_vector(xs: Sequence[Fraction]) -> tuple[int, list[int]]:
     """The lcm m of the denominators, and the vector times m."""
     m = lcm(*(x.denominator for x in xs))
     return m, [x.numerator * (m // x.denominator) for x in xs]
+
+
+def int_keys(points: Sequence[VecQ]) -> tuple[int, list[tuple[int, ...]]]:
+    """The lcm den of every denominator, and each point times den: integer
+    keys that order, compare and sign exactly as the points do."""
+    den = lcm(*(x.denominator for p in points for x in p))
+    return den, [tuple(x.numerator * (den // x.denominator) for x in p) for p in points]
 
 
 def int_rows(points: Iterable[VecQ]) -> IntRows:

@@ -2,6 +2,7 @@
 
 from dataclasses import replace
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -10,10 +11,12 @@ from hypothesis import strategies as st
 from conelogic.backends import bool_obj, cube_pcs, pcs_object, qcs_object
 from conelogic import cones, lp
 from conelogic.cones import (
+    bot_obj,
     dual_object,
     from_p_gens,
     norm_primal,
     one_obj,
+    top_obj,
     validate_object,
     zero_obj,
 )
@@ -47,10 +50,16 @@ from conelogic.mall import (
     unitor_right_inv,
 )
 from conelogic.polyhedra import DD_MAX_DIM, polar_of_points, reduce_generators
-from conelogic.rationals import kron_vec, unit, vec, zeros
+from conelogic.rationals import unit, vec, zeros
 
 F = Fraction
 Bool = bool_obj()
+
+
+def kron_vec(a, b):
+    """Kronecker product in Fractions; coordinate (i, j) lands at index
+    i*len(b) + j."""
+    return tuple(x * y for x in a for y in b)
 
 
 def eye(n):
@@ -319,6 +328,67 @@ def test_connective_generators_equal_lp_reduction(a, b):
     for o in (t, w, s, h, c):
         if o.dim <= DD_MAX_DIM:
             assert validate_object(o).passed, o.label
+
+
+# ---------------------------------------------------------------------------
+# Integer-built lists and LP rows against their Fraction references
+
+
+# Entries with mixed denominators, so the integer keys of a list run over
+# a common denominator larger than any one entry's.
+mixed = st.integers(0, 12).flatmap(lambda n: st.sampled_from([1, 2, 3, 5, 7, 12]).map(lambda d: F(n, d)))
+mixed_atoms = st.integers(1, 3).flatmap(
+    lambda d: st.lists(st.tuples(*([mixed] * d)), min_size=1, max_size=4)
+    .filter(lambda pts: _spanning(pts, d))
+    .map(lambda pts: from_p_gens(pts, d))
+)
+operands = st.one_of(
+    mixed_atoms,
+    mixed_atoms.map(dual_object),
+    st.sampled_from([zero_obj(), one_obj(), top_obj(), bot_obj()]),
+)
+
+
+def _fraction_sort(points):
+    """The Fraction reference for sort_generators: zero points dropped,
+    duplicates merged, the rest in lexicographic order."""
+    return tuple(sorted({p for p in points if any(p)}))
+
+
+def _pad(gens, dim):
+    return gens or (zeros(dim),)
+
+
+@settings(max_examples=60, deadline=None)
+@given(operands, operands)
+def test_connective_lists_equal_the_fraction_reference(a, b):
+    za, zb = zeros(a.dim), zeros(b.dim)
+    t = tensor_obj(a, b)
+    w = product_obj(a, b)
+    assert t.p_ball_gens == _fraction_sort(_kron(a.p_ball_gens, b.p_ball_gens))
+    pairs = [u + v for u in _pad(a.p_ball_gens, a.dim) for v in _pad(b.p_ball_gens, b.dim)]
+    assert w.p_ball_gens == _fraction_sort(pairs)
+    embedded = [f + zb for f in a.q_ball_gens] + [za + g for g in b.q_ball_gens]
+    assert w.q_ball_gens == _fraction_sort(embedded)
+    for side in (t.p_ball_gens, w.p_ball_gens, w.q_ball_gens):
+        for x in (x for g in side for x in g):
+            assert type(x) is Fraction
+            assert x.denominator > 0 and gcd(x.numerator, x.denominator) == 1
+    again_t, again_w = tensor_obj(a, b), product_obj(a, b)
+    assert again_t == t and hash(again_t) == hash(t)
+    assert again_w == w and hash(again_w) == hash(w)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_tensor_side_norm_is_the_fraction_row_lp(data):
+    a, b = data.draw(operands), data.draw(operands)
+    signed = st.integers(-3, 12).flatmap(lambda n: st.sampled_from([1, 2, 5, 7]).map(lambda d: F(n, d)))
+    s = vec(data.draw(st.lists(signed, min_size=a.dim * b.dim, max_size=a.dim * b.dim)))
+    cons = [lp.constraint(kron_vec(u, v), "<=", 1) for u in a.p_ball_gens for v in b.p_ball_gens]
+    reference = lp.lp_maximize(lp.problem(list(s), cons))
+    assert reference.status is lp.LpStatus.OPTIMAL
+    assert cones.tensor_side_norm(tensor_obj(a, b).q_implicit, s) == reference.value
 
 
 # ---------------------------------------------------------------------------

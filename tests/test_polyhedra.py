@@ -23,8 +23,9 @@ from conelogic.polyhedra import (
     polar_vertices,
     reduce_generators,
     sort_generators,
+    sort_keys,
 )
-from conelogic.rationals import vec
+from conelogic.rationals import int_keys, vec
 
 F = Fraction
 
@@ -199,6 +200,15 @@ def test_reduce_solves_lps_only_for_three_survivors(lp_solves, pts, kept, solves
 coord = st.integers(0, 5).flatmap(
     lambda p: st.integers(1, 3).map(lambda q: F(p, q))
 )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 4).flatmap(lambda d: st.lists(st.tuples(*([coord] * d)), max_size=6)))
+def test_sort_keys_is_the_fraction_sort(raw):
+    pts = [vec(p) for p in raw + raw[:2]]  # an exact duplicate or two
+    out = sort_keys(*int_keys(pts))
+    assert out == sort_generators(pts) == tuple(sorted({p for p in pts if any(p)}))
+    assert all(type(x) is F for p in out for x in p)
 
 
 def spanning_point_sets(dim):
