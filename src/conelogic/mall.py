@@ -303,7 +303,8 @@ def product_obj(a: ConeObject, b: ConeObject) -> ConeObject:
     distribution argument makes these enough); dual generators are the
     embedded generators of either factor. Both lists are canonical by
     construction: with certificates as in tensor_obj, (phi, psi) certifies
-    u + v and (phi, 0) certifies f + 0.
+    u + v and (phi, 0) certifies f + 0. The pairs reuse the operands'
+    Fractions, so they are sorted as Fractions, not as integer keys.
     """
     _require_polyhedral("product", a, b)
     if None in (a.p_ball_gens, a.q_ball_gens, b.p_ball_gens, b.q_ball_gens):

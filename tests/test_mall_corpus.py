@@ -86,11 +86,11 @@ def constant_requests():
     reqs = []
     with tempfile.TemporaryDirectory() as wd:
         for f in CONSTANT_FORMULAS:
-            shown = {"command": "interpret", "formula": f, "env": CONSTANT_ENV}
-            _, _, out = next(replay([shown], wd))
+            interp = {"command": "interpret", "formula": f, "env": CONSTANT_ENV}
+            _, _, out = next(replay([interp], wd))
             dim = json.loads(out)["object"]["dim"]
             vector = [f"{i % 3 + 1}/{i % 4 + 2}" for i in range(dim)]
-            reqs += [shown, {"command": "norm", "formula": f, "env": CONSTANT_ENV, "vector": vector}]
+            reqs += [interp, {"command": "norm", "formula": f, "env": CONSTANT_ENV, "vector": vector}]
     return reqs
 
 
@@ -108,12 +108,16 @@ def test_corpus_is_the_mall_workload():
         assert ("vector" in r) == (r["command"] == "norm")
 
 
-def test_corpus_replays_byte_identical(tmp_path):
+def _assert_replays(path, workdir):
     moved = []
-    for req, code, out in replay(_load()["requests"], str(tmp_path)):
+    for req, code, out in replay(_load(path)["requests"], str(workdir)):
         if (code, out) != (req["exit"], req["report"]):
             moved.append((req["command"], req["formula"], code, out[:200]))
     assert not moved, f"{len(moved)} reports moved, first {moved[:3]}"
+
+
+def test_corpus_replays_byte_identical(tmp_path):
+    _assert_replays(CORPUS, tmp_path)
 
 
 def test_constants_are_the_listed_requests():
@@ -125,11 +129,7 @@ def test_constants_are_the_listed_requests():
 
 
 def test_constants_replay_byte_identical(tmp_path):
-    moved = []
-    for req, code, out in replay(_load(CONSTANTS)["requests"], str(tmp_path)):
-        if (code, out) != (req["exit"], req["report"]):
-            moved.append((req["command"], req["formula"], code, out[:200]))
-    assert not moved, f"{len(moved)} reports moved, first {moved[:3]}"
+    _assert_replays(CONSTANTS, tmp_path)
 
 
 def write_corpus(requests, path=CORPUS):
