@@ -15,9 +15,7 @@ import numpy as np
 from conelogic import (
     cube_pcs,
     dual_object,
-    lattice_meet_samples,
     morphism_norm,
-    pcs_object,
     morphism_to_pcs_matrix,
     norm_primal,
     pcs_contraction_flag,
@@ -43,14 +41,6 @@ print("matrix round trip:", morphism_to_pcs_matrix(f) == u)
 v = ((F(2), F(0)), (F(0), F(1)))
 g, ok = pcs_contraction_flag(v, S, S)
 print("doubled row:", ok, "norm", morphism_norm(g))
-
-# The coordinatewise order gives lattice meets. On a two-generator ball
-# each pairwise meet is reported with an in-ball verdict.
-L = pcs_object([(1, F(1, 2)), (F(1, 2), 1)], 2)
-print("\ngenerator meets of a lopsided ball:")
-for rec in lattice_meet_samples(L):
-    print("  pair", rec["pair"], "meet", tuple(str(x) for x in rec["meet"]),
-          "in ball:", rec["in_ball"])
 
 # Spectral side: 2x2 PSD matrices, trace-norm primal.
 Q = qcs_object(2)

@@ -95,30 +95,6 @@ def pcs_contraction_flag(u: MatQ, a: ConeObject, b: ConeObject) -> tuple[Morphis
     return f, is_contraction(f)
 
 
-def lattice_meet_samples(a: ConeObject) -> list[dict]:
-    """Pairwise coordinatewise meets of primal generators, as evidence only.
-
-    In a coordinate cone the order is coordinatewise, so the meet of two
-    generators is their coordinatewise min; this utility reports each meet
-    and whether it stayed in the unit ball. No claim beyond the samples.
-    """
-    from .cones import norm_primal
-
-    gens = a.p_ball_gens or ()
-    out = []
-    for i in range(len(gens)):
-        for j in range(i + 1, len(gens)):
-            meet = tuple(min(x, y) for x, y in zip(gens[i], gens[j]))
-            out.append(
-                {
-                    "pair": (i, j),
-                    "meet": meet,
-                    "in_ball": norm_primal(a, meet) <= 1,
-                }
-            )
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Spectral (PSD matrices)
 

@@ -37,10 +37,8 @@ from .formulas import (
     parse_formula,
 )
 from .interpreter import interpret, load_env
-from .jsonio import check_schema, dump_report, frac_str, mat_json, parse_vec, vec_json
+from .jsonio import SCHEMA, check_schema, dump_report, frac_str, mat_json, parse_vec, vec_json
 from .suites import SUITE_NAMES, run_suites
-
-SCHEMA = 1
 
 
 def _object_json(a: ConeObject) -> dict:

@@ -259,12 +259,12 @@ def _gen_max(rows: IntRows, weights: Optional[tuple[Fraction | int, ...]], x: Ve
 def tensor_side_norm(ball: ImplicitTensorBall, s: VecQ) -> Fraction:
     """sup <F, s> over the implicit bilinear ball, as an exact LP.
 
-    Variables are the entries of F (free sign, constrained positive
-    entrywise, which for spanning factors is exactly positivity on the
-    tensor cone); the norm bound is F(u, v) <= 1 over primal generator pairs
-    of the factors. Each bound is built in integers, as the primitive row
-    of the Kronecker product of the factors' int_keys: the row the LP would
-    scale the Fraction row (u (x) v, 1) to, so no pivot moves.
+    Variables are the entries of F, each >= 0 (for spanning factors that is
+    exactly positivity on the tensor cone); the norm bound is the <= row
+    F(u, v) <= 1 for each primal generator pair of the factors. Each row is
+    built in integers, as the primitive row of the Kronecker product of the
+    factors' int_keys, and reaches the tableau as those ints: it is the row
+    the LP would scale the Fraction row (u (x) v, 1) to, so no pivot moves.
     """
     n = ball.left.dim * ball.right.dim
     if len(s) != n:
@@ -278,7 +278,7 @@ def tensor_side_norm(ball: ImplicitTensorBall, s: VecQ) -> Fraction:
             row = [x * y for x in u for y in v]
             g = gcd(den, *row)
             cons.append(constraint([x // g for x in row], "<=", den // g))
-    res = lp_maximize(problem(list(s), cons))  # F >= 0 entrywise by default
+    res = lp_maximize(problem(s, cons))
     if res.status is not LpStatus.OPTIMAL:
         raise MembershipError(f"tensor norm LP is {res.status.value}; element outside the span?")
     return res.value

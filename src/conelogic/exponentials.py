@@ -664,7 +664,7 @@ def _relaxed_polar_upper(h: ConeObject, k: VecQ) -> Optional[Fraction]:
     s = _node_scheme(_shape(h).node)
     w = h.pairing_weights
     cons = [constraint([w[c] * z[c] for c in range(h.dim)], "<=", 1) for z in s.samples]
-    res = lp_maximize(problem(list(k), cons))
+    res = lp_maximize(problem(k, cons))
     if res.status is LpStatus.OPTIMAL:
         return res.value
     return None

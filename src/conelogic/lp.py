@@ -1,10 +1,20 @@
 """Exact linear programming over the rationals.
 
+Every LP the package poses is the sup of a linear functional over a
+polyhedron in the orthant, so that is the one shape solved here:
+maximize c . x over x >= 0 subject to rows a . x <= b and a . x >= b.
+Entries are exact Python ints or Fractions, kept as the caller built them;
+a row with b < 0 is negated and its relation flipped, so every rhs is
+nonnegative. A <= row starts basic on its slack, a >= row on an
+artificial that phase 1 drives out; other relations (== included) are
+refused by Constraint.
+
 Two-phase dense-tableau simplex with Bland's anti-cycling rule, run
 fraction-free (Bareiss 1968, as in Avis's lrs). Each constraint row is
-scaled with its rhs to integers by the lcm of its denominators; its slack
-(and artificial) keeps coefficient 1, so the starting basis is the identity
-and the common denominator d starts at 1. The objective row is scaled by
+scaled with its rhs to integers by the lcm of its denominators (an int's
+is 1); slacks and artificials are not scaled, and each row's basic column
+has coefficient 1, so the starting basis is the identity and the common
+denominator d starts at 1. The objective row is scaled by
 the lcm L of its own denominators. From then on every tableau entry is d
 times its rational value and every objective entry d L times it, so the
 tableau is Python integers throughout.
@@ -39,7 +49,10 @@ from math import lcm
 from typing import Sequence
 
 from .errors import DimensionError
-from .rationals import Q0, Scalar, VecQ, int_vector, q, vec
+from .rationals import int_vector
+
+Exact = int | Fraction
+Row = tuple[Exact, ...]
 
 
 class LpStatus(enum.Enum):
@@ -48,17 +61,14 @@ class LpStatus(enum.Enum):
     UNBOUNDED = "unbounded"
 
 
-REL_LE = "<="
-REL_EQ = "=="
-REL_GE = ">="
-_RELS = (REL_LE, REL_EQ, REL_GE)
+_RELS = ("<=", ">=")
 
 
 @dataclass(frozen=True)
 class Constraint:
-    coeffs: VecQ
+    coeffs: Row
     rel: str
-    rhs: Fraction
+    rhs: Exact
 
     def __post_init__(self):
         if self.rel not in _RELS:
@@ -67,22 +77,17 @@ class Constraint:
 
 @dataclass(frozen=True)
 class LpProblem:
-    """maximize objective . x subject to constraints; nonneg flags per variable.
+    """maximize objective . x over x >= 0 subject to the <= and >= rows.
 
-    A variable with nonneg False is free (internally split into a difference
-    of two nonnegative variables).
+    Entries are exact ints or Fractions; the solver scales each row with its
+    rhs to integers by the lcm of its denominators.
     """
 
-    objective: VecQ
+    objective: Row
     constraints: tuple[Constraint, ...]
-    nonneg: tuple[bool, ...] = ()
 
     def __post_init__(self):
         n = len(self.objective)
-        if not self.nonneg:
-            object.__setattr__(self, "nonneg", (True,) * n)
-        if len(self.nonneg) != n:
-            raise DimensionError(n, len(self.nonneg), "nonneg flags")
         for c in self.constraints:
             if len(c.coeffs) != n:
                 raise DimensionError(n, len(c.coeffs), "constraint row")
@@ -92,19 +97,15 @@ class LpProblem:
 class LpResult:
     status: LpStatus
     value: Fraction | None
-    witness: VecQ | None
+    witness: tuple[Fraction, ...] | None
 
 
-def constraint(coeffs: Sequence[Scalar], rel: str, rhs: Scalar) -> Constraint:
-    return Constraint(vec(coeffs), rel, q(rhs))
+def constraint(coeffs: Sequence[Exact], rel: str, rhs: Exact) -> Constraint:
+    return Constraint(tuple(coeffs), rel, rhs)
 
 
-def problem(
-    objective: Sequence[Scalar],
-    constraints: Sequence[Constraint],
-    nonneg: Sequence[bool] = (),
-) -> LpProblem:
-    return LpProblem(vec(objective), tuple(constraints), tuple(nonneg))
+def problem(objective: Sequence[Exact], constraints: Sequence[Constraint]) -> LpProblem:
+    return LpProblem(tuple(objective), tuple(constraints))
 
 
 def _pivot(tableau: list[list[int]], obj: list[int], row: int, col: int, d: int) -> int:
@@ -172,81 +173,48 @@ def _simplex(
 
 
 def lp_maximize(prob: LpProblem) -> LpResult:
-    n_orig = len(prob.objective)
-
-    # Split free variables: column map sends original j to one or two columns.
-    col_of: list[tuple[int, int | None]] = []
-    ncols = 0
-    for j in range(n_orig):
-        if prob.nonneg[j]:
-            col_of.append((ncols, None))
-            ncols += 1
-        else:
-            col_of.append((ncols, ncols + 1))
-            ncols += 2
-
-    def expand(row: Sequence[Fraction]) -> list[Fraction]:
-        out = [Q0] * ncols
-        for j, x in enumerate(row):
-            pos, neg = col_of[j]
-            out[pos] = x
-            if neg is not None:
-                out[neg] = -x
-        return out
+    n = len(prob.objective)
 
     # Normalize constraints to nonnegative right-hand sides, and scale each
     # row with its rhs to integers.
     rows: list[list[int]] = []
-    rels: list[str] = []
+    ges: list[bool] = []
     scales: list[int] = []
     for c in prob.constraints:
-        row = expand(c.coeffs) + [c.rhs]
-        rel = c.rel
+        row = [*c.coeffs, c.rhs]
+        ge = c.rel == ">="
         if c.rhs < 0:
             row = [-x for x in row]
-            rel = {REL_LE: REL_GE, REL_GE: REL_LE, REL_EQ: REL_EQ}[rel]
+            ge = not ge
         scale, ints = int_vector(row)
         rows.append(ints)
-        rels.append(rel)
+        ges.append(ge)
         scales.append(scale)
 
+    # Row i has slack column n + i; each >= row also has an artificial,
+    # from column n + m on. The basic column of every row has coefficient
+    # 1 in the scaled row, so the starting basis is the identity and d = 1.
     m = len(rows)
-    n_slack = sum(1 for r in rels if r in (REL_LE, REL_GE))
-    n_art = sum(1 for r in rels if r in (REL_EQ, REL_GE))
-    total = ncols + n_slack + n_art
-
-    # Slacks and artificials keep coefficient 1 in the scaled rows, so the
-    # starting basis is the identity and d = 1.
+    art_rows = [i for i in range(m) if ges[i]]
+    art_cols = range(n + m, n + m + len(art_rows))
+    total = art_cols.stop
     tableau: list[list[int]] = []
     basis: list[int] = []
     d = 1
-    s_at = ncols
-    a_at = ncols + n_slack
-    art_cols: list[int] = []
-    art_rows: list[int] = []
+    a_at = n + m
     for i in range(m):
-        row = rows[i][:-1] + [0] * (n_slack + n_art) + [rows[i][-1]]
-        if rels[i] == REL_LE:
-            row[s_at] = 1
-            basis.append(s_at)
-            s_at += 1
-        elif rels[i] == REL_GE:
-            row[s_at] = -1
-            s_at += 1
+        row = rows[i][:-1] + [0] * (total - n) + [rows[i][-1]]
+        if ges[i]:
+            row[n + i] = -1
             row[a_at] = 1
             basis.append(a_at)
-            art_cols.append(a_at)
-            art_rows.append(i)
             a_at += 1
         else:
-            row[a_at] = 1
-            basis.append(a_at)
-            art_cols.append(a_at)
-            art_rows.append(i)
-            a_at += 1
+            row[n + i] = 1
+            basis.append(n + i)
         tableau.append(row)
 
-    if art_cols:
+    if art_rows:
         # Phase 1: maximize -(sum of the unscaled artificials); feasible iff
         # the optimum is 0. Row i is its unscaled row times scales[i], so
         # with L the lcm of these scales the objective row (times L) is the
@@ -264,13 +232,10 @@ def lp_maximize(prob: LpProblem) -> LpResult:
         if obj1[-1] != 0:
             return LpResult(LpStatus.INFEASIBLE, None, None)
         # Drive any artificial still basic (at level 0) out of the basis.
-        art_set = set(art_cols)
         drop_rows: list[int] = []
         for i in range(m):
-            if basis[i] in art_set:
-                piv_col = next(
-                    (j for j in range(ncols + n_slack) if tableau[i][j] != 0), -1
-                )
+            if basis[i] in art_cols:
+                piv_col = next((j for j in range(n + m) if tableau[i][j] != 0), -1)
                 if piv_col < 0:
                     drop_rows.append(i)  # redundant constraint
                 else:
@@ -287,8 +252,8 @@ def lp_maximize(prob: LpProblem) -> LpResult:
 
     # Phase 2 objective: d L times the reduced costs relative to the
     # current basis, with L the lcm of the cost denominators.
-    obj_scale, cost = int_vector(expand(prob.objective))
-    cost += [0] * (n_slack + n_art)
+    obj_scale, cost = int_vector(prob.objective)
+    cost += [0] * (total - n)
     obj2 = [d * c for c in cost] + [0]
     for i in range(m):
         cb = cost[basis[i]]
@@ -303,22 +268,17 @@ def lp_maximize(prob: LpProblem) -> LpResult:
     values = [0] * total
     for i in range(m):
         values[basis[i]] = tableau[i][-1]
-    witness = []
-    for j in range(n_orig):
-        pos, neg = col_of[j]
-        witness.append(Fraction(values[pos] - (values[neg] if neg is not None else 0), d))
-    return LpResult(LpStatus.OPTIMAL, Fraction(-obj2[-1], d * obj_scale), tuple(witness))
+    witness = tuple(Fraction(v, d) for v in values[:n])
+    return LpResult(LpStatus.OPTIMAL, Fraction(-obj2[-1], d * obj_scale), witness)
 
 
 def lp_minimize(prob: LpProblem) -> LpResult:
-    res = lp_maximize(
-        LpProblem(tuple(-c for c in prob.objective), prob.constraints, prob.nonneg)
-    )
+    res = lp_maximize(LpProblem(tuple(-c for c in prob.objective), prob.constraints))
     if res.status is LpStatus.OPTIMAL:
         return LpResult(res.status, -res.value, res.witness)
     return res
 
 
-def lp_feasible(constraints: Sequence[Constraint], n: int, nonneg: Sequence[bool] = ()) -> LpResult:
+def lp_feasible(constraints: Sequence[Constraint], n: int) -> LpResult:
     """Feasibility check: maximize 0 under the constraints."""
-    return lp_maximize(LpProblem(vec([0] * n), tuple(constraints), tuple(nonneg)))
+    return lp_maximize(LpProblem((0,) * n, tuple(constraints)))

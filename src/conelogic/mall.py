@@ -401,7 +401,8 @@ def assoc_tensor(a: ConeObject, b: ConeObject, c: ConeObject) -> Morphism:
     return Morphism(src, tgt, _unit_cols(src.dim))
 
 
-def sym_tensor(a: ConeObject, b: ConeObject) -> Morphism:
+def braid(a: ConeObject, b: ConeObject) -> Morphism:
+    """a (x) b -> b (x) a, the symmetry of the tensor."""
     src = tensor_obj(a, b)
     tgt = tensor_obj(b, a)
     da, db = a.dim, b.dim

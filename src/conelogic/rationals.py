@@ -66,8 +66,8 @@ def is_zero(a: VecQ) -> bool:
     return all(x == 0 for x in a)
 
 
-def int_vector(xs: Sequence[Fraction]) -> tuple[int, list[int]]:
-    """The lcm m of the denominators, and the vector times m."""
+def int_vector(xs: Sequence[int | Fraction]) -> tuple[int, list[int]]:
+    """The lcm m of the denominators (an int's is 1), and the vector times m."""
     m = lcm(*(x.denominator for x in xs))
     return m, [x.numerator * (m // x.denominator) for x in xs]
 

@@ -8,7 +8,6 @@ import pytest
 from conelogic.backends import (
     bool_obj,
     cube_pcs,
-    lattice_meet_samples,
     morphism_to_pcs_matrix,
     pcs_contraction_flag,
     pcs_matrix_to_morphism,
@@ -103,12 +102,6 @@ def test_pcs_round_trip_random():
         )
         f = pcs_matrix_to_morphism(u, a, a)
         assert morphism_to_pcs_matrix(f) == u
-
-
-def test_lattice_meets_stay_in_ball():
-    a = pcs_object([[1, 1], [2, 0], [0, F(1, 2)]], 2)
-    for sample in lattice_meet_samples(a):
-        assert sample["in_ball"]
 
 
 def test_trace_norm_diag():

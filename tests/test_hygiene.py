@@ -1,7 +1,8 @@
 """Source hygiene: no module of the package, test file or demo imports a
-name it never uses, every name the benchmark's tracer patches still
-exists, the package's global caches are exactly the listed ones, and the
-bracket primitives are named only where listed.
+name it never uses, no public name is defined in two package modules,
+every name the benchmark's tracer patches still exists, the package's
+global caches are exactly the listed ones, and the bracket primitives are
+named only where listed.
 
 `__init__.py` is exempt from the import check, since its imports are the
 public re-exports.
@@ -76,6 +77,35 @@ def test_no_unused_imports(path):
         if name not in used
     )
     assert not unused, f"{path} imports names it never uses: {unused}"
+
+
+def _public_definitions(tree):
+    """Public names a module binds at its top level by def, class or
+    assignment (imports are not definitions)."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        yield from (n for n in names if not n.startswith("_"))
+
+
+def test_public_names_have_one_definition():
+    # A second definition of a public name is either a duplicate that can
+    # drift from the first or a different thing under the same name.
+    homes: dict = {}
+    for path, name in SOURCES:
+        if "/" in name:
+            continue  # tests and demos
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for defined in set(_public_definitions(tree)):
+            homes.setdefault(defined, []).append(name)
+    twice = {k: v for k, v in homes.items() if len(v) > 1}
+    assert not twice, f"public names defined in more than one module: {twice}"
 
 
 def _tracer_layers():

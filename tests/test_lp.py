@@ -49,17 +49,38 @@ def test_rational_data_stays_exact():
     assert res.witness == (F(3, 7), F(0))
 
 
-def test_equality_and_ge_constraints():
-    # max x  s.t.  x + y == 1, x >= 1/4, y >= 0
+def test_ge_constraints():
+    # max x - y  s.t.  x + y >= 1, x >= 1/4, -x - y >= -3 (flipped to x + y <= 3)
     res = lp_maximize(
         problem(
-            [1, 0],
-            [constraint([1, 1], "==", 1), constraint([1, 0], ">=", F(1, 4))],
+            [1, -1],
+            [
+                constraint([1, 1], ">=", 1),
+                constraint([1, 0], ">=", F(1, 4)),
+                constraint([-1, -1], ">=", -3),
+            ],
         )
     )
     assert res.status is LpStatus.OPTIMAL
-    assert res.value == 1
-    assert res.witness == (F(1), F(0))
+    assert res.value == 3
+    assert res.witness == (F(3), F(0))
+
+
+def test_equality_rows_are_refused():
+    with pytest.raises(ValueError, match="bad relation"):
+        constraint([1, 1], "==", 1)
+
+
+def test_int_problem_keeps_its_ints_and_returns_fractions():
+    # max 2x + 3y  s.t.  x + 2y <= 4, 3x + y <= 6: optimum 34/5 at (8/5, 6/5)
+    prob = problem([2, 3], [constraint([1, 2], "<=", 4), constraint([3, 1], "<=", 6)])
+    entries = [*prob.objective] + [x for c in prob.constraints for x in (*c.coeffs, c.rhs)]
+    assert all(type(x) is int for x in entries)
+    res = lp_maximize(prob)
+    assert res.status is LpStatus.OPTIMAL
+    assert type(res.value) is F and res.value == F(34, 5)
+    assert all(type(x) is F for x in res.witness)
+    assert res.witness == (F(8, 5), F(6, 5))
 
 
 def test_infeasible():
@@ -73,16 +94,6 @@ def test_infeasible():
 def test_unbounded():
     res = lp_maximize(problem([1], []))
     assert res.status is LpStatus.UNBOUNDED
-
-
-def test_free_variable():
-    # max -x with x free: optimum at the boundary of the single constraint.
-    res = lp_maximize(
-        problem([-1], [constraint([1], ">=", -5)], nonneg=[False])
-    )
-    assert res.status is LpStatus.OPTIMAL
-    assert res.value == 5
-    assert res.witness == (F(-5),)
 
 
 def test_minimize_wrapper():
@@ -167,13 +178,12 @@ def test_matches_scipy_on_bounded_problems(nvars, ncons, data):
     assert abs(-sp.fun - float(res.value)) < 1e-7
 
 
-# Duality cross-check on drawn LPs with every relation, negative right-hand
-# sides and free variables. The dual of
-#   max c.x  s.t.  a_i.x (<=, >=, ==) b_i,  x_j >= 0 or free
+# Duality cross-check on drawn LPs with both relations and negative
+# right-hand sides. The dual of
+#   max c.x  s.t.  A_L x <= b_L,  A_G x >= b_G,  x >= 0
 # is
-#   min b.y  s.t.  sum_i a_ij y_i (>= for x_j >= 0, == for free x_j) c_j,
-#                  y_i >= 0 for <=, y_i <= 0 for >=, y_i free for ==,
-# written below with y_i = -y'_i for the >= rows so that y' >= 0.
+#   min b_L.y - b_G.z  s.t.  A_L^T y - A_G^T z >= c,  y, z >= 0,
+# the same shape: one dual variable per row, signed -1 for the >= rows.
 small = st.sampled_from(
     sorted({F(k, d) for d in (1, 2, 3, 6) for k in range(-4 * d, 4 * d + 1)}, key=abs)
 )
@@ -183,56 +193,47 @@ small = st.sampled_from(
 def drawn_lps(draw):
     n = draw(st.integers(1, 4))
     obj = [draw(small) for _ in range(n)]
-    rel = st.sampled_from(["<=", ">=", "=="])
+    rel = st.sampled_from(["<=", ">="])
     rows = [
         ([draw(small) for _ in range(n)], draw(rel), draw(small))
         for _ in range(draw(st.integers(0, 5)))
     ]
-    nonneg = [draw(st.booleans()) for _ in range(n)]
-    return obj, rows, nonneg
+    return obj, rows
 
 
-def dual_of(obj, rows, nonneg):
+def dual_of(obj, rows):
     sign = [-1 if rel == ">=" else 1 for _, rel, _ in rows]
     dual_obj = [s * rhs for s, (_, _, rhs) in zip(sign, rows)]
     dual_cons = [
-        constraint(
-            [s * coeffs[j] for s, (coeffs, _, _) in zip(sign, rows)],
-            ">=" if nonneg[j] else "==",
-            obj[j],
-        )
+        constraint([s * coeffs[j] for s, (coeffs, _, _) in zip(sign, rows)], ">=", obj[j])
         for j in range(len(obj))
     ]
-    dual_nonneg = [rel != "==" for _, rel, _ in rows]
-    return problem(dual_obj, dual_cons, dual_nonneg)
+    return problem(dual_obj, dual_cons)
 
 
 def assert_feasible_witness(prob, res):
     x = res.witness
     assert all(type(v) is F for v in x)
+    assert all(v >= 0 for v in x)
     for c in prob.constraints:
         lhs = sum((a * v for a, v in zip(c.coeffs, x)), F(0))
-        assert {"<=": lhs <= c.rhs, ">=": lhs >= c.rhs, "==": lhs == c.rhs}[c.rel]
-    assert all(v >= 0 for v, nn in zip(x, prob.nonneg) if nn)
+        assert lhs <= c.rhs if c.rel == "<=" else lhs >= c.rhs
     assert sum((a * v for a, v in zip(prob.objective, x)), F(0)) == res.value
 
 
 @settings(max_examples=300, deadline=None)
 @given(drawn_lps())
 def test_primal_and_dual_agree(lp):
-    obj, rows, nonneg = lp
-    primal = problem(obj, [constraint(*r) for r in rows], nonneg)
-    dual = dual_of(obj, rows, nonneg)
+    obj, rows = lp
+    primal = problem(obj, [constraint(*r) for r in rows])
+    dual = dual_of(obj, rows)
     res, dres = lp_maximize(primal), lp_minimize(dual)
     if res.status is LpStatus.OPTIMAL:
         assert type(res.value) is F
         assert_feasible_witness(primal, res)
         assert dres.status is LpStatus.OPTIMAL
         assert dres.value == res.value
-        assert dres.witness is not None
-        for c in dual.constraints:
-            lhs = sum((a * v for a, v in zip(c.coeffs, dres.witness)), F(0))
-            assert lhs >= c.rhs if c.rel == ">=" else lhs == c.rhs
+        assert_feasible_witness(dual, dres)
     else:
         # weak duality: an infeasible or unbounded side never faces an
         # optimal one

@@ -24,6 +24,7 @@ from conelogic.errors import CapabilityError, CompositionError, MembershipError
 from conelogic.mall import (
     adjoint,
     assoc_tensor,
+    braid,
     compose,
     copair_mor,
     coproduct_obj,
@@ -40,7 +41,6 @@ from conelogic.mall import (
     product_obj,
     proj1,
     proj2,
-    sym_tensor,
     tensor_mor,
     tensor_obj,
     uncurry,
@@ -199,8 +199,8 @@ def test_eval_recovers_uncurried_map():
 def test_sym_is_involution():
     a = Bool
     b = cube_pcs(2)
-    s1 = sym_tensor(a, b)
-    s2 = sym_tensor(b, a)
+    s1 = braid(a, b)
+    s2 = braid(b, a)
     assert compose(s2, s1) == identity(tensor_obj(a, b))
 
 
@@ -379,16 +379,38 @@ def test_connective_lists_equal_the_fraction_reference(a, b):
     assert again_w == w and hash(again_w) == hash(w)
 
 
+signed = st.integers(-3, 12).flatmap(lambda n: st.sampled_from([1, 2, 5, 7]).map(lambda d: F(n, d)))
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_tensor_side_norm_is_the_fraction_row_lp(data):
     a, b = data.draw(operands), data.draw(operands)
-    signed = st.integers(-3, 12).flatmap(lambda n: st.sampled_from([1, 2, 5, 7]).map(lambda d: F(n, d)))
     s = vec(data.draw(st.lists(signed, min_size=a.dim * b.dim, max_size=a.dim * b.dim)))
     cons = [lp.constraint(kron_vec(u, v), "<=", 1) for u in a.p_ball_gens for v in b.p_ball_gens]
     reference = lp.lp_maximize(lp.problem(list(s), cons))
     assert reference.status is lp.LpStatus.OPTIMAL
     assert cones.tensor_side_norm(tensor_obj(a, b).q_implicit, s) == reference.value
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_tensor_side_norm_rows_reach_the_lp_as_ints(data):
+    a, b = data.draw(operands), data.draw(operands)
+    s = vec(data.draw(st.lists(signed, min_size=a.dim * b.dim, max_size=a.dim * b.dim)))
+    seen = []
+    real = cones.lp_maximize
+
+    def spy(prob):
+        seen.append(prob)
+        return real(prob)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cones, "lp_maximize", spy)
+        cones.tensor_side_norm(tensor_obj(a, b).q_implicit, s)
+    (prob,) = seen
+    entries = [x for c in prob.constraints for x in (*c.coeffs, c.rhs)]
+    assert all(type(x) is int for x in entries)
 
 
 # ---------------------------------------------------------------------------
