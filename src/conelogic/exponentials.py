@@ -838,11 +838,11 @@ def _require_contraction(s: Morphism, what: str) -> None:
         raise BallError(f"{what} only transports contractions", norm=n)
 
 
-def _graded_power(src: ConeObject, tgt: ConeObject, cols, dim_tgt: int, trunc: int) -> Morphism:
-    """Grades 0..trunc of the symmetric powers of the map with these
-    columns, block-diagonal in the degree-major graded layout."""
+def _graded_power(src: ConeObject, tgt: ConeObject, view, dim_tgt: int, trunc: int) -> Morphism:
+    """Grades 0..trunc of the symmetric powers of the map with this integer
+    view, block-diagonal in the degree-major graded layout."""
     out, roff = [], 0
-    for n, block in enumerate(sym_power_blocks(cols, dim_tgt, trunc)):
+    for n, block in enumerate(sym_power_blocks(view, dim_tgt, trunc)):
         out.extend([(roff + i, x) for i, x in col] for col in block)
         roff += mset_count(dim_tgt, n)
     return sparse_mor(src, tgt, out)
@@ -852,15 +852,16 @@ def whynot_mor(l: Morphism, trunc: int = DEFAULT_TRUNC) -> Morphism:
     """?l: ?A -> ?B for a contraction l: A -> B, f -> f . l*. The image of
     the series coordinate mu is multiplicity(mu) prod_{c in mu} (l* y)_c with
     its y^nu coefficient spread over multiplicity(nu), so ?l = Sym(l'): l'
-    is l conjugated by the pairing weights, its column c the row c of l*."""
+    is l conjugated by the weights, the transpose of l*'s integer view."""
     pullback = adjoint(l)
     _require_contraction(pullback, "?")
+    den, pcols = pullback.int_cols
     conj: list[list] = [[] for _ in range(l.source.dim)]
-    for r, col in enumerate(pullback.cols):
+    for r, col in enumerate(pcols):
         for c, x in col:
             conj[c].append((r, x))
     src, tgt = whynot_obj(l.source, trunc), whynot_obj(l.target, trunc)
-    return _graded_power(src, tgt, conj, l.target.dim, trunc)
+    return _graded_power(src, tgt, (den, conj), l.target.dim, trunc)
 
 
 def bang_mor(s: Morphism, trunc: int = DEFAULT_TRUNC) -> Morphism:
@@ -868,7 +869,7 @@ def bang_mor(s: Morphism, trunc: int = DEFAULT_TRUNC) -> Morphism:
     x^mu, and (s x)^nu expands by the multinomial theorem, so !s = Sym(s)."""
     _require_contraction(s, "!")
     src, tgt = bang_obj(s.source, trunc), bang_obj(s.target, trunc)
-    return _graded_power(src, tgt, s.cols, s.target.dim, trunc)
+    return _graded_power(src, tgt, s.int_cols, s.target.dim, trunc)
 
 
 def exp_iso(

@@ -8,7 +8,10 @@ Methods for Sparse Linear Systems, 2006): `cols[j]` lists the nonzero
 The form is canonical, so dataclass equality and hashing agree with dense
 equality. `matrix` is a dense view built on first use, for readers at the
 boundary (reports, PCS matrices, small base maps); compose, adjoint,
-morphism_norm and application touch only nonzeros. `mor` takes dense rows
+morphism_norm and application touch only nonzeros. `int_cols` is the one
+integer view, also built on first use: compose, morphism_norm and the
+symmetric powers behind Sym^n, !s and ?l run on it, so a map's columns are
+scaled to integers at most once. `mor` takes dense rows
 and hands their columns to `sparse_mor`, which sorts them, drops zeros and
 runs the positivity audit over the nonzeros. For valid (spanning)
 polyhedral and graded objects, positivity of the map is exactly entrywise
@@ -48,6 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 
 from .cones import (
     Backend,
@@ -60,12 +64,13 @@ from .cones import (
 )
 from .errors import CapabilityError, CompositionError, DimensionError, MembershipError
 from .polyhedra import sort_generators, sort_keys
-from .rationals import MatQ, Q0, Q1, VecQ, int_keys, mat, zeros
+from .rationals import MatQ, Q0, Q1, VecQ, int_keys, int_max_pairing, int_vector, mat, zeros
 
 
 # A column lists the nonzero entries of one source coordinate's image as
 # (target row, value) pairs in ascending row order.
 Col = tuple[tuple[int, Fraction], ...]
+IntView = tuple[int, tuple[tuple[tuple[int, int], ...], ...]]
 
 
 @dataclass(frozen=True)
@@ -85,6 +90,16 @@ class Morphism:
             for i, x in col:
                 rows[i][j] = x
         return tuple(map(tuple, rows))
+
+    @cached_property
+    def int_cols(self) -> IntView:
+        """Integer view: the lcm D of every entry's denominator, and each
+        column as (target row, D x) pairs in the same order."""
+        den = lcm(*(x.denominator for col in self.cols for _, x in col))
+        return den, tuple(
+            tuple((i, x.numerator * (den // x.denominator)) for i, x in col)
+            for col in self.cols
+        )
 
     def __call__(self, x: VecQ) -> VecQ:
         if len(x) != self.source.dim:
@@ -179,27 +194,31 @@ def compose(g: Morphism, f: Morphism) -> Morphism:
     """g after f, column by column: column j of g f is the sum over the
     nonzeros f[k, j] of f[k, j] times column k of g (Gustavson, ACM TOMS
     1978), so the cost is proportional to the nonzero products. A column of
-    f holding a single 1 reuses g's column as it is."""
+    f holding a single 1 reuses g's column as it is. Longer columns are
+    summed in integers on the int_cols of f and g, read only once such a
+    column appears (a map after unit columns never builds g's view), and
+    make one Fraction over D_f D_g per nonzero."""
     if f.target != g.source:
         raise CompositionError(
             f"cannot compose: {f!r} ends at {f.target.label!r} (dim {f.target.dim}), "
             f"{g!r} starts at {g.source.label!r} (dim {g.source.dim})"
         )
-    gcols = g.cols
-    out = []
-    for col in f.cols:
-        if len(col) == 1:
+    gcols, out, den = g.cols, [], 0
+    for j, col in enumerate(f.cols):
+        if len(col) > 1:
+            if not den:
+                (df, fints), (dg, gints) = f.int_cols, g.int_cols
+                den = df * dg
+            acc: dict[int, int] = {}
+            for k, x in fints[j]:
+                for i, y in gints[k]:
+                    acc[i] = acc.get(i, 0) + x * y
+            out.append(tuple((i, Fraction(v, den)) for i, v in sorted(acc.items()) if v))
+        elif col:
             k, x = col[0]
-            if x == 1:
-                out.append(gcols[k])
-            else:
-                out.append(tuple((i, x * y) for i, y in gcols[k]))
-            continue
-        acc: dict[int, Fraction] = {}
-        for k, x in col:
-            for i, y in gcols[k]:
-                acc[i] = acc.get(i, Q0) + x * y
-        out.append(tuple(sorted((i, v) for i, v in acc.items() if v)))
+            out.append(gcols[k] if x == 1 else tuple((i, x * y) for i, y in gcols[k]))
+        else:
+            out.append(())
     return Morphism(f.source, g.target, tuple(out))
 
 
@@ -207,25 +226,47 @@ def adjoint(f: Morphism) -> Morphism:
     """f*: dual(target) -> dual(source), transpose conjugated by weights.
 
     <f* psi, v>_src = <psi, f v>_tgt. With plain pairings this is the plain
-    transpose; graded endpoints contribute their multiset weights. Column j
-    of f* is row j of f, entry i scaled by wt[j] / ws[i].
+    transpose, and the entries are f's own; weighted endpoints (graded and
+    Sym^n objects) contribute their multiplicities. Column j of f* is row j
+    of f, entry i scaled by wt[j] / ws[i], made as one Fraction.
     """
-    ws = f.source.pairing_weights
-    wt = f.target.pairing_weights
+    plain = f.source.weights is None and f.target.weights is None
+    ws, wt = f.source.pairing_weights, f.target.pairing_weights
     out: list[list] = [[] for _ in range(f.target.dim)]
     for i, col in enumerate(f.cols):
         for j, x in col:
-            out[j].append((i, x * wt[j] / ws[i]))
+            y = x if plain else Fraction(x.numerator * wt[j], x.denominator * ws[i])
+            out[j].append((i, y))
     return Morphism(dual_object(f.target), dual_object(f.source), tuple(map(tuple, out)))
 
 
 def morphism_norm(f: Morphism) -> Fraction:
-    """The exact operator norm: max over source primal generators of the
-    target norm of the image. A lazy source ball is materialized."""
-    return max(
-        (norm_primal(f.target, f(u)) for u in primal_gens(f.source)),
-        default=Q0,
-    )
+    """The exact operator norm: max over source primal generators u of the
+    target norm of f u. A lazy source ball is materialized (a graded source
+    raises CapabilityError there). Against explicit polyhedral dual
+    generators it runs in integers: the images of the int_keys of the
+    generators on f's int_cols, times the target weights, are paired with
+    target.q_rows by int_max_pairing and compared by cross-multiplying, and
+    one Fraction is made. Other targets take norm_primal per image."""
+    gens, t = primal_gens(f.source), f.target
+    if t.backend is not Backend.POLYHEDRAL or t.q_ball_gens is None:
+        return max((norm_primal(t, f(u)) for u in gens), default=Q0)
+    den_u, keys = int_keys(gens)
+    den_f, icols = f.int_cols
+    den_w, w = int_vector(t.weights) if t.weights is not None else (1, None)
+    best_s, best_d = 0, 1
+    for u in keys:
+        y = [0] * t.dim
+        for col, x in zip(icols, u):
+            if x:
+                for i, v in col:
+                    y[i] += v * x
+        if w is not None:
+            y = [a * b for a, b in zip(w, y)]
+        s, d, _ = int_max_pairing(y, t.q_rows)
+        if s * best_d > best_s * d:
+            best_s, best_d = s, d
+    return Fraction(best_s, den_u * den_f * den_w * best_d)
 
 
 def is_contraction(f: Morphism) -> bool:

@@ -86,14 +86,22 @@ def int_rows(points: Iterable[VecQ]) -> IntRows:
     return tuple((d, tuple((c, n) for c, n in enumerate(ns) if n)) for d, ns in rows)
 
 
-def max_pairing(k: VecQ, rows: IntRows) -> tuple[Fraction, Optional[int]]:
-    """max(0, max over rows z of sum_c k_c z_c), with the index of the first
-    strict maximum (None when no row is positive). With k = a/L and z = n/D
-    the value is (a . n)/(L D), so rows compare by cross-multiplying."""
-    big_l, a = int_vector(k)
+def int_max_pairing(a: Sequence[int], rows: IntRows) -> tuple[int, int, Optional[int]]:
+    """The core of max_pairing on an integer vector a: (s, d, i) with s/d
+    the largest of 0 and sum_c a_c n_c / D over the rows (D, n), and i the
+    index of the first strict maximum (None when no row is positive)."""
     best_s, best_d, arg = 0, 1, None
     for i, (d, nz) in enumerate(rows):
         v = sum(a[c] * n for c, n in nz)
         if v * best_d > best_s * d:
             best_s, best_d, arg = v, d, i
-    return Fraction(best_s, big_l * best_d), arg
+    return best_s, best_d, arg
+
+
+def max_pairing(k: VecQ, rows: IntRows) -> tuple[Fraction, Optional[int]]:
+    """max(0, max over rows z of sum_c k_c z_c), with the index of the first
+    strict maximum (None when no row is positive). With k = a/L and z = n/D
+    the value is (a . n)/(L D), so rows compare by cross-multiplying."""
+    big_l, a = int_vector(k)
+    s, d, arg = int_max_pairing(a, rows)
+    return Fraction(s, big_l * d), arg

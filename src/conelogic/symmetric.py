@@ -23,8 +23,8 @@ mixing polynomial collapses to exactly the generator-tuple maximum).
 
 The power functor acts on a map S plainly on multiset coordinates, its
 columns expanded by the multinomial theorem. sym_power_blocks computes
-grades 0..N in integers, each column from its prefix one grade down; it is
-the one route for Sym^n S here and for !s and ?l in exponentials.
+grades 0..N in integers on the map's int_cols, each column from its prefix
+one grade down: the one route for Sym^n S here and for !s and ?l.
 
 Coordinates and pairing weights follow the multisets module conventions.
 """
@@ -35,11 +35,11 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
-from math import comb, factorial, lcm
+from math import comb, factorial
 
 from .cones import Backend, ConeObject, one_obj, polar_w, primal_gens
 from .errors import CapabilityError, DimensionError, NegativeCoefficientError
-from .mall import Morphism, sparse_mor
+from .mall import IntView, Morphism, sparse_mor
 from .multisets import Layout, Mset, graded_layout, monomial_value, mset_count
 from .oracle import Bracket, simplex_polynomial_bounds
 from .polyhedra import DD_MAX_DIM, reduce_generators
@@ -164,25 +164,23 @@ def sym_power_obj(a: ConeObject, n: int) -> ConeObject:
     )
 
 
-def sym_power_blocks(cols, dim_tgt: int, trunc: int) -> list[list[list]]:
-    """Grades 0..trunc of the symmetric powers of the map with these sparse
-    columns, from len(cols) coordinates to dim_tgt. Block n lists, per
-    grade-n multiset mu of the source table, the nonzeros (position of nu in
-    grade n, Fraction) of column mu of Sym^n: S * multiplicity(mu) /
-    multiplicity(nu), with S the coefficient of y^nu in the product of the
-    columns in mu read as linear forms in y (the multinomial theorem). The
-    entries are scaled to integers by the lcm L of their denominators, and
-    column mu is its prefix mu[:-1] from grade n - 1 times the column mu[-1],
-    so zeros are never visited and each nonzero becomes one Fraction over
-    L^n at the end."""
-    scale = lcm(*(x.denominator for col in cols for _, x in col))
-    icols = [[(r, x.numerator * (scale // x.denominator)) for r, x in col] for col in cols]
-    src, tgt = graded_layout(len(cols), trunc), graded_layout(dim_tgt, trunc)
+def sym_power_blocks(view: IntView, dim_tgt: int, trunc: int) -> list[list[list]]:
+    """Grades 0..trunc of the symmetric powers of the map with integer view
+    (L, icols) (Morphism.int_cols), from len(icols) coordinates to dim_tgt.
+    Block n lists, per grade-n multiset mu of the source table, the nonzeros
+    (position of nu in grade n, Fraction) of column mu of Sym^n: S *
+    multiplicity(mu) / multiplicity(nu), with S the coefficient of y^nu in
+    the product of the columns in mu read as linear forms in y (the
+    multinomial theorem). Column mu is its prefix mu[:-1] from grade n - 1
+    times the integer column mu[-1], so zeros are never visited and each
+    nonzero becomes one Fraction over L^n at the end."""
+    scale, icols = view
+    src, tgt = graded_layout(len(icols), trunc), graded_layout(dim_tgt, trunc)
     tidx, tw = tgt.index, tgt.weights
     blocks, prods = [[[(0, Q1)]]], {(): {(): 1}}
     lo, tlo = 1, 1  # where grade n starts in the source and target tables
     for n in range(1, trunc + 1):
-        hi, den, block, nxt = lo + mset_count(len(cols), n), scale**n, [], {}
+        hi, den, block, nxt = lo + mset_count(len(icols), n), scale**n, [], {}
         for mu, m in zip(src.coords[lo:hi], src.weights[lo:hi]):
             acc = nxt[mu] = {}
             for nu, s in prods[mu[:-1]].items():
@@ -202,7 +200,7 @@ def sym_power_mor(S: Morphism, n: int) -> Morphism:
     Sym^n S (x)^n = (S x)^n."""
     src = sym_power_obj(S.source, n)
     tgt = sym_power_obj(S.target, n)
-    return sparse_mor(src, tgt, sym_power_blocks(S.cols, S.target.dim, n)[n])
+    return sparse_mor(src, tgt, sym_power_blocks(S.int_cols, S.target.dim, n)[n])
 
 
 # ---------------------------------------------------------------------------

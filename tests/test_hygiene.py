@@ -1,8 +1,8 @@
 """Source hygiene: no module of the package, test file or demo imports a
 name it never uses, no public name is defined in two package modules,
 every name the benchmark's tracer patches still exists, the package's
-global caches are exactly the listed ones, and the bracket primitives are
-named only where listed.
+global caches are exactly the listed ones, and the bracket primitives and
+a morphism's integer view are named only where listed.
 
 `__init__.py` is exempt from the import check, since its imports are the
 public re-exports.
@@ -212,3 +212,36 @@ def test_bracket_routes_are_listed():
             if ref in found:
                 found[ref].add(scope)
     assert {k: sorted(v) for k, v in found.items()} == BRACKET_ROUTES
+
+
+# Every place in the package that reads a morphism's integer view, and every
+# place in the morphism modules that reads a denominator. A map's columns
+# are scaled to integers once, by Morphism.int_cols; compose, the norm and
+# the two lifts (through the symmetric-power kernel) read that view, and
+# adjoint makes its weighted entries from the numerator and denominator. A
+# second integer derivation of a map's columns has to be argued for here.
+INT_VIEW_ROUTES = {
+    "int_cols": [
+        "exponentials.bang_mor",
+        "exponentials.whynot_mor",
+        "mall.compose",
+        "mall.morphism_norm",
+        "symmetric.sym_power_mor",
+    ],
+    "denominator": ["mall.Morphism.int_cols", "mall.adjoint"],
+}
+
+
+def test_int_view_routes_are_listed():
+    found: dict = {name: set() for name in INT_VIEW_ROUTES}
+    for path, name in SOURCES:
+        if "/" in name:
+            continue  # tests and demos
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for ref, scope in _references(tree, name[:-3]):
+            if ref == "int_cols" or (
+                ref == "denominator" and name in ("mall.py", "symmetric.py", "exponentials.py")
+            ):
+                found[ref].add(scope)
+    assert {k: sorted(v) for k, v in found.items()} == INT_VIEW_ROUTES

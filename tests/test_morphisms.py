@@ -1,10 +1,16 @@
 """Sparse morphisms: the column store against the dense definitions.
 
 A Morphism keeps, per source coordinate, the nonzero (target row, value)
-pairs in ascending row order; `matrix` is a dense view built from them.
-compose, adjoint, morphism_norm and application walk the nonzeros only, so
-each is checked here against its definition on the dense view, on
-mostly-zero matrices with both signs so that products cancel.
+pairs in ascending row order; `matrix` is a dense view built from them, and
+`int_cols` an integer view (one common denominator). compose, adjoint,
+morphism_norm and application walk the nonzeros only, and compose and
+morphism_norm run on the integer view, so each is checked here against its
+definition on the dense view in Fractions: on mostly-zero matrices with
+both signs so that products cancel, with denominators both small and up to
+60 so that common denominators mix, between weighted (graded and Sym^n)
+endpoints, and for the norm against explicit, weighted and implicit tensor
+targets. The integer views are built only when read: unit columns and
+graded endpoints never build them, and each lift derives one.
 """
 
 from fractions import Fraction as F
@@ -14,23 +20,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conelogic import mall
 from conelogic.backends import cube_pcs, simplex_pcs
-from conelogic.cones import dual_object, pairing, zero_obj
-from conelogic.errors import CompositionError, DimensionError, MembershipError
-from conelogic.exponentials import bang_obj, whynot_obj
-from conelogic.mall import adjoint, compose, identity, mor, morphism_norm, sparse_mor
+from conelogic.cones import dual_object, materialize_q, pairing, zero_obj
+from conelogic.errors import CapabilityError, CompositionError, DimensionError, MembershipError
+from conelogic.exponentials import bang_mor, bang_obj, eta, mu, whynot_mor, whynot_obj
+from conelogic.mall import adjoint, compose, identity, mor, morphism_norm, sparse_mor, tensor_obj
+from conelogic.symmetric import sym_power_obj
 
-# mostly zero, with both signs so that products cancel
+# mostly zero, with both signs so that products cancel; small denominators
+# repeat, denominators up to 60 make the common denominators mix
 entry = st.one_of(
     st.just(F(0)),
     st.just(F(0)),
     st.just(F(0)),
     st.fractions(min_value=-2, max_value=2, max_denominator=4),
+    st.fractions(min_value=-2, max_value=2, max_denominator=60),
 )
 nonneg = st.one_of(
     st.just(F(0)),
     st.just(F(0)),
     st.fractions(min_value=0, max_value=2, max_denominator=4),
+    st.fractions(min_value=0, max_value=2, max_denominator=60),
 )
 
 
@@ -46,10 +57,22 @@ def matrix(rows, cols, entries=entry):
     ).map(tuple)
 
 
+WEIGHTED = [
+    obj(0),
+    obj(2),
+    cube_pcs(3),
+    whynot_obj(simplex_pcs(2), 2),  # weights (1, 1, 1, 1, 2, 1)
+    bang_obj(cube_pcs(2), 2),
+]
+ENDPOINTS = [obj(n) for n in range(6)] + WEIGHTED[2:]
+
+
 @st.composite
 def factors(draw):
-    m, k, n = (draw(st.integers(0, 5)) for _ in range(3))
-    return draw(matrix(m, k)), draw(matrix(k, n)), (m, k, n)
+    """a -f-> b -g-> c over plain and weighted endpoints of dims 0..6, as
+    (rows of g, rows of f, (a, b, c))."""
+    a, b, c = (draw(st.sampled_from(ENDPOINTS)) for _ in range(3))
+    return draw(matrix(c.dim, b.dim)), draw(matrix(b.dim, a.dim)), (a, b, c)
 
 
 def product_by_definition(a, b, inner, cols):
@@ -75,11 +98,11 @@ def assert_canonical(f):
 @settings(max_examples=200, deadline=None)
 @given(factors())
 def test_compose_matches_the_definition(abd):
-    a, b, (m, k, n) = abd
-    g = mor(obj(k), obj(m), a, validate=False)
-    f = mor(obj(n), obj(k), b, validate=False)
+    gm, fm, (a, b, c) = abd
+    g = mor(b, c, gm, validate=False)
+    f = mor(a, b, fm, validate=False)
     h = compose(g, f)
-    assert h.matrix == product_by_definition(a, b, k, n)
+    assert h.matrix == product_by_definition(gm, fm, b.dim, a.dim)
     assert (h.source, h.target) == (f.source, g.target)
     assert_canonical(h)
     assert all(type(x) is F for row in h.matrix for x in row)
@@ -114,15 +137,6 @@ def test_compose_rejects_mismatched_objects(g_dims, f_dims):
     f = mor(obj(f_dims[0]), obj(f_dims[1]), [[1] * f_dims[0]] * f_dims[1])
     with pytest.raises(CompositionError):
         compose(g, f)
-
-
-WEIGHTED = [
-    obj(0),
-    obj(2),
-    cube_pcs(3),
-    whynot_obj(simplex_pcs(2), 2),  # weights (1, 1, 1, 1, 2, 1)
-    bang_obj(cube_pcs(2), 2),
-]
 
 
 @st.composite
@@ -161,23 +175,70 @@ def test_call_matches_the_definition(f, data):
 
 
 PLAIN = [obj(0), obj(1), obj(3), cube_pcs(2), cube_pcs(3), dual_object(obj(2))]
+# Sym^2 of the square pairs with weights (1, 2, 1); a tensor's dual side is
+# implicit, so its norm is an LP and the definition reads the polar.
+NORMED = PLAIN + [sym_power_obj(cube_pcs(2), 2), tensor_obj(obj(2), cube_pcs(2))]
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.sampled_from(PLAIN), st.sampled_from(PLAIN), st.data())
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(NORMED), st.sampled_from(NORMED), st.data())
 def test_morphism_norm_matches_the_definition(src, tgt, data):
     rows = data.draw(matrix(tgt.dim, src.dim, nonneg))
     f = mor(src, tgt, rows)
     images = [apply_by_definition(rows, u) for u in src.p_ball_gens]
+    w = tgt.pairing_weights
     want = max(
         (
-            sum((g_c * y_c for g_c, y_c in zip(g, y)), F(0))
+            sum((w_c * g_c * y_c for w_c, g_c, y_c in zip(w, g, y)), F(0))
             for y in images
-            for g in tgt.q_ball_gens
+            for g in materialize_q(tgt).q_ball_gens
         ),
         default=F(0),
     )
     assert morphism_norm(f) == want
+
+
+# -- integer views --------------------------------------------------------------
+
+
+def test_unit_columns_leave_the_integer_views_unbuilt():
+    # compose reads int_cols only for a column of f with two or more
+    # entries; eta's columns are single weights and an identity's are 1s.
+    b, n = cube_pcs(2), 2
+    m, e = mu(b, n), eta(whynot_obj(b, n), n)
+    compose(m, e)
+    assert "int_cols" not in vars(m) and "int_cols" not in vars(e)
+    g = mor(obj(2), obj(2), [[F(1, 2), 0], [1, F(1, 3)]])
+    compose(g, identity(obj(2)))
+    assert "int_cols" not in vars(g)
+    # one column of two entries reads both views
+    f = mor(obj(2), obj(2), [[1, 0], [F(1, 5), 1]])
+    assert compose(g, f).matrix == ((F(1, 2), F(0)), (F(16, 15), F(1, 3)))
+    assert g.int_cols == (6, (((0, 3), (1, 6)), ((1, 2),)))
+    assert "int_cols" in vars(f)
+
+
+def test_morphism_norm_on_graded_endpoints_builds_no_view():
+    # A graded source has no exact generators and a graded target no exact
+    # norm: the gate of the lifts trusts these maps without an integer view.
+    b = cube_pcs(2)
+    for f in (mu(b, 2), adjoint(eta(b, 2)), eta(b, 2)):
+        with pytest.raises(CapabilityError):
+            morphism_norm(f)
+        assert "int_cols" not in vars(f)
+
+
+def test_each_lift_derives_one_integer_view(monkeypatch):
+    # The contraction gate and the symmetric-power kernel of !s and ?l read
+    # the same view: int_cols, the only caller of mall.lcm, runs once.
+    calls = []
+    real = mall.lcm
+    monkeypatch.setattr(mall, "lcm", lambda *xs: calls.append(1) or real(*xs))
+    s = mor(cube_pcs(2), obj(2), [[F(1, 4), F(1, 6)], [0, F(1, 3)]])
+    for lift in (bang_mor, whynot_mor):
+        calls.clear()
+        lift(s, 2)
+        assert len(calls) == 1, lift
 
 
 # -- canonical form -----------------------------------------------------------

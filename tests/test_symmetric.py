@@ -239,8 +239,8 @@ def map_rows(draw):
 @given(map_rows(), st.integers(0, 4))
 def test_power_blocks_match_the_arrangement_sum(drawn, trunc):
     ds, dt, rows = drawn
-    cols = [[(i, row[j]) for i, row in enumerate(rows)] for j in range(ds)]
-    blocks = sym_power_blocks(cols, dt, trunc)
+    f = mor(simplex_pcs(ds) if ds else zero_obj(), simplex_pcs(dt) if dt else zero_obj(), rows)
+    blocks = sym_power_blocks(f.int_cols, dt, trunc)
     assert len(blocks) == trunc + 1
     for n, block in enumerate(blocks):
         assert len(block) == len(msets(ds, n))
@@ -252,9 +252,11 @@ def test_power_blocks_entry_is_the_multinomial_coefficient():
     # m = [[1/2, 1], [1/3, 0]]: column (0, 1) of Sym^2 is the product of the
     # forms y0/2 + y1/3 and y0, i.e. y0^2/2 + y0 y1/3, times
     # multiplicity((0, 1)) = 2 and over multiplicity(nu): 1 at (0, 0) and
-    # (1/3) * 2 / 2 = 1/3 at (0, 1).
-    cols = [[(0, F(1, 2)), (1, F(1, 3))], [(0, F(1))]]
-    block = sym_power_blocks(cols, 2, 2)[2]
+    # (1/3) * 2 / 2 = 1/3 at (0, 1). Its integer view is the columns times
+    # the common denominator 6.
+    view = (6, (((0, 3), (1, 2)), ((0, 6),)))
+    assert mor(simplex_pcs(2), simplex_pcs(2), [[F(1, 2), 1], [F(1, 3), 0]]).int_cols == view
+    block = sym_power_blocks(view, 2, 2)[2]
     assert dict(block[1]) == {0: F(1), 1: F(1, 3)}
 
 
