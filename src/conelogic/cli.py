@@ -24,6 +24,9 @@ from .cones import Backend, ConeObject, in_cone, norm_primal
 from .errors import ConelogicError
 from .exponentials import (
     DEFAULT_TRUNC,
+    ExpNode,
+    SumNode,
+    TensorNode,
     graded_coords,
     graded_grades,
     graded_norm_bounds,
@@ -39,6 +42,27 @@ from .formulas import (
 from .interpreter import interpret, load_env
 from .jsonio import SCHEMA, check_schema, dump_report, frac_str, mat_json, parse_vec, vec_json
 from .suites import SUITE_NAMES, run_suites
+
+
+# The order of a graded object's coordinates, by the kind of its root node.
+# A polyhedral factor or summand is labelled by its coordinate indices, all
+# of grade 0.
+_GRADED_LAYOUTS = {
+    ExpNode: (
+        "degree-major: grade-0 block first, then grade 1, ...; within a "
+        "grade, multiset labels in the sorted order listed under 'coords'"
+    ),
+    TensorNode: (
+        "left-major pairs (left label, right label): for each left label in "
+        "the left factor's order, the right labels in the right factor's "
+        "order; a pair's grade is the sum of its factors' grades, and pairs "
+        "above the truncation are left out"
+    ),
+    SumNode: (
+        "summands in turn: the left summand's labels as ('L', label), then the "
+        "right summand's as ('R', label), each in its own order"
+    ),
+}
 
 
 def _object_json(a: ConeObject) -> dict:
@@ -65,10 +89,7 @@ def _object_json(a: ConeObject) -> dict:
         out["grade_dims"] = dims
         out["coords"] = [repr(c) for c in graded_coords(a)]
         out["weights"] = vec_json(a.pairing_weights)
-        out["layout"] = (
-            "degree-major: grade-0 block first, then grade 1, ...; within a "
-            "grade, multiset labels in the sorted order listed under 'coords'"
-        )
+        out["layout"] = _GRADED_LAYOUTS[type(a.graded.node)]
     else:
         out["spectral_n"] = a.spectral_n
         out["norm"] = "trace" if a.spectral_trace_primal else "operator"

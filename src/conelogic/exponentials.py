@@ -519,7 +519,6 @@ def primal_ball_scheme(h: ConeObject) -> BallScheme:
     return _box_scheme(h)
 
 
-@lru_cache(maxsize=None)
 def _node_scheme(node) -> BallScheme:
     """Distribution-side ball family of a shape node."""
     if isinstance(node, PolyNode):
@@ -661,7 +660,7 @@ def _relaxed_polar_upper(h: ConeObject, k: VecQ) -> Optional[Fraction]:
     constraints. The feasible set contains the representable series ball,
     so the optimum is an upper bound; None when the sample leaves it
     unbounded."""
-    s = _node_scheme(_shape(h).node)
+    s = primal_ball_scheme(h)
     w = h.pairing_weights
     cons = [constraint([w[c] * z[c] for c in range(h.dim)], "<=", 1) for z in s.samples]
     res = lp_maximize(problem(k, cons))
@@ -961,7 +960,7 @@ def analytic_norm_bounds(f: Morphism) -> Bracket:
     generator of the target, combined by taking the max. Column x^m of f
     contributes the monomial polynomial of !A's ball scheme at m."""
     node = _analytic_node(f)
-    mono = _node_scheme(node).polys
+    mono = primal_ball_scheme(f.source).polys
     s = primal_ball_scheme(dual_object(node.base))
     nv = sum(s.blocks)
     coord_polys = [poly_combination(row, mono, nv) for row in f.matrix]

@@ -39,7 +39,9 @@ sorts them as they are. The other three reach these two via dual_object.
 
 curry/uncurry are pure index reshapes between hom(a, tensor(b, c)-shaped
 sources and targets; they preserve the norm exactly, which is the
-*-autonomy acceptance check.
+*-autonomy acceptance check. The other structure maps (tensor of maps,
+associator, braid, unitors, projections, injections, pairing, evaluation)
+have no caller here; tests/test_mall.py builds them and checks their laws.
 
 Row-major flattening everywhere: tensor coordinate (i, j) of a (x) b sits at
 index i*b.dim + j; an element of hom(a, b) stores the matrix entry (row k of
@@ -59,7 +61,6 @@ from .cones import (
     ImplicitTensorBall,
     dual_object,
     norm_primal,
-    one_obj,
     primal_gens,
 )
 from .errors import CapabilityError, CompositionError, DimensionError, MembershipError
@@ -119,7 +120,7 @@ def _require_non_spectral(source: ConeObject, target: ConeObject) -> None:
         )
 
 
-def mor(source: ConeObject, target: ConeObject, rows, validate: bool = True) -> Morphism:
+def mor(source: ConeObject, target: ConeObject, rows) -> Morphism:
     """The dense entry point: rows of exact scalars, target.dim by
     source.dim, coerced to Fractions and stored by columns."""
     m = mat(rows)
@@ -128,9 +129,7 @@ def mor(source: ConeObject, target: ConeObject, rows, validate: bool = True) -> 
     if m and len(m[0]) != source.dim:
         raise DimensionError(source.dim, len(m[0]), "morphism columns")
     cols = [[(i, row[j]) for i, row in enumerate(m)] for j in range(source.dim)]
-    if validate:
-        return sparse_mor(source, target, cols)
-    return _canonical_mor(source, target, cols)
+    return sparse_mor(source, target, cols)
 
 
 def sparse_mor(source: ConeObject, target: ConeObject, cols) -> Morphism:
@@ -138,12 +137,6 @@ def sparse_mor(source: ConeObject, target: ConeObject, cols) -> Morphism:
     source coordinate j, rows distinct, in any order. Zeros are dropped and
     each column is sorted, so the result is canonical; then the positivity
     audit runs over the nonzeros."""
-    f = _canonical_mor(source, target, cols)
-    check_positive_columns(f.cols)
-    return f
-
-
-def _canonical_mor(source: ConeObject, target: ConeObject, cols) -> Morphism:
     if len(cols) != source.dim:
         raise DimensionError(source.dim, len(cols), "morphism columns")
     _require_non_spectral(source, target)
@@ -155,6 +148,7 @@ def _canonical_mor(source: ConeObject, target: ConeObject, cols) -> Morphism:
         if c and not 0 <= c[0][0] <= c[-1][0] < target.dim:
             raise DimensionError(target.dim, c[-1][0] + 1, "morphism rows")
         out.append(tuple(c))
+    check_positive_columns(out)
     return Morphism(source, target, tuple(out))
 
 
@@ -177,17 +171,8 @@ def check_positive_columns(cols: tuple[Col, ...]) -> None:
         )
 
 
-def _unit_cols(n: int, offset: int = 0) -> tuple[Col, ...]:
-    """Columns of the 0/1 map sending coordinate j to row j + offset."""
-    return tuple(((j + offset, Q1),) for j in range(n))
-
-
-def _shifted(cols: tuple[Col, ...], offset: int) -> tuple[Col, ...]:
-    return tuple(tuple((i + offset, x) for i, x in col) for col in cols)
-
-
 def identity(a: ConeObject) -> Morphism:
-    return Morphism(a, a, _unit_cols(a.dim))
+    return Morphism(a, a, tuple(((j, Q1),) for j in range(a.dim)))
 
 
 def compose(g: Morphism, f: Morphism) -> Morphism:
@@ -370,7 +355,7 @@ def coproduct_obj(a: ConeObject, b: ConeObject) -> ConeObject:
 
 
 # ---------------------------------------------------------------------------
-# Index plumbing shared by curry/uncurry/eval
+# Currying
 
 
 def _tensor_factors(t: ConeObject, where: str) -> tuple[ConeObject, ConeObject]:
@@ -414,101 +399,3 @@ def uncurry(g: Morphism) -> Morphism:
             split[j].append((k, x))
         cols.extend(map(tuple, split))
     return Morphism(src, c, tuple(cols))
-
-
-def tensor_mor(f: Morphism, g: Morphism) -> Morphism:
-    """f (x) g: source pair (j, l) maps to the target pairs (i, k) with entry
-    f[i, j] g[k, l], row-major on both sides."""
-    dg = g.target.dim
-    cols = tuple(
-        tuple((i * dg + k, x * y) for i, x in fc for k, y in gc)
-        for fc in f.cols
-        for gc in g.cols
-    )
-    return Morphism(
-        tensor_obj(f.source, g.source), tensor_obj(f.target, g.target), cols
-    )
-
-
-# ---------------------------------------------------------------------------
-# Structural catalog
-
-
-def assoc_tensor(a: ConeObject, b: ConeObject, c: ConeObject) -> Morphism:
-    """(a (x) b) (x) c -> a (x) (b (x) c). Row-major flattening makes the
-    underlying coordinate map the identity; only the objects differ."""
-    src = tensor_obj(tensor_obj(a, b), c)
-    tgt = tensor_obj(a, tensor_obj(b, c))
-    return Morphism(src, tgt, _unit_cols(src.dim))
-
-
-def braid(a: ConeObject, b: ConeObject) -> Morphism:
-    """a (x) b -> b (x) a, the symmetry of the tensor."""
-    src = tensor_obj(a, b)
-    tgt = tensor_obj(b, a)
-    da, db = a.dim, b.dim
-    cols = tuple(((j * da + i, Q1),) for i in range(da) for j in range(db))
-    return Morphism(src, tgt, cols)
-
-
-def unitor_left(a: ConeObject) -> Morphism:
-    """1 (x) a -> a, identity on coordinates."""
-    return Morphism(tensor_obj(one_obj(), a), a, _unit_cols(a.dim))
-
-
-def unitor_left_inv(a: ConeObject) -> Morphism:
-    return Morphism(a, tensor_obj(one_obj(), a), _unit_cols(a.dim))
-
-
-def unitor_right(a: ConeObject) -> Morphism:
-    return Morphism(tensor_obj(a, one_obj()), a, _unit_cols(a.dim))
-
-
-def unitor_right_inv(a: ConeObject) -> Morphism:
-    return Morphism(a, tensor_obj(a, one_obj()), _unit_cols(a.dim))
-
-
-def proj1(a: ConeObject, b: ConeObject) -> Morphism:
-    return Morphism(product_obj(a, b), a, _unit_cols(a.dim) + ((),) * b.dim)
-
-
-def proj2(a: ConeObject, b: ConeObject) -> Morphism:
-    return Morphism(product_obj(a, b), b, ((),) * a.dim + _unit_cols(b.dim))
-
-
-def pair_mor(f: Morphism, g: Morphism) -> Morphism:
-    """<f, g>: c -> a & b from f: c -> a, g: c -> b."""
-    if f.source != g.source:
-        raise CompositionError("pair needs a common source")
-    tgt = product_obj(f.target, g.target)
-    cols = tuple(fc + gc for fc, gc in zip(f.cols, _shifted(g.cols, f.target.dim)))
-    return Morphism(f.source, tgt, cols)
-
-
-def inj1(a: ConeObject, b: ConeObject) -> Morphism:
-    return Morphism(a, coproduct_obj(a, b), _unit_cols(a.dim))
-
-
-def inj2(a: ConeObject, b: ConeObject) -> Morphism:
-    return Morphism(b, coproduct_obj(a, b), _unit_cols(b.dim, a.dim))
-
-
-def copair_mor(f: Morphism, g: Morphism) -> Morphism:
-    """[f, g]: a + b -> c from f: a -> c, g: b -> c."""
-    if f.target != g.target:
-        raise CompositionError("copair needs a common target")
-    src = coproduct_obj(f.source, g.source)
-    return Morphism(src, f.target, f.cols + g.cols)
-
-
-def eval_mor(a: ConeObject, b: ConeObject) -> Morphism:
-    """(a -o b) (x) a -> b, the evaluation of *-autonomy: row k sums the
-    source coordinates (hom coordinate i*db + k, a coordinate i)."""
-    h = hom_obj(a, b)
-    src = tensor_obj(h, a)
-    da, db = a.dim, b.dim
-    cols: list[Col] = [()] * (h.dim * da)
-    for k in range(db):
-        for i in range(da):
-            cols[(i * db + k) * da + i] = ((k, Q1),)
-    return Morphism(src, b, tuple(cols))

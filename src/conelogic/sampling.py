@@ -69,7 +69,7 @@ def rand_ball_point(r: random.Random, a: ConeObject) -> VecQ:
 
 def rand_positive_map(r: random.Random, a: ConeObject, b: ConeObject) -> Morphism:
     m = tuple(tuple(rand_frac(r, 2, 3) for _ in range(a.dim)) for _ in range(b.dim))
-    return mor(a, b, m, validate=False)
+    return mor(a, b, m)
 
 
 def rand_contraction(r: random.Random, a: ConeObject, b: ConeObject) -> Morphism:

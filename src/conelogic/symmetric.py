@@ -18,8 +18,9 @@ are equivalent up to the polarization constant
 
 because splitting f(x_1,...,x_n) by inclusion-exclusion over subset sums
 x_S bounds each diagonal term by |S|^n times the new norm. The bracket's
-upper bound is old_norm itself (the averaged-coefficient bound of the
-mixing polynomial collapses to exactly the generator-tuple maximum).
+upper bound is the oracle's averaged-coefficient bound of the mixing
+polynomial, which collapses to exactly old_norm, the generator-tuple
+maximum; old_norm stays as the independent reference.
 
 The power functor acts on a map S plainly on multiset coordinates, its
 columns expanded by the multinomial theorem. sym_power_blocks computes
@@ -238,20 +239,17 @@ def diagonal_polynomial(f: SymTensor, gens: tuple[VecQ, ...]) -> Polynomial:
 
 
 def new_norm_bounds(f: SymTensor, a: ConeObject) -> Bracket:
-    """Bracket sup { f(x,...,x) : x in the primal ball }.
-
-    Lower from the oracle's grid-plus-ascent over the generator mixing
-    simplex; upper is old_norm, which the averaged-coefficient bound equals
-    here (checked in tests, kept as the stated bound).
+    """Bracket sup { f(x,...,x) : x in the primal ball }: the oracle's
+    bracket over the generator mixing simplex. Its upper bound, the
+    averaged-coefficient bound, equals old_norm here (checked in tests).
     """
     gens = primal_gens(a)
     if not gens:
         v = f.coords[0] if f.degree == 0 else Q0
         return Bracket(v, v, (), "degenerate: no generators")
-    poly = diagonal_polynomial(f, gens)
-    br = simplex_polynomial_bounds(poly, (len(gens),))
-    upper = old_norm(f, a)
-    return Bracket(br.lower, upper, br.argmax, br.note)
+    if f.dim != a.dim:
+        raise DimensionError(a.dim, f.dim, "new_norm_bounds")
+    return simplex_polynomial_bounds(diagonal_polynomial(f, gens), (len(gens),))
 
 
 def polarization_constant(n: int) -> Fraction:

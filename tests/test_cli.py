@@ -1,5 +1,6 @@
 """CLI commands, exit codes, and golden-file byte stability."""
 
+import ast
 import contextlib
 import io
 import json
@@ -91,6 +92,27 @@ def test_interpret_text_output(capsys):
     )
     assert code == 0
     assert "dim: 4" in out and "backend: polyhedral" in out
+
+
+def test_interpret_states_the_order_of_graded_coordinates(capsys):
+    env = os.path.join(GOLDEN, "env.json")
+
+    def layout(formula):
+        code, out = run(capsys, "interpret", "--env", env, "--formula", formula, "--trunc", "2")
+        assert code == 0
+        obj = json.loads(out)["object"]
+        return obj["layout"], [ast.literal_eval(c) for c in obj["coords"]]
+
+    text, bang = layout("!a")
+    assert text.startswith("degree-major")
+    assert bang == sorted(bang, key=lambda m: (len(m), m))
+    text, pairs = layout("!a * !a")
+    assert text.startswith("left-major pairs")
+    assert pairs == [(x, y) for x in bang for y in bang if len(x) + len(y) <= 2]
+    assert pairs.index(((), (1, 1))) < pairs.index(((0,), ()))  # not degree-major
+    text, summands = layout("!a & !a")
+    assert text.startswith("summands in turn")
+    assert summands == [("L", m) for m in bang] + [("R", m) for m in bang]
 
 
 def test_parse_error_exit_code(capsys):

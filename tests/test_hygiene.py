@@ -1,8 +1,9 @@
 """Source hygiene: no module of the package, test file or demo imports a
 name it never uses, no public name is defined in two package modules,
 every name the benchmark's tracer patches still exists, the package's
-global caches are exactly the listed ones, and the bracket primitives and
-a morphism's integer view are named only where listed.
+global caches are exactly the listed ones, the bracket primitives and a
+morphism's integer view are named only where listed, and every public
+function or class of the package has a caller outside the tests.
 
 `__init__.py` is exempt from the import check, since its imports are the
 public re-exports.
@@ -141,10 +142,9 @@ def test_traced_names_exist(layer, spec):
 
 # Every process-wide memo in the package. A new one is a global unbounded
 # cache, so it has to be argued for here: the multiset table, the oracle's
-# simplex grid, and the two ball-scheme caches that equal objects rebuilt by
-# each norm request of a bracket round hit.
+# simplex grid, and the ball-scheme cache that equal objects rebuilt by each
+# norm request of a bracket round hit.
 GLOBAL_CACHES = [
-    "exponentials._node_scheme",
     "exponentials.primal_ball_scheme",
     "multisets.graded_layout",
     "oracle._compositions",
@@ -245,3 +245,36 @@ def test_int_view_routes_are_listed():
             ):
                 found[ref].add(scope)
     assert {k: sorted(v) for k, v in found.items()} == INT_VIEW_ROUTES
+
+
+def test_public_definitions_have_a_package_caller():
+    # A public function or class that no other package scope names, that
+    # __init__ does not export and that the tracer does not patch is reached
+    # only from tests. Such a helper belongs in the tests that use it.
+    with open(os.path.join(PKG, "__init__.py"), encoding="utf-8") as fh:
+        exported = set(_imported(ast.parse(fh.read())))
+    traced = {
+        part for _, names in _tracer_layers().values() for n in names for part in n.split(".")
+    }
+    defined, scopes = [], {}
+    for path, name in SOURCES:
+        if "/" in name:
+            continue  # tests and demos
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        mod = name[:-3]
+        defined += [
+            (mod, node.name)
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")
+        ]
+        for ref, scope in _references(tree, mod):
+            scopes.setdefault(ref, set()).add(scope)
+    unreached = [
+        f"{mod}.{fn}"
+        for mod, fn in defined
+        if fn not in exported | traced
+        and all(s == f"{mod}.{fn}" or s.startswith(f"{mod}.{fn}.") for s in scopes.get(fn, ()))
+    ]
+    assert not unreached, f"public names no package caller reaches: {unreached}"

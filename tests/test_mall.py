@@ -22,32 +22,19 @@ from conelogic.cones import (
 )
 from conelogic.errors import CapabilityError, CompositionError, MembershipError
 from conelogic.mall import (
+    Morphism,
     adjoint,
-    assoc_tensor,
-    braid,
     compose,
-    copair_mor,
     coproduct_obj,
     cotensor_obj,
     curry,
-    eval_mor,
     hom_obj,
     identity,
-    inj1,
-    inj2,
     mor,
     morphism_norm,
-    pair_mor,
     product_obj,
-    proj1,
-    proj2,
-    tensor_mor,
     tensor_obj,
     uncurry,
-    unitor_left,
-    unitor_left_inv,
-    unitor_right,
-    unitor_right_inv,
 )
 from conelogic.polyhedra import DD_MAX_DIM, polar_of_points, reduce_generators
 from conelogic.rationals import unit, vec, zeros
@@ -64,6 +51,106 @@ def kron_vec(a, b):
 
 def eye(n):
     return tuple(unit(n, i) for i in range(n))
+
+
+# ---------------------------------------------------------------------------
+# Structural catalog: the structure maps of the *-autonomous category with
+# products and coproducts, built from their definitions. The package reaches
+# none of them, so they live here with the laws they are checked against.
+# Columns follow conelogic.mall: cols[j] lists the (target row, value)
+# nonzeros of source coordinate j in ascending row order.
+
+
+def unit_cols(n, offset=0):
+    """Columns of the 0/1 map sending coordinate j to row j + offset."""
+    return tuple(((j + offset, F(1)),) for j in range(n))
+
+
+def tensor_mor(f, g):
+    """f (x) g: source pair (j, l) maps to the target pairs (i, k) with entry
+    f[i, j] g[k, l], row-major on both sides."""
+    dg = g.target.dim
+    cols = tuple(
+        tuple((i * dg + k, x * y) for i, x in fc for k, y in gc)
+        for fc in f.cols
+        for gc in g.cols
+    )
+    return Morphism(tensor_obj(f.source, g.source), tensor_obj(f.target, g.target), cols)
+
+
+def assoc_tensor(a, b, c):
+    """(a (x) b) (x) c -> a (x) (b (x) c). Row-major flattening makes the
+    underlying coordinate map the identity; only the objects differ."""
+    src = tensor_obj(tensor_obj(a, b), c)
+    return Morphism(src, tensor_obj(a, tensor_obj(b, c)), unit_cols(src.dim))
+
+
+def braid(a, b):
+    """a (x) b -> b (x) a, the symmetry of the tensor."""
+    da, db = a.dim, b.dim
+    cols = tuple(((j * da + i, F(1)),) for i in range(da) for j in range(db))
+    return Morphism(tensor_obj(a, b), tensor_obj(b, a), cols)
+
+
+def unitor_left(a):
+    """1 (x) a -> a, identity on coordinates."""
+    return Morphism(tensor_obj(one_obj(), a), a, unit_cols(a.dim))
+
+
+def unitor_left_inv(a):
+    return Morphism(a, tensor_obj(one_obj(), a), unit_cols(a.dim))
+
+
+def unitor_right(a):
+    return Morphism(tensor_obj(a, one_obj()), a, unit_cols(a.dim))
+
+
+def unitor_right_inv(a):
+    return Morphism(a, tensor_obj(a, one_obj()), unit_cols(a.dim))
+
+
+def proj1(a, b):
+    return Morphism(product_obj(a, b), a, unit_cols(a.dim) + ((),) * b.dim)
+
+
+def proj2(a, b):
+    return Morphism(product_obj(a, b), b, ((),) * a.dim + unit_cols(b.dim))
+
+
+def pair_mor(f, g):
+    """<f, g>: c -> a & b from f: c -> a, g: c -> b."""
+    if f.source != g.source:
+        raise CompositionError("pair needs a common source")
+    da = f.target.dim
+    cols = tuple(fc + tuple((i + da, x) for i, x in gc) for fc, gc in zip(f.cols, g.cols))
+    return Morphism(f.source, product_obj(f.target, g.target), cols)
+
+
+def inj1(a, b):
+    return Morphism(a, coproduct_obj(a, b), unit_cols(a.dim))
+
+
+def inj2(a, b):
+    return Morphism(b, coproduct_obj(a, b), unit_cols(b.dim, a.dim))
+
+
+def copair_mor(f, g):
+    """[f, g]: a + b -> c from f: a -> c, g: b -> c."""
+    if f.target != g.target:
+        raise CompositionError("copair needs a common target")
+    return Morphism(coproduct_obj(f.source, g.source), f.target, f.cols + g.cols)
+
+
+def eval_mor(a, b):
+    """(a -o b) (x) a -> b, the evaluation of *-autonomy: row k sums the
+    source coordinates (hom coordinate i*db + k, a coordinate i)."""
+    h = hom_obj(a, b)
+    da, db = a.dim, b.dim
+    cols = [()] * (h.dim * da)
+    for k in range(db):
+        for i in range(da):
+            cols[(i * db + k) * da + i] = ((k, F(1)),)
+    return Morphism(tensor_obj(h, a), b, tuple(cols))
 
 
 def test_tensor_of_simplices_is_simplex():
@@ -248,6 +335,22 @@ def test_tensor_mor_norm_multiplicative_on_samples():
     g = mor(cube_pcs(2), cube_pcs(2), [[F(1, 3), 0], [0, 1]])
     t = tensor_mor(f, g)
     assert morphism_norm(t) == morphism_norm(f) * morphism_norm(g)
+
+
+def test_catalog_maps_are_canonical():
+    # Built without mor's sorting: each must already be the canonical,
+    # positive column store that mor makes from its dense matrix.
+    a, b = Bool, cube_pcs(2)
+    f = mor(a, b, [[F(1, 2), 0], [1, F(1, 3)]])
+    g = mor(a, a, [[0, 1], [F(1, 4), 0]])
+    maps = [
+        tensor_mor(f, g), assoc_tensor(a, b, a), braid(a, b), unitor_left(b),
+        unitor_left_inv(b), unitor_right(b), unitor_right_inv(b), proj1(a, b),
+        proj2(a, b), pair_mor(f, g), inj1(a, b), inj2(a, b),
+        copair_mor(g, mor(b, a, [[1, 0], [0, 1]])), eval_mor(a, b),
+    ]
+    for m in maps:
+        assert mor(m.source, m.target, m.matrix) == m, m
 
 
 def test_spectral_operands_rejected():

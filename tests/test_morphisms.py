@@ -25,7 +25,16 @@ from conelogic.backends import cube_pcs, simplex_pcs
 from conelogic.cones import dual_object, materialize_q, pairing, zero_obj
 from conelogic.errors import CapabilityError, CompositionError, DimensionError, MembershipError
 from conelogic.exponentials import bang_mor, bang_obj, eta, mu, whynot_mor, whynot_obj
-from conelogic.mall import adjoint, compose, identity, mor, morphism_norm, sparse_mor, tensor_obj
+from conelogic.mall import (
+    Morphism,
+    adjoint,
+    compose,
+    identity,
+    mor,
+    morphism_norm,
+    sparse_mor,
+    tensor_obj,
+)
 from conelogic.symmetric import sym_power_obj
 
 # mostly zero, with both signs so that products cancel; small denominators
@@ -47,6 +56,17 @@ nonneg = st.one_of(
 
 def obj(n):
     return simplex_pcs(n) if n else zero_obj()
+
+
+def signed_mor(src, tgt, rows):
+    """The map with these dense rows, entries of either sign. mor audits
+    positivity and refuses a negative entry, so the canonical columns (the
+    nonzeros of each column in ascending row order) go to Morphism as they
+    are."""
+    cols = tuple(
+        tuple((i, F(row[j])) for i, row in enumerate(rows) if row[j]) for j in range(src.dim)
+    )
+    return Morphism(src, tgt, cols)
 
 
 def matrix(rows, cols, entries=entry):
@@ -99,8 +119,8 @@ def assert_canonical(f):
 @given(factors())
 def test_compose_matches_the_definition(abd):
     gm, fm, (a, b, c) = abd
-    g = mor(b, c, gm, validate=False)
-    f = mor(a, b, fm, validate=False)
+    g = signed_mor(b, c, gm)
+    f = signed_mor(a, b, fm)
     h = compose(g, f)
     assert h.matrix == product_by_definition(gm, fm, b.dim, a.dim)
     assert (h.source, h.target) == (f.source, g.target)
@@ -109,8 +129,8 @@ def test_compose_matches_the_definition(abd):
 
 
 def test_compose_cancellation_and_empty_shapes():
-    g = mor(obj(2), obj(1), [[1, -1]], validate=False)
-    f = mor(obj(2), obj(2), [[2, 0], [2, 3]], validate=False)
+    g = signed_mor(obj(2), obj(1), [[1, -1]])
+    f = signed_mor(obj(2), obj(2), [[2, 0], [2, 3]])
     h = compose(g, f)
     assert h.matrix == ((F(0), F(-3)),)
     assert h.cols == ((), ((0, F(-3)),))  # the cancelled entry is absent
@@ -144,7 +164,7 @@ def weighted_maps(draw):
     src = draw(st.sampled_from(WEIGHTED))
     tgt = draw(st.sampled_from(WEIGHTED))
     rows = draw(matrix(tgt.dim, src.dim))
-    return mor(src, tgt, rows, validate=False)
+    return signed_mor(src, tgt, rows)
 
 
 @settings(max_examples=80, deadline=None)
@@ -247,10 +267,11 @@ def test_each_lift_derives_one_integer_view(monkeypatch):
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 4), st.integers(0, 4), st.data())
 def test_mor_round_trips_its_rows(n, m, data):
-    rows = data.draw(matrix(m, n))
-    f = mor(obj(n), obj(m), [[str(x) for x in r] for r in rows], validate=False)
+    rows = data.draw(matrix(m, n, nonneg))
+    f = mor(obj(n), obj(m), [[str(x) for x in r] for r in rows])
     assert f.matrix == rows
     assert_canonical(f)
+    assert signed_mor(obj(n), obj(m), rows) == f  # the helper is canonical too
 
 
 small = st.sampled_from([F(0), F(0), F(1), F(1, 2)])

@@ -18,9 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conelogic.backends import bool_obj, cube_pcs, simplex_pcs
-from conelogic.cones import one_obj, pairing, validate_object, zero_obj
+from conelogic.cones import from_p_gens, one_obj, pairing, validate_object, zero_obj
 from conelogic.exponentials import bang_mor, whynot_mor
-from conelogic.errors import NegativeCoefficientError
+from conelogic.errors import DimensionError, NegativeCoefficientError
 from conelogic.mall import compose, identity, mor
 from conelogic.multisets import msets
 from conelogic.oracle import averaged_upper
@@ -123,14 +123,28 @@ def test_rank_one_power_has_equal_norms():
         assert br.lower == br.upper == 1
 
 
-def test_averaged_upper_collapses_to_old_norm():
-    rng = random.Random(5)
-    a = bool_obj()
-    for _ in range(20):
-        coords = {m: F(rng.randint(0, 6), rng.randint(1, 5)) for m in msets(2, 2)}
-        f = sym_tensor(2, 2, coords)
-        poly = diagonal_polynomial(f, a.p_ball_gens)
-        assert averaged_upper(poly, (len(a.p_ball_gens),)) == old_norm(f, a)
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(2, 2), (2, 3), (3, 2)]), st.booleans(), st.data())
+def test_averaged_upper_collapses_to_old_norm(dim_n, simplex, data):
+    # The diagonal polynomial is homogeneous on one block, so its averaged
+    # bound is the largest generator-tuple value: new_norm_bounds reports
+    # old_norm as its upper bound without computing it.
+    dim, n = dim_n
+    if simplex:
+        a = simplex_pcs(dim)
+    else:
+        coord = st.fractions(min_value=0, max_value=1, max_denominator=4)
+        pts = data.draw(
+            st.lists(st.tuples(*[coord] * dim), min_size=1, max_size=4).filter(
+                lambda ps: all(any(p[c] for p in ps) for c in range(dim))
+            )
+        )
+        a = from_p_gens(pts, dim)
+    value = st.fractions(min_value=0, max_value=6, max_denominator=5)
+    f = sym_tensor(dim, n, {m: data.draw(value) for m in msets(dim, n)})
+    poly = diagonal_polynomial(f, a.p_ball_gens)
+    assert averaged_upper(poly, (len(a.p_ball_gens),)) == old_norm(f, a)
+    assert new_norm_bounds(f, a).upper == old_norm(f, a)
 
 
 def test_negative_tuple_value_is_refused():
@@ -139,6 +153,15 @@ def test_negative_tuple_value_is_refused():
         old_norm(f, bool_obj())
     with pytest.raises(NegativeCoefficientError):
         new_norm_bounds(f, bool_obj())
+
+
+def test_dimension_mismatch_is_refused():
+    for dim in (1, 3):
+        f = sym_tensor(dim, 2, {})
+        with pytest.raises(DimensionError):
+            old_norm(f, bool_obj())
+        with pytest.raises(DimensionError):
+            new_norm_bounds(f, bool_obj())
 
 
 def test_polarization_constants():
