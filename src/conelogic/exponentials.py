@@ -34,15 +34,16 @@ A BallScheme is a family of primal ball members parametrized by simplices,
 with explicit honest members beside it, and BallScheme.bracket(k) brackets
 the sup over the ball of sum_c k_c z_c for k >= 0: the best honest member
 below, and above the averaged upper bound of the family polynomial
-sum_c k_c polys[c], or the oracle on it when the family is exact. The
-primal ball of a distribution-side object is parametrized exactly by delta
-families over the argument ball, so a series norm is one bracket with k
-the weighted element. The series-side ball has no exact finite
-parametrization: its scheme is a coordinate box whose corners are brackets
-of the unit vectors, so distribution norms are bracketed from inside by
-explicit series (singletons and the constant series) and from outside by
-that box, lowered where it can be by an LP relaxation over finitely many
-sampled ball constraints.
+sum_c k_c polys[c], or, when the family is exact and no honest member
+reaches that bound, the oracle on it. The primal ball of a distribution-
+side object is parametrized exactly by delta families over the argument
+ball, so a series norm is one bracket with k the weighted element. The
+series-side ball has no exact finite parametrization: its scheme is a
+coordinate box whose corners are the unit vectors' brackets (read by
+BallScheme.corner, with no witness), so distribution norms are bracketed
+from inside by explicit series (singletons and the constant series) and
+from outside by that box, lowered where it can be by an LP relaxation over
+finitely many sampled ball constraints.
 
 One restriction is baked in: representable series have nonnegative
 coordinates, and distribution norms take the sup against those. On genuine
@@ -97,7 +98,7 @@ from .multisets import (
     mset_union,
 )
 from .oracle import Bracket, _compositions, averaged_upper, simplex_polynomial_bounds
-from .polynomials import Polynomial, layout_products, poly_combination, poly_sum
+from .polynomials import Polynomial, eval_family, layout_products, poly_combination, poly_sum
 from .rationals import Q0, Q1, IntRows, VecQ, int_rows, mat, max_pairing, unit, vec
 from .symmetric import sym_power_blocks
 
@@ -478,24 +479,39 @@ class BallScheme:
         _sample_points. Grid vertices repeat honest members, so a repeated
         point keeps only its first place."""
         pts = list(self.honest)
-        for t in _sample_points(self.blocks):
-            pts.append(tuple(p.eval_exact(t) for p in self.polys))
+        pts.extend(eval_family(self.polys, t) for t in _sample_points(self.blocks))
         return tuple(dict.fromkeys(pts))
+
+    def _bound(self, pol: Polynomial, low: Fraction) -> tuple[Fraction, Optional[Bracket]]:
+        """The averaged upper bound of the family polynomial pol, and the
+        oracle's bracket only when the family is exact and low, a value an
+        honest member reaches, is below it: a member reaching a certified
+        upper bound attains the sup, which no search could change."""
+        upper = averaged_upper(pol, self.blocks)
+        if not self.exact or low >= upper:
+            return upper, None
+        return upper, simplex_polynomial_bounds(pol, self.blocks)
 
     def bracket(self, k: VecQ) -> Bracket:
         """Bracket the sup over the ball of sum_c k_c z_c, for k >= 0: the
-        best honest member below; above, the averaged upper bound of the
-        family polynomial sum_c k_c polys[c], or, when the family is
-        exact, the oracle on it, whose argmax is mapped through polys."""
+        best honest member below, and the bounding step of the family
+        polynomial sum_c k_c polys[c] above; the oracle's argmax, when it
+        beats the honest member, is mapped through polys."""
         low, arg = _honest_lower(k, self)
         pol = poly_combination(k, self.polys, sum(self.blocks))
-        if not self.exact:
-            upper = averaged_upper(pol, self.blocks)
+        upper, br = self._bound(pol, low)
+        if br is None:
             return Bracket(low, upper, arg, "honest lower / averaged upper")
-        br = simplex_polynomial_bounds(pol, self.blocks)
         if br.lower > low:
-            low, arg = br.lower, tuple(p.eval_exact(br.argmax) for p in self.polys)
+            low, arg = br.lower, eval_family(self.polys, br.argmax)
         return Bracket(low, br.upper, arg, f"distribution-family oracle ({br.note})")
+
+    def corner(self, c: int) -> tuple[Fraction, Fraction]:
+        """bracket(unit(c))'s lower and upper bounds, with no witness: the
+        honest members' column maximum, or the oracle's lower bound."""
+        low = max((z[c] for z in self.honest), default=Q0)
+        upper, br = self._bound(self.polys[c], low)
+        return (low if br is None else max(low, br.lower)), upper
 
 
 @lru_cache(maxsize=None)
@@ -532,7 +548,8 @@ def _node_scheme(node) -> BallScheme:
         honest = tuple(monomial_values(y, lay) for y in pts[:HONEST_CAP])
         return BallScheme(inner.blocks, polys, honest, inner.exact)
     if isinstance(node, TensorNode):
-        sl, sr = _node_scheme(node.left), _node_scheme(node.right)
+        sl = _node_scheme(node.left)
+        sr = sl if node.right == node.left else _node_scheme(node.right)
         nl = sum(sl.blocks)
         nv = nl + sum(sr.blocks)
         li, ri = node.left.layout.index, node.right.layout.index
@@ -558,8 +575,9 @@ def _box_scheme(h: ConeObject) -> BallScheme:
     A representable f in the unit ball satisfies w_c f_c z_c <= <f, z> <= 1
     at every distribution ball member z, so f_c <= 1/(w_c M_c) with M_c the
     coordinate sup, bracketed by the distribution scheme's bracket of the
-    unit vector e_c. Its lower bound makes the corners safe overestimates;
-    singletons e_c/(w_c upper(M_c)) are certified members. A coordinate
+    unit vector e_c (BallScheme.corner). Its lower bound makes the corners
+    safe overestimates; singletons e_c/(w_c upper(M_c)) are certified
+    members. A coordinate
     whose lower bound is 0 has no box: either no family member reaches it,
     or only an inexact family does and no honest member certifies it.
     """
@@ -568,22 +586,22 @@ def _box_scheme(h: ConeObject) -> BallScheme:
     corners = []
     honest = []
     for c in range(h.dim):
-        br = s.bracket(unit(h.dim, c))
-        if br.lower <= 0 and not s.polys[c].terms:
+        lower, upper = s.corner(c)
+        if lower <= 0 and not s.polys[c].terms:
             raise CapabilityError(
                 "series ball is unbounded in a dead coordinate",
                 f"coordinate {c} of {h.label!r} never appears on the distribution side",
             )
-        if br.lower <= 0:
+        if lower <= 0:
             raise CapabilityError(
                 "series ball has no certified box",
                 f"coordinate {c} of {h.label!r} is zero at every honest member of the "
                 "inexact distribution-side family, so its sup has no certified positive "
                 "lower bound",
             )
-        corners.append(Polynomial.constant(0, Q1 / (w[c] * br.lower)))
+        corners.append(Polynomial.constant(0, Q1 / (w[c] * lower)))
         point = [Q0] * h.dim
-        point[c] = Q1 / (w[c] * br.upper)
+        point[c] = Q1 / (w[c] * upper)
         honest.append(tuple(point))
     return BallScheme((), tuple(corners), tuple(honest), False)
 
@@ -973,7 +991,7 @@ def analytic_norm_bounds(f: Morphism) -> Bracket:
         br = simplex_polynomial_bounds(pol, s.blocks)
         if br.lower > lower:
             lower = br.lower
-            arg = tuple(p.eval_exact(br.argmax) for p in s.polys)
+            arg = eval_family(s.polys, br.argmax)
         if br.upper > upper:
             upper = br.upper
     return Bracket(lower, upper, arg, "max over target dual generators")

@@ -26,7 +26,9 @@ value would be a lie. Everything here returns a certified bracket instead:
           per-block degree profile, bound each group by its largest
           coefficient-to-multinomial ratio, and sum; by the multinomial
           theorem each group's weighted monomials sum to at most 1 on the
-          feasible set.
+          feasible set. Read off the integer view, one Fraction per
+          profile. A feasible value that reaches it is the sup, so
+          exponentials.BallScheme runs the oracle only below it.
 
 Degree <= 1 is solved exactly (vertex maximum), and the bracket collapses.
 Since coefficients are nonnegative the sup is attained with every block on
@@ -115,27 +117,25 @@ def _block_slices(blocks: Sequence[int]) -> list[slice]:
 
 
 def averaged_upper(poly: Polynomial, blocks: Sequence[int]) -> Fraction:
-    """Sum over degree profiles of the best coefficient/multinomial ratio."""
+    """Sum over degree profiles of the best coefficient/multinomial ratio,
+    on the integer view: with d_b the degree of x^e in block b, c_e over
+    the multinomial is (L c_e) prod e_i! / (L prod d_b!), so the terms of
+    one profile compare by their integer numerators."""
     _check_blocks(poly, blocks)
     _check_nonnegative(poly)
-    slices = _block_slices(blocks)
-    best: dict[tuple[int, ...], Fraction] = {}
-    for e, c in poly.terms.items():
-        profile = []
-        weight = 1
-        for s in slices:
-            part = e[s]
-            d = sum(part)
-            profile.append(d)
-            m = factorial(d)
-            for k in part:
-                m //= factorial(k)
-            weight *= m
-        ratio = c / weight
+    den, deg, view = poly.int_terms()
+    owner = [b for b, size in enumerate(blocks) for _ in range(size)]
+    fact = [factorial(j) for j in range(deg + 1)]
+    best: dict[tuple[int, ...], int] = {}
+    for n, _, factors in view:
+        profile = [0] * len(blocks)
+        for i, k in factors:
+            profile[owner[i]] += k
+            n *= fact[k]
         key = tuple(profile)
-        if ratio > best.get(key, Q0):
-            best[key] = ratio
-    return sum(best.values(), Q0)
+        if n > best.get(key, 0):
+            best[key] = n
+    return sum((Fraction(n, den * prod(fact[j] for j in d)) for d, n in best.items()), Q0)
 
 
 def _affine_sup(poly: Polynomial, blocks: Sequence[int]) -> tuple[Fraction, VecQ]:
@@ -275,8 +275,7 @@ def simplex_polynomial_bounds(
     poly: Polynomial, blocks: Sequence[int], params: OracleParams = DEFAULT_PARAMS
 ) -> Bracket:
     """Bracket sup { poly(t) : per block, t >= 0 and sum t <= 1 }."""
-    _check_blocks(poly, blocks)
-    _check_nonnegative(poly)
+    upper = averaged_upper(poly, blocks)  # checks the blocks and the signs once
     if poly.nvars == 0 or poly.total_degree() == 0:
         v = poly.constant_term()
         return Bracket(v, v, (Q0,) * poly.nvars, "constant")
@@ -284,7 +283,6 @@ def simplex_polynomial_bounds(
         v, point = _affine_sup(poly, blocks)
         return Bracket(v, v, point, "affine vertex maximum")
 
-    upper = averaged_upper(poly, blocks)
     resolution, count = _grid_resolution(blocks, params)
     lower, argmax = _grid_argmax(
         poly, blocks, resolution, params.candidate_cap, upper

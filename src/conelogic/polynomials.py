@@ -13,8 +13,9 @@ slots of its powers in a per-call power table), and the integer view
 coefficient denominators and D the total degree. Exact evaluation reads
 the integer view: the point is scaled by the lcm m of its denominators to
 integers k, L m^D p(k/m) is summed in integers, and one Fraction is made
-at the end. The oracle's grid scan reads the same view with m the grid
-resolution.
+at the end; eval_family does so for a family of polynomials (a ball
+scheme's coordinates) at one point, scaling the point once. The oracle's
+grid scan, its averaged upper bound and the sign check read the same view.
 
 layout_products builds the monomial family of a multiset table, the
 product of the forms over every multiset, each from its prefix one grade
@@ -150,10 +151,11 @@ class Polynomial:
         return self.terms.get((0,) * self.nvars, Q0)
 
     def negative_term(self) -> Optional[tuple[Expvec, Fraction]]:
-        for e, c in sorted(self.terms.items()):
-            if c < 0:
-                return (e, c)
-        return None
+        """The least exponent with a negative coefficient, or None; the
+        integer view's numerators decide before any term is compared."""
+        if all(n >= 0 for n, _, _ in self.int_terms()[2]):
+            return None
+        return min((e, c) for e, c in self.terms.items() if c < 0)
 
     def shift_vars(self, offset: int, nvars: int) -> "Polynomial":
         """Re-home into a larger variable list starting at `offset`."""
@@ -202,24 +204,7 @@ class Polynomial:
         """p(point) as one Fraction, summed in integers: the point is
         scaled by the lcm m of its denominators and the integer view's sum
         is divided by L m^D once."""
-        if len(point) != self.nvars:
-            raise ValueError("point length mismatch")
-        den, deg, terms = self.int_terms()
-        m, ks = int_vector(point)
-        mpow = [1]
-        for _ in range(deg):
-            mpow.append(mpow[-1] * m)
-        total = 0
-        for c, gap, factors in terms:
-            c *= mpow[gap]
-            for i, k in factors:
-                ki = ks[i]
-                if not ki:
-                    break
-                c *= ki**k
-            else:
-                total += c
-        return Fraction(total, den * mpow[deg])
+        return eval_family((self,), point)[0]
 
     def _float_terms(self) -> list[tuple[float, list[tuple[int, int]]]]:
         if self._floats is None:
@@ -266,6 +251,30 @@ class Polynomial:
                 v *= table[s]
             g[i] += v
         return g
+
+
+def eval_family(polys: Sequence[Polynomial], point: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    """Each polynomial's eval_exact at one point, which is scaled to
+    integers k/m once for the whole family."""
+    if any(p.nvars != len(point) for p in polys):
+        raise ValueError("point length mismatch")
+    views = [p.int_terms() for p in polys]
+    m, ks = int_vector(point)
+    mpow = [m**j for j in range(max((deg for _, deg, _ in views), default=0) + 1)]
+    out = []
+    for den, deg, terms in views:
+        total = 0
+        for c, gap, factors in terms:
+            c *= mpow[gap]
+            for i, k in factors:
+                ki = ks[i]
+                if not ki:
+                    break
+                c *= ki**k
+            else:
+                total += c
+        out.append(Fraction(total, den * mpow[deg]))
+    return tuple(out)
 
 
 def poly_sum(polys: Iterable[Polynomial], nvars: int) -> Polynomial:

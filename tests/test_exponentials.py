@@ -82,7 +82,7 @@ from conelogic.multisets import (
     mset_count,
     multiplicity,
 )
-from conelogic.oracle import OracleParams, averaged_upper, simplex_polynomial_bounds
+from conelogic.oracle import Bracket, OracleParams, averaged_upper, simplex_polynomial_bounds
 from conelogic.polynomials import (
     Polynomial,
     layout_products,
@@ -90,7 +90,7 @@ from conelogic.polynomials import (
     poly_product,
     poly_sum,
 )
-from conelogic.rationals import vec
+from conelogic.rationals import unit, vec
 from test_symmetric import map_rows
 
 Bool = bool_obj()
@@ -1206,6 +1206,102 @@ def test_every_graded_bracket_has_a_witness_of_the_object(case):
         k = [w * x for w, x in zip(h.pairing_weights, e)]
         pol = poly_combination(k, s.polys, sum(s.blocks))
         assert s.bracket(k).upper == averaged_upper(pol, s.blocks)
+
+
+# The bounding step: the averaged upper bound first, and the oracle only
+# when the family is exact and no honest member reaches that bound. An
+# honest member that reaches a certified upper bound attains the sup, so
+# the bracket must be the one of the route that always ran the oracle, and
+# each box corner the unit vector's bracket, read with no witness.
+
+
+def always_oracle_bracket(s, k):
+    """BallScheme.bracket with the oracle run on every exact family and its
+    argmax mapped through the family one polynomial at a time."""
+    low, arg = F(0), None
+    for z in s.honest:
+        v = sum((kc * zc for kc, zc in zip(k, z)), F(0))
+        if v > low:
+            low, arg = v, z
+    pol = poly_combination(k, s.polys, sum(s.blocks))
+    if not s.exact:
+        return Bracket(low, averaged_upper(pol, s.blocks), arg, "honest lower / averaged upper")
+    br = simplex_polynomial_bounds(pol, s.blocks)
+    if br.lower > low:
+        low, arg = br.lower, tuple(p.eval_exact(br.argmax) for p in s.polys)
+    return Bracket(low, br.upper, arg, f"distribution-family oracle ({br.note})")
+
+
+@st.composite
+def scheme_objectives(draw):
+    """The scheme a ?a or !a norm at truncation 1-3 brackets over (the exact
+    !a family, or the box of ?a's dual), with a sparse objective k >= 0."""
+    a, n = draw(polyhedral_atoms()), draw(st.integers(1, 3))
+    h = draw(st.sampled_from([whynot_obj(a, n), bang_obj(a, n)]))
+    s = exponentials.primal_ball_scheme(dual_object(h))
+    entry = st.sampled_from([F(0), F(0), F(1, 3), F(2, 3), F(1), F(5, 2)])
+    return s, tuple(draw(st.lists(entry, min_size=h.dim, max_size=h.dim)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(scheme_objectives())
+def test_bracket_equals_the_always_oracle_route(case):
+    s, k = case
+    got, want = s.bracket(k), always_oracle_bracket(s, k)
+    assert (got.lower, got.upper, got.argmax) == (want.lower, want.upper, want.argmax)
+    if got.lower < got.upper:  # a closed bracket reports no provenance
+        assert got.note == want.note
+
+
+@settings(max_examples=40, deadline=None)
+@given(polyhedral_atoms(), st.integers(1, 3), st.booleans())
+def test_corners_equal_the_unit_brackets(a, n, series_side):
+    h = whynot_obj(a, n) if series_side else bang_obj(a, n)
+    s = exponentials.primal_ball_scheme(h)
+    for c in range(h.dim):
+        br = s.bracket(unit(h.dim, c))
+        assert s.corner(c) == (br.lower, br.upper)
+
+
+def test_box_corners_run_the_oracle_only_below_the_bound(monkeypatch):
+    # !a at truncation 3 over a dimension-3 atom: 20 corners, and at all
+    # but 2 (coordinates 6 and 14) an honest member reaches the averaged
+    # upper bound. No corner builds a witness.
+    a = from_p_gens([[F(1, 8), F(3, 8), F(2)], [F(1, 4), F(3, 8), F(1)]], 3)
+    h = dual_object(bang_obj(a, 3))
+    s = exponentials.primal_ball_scheme(dual_object(h))
+    oracle, family = [], []
+
+    def counting_oracle(pol, blocks):
+        oracle.append(s.polys.index(pol))
+        return simplex_polynomial_bounds(pol, blocks)
+
+    monkeypatch.setattr(exponentials, "simplex_polynomial_bounds", counting_oracle)
+    monkeypatch.setattr(exponentials, "eval_family", lambda *args: family.append(args))
+    exponentials.primal_ball_scheme.cache_clear()
+    box = exponentials.primal_ball_scheme(h)
+    assert (h.dim, oracle, family) == (20, [6, 14], [])
+    assert box.polys[14].constant_term() == 1 / (h.pairing_weights[14] * s.corner(14)[0])
+
+
+def test_equal_tensor_factors_build_one_scheme(monkeypatch):
+    calls = []
+    products = exponentials.layout_products
+
+    def counting(*args):
+        calls.append(1)
+        return products(*args)
+
+    monkeypatch.setattr(exponentials, "layout_products", counting)
+    exponentials.primal_ball_scheme.cache_clear()
+    b = bang_obj(cube_pcs(2), 2)
+    h = graded_tensor_obj(b, b)
+    e = vec(["1/3", "1/3", "2/3", 1, 0, 0, 1, "2/3", "1/3", "1/3", 1, 1, 1, "1/3", "1/3"])
+    br = graded_norm_bounds(h, e)
+    assert len(calls) == 1
+    # the bracket and witness that building each factor apart gave
+    assert (br.lower, br.upper, br.argmax) == (F(1), F(1), unit(15, 3))
+    assert br.note == "singleton-series lower / sampled-polar LP upper"
 
 
 def test_monomial_values_read_the_table():

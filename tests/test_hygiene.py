@@ -173,15 +173,20 @@ def test_global_caches_are_listed():
 
 
 # Every place in the package that names a bracket primitive, outside the
-# oracle module that defines them. Each graded norm is bracketed through
-# BallScheme.bracket; the analytic and the Sym^n diagonal norms run the
-# oracle themselves, since their argmax is read differently (a point of A,
-# the mixing parameters t). A new route has to be argued for here.
+# oracle module that defines them. Each graded norm is bounded through one
+# BallScheme step, _bound: the averaged upper bound first, and the oracle
+# only when the family is exact and no honest member reaches that bound.
+# BallScheme.bracket and the box corners (BallScheme.corner, which reads
+# the honest column maximum and builds no witness) both go through it, so
+# only bracket names _honest_lower. The analytic and the Sym^n diagonal
+# norms run the oracle themselves, since their argmax is read differently
+# (a point of A, the mixing parameters t). A new route has to be argued
+# for here.
 BRACKET_ROUTES = {
     "_honest_lower": ["exponentials.BallScheme.bracket"],
-    "averaged_upper": ["exponentials.BallScheme.bracket"],
+    "averaged_upper": ["exponentials.BallScheme._bound"],
     "simplex_polynomial_bounds": [
-        "exponentials.BallScheme.bracket",
+        "exponentials.BallScheme._bound",
         "exponentials.analytic_norm_bounds",
         "symmetric.new_norm_bounds",
     ],

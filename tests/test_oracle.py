@@ -8,7 +8,7 @@ coefficient bound is computable by hand for one or two terms.
 import itertools
 from dataclasses import replace
 from fractions import Fraction as F
-from math import comb, prod
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import assume, given, settings
@@ -26,7 +26,7 @@ from conelogic.oracle import (
     averaged_upper,
     simplex_polynomial_bounds,
 )
-from conelogic.polynomials import Polynomial
+from conelogic.polynomials import Polynomial, eval_family
 
 
 def test_polynomial_ring_ops():
@@ -329,6 +329,95 @@ def test_eval_exact_on_constant_and_zero_polynomials():
     assert Polynomial.zero(3).eval_exact(point) == 0
     assert Polynomial.constant(3, F(-5, 7)).eval_exact(point) == F(-5, 7)
     assert Polynomial.constant(0, 4).eval_exact(()) == 4
+
+
+# eval_family scales the point once for a whole family of polynomials of
+# different degrees; each value must be that polynomial's own.
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 4).flatmap(
+        lambda n: st.tuples(
+            st.lists(
+                st.dictionaries(
+                    st.tuples(*([st.integers(0, 3)] * n)),
+                    st.fractions(min_value=-5, max_value=5, max_denominator=9),
+                    max_size=5,
+                ).map(lambda terms: Polynomial(n, terms)),
+                max_size=5,
+            ),
+            st.lists(coordinate, min_size=n, max_size=n),
+        )
+    )
+)
+def test_eval_family_matches_eval_exact(family_and_point):
+    polys, point = family_and_point
+    values = eval_family(polys, point)
+    assert all(type(v) is F for v in values)
+    assert values == tuple(p.eval_exact(point) for p in polys)
+    assert values == tuple(fraction_value(p, point) for p in polys)
+
+
+def test_eval_family_refuses_a_point_of_the_wrong_length():
+    with pytest.raises(ValueError, match="point length mismatch"):
+        eval_family([Polynomial.constant(2, 1), Polynomial.constant(3, 1)], (F(1), F(0)))
+    assert eval_family([], (F(1, 2),)) == ()
+
+
+# The averaged upper bound on the integer view against the Fraction formula
+# it replaced: one Fraction ratio per term, compared per profile.
+
+
+def fraction_averaged_upper(poly, blocks):
+    best = {}
+    for e, c in poly.terms.items():
+        profile, weight, off = [], 1, 0
+        for b in blocks:
+            part = e[off : off + b]
+            off += b
+            profile.append(sum(part))
+            m = factorial(sum(part))
+            for k in part:
+                m //= factorial(k)
+            weight *= m
+        ratio = c / weight
+        if ratio > best.get(tuple(profile), F(0)):
+            best[tuple(profile)] = ratio
+    return sum(best.values(), F(0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(1, 3), max_size=3).flatmap(
+        lambda blocks: st.tuples(
+            st.dictionaries(
+                st.tuples(*([st.integers(0, 4)] * sum(blocks))),
+                st.fractions(min_value=0, max_value=7, max_denominator=12).filter(bool),
+                max_size=8,
+            ).map(lambda terms: Polynomial(sum(blocks), terms)),
+            st.just(tuple(blocks)),
+        )
+    )
+)
+def test_averaged_upper_matches_the_fraction_formula(problem):
+    poly, blocks = problem
+    assert averaged_upper(poly, blocks) == fraction_averaged_upper(poly, blocks)
+
+
+def test_negative_coefficient_error_names_the_first_negative_term():
+    # two negative terms: the least exponent in sorted order is named
+    p = Polynomial(2, {(1, 1): F(-1), (0, 2): F(-3), (2, 0): F(1)})
+    assert p.negative_term() == ((0, 2), F(-3))
+    with pytest.raises(NegativeCoefficientError) as err:
+        simplex_polynomial_bounds(p, (2,))
+    assert str(err.value) == (
+        "monomial t^(0, 2) has coefficient -3 < 0; the simplex oracle only "
+        "brackets nonnegative-coefficient polynomials"
+    )
+    with pytest.raises(NegativeCoefficientError):
+        averaged_upper(p, (2,))
+    assert Polynomial(2, {(1, 1): F(1, 3)}).negative_term() is None
 
 
 # The ascent stops at its fixed point; the plain loop below runs every
