@@ -145,13 +145,6 @@ def _cmd_interpret(args) -> int:
         obj = interpret(ast, env, args.trunc)
     except (ConelogicError, OSError, json.JSONDecodeError) as e:
         return _error_report("interpret", e)
-    if args.out == "text":
-        d = _object_json(obj)
-        lines = [f"{format_formula(ast)}  (trunc {args.trunc})"]
-        for key in sorted(d):
-            lines.append(f"  {key}: {d[key]}")
-        sys.stdout.write("\n".join(lines) + "\n")
-        return 0
     _emit(
         {
             "schema": SCHEMA,
@@ -274,7 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
     si.add_argument("--env", required=True, help="atom environment JSON file")
     si.add_argument("--formula", required=True)
     si.add_argument("--trunc", type=int, default=DEFAULT_TRUNC)
-    si.add_argument("--out", choices=("json", "text"), default="json")
     si.set_defaults(fn=_cmd_interpret)
 
     sn = sub.add_parser("norm", help="norm of one element of an interpreted object")

@@ -92,7 +92,6 @@ from .multisets import (
     Layout,
     Mset,
     graded_layout,
-    monomial_value,
     monomial_values,
     mset_count,
     mset_union,
@@ -100,7 +99,7 @@ from .multisets import (
 from .oracle import Bracket, _compositions, averaged_upper, simplex_polynomial_bounds
 from .polynomials import Polynomial, eval_family, layout_products, poly_combination, poly_sum
 from .rationals import Q0, Q1, IntRows, VecQ, int_rows, mat, max_pairing, unit, vec
-from .symmetric import sym_power_blocks
+from .symmetric import sym_power_cols
 
 DEFAULT_TRUNC = 3
 
@@ -410,7 +409,8 @@ def delta(a: ConeObject, x, trunc: int = DEFAULT_TRUNC) -> GradedDistribution:
 
 
 def series_eval(f: GradedSeries, x) -> Fraction:
-    """f(x) = sum over multisets of multiplicity(m) * f_m * x^m."""
+    """f(x) = sum over multisets of multiplicity(m) * f_m * x^m, that is
+    <f, delta_x>: the pairing of f with the monomials x^m."""
     node = _shape(f.obj).node
     if not isinstance(node, ExpNode):
         raise CapabilityError("evaluation needs a plain series object", f.obj.label)
@@ -423,11 +423,7 @@ def series_eval(f: GradedSeries, x) -> Fraction:
         n = None  # graded argument domain; no exact gate available
     if n is not None and n > 1:
         raise BallError(f"series argument escapes the ball of {arg.label!r}", norm=n)
-    total = Q0
-    for m, w, c in zip(node.layout.coords, node.layout.weights, f.coords):
-        if c:
-            total += w * c * monomial_value(xq, m)
-    return total
+    return pairing(f.obj, f.coords, monomial_values(xq, node.layout))
 
 
 def graded_pairing(f: GradedSeries, e: GradedDistribution) -> Fraction:
@@ -444,6 +440,9 @@ def pair_element(pair_obj: ConeObject, left_coords, right_coords) -> VecQ:
         raise CapabilityError("needs a graded pair object", pair_obj.label)
     li, ri = node.left.layout.index, node.right.layout.index
     lc, rc = vec(left_coords), vec(right_coords)
+    for c, idx, side in ((lc, li, "left"), (rc, ri, "right")):
+        if len(c) != len(idx):
+            raise DimensionError(len(idx), len(c), f"{side} pair factor")
     return tuple(lc[li[a]] * rc[ri[b]] for a, b in node.layout.coords)
 
 
@@ -639,7 +638,7 @@ def _delta_like_bounds(node, e: VecQ) -> Optional[Bracket]:
             x = tuple(e[idx[(c,)]] / scale for c in range(base.dim))
         else:
             x = tuple(Q0 for _ in range(base.dim))
-        if all(e[i] == scale * monomial_value(x, m) for i, m in enumerate(coords)):
+        if all(ei == scale * v for ei, v in zip(e, monomial_values(x, node.layout))):
             try:
                 ok = in_ball(arg, x)
             except CapabilityError:
@@ -855,21 +854,12 @@ def _require_contraction(s: Morphism, what: str) -> None:
         raise BallError(f"{what} only transports contractions", norm=n)
 
 
-def _graded_power(src: ConeObject, tgt: ConeObject, view, dim_tgt: int, trunc: int) -> Morphism:
-    """Grades 0..trunc of the symmetric powers of the map with this integer
-    view, block-diagonal in the degree-major graded layout."""
-    out, roff = [], 0
-    for n, block in enumerate(sym_power_blocks(view, dim_tgt, trunc)):
-        out.extend([(roff + i, x) for i, x in col] for col in block)
-        roff += mset_count(dim_tgt, n)
-    return sparse_mor(src, tgt, out)
-
-
 def whynot_mor(l: Morphism, trunc: int = DEFAULT_TRUNC) -> Morphism:
     """?l: ?A -> ?B for a contraction l: A -> B, f -> f . l*. The image of
     the series coordinate mu is multiplicity(mu) prod_{c in mu} (l* y)_c with
     its y^nu coefficient spread over multiplicity(nu), so ?l = Sym(l'): l'
-    is l conjugated by the weights, the transpose of l*'s integer view."""
+    is l conjugated by the weights, the transpose of l*'s integer view, and
+    sym_power_cols of that view are the columns of grades 0..trunc."""
     pullback = adjoint(l)
     _require_contraction(pullback, "?")
     den, pcols = pullback.int_cols
@@ -878,15 +868,16 @@ def whynot_mor(l: Morphism, trunc: int = DEFAULT_TRUNC) -> Morphism:
         for c, x in col:
             conj[c].append((r, x))
     src, tgt = whynot_obj(l.source, trunc), whynot_obj(l.target, trunc)
-    return _graded_power(src, tgt, (den, conj), l.target.dim, trunc)
+    return sparse_mor(src, tgt, sym_power_cols((den, conj), l.target.dim, trunc))
 
 
 def bang_mor(s: Morphism, trunc: int = DEFAULT_TRUNC) -> Morphism:
     """!s: !A -> !B, delta_x -> delta_{sx}. delta_x has the plain coordinates
-    x^mu, and (s x)^nu expands by the multinomial theorem, so !s = Sym(s)."""
+    x^mu, and (s x)^nu expands by the multinomial theorem, so !s = Sym(s):
+    its columns over grades 0..trunc are sym_power_cols of s's integer view."""
     _require_contraction(s, "!")
     src, tgt = bang_obj(s.source, trunc), bang_obj(s.target, trunc)
-    return _graded_power(src, tgt, s.int_cols, s.target.dim, trunc)
+    return sparse_mor(src, tgt, sym_power_cols(s.int_cols, s.target.dim, trunc))
 
 
 def exp_iso(

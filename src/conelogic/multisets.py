@@ -74,17 +74,13 @@ def mset_union(*ms: Mset) -> Mset:
     return tuple(sorted(chain.from_iterable(ms)))
 
 
-def monomial_value(x, m: Mset) -> Fraction:
-    v = Fraction(1)
-    for c in m:
-        v *= x[c]
-    return v
-
-
 def prefix_products(lay: "Layout", factors: Sequence, times: Callable, one) -> list:
     """The product of factors[c] over c in m, left to right from one, for
     every label m of the degree-major table lay: each is times of its
-    prefix m[:-1], one grade down and so already made, and factors[m[-1]]."""
+    prefix m[:-1], one grade down and so already made, and factors[m[-1]].
+    The one recurrence for products over the table: monomials x^m
+    (monomial_values), polynomial monomials (polynomials.layout_products)
+    and the columns of symmetric powers (symmetric.sym_power_cols)."""
     index = lay.index
     out: list = []
     for m in lay.coords:
@@ -93,9 +89,9 @@ def prefix_products(lay: "Layout", factors: Sequence, times: Callable, one) -> l
 
 
 def monomial_values(x, lay: "Layout") -> tuple[Fraction, ...]:
-    """monomial_value(x, m) for every label m of lay, in integers: x is
-    scaled by the lcm D of its denominators, and coordinate m is one
-    Fraction, its integer prefix product over D^|m|."""
+    """The monomial x^m = prod_{c in m} x_c for every label m of lay, in
+    integers: x is scaled by the lcm D of its denominators, and coordinate m
+    is one Fraction, its integer prefix product over D^|m|."""
     d = lcm(*(c.denominator for c in x))
     ks = [c.numerator * (d // c.denominator) for c in x]
     dens = [d**k for k in range(max(lay.grades) + 1)]

@@ -82,14 +82,6 @@ class Bracket:
     argmax: Optional[VecQ] = None  # feasible point achieving `lower`
     note: str = ""
 
-    @property
-    def width(self) -> Fraction:
-        return self.upper - self.lower
-
-    @property
-    def is_exact(self) -> bool:
-        return self.lower == self.upper
-
 
 def _check_blocks(poly: Polynomial, blocks: Sequence[int]) -> None:
     if sum(blocks) != poly.nvars:

@@ -23,9 +23,10 @@ polynomial, which collapses to exactly old_norm, the generator-tuple
 maximum; old_norm stays as the independent reference.
 
 The power functor acts on a map S plainly on multiset coordinates, its
-columns expanded by the multinomial theorem. sym_power_blocks computes
-grades 0..N in integers on the map's int_cols, each column from its prefix
-one grade down: the one route for Sym^n S here and for !s and ?l.
+columns expanded by the multinomial theorem. sym_power_cols computes the
+columns of grades 0..N at once, in integers on the map's int_cols, as one
+multisets.prefix_products over the source table: the one route for !s and
+?l, and, sliced to grade n, for Sym^n S here.
 
 Coordinates and pairing weights follow the multisets module conventions.
 """
@@ -41,11 +42,11 @@ from math import comb, factorial
 from .cones import Backend, ConeObject, one_obj, polar_w, primal_gens
 from .errors import CapabilityError, DimensionError, NegativeCoefficientError
 from .mall import IntView, Morphism, sparse_mor
-from .multisets import Layout, Mset, graded_layout, monomial_value, mset_count
+from .multisets import Layout, Mset, graded_layout, monomial_values, mset_count, prefix_products
 from .oracle import Bracket, simplex_polynomial_bounds
 from .polyhedra import DD_MAX_DIM, reduce_generators
 from .polynomials import Polynomial, layout_products, poly_combination
-from .rationals import Q0, Q1, VecQ, vec
+from .rationals import Q0, VecQ, vec
 
 
 def _top_grade(dim: int, n: int) -> tuple[Layout, int]:
@@ -93,9 +94,7 @@ def sym_tensor(dim: int, degree: int, entries) -> SymTensor:
 def power_tensor(x: VecQ, degree: int) -> SymTensor:
     """(x)^n: plain monomial coordinates x^mu."""
     lay, start = _top_grade(len(x), degree)
-    return SymTensor(
-        len(x), degree, tuple(monomial_value(x, m) for m in lay.coords[start:])
-    )
+    return SymTensor(len(x), degree, monomial_values(x, lay)[start:])
 
 
 def apply_multilinear(f: SymTensor, vectors: tuple[VecQ, ...]) -> Fraction:
@@ -165,43 +164,49 @@ def sym_power_obj(a: ConeObject, n: int) -> ConeObject:
     )
 
 
-def sym_power_blocks(view: IntView, dim_tgt: int, trunc: int) -> list[list[list]]:
+def _mset_mul(prod: dict[Mset, int], col) -> dict[Mset, int]:
+    """The product of a form in y, kept as its y^nu coefficients, and the
+    linear form sum_r a_r y_r of one integer column: y^nu y_r is y^(nu + r),
+    its multiset kept sorted."""
+    out: dict[Mset, int] = {}
+    for nu, s in prod.items():
+        for r, a in col:
+            k = bisect_right(nu, r)
+            key = nu[:k] + (r,) + nu[k:]
+            out[key] = out.get(key, 0) + s * a
+    return out
+
+
+def sym_power_cols(view: IntView, dim_tgt: int, trunc: int) -> list[list]:
     """Grades 0..trunc of the symmetric powers of the map with integer view
     (L, icols) (Morphism.int_cols), from len(icols) coordinates to dim_tgt.
-    Block n lists, per grade-n multiset mu of the source table, the nonzeros
-    (position of nu in grade n, Fraction) of column mu of Sym^n: S *
-    multiplicity(mu) / multiplicity(nu), with S the coefficient of y^nu in
-    the product of the columns in mu read as linear forms in y (the
-    multinomial theorem). Column mu is its prefix mu[:-1] from grade n - 1
-    times the integer column mu[-1], so zeros are never visited and each
-    nonzero becomes one Fraction over L^n at the end."""
+    Column mu, one per label of the source table graded_layout(len(icols),
+    trunc), lists the nonzeros (position of nu in the target table,
+    Fraction) of column mu of Sym^|mu|: S * multiplicity(mu) /
+    multiplicity(nu), with S the coefficient of y^nu in the product of the
+    columns in mu read as linear forms in y (the multinomial theorem). The
+    products are one prefix_products over the source table, in integers
+    (_mset_mul), so zeros are never visited and each nonzero becomes one
+    Fraction over L^|mu| at the end."""
     scale, icols = view
     src, tgt = graded_layout(len(icols), trunc), graded_layout(dim_tgt, trunc)
     tidx, tw = tgt.index, tgt.weights
-    blocks, prods = [[[(0, Q1)]]], {(): {(): 1}}
-    lo, tlo = 1, 1  # where grade n starts in the source and target tables
-    for n in range(1, trunc + 1):
-        hi, den, block, nxt = lo + mset_count(len(icols), n), scale**n, [], {}
-        for mu, m in zip(src.coords[lo:hi], src.weights[lo:hi]):
-            acc = nxt[mu] = {}
-            for nu, s in prods[mu[:-1]].items():
-                for r, a in icols[mu[-1]]:
-                    k = bisect_right(nu, r)
-                    key = nu[:k] + (r,) + nu[k:]
-                    acc[key] = acc.get(key, 0) + s * a
-            block.append([(tidx[nu] - tlo, Fraction(s * m, tw[tidx[nu]] * den))
-                          for nu, s in acc.items() if s])
-        blocks.append(block)
-        prods, lo, tlo = nxt, hi, tlo + mset_count(dim_tgt, n)
-    return blocks
+    dens = [scale**n for n in range(trunc + 1)]
+    prods = prefix_products(src, icols, _mset_mul, {(): 1})
+    return [
+        [(tidx[nu], Fraction(s * m, tw[tidx[nu]] * dens[n])) for nu, s in p.items() if s]
+        for p, m, n in zip(prods, src.weights, src.grades)
+    ]
 
 
 def sym_power_mor(S: Morphism, n: int) -> Morphism:
-    """Sym^n S on the power objects: grade n of sym_power_blocks, so
-    Sym^n S (x)^n = (S x)^n."""
+    """Sym^n S on the power objects: the grade-n columns of sym_power_cols,
+    their rows shifted to grade n, so Sym^n S (x)^n = (S x)^n."""
     src = sym_power_obj(S.source, n)
     tgt = sym_power_obj(S.target, n)
-    return sparse_mor(src, tgt, sym_power_blocks(S.int_cols, S.target.dim, n)[n])
+    start, tstart = _top_grade(S.source.dim, n)[1], _top_grade(S.target.dim, n)[1]
+    cols = sym_power_cols(S.int_cols, S.target.dim, n)[start:]
+    return sparse_mor(src, tgt, [[(i - tstart, x) for i, x in col] for col in cols])
 
 
 # ---------------------------------------------------------------------------

@@ -83,6 +83,8 @@ def test_single_suite_matches_the_all_run(capsys):
 
 
 def test_interpret_text_output(capsys):
+    # Every report is JSON: the old text rendering is gone, and asking for it
+    # is a usage error.
     code, out = run(
         capsys,
         "interpret",
@@ -90,8 +92,11 @@ def test_interpret_text_output(capsys):
         "--formula", "a & b",
         "--out", "text",
     )
-    assert code == 0
-    assert "dim: 4" in out and "backend: polyhedral" in out
+    assert code == 2
+    report = json.loads(out)
+    assert report["command"] is None
+    assert report["error"]["type"] == "ConelogicError"
+    assert report["error"]["message"] == "conelogic: unrecognized arguments: --out text"
 
 
 def test_interpret_states_the_order_of_graded_coordinates(capsys):

@@ -77,7 +77,6 @@ from conelogic.lp import lp_maximize
 from conelogic.mall import adjoint, compose, identity, mor, morphism_norm, product_obj
 from conelogic.multisets import (
     graded_layout,
-    monomial_value,
     monomial_values,
     mset_count,
     multiplicity,
@@ -97,6 +96,15 @@ Bool = bool_obj()
 BoolStar = dual_object(Bool)
 
 rat01 = st.fractions(min_value=0, max_value=1, max_denominator=8)
+
+
+def monomial_value(x, m):
+    """x^m = prod_{c in m} x_c, one label at a time: the reference for
+    multisets.monomial_values, which builds every label from its prefix."""
+    v = F(1)
+    for c in m:
+        v *= x[c]
+    return v
 
 
 def contraction_2x2(draw):
@@ -182,6 +190,30 @@ def test_series_eval_gates_the_argument():
     f = GradedSeries(w, (F(1), 0, 0, 0, 0, 0))
     with pytest.raises(BallError):
         series_eval(f, (F(1), F(1, 2)))
+
+
+@st.composite
+def series_and_argument(draw):
+    """A series f on ?B, B a simplex or cube of dim 1..3 at truncation 0..3,
+    and an argument x in the ball of B* (the cube, resp. the simplex)."""
+    kind, d, n = draw(st.sampled_from(("simplex", "cube"))), draw(st.integers(1, 3)), draw(st.integers(0, 3))
+    b = simplex_pcs(d) if kind == "simplex" else cube_pcs(d)
+    w = whynot_obj(b, n)
+    coord = st.one_of(st.just(F(0)), st.fractions(min_value=0, max_value=3, max_denominator=6))
+    f = GradedSeries(w, tuple(draw(coord) for _ in range(w.dim)))
+    x = [draw(rat01) for _ in range(d)]
+    if kind == "cube" and sum(x) > 1:
+        x = [c / sum(x) for c in x]
+    return b, n, f, tuple(x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(series_and_argument())
+def test_series_eval_is_the_pairing_with_delta(drawn):
+    # f(x) = <f, delta_x>: evaluation and the weighted pairing with the
+    # delta distribution in !(B*) agree exactly.
+    b, n, f, x = drawn
+    assert series_eval(f, x) == graded_pairing(f, delta(dual_object(b), x, n))
 
 
 def test_pairing_requires_dual_objects():
@@ -300,6 +332,17 @@ def test_tensor_of_bangs_norm():
     )
     br = graded_norm_bounds(tt, pe)
     assert br.lower == br.upper == 1
+
+
+@pytest.mark.parametrize("left, right", [(8, 6), (5, 6), (6, 8), (6, 5)])
+def test_pair_element_checks_factor_lengths(left, right):
+    # Each factor of !s (x) !s at truncation 2 has 6 coordinates; a factor of
+    # any other length is refused, not cut short or read past its end.
+    s = simplex_pcs(2)
+    tt = graded_tensor_obj(bang_obj(s, 2), bang_obj(s, 2), 2)
+    with pytest.raises(DimensionError) as e:
+        pair_element(tt, [F(1)] * left, [F(1)] * right)
+    assert (e.value.expected, e.value.got) == (6, left if left != 6 else right)
 
 
 def test_sum_objects_carry_no_norms():

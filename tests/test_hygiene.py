@@ -252,6 +252,43 @@ def test_int_view_routes_are_listed():
     assert {k: sorted(v) for k, v in found.items()} == INT_VIEW_ROUTES
 
 
+# Every place in the package that names the multiset-product recurrence or
+# the monomials built on it. One identity, the multinomial expansion over
+# multisets, gives the coordinates of delta_x (monomial_values, which
+# series_eval, delta, the recognized deltas, the honest members of a !A
+# scheme and symmetric.power_tensor read), the ball-scheme families
+# (layout_products) and the columns of symmetric powers, the lifts !s and
+# ?l among them (symmetric.sym_power_cols). A second product loop over the
+# multiset table has to be argued for here.
+PRODUCT_ROUTES = {
+    "prefix_products": [
+        "multisets.monomial_values",
+        "polynomials.layout_products",
+        "symmetric.sym_power_cols",
+    ],
+    "monomial_values": [
+        "exponentials._delta_like_bounds",
+        "exponentials._node_scheme",
+        "exponentials.delta",
+        "exponentials.series_eval",
+        "symmetric.power_tensor",
+    ],
+}
+
+
+def test_product_routes_are_listed():
+    found: dict = {name: set() for name in PRODUCT_ROUTES}
+    for path, name in SOURCES:
+        if "/" in name:
+            continue  # tests and demos
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for ref, scope in _references(tree, name[:-3]):
+            if ref in found:
+                found[ref].add(scope)
+    assert {k: sorted(v) for k, v in found.items()} == PRODUCT_ROUTES
+
+
 def test_public_definitions_have_a_package_caller():
     # A public function or class that no other package scope names, that
     # __init__ does not export and that the tracer does not patch is reached

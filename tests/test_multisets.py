@@ -8,12 +8,20 @@ from hypothesis import given, strategies as st
 
 from conelogic.multisets import (
     graded_layout,
-    monomial_value,
     mset_count,
     mset_union,
     msets,
     multiplicity,
 )
+
+
+def monomial_value(x, m):
+    """x^m = prod_{c in m} x_c, one label at a time: the reference for the
+    package's prefix products."""
+    v = Fraction(1)
+    for c in m:
+        v *= x[c]
+    return v
 
 
 def test_counts_match_enumeration():

@@ -73,7 +73,7 @@ def test_float_eval_and_gradient():
 def test_affine_case_is_exact():
     p = Polynomial(2, {(0, 0): F(1), (1, 0): F(1), (0, 1): F(2)})
     br = simplex_polynomial_bounds(p, (2,))
-    assert br.is_exact and br.lower == 3
+    assert br.lower == br.upper == 3
     assert br.argmax == (F(0), F(1))
 
 
@@ -131,12 +131,12 @@ def test_negative_coefficient_is_refused():
 def test_constant_polynomial_collapses():
     p = Polynomial.constant(3, F(5, 7))
     br = simplex_polynomial_bounds(p, (3,))
-    assert br.is_exact and br.lower == F(5, 7)
+    assert br.lower == br.upper == F(5, 7)
 
 
 def test_bracket_width():
     br = Bracket(F(1, 4), F(1, 2))
-    assert br.width == F(1, 4)
+    assert br.upper - br.lower == F(1, 4)
 
 
 # The integer grid scan against the Fraction loop it replaced: every grid

@@ -22,7 +22,7 @@ from conelogic.cones import from_p_gens, one_obj, pairing, validate_object, zero
 from conelogic.exponentials import bang_mor, whynot_mor
 from conelogic.errors import DimensionError, NegativeCoefficientError
 from conelogic.mall import compose, identity, mor
-from conelogic.multisets import msets
+from conelogic.multisets import graded_layout, msets
 from conelogic.oracle import averaged_upper
 from conelogic.rationals import vec
 from conelogic.symmetric import (
@@ -32,7 +32,7 @@ from conelogic.symmetric import (
     old_norm,
     polarization_constant,
     power_tensor,
-    sym_power_blocks,
+    sym_power_cols,
     sym_power_mor,
     sym_power_obj,
     sym_tensor,
@@ -236,11 +236,17 @@ def _ref_sym_power_matrix(m, n, dim_src, dim_tgt):
     return tuple(out)
 
 
-def _dense_block(block, dim_src, dim_tgt, n):
+def _dense_block(cols, dim_src, dim_tgt, n):
+    """Grade n of the graded columns as a dense matrix: the grade-n source
+    columns, their rows shifted from the target table to grade n."""
+    lay_s, lay_t = graded_layout(dim_src, n), graded_layout(dim_tgt, n)
+    start = len(lay_s.coords) - len(msets(dim_src, n))
+    tstart = len(lay_t.coords) - len(msets(dim_tgt, n))
     rows = [[F(0)] * len(msets(dim_src, n)) for _ in msets(dim_tgt, n)]
-    for j, col in enumerate(block):
+    for j, col in enumerate(cols[start : start + len(msets(dim_src, n))]):
         for i, x in col:
-            rows[i][j] = x
+            assert lay_t.grades[i] == n  # grades never mix
+            rows[i - tstart][j] = x
     return tuple(map(tuple, rows))
 
 
@@ -263,12 +269,11 @@ def map_rows(draw):
 def test_power_blocks_match_the_arrangement_sum(drawn, trunc):
     ds, dt, rows = drawn
     f = mor(simplex_pcs(ds) if ds else zero_obj(), simplex_pcs(dt) if dt else zero_obj(), rows)
-    blocks = sym_power_blocks(f.int_cols, dt, trunc)
-    assert len(blocks) == trunc + 1
-    for n, block in enumerate(blocks):
-        assert len(block) == len(msets(ds, n))
-        assert all(x for col in block for _, x in col)  # zeros are never kept
-        assert _dense_block(block, ds, dt, n) == _ref_sym_power_matrix(rows, n, ds, dt)
+    cols = sym_power_cols(f.int_cols, dt, trunc)
+    assert len(cols) == len(graded_layout(ds, trunc).coords)
+    assert all(x for col in cols for _, x in col)  # zeros are never kept
+    for n in range(trunc + 1):
+        assert _dense_block(cols, ds, dt, n) == _ref_sym_power_matrix(rows, n, ds, dt)
 
 
 def test_power_blocks_entry_is_the_multinomial_coefficient():
@@ -276,11 +281,13 @@ def test_power_blocks_entry_is_the_multinomial_coefficient():
     # forms y0/2 + y1/3 and y0, i.e. y0^2/2 + y0 y1/3, times
     # multiplicity((0, 1)) = 2 and over multiplicity(nu): 1 at (0, 0) and
     # (1/3) * 2 / 2 = 1/3 at (0, 1). Its integer view is the columns times
-    # the common denominator 6.
+    # the common denominator 6. In the graded table over two coordinates,
+    # (0, 1) is column 4 and nu = (0, 0), (0, 1) are rows 3 and 4.
     view = (6, (((0, 3), (1, 2)), ((0, 6),)))
     assert mor(simplex_pcs(2), simplex_pcs(2), [[F(1, 2), 1], [F(1, 3), 0]]).int_cols == view
-    block = sym_power_blocks(view, 2, 2)[2]
-    assert dict(block[1]) == {0: F(1), 1: F(1, 3)}
+    cols = sym_power_cols(view, 2, 2)
+    assert graded_layout(2, 2).coords[3:5] == ((0, 0), (0, 1))
+    assert dict(cols[4]) == {3: F(1), 4: F(1, 3)}
 
 
 def test_powers_out_of_the_zero_object():
