@@ -29,7 +29,9 @@ print("old norm:", old_norm(f, B))
 # New: maximize f(x, x) = x1 x2 over the simplex. Best at (1/2, 1/2).
 br = new_norm_bounds(f, B)
 print("new norm bracket:", br.lower, "..", br.upper)
-print("attained near:", br.argmax)
+# The witness is delta_x in the ball of !B; its grade-1 block is x.
+print("attained at delta_x =", [str(v) for v in br.argmax])
+print("so x =", [str(v) for v in br.argmax[1:3]])
 
 # The gap is covered by the polarization constant for degree 2.
 print("\nK_2 =", polarization_constant(2))

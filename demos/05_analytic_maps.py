@@ -52,7 +52,9 @@ print("eval at 2/3, trunc 3:", analytic_eval(comp3, (t,))[0])
 
 # The norm of G is its value at the right end of the interval: 1 + 1 = 2.
 br = analytic_norm_bounds(gm)
-print("\n||G|| bracket:", br.lower, "..", br.upper, "attained at", br.argmax)
+# The witness is delta_x in the ball of !half; its grade-1 block is x.
+print("\n||G|| bracket:", br.lower, "..", br.upper)
+print("attained at delta_x =", [str(v) for v in br.argmax], "so x =", br.argmax[1])
 
 # Promotion: F lifts to !F . dig : !half -> !half, with dig the adjoint of
 # the digging mu on ?(half*). Composing G after that lift is the same

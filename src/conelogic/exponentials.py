@@ -52,10 +52,11 @@ the supremum); it is what keeps every bracket direction certified.
 
 An analytic map A -> B between polyhedral objects, truncated at N, is a
 Morphism !A -> B: column m holds the coefficient of the monomial x^m, so
-f(x) is f applied to delta_x. Its norm is bracketed over the ball scheme
-of !A, and composition substitutes polynomials up to degree N rather than
-building mu on ??A (the coKleisli composite g . !f . dig gives the same
-matrix, at far greater cost).
+f(x) is f applied to delta_x. Its norm is one bracket of the ball scheme
+of !A per target dual generator (witness delta_x), and composition
+substitutes polynomials up to degree N rather than building mu on ??A
+(the coKleisli composite g . !f . dig gives the same matrix, at far
+greater cost).
 """
 
 from __future__ import annotations
@@ -95,11 +96,11 @@ from .multisets import (
     monomial_values,
     mset_count,
     mset_union,
+    sym_power_cols,
 )
 from .oracle import Bracket, _compositions, averaged_upper, simplex_polynomial_bounds
 from .polynomials import Polynomial, eval_family, layout_products, poly_combination, poly_sum
 from .rationals import Q0, Q1, IntRows, VecQ, int_rows, mat, max_pairing, unit, vec
-from .symmetric import sym_power_cols
 
 DEFAULT_TRUNC = 3
 
@@ -965,26 +966,20 @@ def analytic_eval(f: Morphism, x) -> VecQ:
 
 
 def analytic_norm_bounds(f: Morphism) -> Bracket:
-    """Bracket sup over the ball of A of ||f(x)||: one oracle run per dual
-    generator of the target, combined by taking the max. Column x^m of f
-    contributes the monomial polynomial of !A's ball scheme at m."""
-    node = _analytic_node(f)
-    mono = primal_ball_scheme(f.source).polys
-    s = primal_ball_scheme(dual_object(node.base))
-    nv = sum(s.blocks)
-    coord_polys = [poly_combination(row, mono, nv) for row in f.matrix]
-    tq = materialize_q(f.target)
+    """Bracket sup over the ball of A of ||f(x)||: the max over the target's
+    dual generators psi of one bracket of the ball scheme of !A, with
+    objective k_c = sum_i w_i psi_i f_ic. The witness is delta_x."""
+    _analytic_node(f)  # refuses a source that is not !A
+    s = primal_ball_scheme(f.source)
     wt = f.target.pairing_weights
     lower = upper = Q0
     arg = None
-    for psi in tq.q_ball_gens:
-        pol = poly_combination([w * x for w, x in zip(wt, psi)], coord_polys, nv)
-        br = simplex_polynomial_bounds(pol, s.blocks)
+    for psi in materialize_q(f.target).q_ball_gens:
+        wpsi = [w * x for w, x in zip(wt, psi)]
+        br = s.bracket(tuple(sum((wpsi[i] * x for i, x in col), Q0) for col in f.cols))
         if br.lower > lower:
-            lower = br.lower
-            arg = eval_family(s.polys, br.argmax)
-        if br.upper > upper:
-            upper = br.upper
+            lower, arg = br.lower, br.argmax
+        upper = max(upper, br.upper)
     return Bracket(lower, upper, arg, "max over target dual generators")
 
 

@@ -34,11 +34,14 @@ Convention, fixed once:
 Graded objects stack degrees 0..N in degree-major order, so a truncated
 series is one flat vector whose grade-n slice is the degree-n block.
 graded_layout(dim, N) is the one table of those labels, their positions
-and their weights; !A, ?A and Sym^n A all read it.
+and their weights; !A, ?A and Sym^n A all read it. prefix_products is the
+one recurrence for products over it, behind the monomials of delta_x and
+the columns of symmetric powers of a map (sym_power_cols).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -80,7 +83,7 @@ def prefix_products(lay: "Layout", factors: Sequence, times: Callable, one) -> l
     prefix m[:-1], one grade down and so already made, and factors[m[-1]].
     The one recurrence for products over the table: monomials x^m
     (monomial_values), polynomial monomials (polynomials.layout_products)
-    and the columns of symmetric powers (symmetric.sym_power_cols)."""
+    and the columns of symmetric powers (sym_power_cols)."""
     index = lay.index
     out: list = []
     for m in lay.coords:
@@ -97,6 +100,41 @@ def monomial_values(x, lay: "Layout") -> tuple[Fraction, ...]:
     dens = [d**k for k in range(max(lay.grades) + 1)]
     prods = prefix_products(lay, ks, mul, 1)
     return tuple(Fraction(v, dens[k]) for v, k in zip(prods, lay.grades))
+
+
+def _mset_mul(prod: dict[Mset, int], col) -> dict[Mset, int]:
+    """The product of a form in y, kept as its y^nu coefficients, and the
+    linear form sum_r a_r y_r of one integer column: y^nu y_r is y^(nu + r),
+    its multiset kept sorted."""
+    out: dict[Mset, int] = {}
+    for nu, s in prod.items():
+        for r, a in col:
+            k = bisect_right(nu, r)
+            key = nu[:k] + (r,) + nu[k:]
+            out[key] = out.get(key, 0) + s * a
+    return out
+
+
+def sym_power_cols(view: tuple, dim_tgt: int, trunc: int) -> list[list]:
+    """Grades 0..trunc of the symmetric powers of the map with integer view
+    (L, icols) (Morphism.int_cols), from len(icols) coordinates to dim_tgt.
+    Column mu, one per label of the source table graded_layout(len(icols),
+    trunc), lists the nonzeros (position of nu in the target table,
+    Fraction) of column mu of Sym^|mu|: S * multiplicity(mu) /
+    multiplicity(nu), with S the coefficient of y^nu in the product of the
+    columns in mu read as linear forms in y (the multinomial theorem). The
+    products are one prefix_products over the source table, in integers
+    (_mset_mul), so zeros are never visited and each nonzero becomes one
+    Fraction over L^|mu| at the end."""
+    scale, icols = view
+    src, tgt = graded_layout(len(icols), trunc), graded_layout(dim_tgt, trunc)
+    tidx, tw = tgt.index, tgt.weights
+    dens = [scale**n for n in range(trunc + 1)]
+    prods = prefix_products(src, icols, _mset_mul, {(): 1})
+    return [
+        [(tidx[nu], Fraction(s * m, tw[tidx[nu]] * dens[n])) for nu, s in p.items() if s]
+        for p, m, n in zip(prods, src.weights, src.grades)
+    ]
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,10 @@
 
 The recurring problem: maximize a polynomial with nonnegative coefficients
 over a product of simplices (one block of variables per simplex, each block
-constrained by t >= 0, sum t <= 1). That sup is what the graded norms and
-the diagonal symmetric norm are; it is a non-convex program, so a point
-value would be a lie. Everything here returns a certified bracket instead:
+constrained by t >= 0, sum t <= 1). Every norm bracket of a ball scheme
+needs that sup (exponentials.BallScheme._bound is the one caller); it is a
+non-convex program, so a point value would be a lie. Everything here
+returns a certified bracket instead:
 
   lower   exact evaluation at explicit feasible rational points: a
           composition grid per block, scanned in integers (the
@@ -79,7 +80,7 @@ class Bracket:
 
     lower: Fraction
     upper: Fraction
-    argmax: Optional[VecQ] = None  # feasible point achieving `lower`
+    argmax: Optional[VecQ] = None  # the simplex point t achieving `lower`
     note: str = ""
 
 

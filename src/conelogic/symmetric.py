@@ -10,30 +10,29 @@ or over the diagonal,
 
     new_norm(f) = sup { f(x, ..., x) : ||x|| <= 1 },
 
-which is the sup of a nonnegative-coefficient polynomial over the
-generator-mixing simplex and is only ever bracketed (see oracle). The two
-are equivalent up to the polarization constant
+which is the sup of <f, delta_x> over the ball of !A and is only ever
+bracketed: one bracket of the ball scheme of !A (exponentials.BallScheme),
+with delta_x as its witness. The two are equivalent up to the polarization
+constant
 
     K_n = (1/n!) * sum_{k=1..n} C(n,k) k^n,
 
 because splitting f(x_1,...,x_n) by inclusion-exclusion over subset sums
 x_S bounds each diagonal term by |S|^n times the new norm. The bracket's
-upper bound is the oracle's averaged-coefficient bound of the mixing
+upper bound is the averaged-coefficient bound of the scheme's mixing
 polynomial, which collapses to exactly old_norm, the generator-tuple
 maximum; old_norm stays as the independent reference.
 
 The power functor acts on a map S plainly on multiset coordinates, its
-columns expanded by the multinomial theorem. sym_power_cols computes the
-columns of grades 0..N at once, in integers on the map's int_cols, as one
-multisets.prefix_products over the source table: the one route for !s and
-?l, and, sliced to grade n, for Sym^n S here.
+columns expanded by the multinomial theorem: Sym^n S is grade n of
+multisets.sym_power_cols, the one route for the columns of symmetric
+powers, which !s and ?l read too.
 
 Coordinates and pairing weights follow the multisets module conventions.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
@@ -41,11 +40,11 @@ from math import comb, factorial
 
 from .cones import Backend, ConeObject, one_obj, polar_w, primal_gens
 from .errors import CapabilityError, DimensionError, NegativeCoefficientError
-from .mall import IntView, Morphism, sparse_mor
-from .multisets import Layout, Mset, graded_layout, monomial_values, mset_count, prefix_products
-from .oracle import Bracket, simplex_polynomial_bounds
+from .exponentials import bang_obj, primal_ball_scheme
+from .mall import Morphism, sparse_mor
+from .multisets import Layout, Mset, graded_layout, monomial_values, mset_count, sym_power_cols
+from .oracle import Bracket
 from .polyhedra import DD_MAX_DIM, reduce_generators
-from .polynomials import Polynomial, layout_products, poly_combination
 from .rationals import Q0, VecQ, vec
 
 
@@ -164,41 +163,6 @@ def sym_power_obj(a: ConeObject, n: int) -> ConeObject:
     )
 
 
-def _mset_mul(prod: dict[Mset, int], col) -> dict[Mset, int]:
-    """The product of a form in y, kept as its y^nu coefficients, and the
-    linear form sum_r a_r y_r of one integer column: y^nu y_r is y^(nu + r),
-    its multiset kept sorted."""
-    out: dict[Mset, int] = {}
-    for nu, s in prod.items():
-        for r, a in col:
-            k = bisect_right(nu, r)
-            key = nu[:k] + (r,) + nu[k:]
-            out[key] = out.get(key, 0) + s * a
-    return out
-
-
-def sym_power_cols(view: IntView, dim_tgt: int, trunc: int) -> list[list]:
-    """Grades 0..trunc of the symmetric powers of the map with integer view
-    (L, icols) (Morphism.int_cols), from len(icols) coordinates to dim_tgt.
-    Column mu, one per label of the source table graded_layout(len(icols),
-    trunc), lists the nonzeros (position of nu in the target table,
-    Fraction) of column mu of Sym^|mu|: S * multiplicity(mu) /
-    multiplicity(nu), with S the coefficient of y^nu in the product of the
-    columns in mu read as linear forms in y (the multinomial theorem). The
-    products are one prefix_products over the source table, in integers
-    (_mset_mul), so zeros are never visited and each nonzero becomes one
-    Fraction over L^|mu| at the end."""
-    scale, icols = view
-    src, tgt = graded_layout(len(icols), trunc), graded_layout(dim_tgt, trunc)
-    tidx, tw = tgt.index, tgt.weights
-    dens = [scale**n for n in range(trunc + 1)]
-    prods = prefix_products(src, icols, _mset_mul, {(): 1})
-    return [
-        [(tidx[nu], Fraction(s * m, tw[tidx[nu]] * dens[n])) for nu, s in p.items() if s]
-        for p, m, n in zip(prods, src.weights, src.grades)
-    ]
-
-
 def sym_power_mor(S: Morphism, n: int) -> Morphism:
     """Sym^n S on the power objects: the grade-n columns of sym_power_cols,
     their rows shifted to grade n, so Sym^n S (x)^n = (S x)^n."""
@@ -232,29 +196,18 @@ def old_norm(f: SymTensor, a: ConeObject) -> Fraction:
     return best
 
 
-def diagonal_polynomial(f: SymTensor, gens: tuple[VecQ, ...]) -> Polynomial:
-    """f(x(t), ..., x(t)) for x(t) = sum_i t_i g_i, over the mixing simplex."""
-    k = len(gens)
-    coord_polys = [
-        Polynomial.linear(k, [g[c] for g in gens]) for c in range(f.dim)
-    ]
-    lay, start = _top_grade(f.dim, f.degree)
-    monos = layout_products(coord_polys, lay, k)[start:]
-    return poly_combination([w * c for w, c in zip(lay.weights[start:], f.coords)], monos, k)
-
-
 def new_norm_bounds(f: SymTensor, a: ConeObject) -> Bracket:
-    """Bracket sup { f(x,...,x) : x in the primal ball }: the oracle's
-    bracket over the generator mixing simplex. Its upper bound, the
-    averaged-coefficient bound, equals old_norm here (checked in tests).
-    """
-    gens = primal_gens(a)
-    if not gens:
-        v = f.coords[0] if f.degree == 0 else Q0
-        return Bracket(v, v, (), "degenerate: no generators")
+    """Bracket sup { f(x,...,x) : x in the primal ball } = sup <f, delta_x>
+    over the ball of !a: one bracket of its ball scheme, the objective
+    multiplicity(mu) f_mu on grade n and 0 below. The upper bound equals
+    old_norm (checked in tests); the witness is delta_x."""
+    if a.backend is not Backend.POLYHEDRAL:
+        raise CapabilityError("symmetric norms are polyhedral-only", a.label)
     if f.dim != a.dim:
         raise DimensionError(a.dim, f.dim, "new_norm_bounds")
-    return simplex_polynomial_bounds(diagonal_polynomial(f, gens), (len(gens),))
+    lay, start = _top_grade(f.dim, f.degree)
+    k = (Q0,) * start + tuple(w * c for w, c in zip(lay.weights[start:], f.coords))
+    return primal_ball_scheme(bang_obj(a, f.degree)).bracket(k)
 
 
 def polarization_constant(n: int) -> Fraction:

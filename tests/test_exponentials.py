@@ -16,7 +16,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conelogic import exponentials
@@ -25,9 +25,12 @@ from conelogic.cones import (
     Backend,
     dual_object,
     from_p_gens,
+    in_ball,
+    materialize_q,
     norm_primal,
     one_obj,
     pairing,
+    primal_gens,
 )
 from conelogic.errors import (
     BallError,
@@ -90,7 +93,8 @@ from conelogic.polynomials import (
     poly_sum,
 )
 from conelogic.rationals import unit, vec
-from test_symmetric import map_rows
+from conelogic.symmetric import apply_multilinear, new_norm_bounds, sym_tensor
+from test_symmetric import map_rows, xy_form
 
 Bool = bool_obj()
 BoolStar = dual_object(Bool)
@@ -936,7 +940,7 @@ def test_analytic_truncation_monotone():
 def test_analytic_norm_bracket():
     br = analytic_norm_bounds(affine_square_map())
     assert br.lower == br.upper == 2
-    assert br.argmax == (F(1),)
+    assert br.argmax == (1, 1, 1)  # delta_1 in the ball of !Half
     bs = analytic_norm_bounds(square_map())
     assert bs.lower == bs.upper == 1
 
@@ -1325,6 +1329,105 @@ def test_box_corners_run_the_oracle_only_below_the_bound(monkeypatch):
     box = exponentials.primal_ball_scheme(h)
     assert (h.dim, oracle, family) == (20, [6, 14], [])
     assert box.polys[14].constant_term() == 1 / (h.pairing_weights[14] * s.corner(14)[0])
+
+
+# The analytic and the Sym^n diagonal norms are sups of <g, delta_x> over
+# the ball of !A, one BallScheme.bracket each (one per target dual
+# generator, for an analytic map). The references build the mixing
+# polynomial by hand and run the oracle on it, as these norms once did: the
+# brackets must agree, open ones included, and the witness must be delta_x
+# for an x in the ball of A that attains the lower bound.
+
+
+def hand_built_new_norm(f, a):
+    """(lower, upper) of the oracle on f(x(t), ..., x(t)), with x(t) the
+    generator mix sum_i t_i g_i."""
+    gens = primal_gens(a)
+    k = len(gens)
+    xs = [Polynomial.linear(k, [g[c] for g in gens]) for c in range(a.dim)]
+    lay = graded_layout(a.dim, f.degree)
+    start = len(lay.coords) - mset_count(a.dim, f.degree)
+    weighted = [w * c for w, c in zip(lay.weights[start:], f.coords)]
+    pol = poly_combination(weighted, layout_products(xs, lay, k)[start:], k)
+    br = simplex_polynomial_bounds(pol, (k,))
+    return br.lower, br.upper
+
+
+def hand_built_analytic_norm(f):
+    """(lower, upper): the max over the target's dual generators psi of the
+    oracle on sum_i w_i psi_i f_i(x(t)), each f_i built from a dense row."""
+    s = exponentials.primal_ball_scheme(f.source)
+    nv = sum(s.blocks)
+    rows = [poly_combination(row, s.polys, nv) for row in f.matrix]
+    lower = upper = F(0)
+    for psi in materialize_q(f.target).q_ball_gens:
+        k = [w * p for w, p in zip(f.target.pairing_weights, psi)]
+        br = simplex_polynomial_bounds(poly_combination(k, rows, nv), s.blocks)
+        lower, upper = max(lower, br.lower), max(upper, br.upper)
+    return lower, upper
+
+
+def assert_delta_witness(br, a, trunc, value):
+    """The witness is None exactly when the lower bound is 0; otherwise it
+    is delta_x for its grade-1 block x, x lies in the ball of a, and
+    value(x) is the lower bound."""
+    assert (br.argmax is None) == (br.lower == 0)
+    if br.argmax is None:
+        return
+    lay = graded_layout(a.dim, trunc)
+    x = tuple(br.argmax[lay.index[(c,)]] if trunc else F(0) for c in range(a.dim))
+    assert br.argmax == monomial_values(x, lay)
+    assert in_ball(a, x)
+    assert value(x) == br.lower
+
+
+form_entry = st.sampled_from([F(0), F(0), F(0), F(1, 3), F(1), F(5, 2)])
+
+
+def grade_entries(dim, n):
+    """One entry per size-n multiset over dim coordinates."""
+    return st.lists(form_entry, min_size=mset_count(dim, n), max_size=mset_count(dim, n))
+
+
+@st.composite
+def sym_forms(draw):
+    """A nonnegative symmetric form of degree 0-3 over a random polyhedral
+    atom (the zero object has its own test in test_symmetric)."""
+    a = draw(polyhedral_atoms())
+    n = draw(st.integers(0, 3))
+    return sym_tensor(a.dim, n, draw(grade_entries(a.dim, n))), a
+
+
+@settings(max_examples=60, deadline=None)
+@example((xy_form(), Bool))  # open: [1/4, 1/2]
+@given(sym_forms())
+def test_new_norm_matches_the_hand_built_route(case):
+    f, a = case
+    br = new_norm_bounds(f, a)
+    assert (br.lower, br.upper) == hand_built_new_norm(f, a)
+    assert_delta_witness(br, a, f.degree, lambda x: apply_multilinear(f, (x,) * f.degree))
+
+
+@st.composite
+def analytic_maps(draw):
+    """A positive analytic map from a random polyhedral atom to the simplex,
+    cube or Bool object, truncated at 1-3."""
+    a = draw(polyhedral_atoms())
+    b = draw(st.sampled_from([simplex_pcs(1), cube_pcs(2), Bool]))
+    trunc = draw(st.integers(1, 3))
+    grades = [[draw(grade_entries(a.dim, n)) for _ in range(b.dim)] for n in range(trunc + 1)]
+    return analytic_map(a, b, grades)
+
+
+@settings(max_examples=40, deadline=None)
+@example(analytic_map(Bool, simplex_pcs(1), [[[0]], [[0, 0]], [[0, 1, 0]]]))  # x1 x2: open
+@given(analytic_maps())
+def test_analytic_norm_matches_the_hand_built_route(f):
+    br = analytic_norm_bounds(f)
+    assert (br.lower, br.upper) == hand_built_analytic_norm(f)
+    node = _shape(f.source).node
+    a = dual_object(node.base)
+    assert_delta_witness(br, a, node.trunc, lambda x: norm_primal(f.target, analytic_eval(f, x)))
 
 
 def test_equal_tensor_factors_build_one_scheme(monkeypatch):

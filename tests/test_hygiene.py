@@ -173,23 +173,19 @@ def test_global_caches_are_listed():
 
 
 # Every place in the package that names a bracket primitive, outside the
-# oracle module that defines them. Each graded norm is bounded through one
+# oracle module that defines them. Each norm bracket is bounded through one
 # BallScheme step, _bound: the averaged upper bound first, and the oracle
 # only when the family is exact and no honest member reaches that bound.
 # BallScheme.bracket and the box corners (BallScheme.corner, which reads
 # the honest column maximum and builds no witness) both go through it, so
-# only bracket names _honest_lower. The analytic and the Sym^n diagonal
-# norms run the oracle themselves, since their argmax is read differently
-# (a point of A, the mixing parameters t). A new route has to be argued
-# for here.
+# only bracket names _honest_lower. The graded norms, the analytic norms
+# and the Sym^n diagonal norm are all brackets of a ball scheme (the last
+# two over the scheme of !A, with delta_x as the witness), so _bound is the
+# oracle's one caller. A new route has to be argued for here.
 BRACKET_ROUTES = {
     "_honest_lower": ["exponentials.BallScheme.bracket"],
     "averaged_upper": ["exponentials.BallScheme._bound"],
-    "simplex_polynomial_bounds": [
-        "exponentials.BallScheme._bound",
-        "exponentials.analytic_norm_bounds",
-        "symmetric.new_norm_bounds",
-    ],
+    "simplex_polynomial_bounds": ["exponentials.BallScheme._bound"],
 }
 
 
@@ -258,13 +254,13 @@ def test_int_view_routes_are_listed():
 # series_eval, delta, the recognized deltas, the honest members of a !A
 # scheme and symmetric.power_tensor read), the ball-scheme families
 # (layout_products) and the columns of symmetric powers, the lifts !s and
-# ?l among them (symmetric.sym_power_cols). A second product loop over the
+# ?l among them (multisets.sym_power_cols). A second product loop over the
 # multiset table has to be argued for here.
 PRODUCT_ROUTES = {
     "prefix_products": [
         "multisets.monomial_values",
+        "multisets.sym_power_cols",
         "polynomials.layout_products",
-        "symmetric.sym_power_cols",
     ],
     "monomial_values": [
         "exponentials._delta_like_bounds",

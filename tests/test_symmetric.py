@@ -17,22 +17,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conelogic.backends import bool_obj, cube_pcs, simplex_pcs
+from conelogic.backends import bool_obj, cube_pcs, qcs_object, simplex_pcs
 from conelogic.cones import from_p_gens, one_obj, pairing, validate_object, zero_obj
-from conelogic.exponentials import bang_mor, whynot_mor
-from conelogic.errors import DimensionError, NegativeCoefficientError
+from conelogic.exponentials import bang_mor, bang_obj, whynot_mor, whynot_obj
+from conelogic.errors import CapabilityError, DimensionError, NegativeCoefficientError
 from conelogic.mall import compose, identity, mor
-from conelogic.multisets import graded_layout, msets
-from conelogic.oracle import averaged_upper
+from conelogic.multisets import graded_layout, msets, sym_power_cols
 from conelogic.rationals import vec
 from conelogic.symmetric import (
     apply_multilinear,
-    diagonal_polynomial,
     new_norm_bounds,
     old_norm,
     polarization_constant,
     power_tensor,
-    sym_power_cols,
     sym_power_mor,
     sym_power_obj,
     sym_tensor,
@@ -112,7 +109,8 @@ def test_new_norm_worked_instance():
     br = new_norm_bounds(xy_form(), bool_obj())
     assert br.lower == F(1, 4)
     assert br.upper == F(1, 2)
-    assert br.argmax == (F(1, 2), F(1, 2))
+    # the witness is delta_x in the ball of !bool at x = (1/2, 1/2)
+    assert br.argmax == (1, F(1, 2), F(1, 2), F(1, 4), F(1, 4), F(1, 4))
 
 
 def test_rank_one_power_has_equal_norms():
@@ -126,9 +124,10 @@ def test_rank_one_power_has_equal_norms():
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from([(2, 2), (2, 3), (3, 2)]), st.booleans(), st.data())
 def test_averaged_upper_collapses_to_old_norm(dim_n, simplex, data):
-    # The diagonal polynomial is homogeneous on one block, so its averaged
-    # bound is the largest generator-tuple value: new_norm_bounds reports
-    # old_norm as its upper bound without computing it.
+    # The diagonal polynomial of the !a scheme is homogeneous on one block,
+    # so its averaged bound is the largest generator-tuple value:
+    # new_norm_bounds reports old_norm as its upper bound without computing
+    # it.
     dim, n = dim_n
     if simplex:
         a = simplex_pcs(dim)
@@ -142,8 +141,6 @@ def test_averaged_upper_collapses_to_old_norm(dim_n, simplex, data):
         a = from_p_gens(pts, dim)
     value = st.fractions(min_value=0, max_value=6, max_denominator=5)
     f = sym_tensor(dim, n, {m: data.draw(value) for m in msets(dim, n)})
-    poly = diagonal_polynomial(f, a.p_ball_gens)
-    assert averaged_upper(poly, (len(a.p_ball_gens),)) == old_norm(f, a)
     assert new_norm_bounds(f, a).upper == old_norm(f, a)
 
 
@@ -162,6 +159,28 @@ def test_dimension_mismatch_is_refused():
             old_norm(f, bool_obj())
         with pytest.raises(DimensionError):
             new_norm_bounds(f, bool_obj())
+
+
+def test_new_norm_refuses_non_polyhedral_operands():
+    # The diagonal norm brackets over the ball scheme of !a, which exists
+    # for a polyhedral a only: a graded a would make !a nested.
+    b = bool_obj()
+    with pytest.raises(CapabilityError):
+        new_norm_bounds(sym_tensor(4, 2, {(0, 3): 1}), qcs_object(2))
+    for h in (bang_obj(b, 1), whynot_obj(b, 1)):
+        with pytest.raises(CapabilityError):
+            new_norm_bounds(sym_tensor(3, 2, {(0, 1): 1}), h)
+
+
+def test_new_norm_on_the_zero_object():
+    # The ball of 0 is its one point (), so f(x, ..., x) is f_() at degree
+    # 0 and the empty sum above it.
+    z = zero_obj()
+    br = new_norm_bounds(sym_tensor(0, 0, [F(3, 2)]), z)
+    assert (br.lower, br.upper) == (F(3, 2), F(3, 2))
+    for n in (1, 2):
+        br = new_norm_bounds(sym_tensor(0, n, []), z)
+        assert (br.lower, br.upper) == (0, 0)
 
 
 def test_polarization_constants():
