@@ -5,9 +5,11 @@ Analytic maps and truncated composition
 A positive analytic map A -> B, truncated at degree N, is a linear map
 !A -> B: one column per monomial x^m of degree <= N, holding that
 monomial's coefficients. Evaluating at x is applying the matrix to
-delta_x = (1, x, x^2, ..., x^N); composition substitutes one power series
-into the other and drops the degrees above N, and it agrees with the
-coKleisli composite g . !f . dig of the exponential.
+delta_x = (1, x, x^2, ..., x^N). g after f is g applied to the lift
+delta_x -> delta_{f(x)}, whose row nu holds the coefficients of the product
+of the f_c(x) over c in nu, the degrees above N dropped: one power series
+substituted into the other. It agrees with the coKleisli composite
+g . !f . dig of the exponential.
 """
 
 from fractions import Fraction as F
@@ -58,7 +60,7 @@ print("attained at delta_x =", [str(v) for v in br.argmax], "so x =", br.argmax[
 
 # Promotion: F lifts to !F . dig : !half -> !half, with dig the adjoint of
 # the digging mu on ?(half*). Composing G after that lift is the same
-# matrix as the truncated substitution at N = 2.
+# matrix as analytic_compose at N = 2, which builds the lift directly.
 dig = adjoint(mu(dual_object(half), 2))
 cokleisli = compose(gm, compose(bang_mor(fm, 2), dig))
 print("\nG . !F . dig columns:", [str(v) for v in cokleisli.matrix[0]])

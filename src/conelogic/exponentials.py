@@ -53,10 +53,10 @@ the supremum); it is what keeps every bracket direction certified.
 An analytic map A -> B between polyhedral objects, truncated at N, is a
 Morphism !A -> B: column m holds the coefficient of the monomial x^m, so
 f(x) is f applied to delta_x. Its norm is one bracket of the ball scheme
-of !A per target dual generator (witness delta_x), and composition
-substitutes polynomials up to degree N rather than building mu on ??A
-(the coKleisli composite g . !f . dig gives the same matrix, at far
-greater cost).
+of !A per target dual generator (witness delta_x). g after f is g after
+the lift delta_x -> delta_{f(x)}, one product over the multiset table as
+for the symmetric powers, rather than mu on ??A (the coKleisli composite
+g . !f . dig gives the same matrix, at far greater cost).
 """
 
 from __future__ import annotations
@@ -88,18 +88,19 @@ from .errors import (
     DimensionError,
 )
 from .lp import LpStatus, constraint, lp_maximize, problem
-from .mall import Morphism, adjoint, mor, morphism_norm, product_obj, sparse_mor
+from .mall import Morphism, adjoint, compose, mor, morphism_norm, product_obj, sparse_mor
 from .multisets import (
     Layout,
-    Mset,
+    _mset_mul,
     graded_layout,
     monomial_values,
     mset_count,
     mset_union,
+    prefix_products,
     sym_power_cols,
 )
 from .oracle import Bracket, _compositions, averaged_upper, simplex_polynomial_bounds
-from .polynomials import Polynomial, eval_family, layout_products, poly_combination, poly_sum
+from .polynomials import Polynomial, eval_family, layout_products, poly_combination
 from .rationals import Q0, Q1, IntRows, VecQ, int_rows, mat, max_pairing, unit, vec
 
 DEFAULT_TRUNC = 3
@@ -911,17 +912,6 @@ def exp_iso(
     return sparse_mor(src, tgt, cols), sparse_mor(tgt, src, inv_cols)
 
 
-def _exps_to_mset(exps: tuple[int, ...]) -> Mset:
-    return tuple(c for c, k in enumerate(exps) for _ in range(k))
-
-
-def _mset_exps(m: Mset, dim: int) -> tuple[int, ...]:
-    out = [0] * dim
-    for c in m:
-        out[c] += 1
-    return tuple(out)
-
-
 # ---------------------------------------------------------------------------
 # Analytic maps
 
@@ -983,17 +973,29 @@ def analytic_norm_bounds(f: Morphism) -> Bracket:
     return Bracket(lower, upper, arg, "max over target dual generators")
 
 
-def _analytic_polys(f: Morphism, dim: int) -> list[Polynomial]:
-    """Coordinate c of f(x) as a polynomial in the dim coordinates of x."""
-    terms: list[list[Polynomial]] = [[] for _ in range(f.target.dim)]
-    for m, col in zip(_layout(f.source).coords, f.cols):
-        for i, x in col:
-            terms[i].append(Polynomial.monomial(dim, _mset_exps(m, dim), x))
-    return [poly_sum(t, dim) for t in terms]
+def _analytic_lift(f: Morphism, target: ConeObject, trunc: int) -> Morphism:
+    """delta_x -> delta_{f(x)} for f: !A -> B, from !A at trunc to a !B:
+    row nu holds the coefficients of prod_{c in nu} f_c(x) up to degree
+    trunc, one prefix_products over target's table whose factors are the
+    rows of f.int_cols keyed by multisets, each entry one Fraction."""
+    src = bang_obj(dual_object(_analytic_node(f).base), trunc)
+    den, icols = f.int_cols
+    forms: list[list] = [[] for _ in range(f.target.dim)]
+    for m, col in zip(_layout(f.source).coords, icols):
+        for i, v in col:
+            forms[i].append((m, v))
+    lay, idx = _layout(target), _layout(src).index
+    dens = [den**n for n in range(max(lay.grades) + 1)]
+    prods = prefix_products(lay, forms, lambda p, form: _mset_mul(p, form, trunc), {(): 1})
+    cols: list[list] = [[] for _ in range(src.dim)]
+    for r, (p, n) in enumerate(zip(prods, lay.grades)):
+        for m, v in p.items():
+            cols[idx[m]].append((r, Fraction(v, dens[n])))  # sparse_mor drops zeros
+    return sparse_mor(src, target, cols)
 
 
 def analytic_compose(g: Morphism, f: Morphism, trunc: Optional[int] = None) -> Morphism:
-    """(g truncated) after f, coefficients by truncated substitution.
+    """g after f up to degree trunc: g after the lift delta_x -> delta_{f(x)}.
 
     Requires f to map the ball into the ball; with only a bracket for
     ||f||, the gate fires when the violation is provable (lower bound > 1).
@@ -1006,13 +1008,4 @@ def analytic_compose(g: Morphism, f: Morphism, trunc: Optional[int] = None) -> M
     fb = analytic_norm_bounds(f)
     if fb.lower > 1:
         raise BallError("composition needs ||f|| <= 1", norm=fb.lower)
-    a = dual_object(fn.base)
-    middle = _analytic_polys(f, a.dim)
-    src = bang_obj(a, trunc)
-    idx = _layout(src).index
-    cols: list[list] = [[] for _ in range(src.dim)]
-    for r, gpoly in enumerate(_analytic_polys(g, f.target.dim)):
-        comp = gpoly.substitute(middle, max_degree=trunc)
-        for exps, coeff in comp.terms.items():
-            cols[idx[_exps_to_mset(exps)]].append((r, coeff))
-    return sparse_mor(src, g.target, cols)
+    return compose(g, _analytic_lift(f, g.source, trunc))

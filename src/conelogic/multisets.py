@@ -35,13 +35,13 @@ Graded objects stack degrees 0..N in degree-major order, so a truncated
 series is one flat vector whose grade-n slice is the degree-n block.
 graded_layout(dim, N) is the one table of those labels, their positions
 and their weights; !A, ?A and Sym^n A all read it. prefix_products is the
-one recurrence for products over it, behind the monomials of delta_x and
-the columns of symmetric powers of a map (sym_power_cols).
+one recurrence for products over it, behind the monomials of delta_x and,
+stepped by _mset_mul, the columns of symmetric powers of a map
+(sym_power_cols) and the lift delta_x -> delta_{f(x)} of an analytic map.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -60,6 +60,8 @@ def msets(dim: int, degree: int) -> tuple[Mset, ...]:
 
 
 def mset_count(dim: int, degree: int) -> int:
+    if degree < 0:
+        raise ValueError("negative degree")
     return comb(dim + degree - 1, degree) if degree else 1
 
 
@@ -82,8 +84,8 @@ def prefix_products(lay: "Layout", factors: Sequence, times: Callable, one) -> l
     every label m of the degree-major table lay: each is times of its
     prefix m[:-1], one grade down and so already made, and factors[m[-1]].
     The one recurrence for products over the table: monomials x^m
-    (monomial_values), polynomial monomials (polynomials.layout_products)
-    and the columns of symmetric powers (sym_power_cols)."""
+    (monomial_values), polynomial monomials (polynomials.layout_products),
+    symmetric powers (sym_power_cols) and analytic lifts."""
     index = lay.index
     out: list = []
     for m in lay.coords:
@@ -102,16 +104,18 @@ def monomial_values(x, lay: "Layout") -> tuple[Fraction, ...]:
     return tuple(Fraction(v, dens[k]) for v, k in zip(prods, lay.grades))
 
 
-def _mset_mul(prod: dict[Mset, int], col) -> dict[Mset, int]:
-    """The product of a form in y, kept as its y^nu coefficients, and the
-    linear form sum_r a_r y_r of one integer column: y^nu y_r is y^(nu + r),
-    its multiset kept sorted."""
+def _mset_mul(prod: dict[Mset, int], form, trunc: int) -> dict[Mset, int]:
+    """The product of a form in y, kept as its y^nu coefficients, and a form
+    of terms (multiset m, integer a): y^nu y^m is y^(nu + m), keyed by the
+    sorted multiset (nu + m itself when already sorted, the common case of
+    the lex-ordered table), and terms of degree above trunc are dropped."""
     out: dict[Mset, int] = {}
     for nu, s in prod.items():
-        for r, a in col:
-            k = bisect_right(nu, r)
-            key = nu[:k] + (r,) + nu[k:]
-            out[key] = out.get(key, 0) + s * a
+        room = trunc - len(nu)
+        for m, a in form:
+            if len(m) <= room:
+                key = tuple(sorted(nu + m)) if nu and m and m[0] < nu[-1] else nu + m
+                out[key] = out.get(key, 0) + s * a
     return out
 
 
@@ -122,15 +126,16 @@ def sym_power_cols(view: tuple, dim_tgt: int, trunc: int) -> list[list]:
     trunc), lists the nonzeros (position of nu in the target table,
     Fraction) of column mu of Sym^|mu|: S * multiplicity(mu) /
     multiplicity(nu), with S the coefficient of y^nu in the product of the
-    columns in mu read as linear forms in y (the multinomial theorem). The
-    products are one prefix_products over the source table, in integers
-    (_mset_mul), so zeros are never visited and each nonzero becomes one
-    Fraction over L^|mu| at the end."""
+    columns in mu read as forms of one-element multisets (the multinomial
+    theorem). The products are one prefix_products over the source table,
+    in integers (_mset_mul), so zeros are never visited and each nonzero
+    becomes one Fraction over L^|mu| at the end."""
     scale, icols = view
     src, tgt = graded_layout(len(icols), trunc), graded_layout(dim_tgt, trunc)
     tidx, tw = tgt.index, tgt.weights
     dens = [scale**n for n in range(trunc + 1)]
-    prods = prefix_products(src, icols, _mset_mul, {(): 1})
+    forms = [[((r,), a) for r, a in col] for col in icols]
+    prods = prefix_products(src, forms, lambda p, form: _mset_mul(p, form, trunc), {(): 1})
     return [
         [(tidx[nu], Fraction(s * m, tw[tidx[nu]] * dens[n])) for nu, s in p.items() if s]
         for p, m, n in zip(prods, src.weights, src.grades)

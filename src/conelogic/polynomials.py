@@ -2,8 +2,10 @@
 
 Terms live in a dict from exponent tuples to Fractions; zero coefficients
 are dropped eagerly so equality of term dicts is equality of polynomials.
-Only what the oracles and the graded pullbacks need: ring operations,
-truncated products, substitution, exact and float evaluation, gradients.
+Only what the oracles and the ball schemes need: ring operations,
+truncated products, exact and float evaluation, gradients. substitute,
+poly_sum and poly_product have no package caller; the benchmark's tracer
+(perfbench/layers.py) names them, and the tests use them as references.
 The term dict is never mutated after construction, so three derived views
 are built once per polynomial, on first use: the float view the oracle's
 ascent reads (each coefficient as a float with its nonzero exponents), the
@@ -73,10 +75,6 @@ class Polynomial:
                 e[i] = 1
                 terms[tuple(e)] = Fraction(c)
         return Polynomial(nvars, terms)
-
-    @staticmethod
-    def monomial(nvars: int, exps: Expvec, c=1) -> "Polynomial":
-        return Polynomial(nvars, {tuple(exps): Fraction(c)})
 
     @staticmethod
     def _of(nvars: int, terms: dict[Expvec, Fraction]) -> "Polynomial":

@@ -56,9 +56,12 @@ def _top_grade(dim: int, n: int) -> tuple[Layout, int]:
 
 
 def _position(dim: int, n: int, m: Mset) -> int:
-    """Position of the size-n multiset m within grade n."""
+    """Position of the size-n multiset m over range(dim) within grade n."""
     if len(m) != n:
-        raise KeyError(m)
+        raise DimensionError(n, len(m), f"size of multiset key {m!r}")
+    for c in m:
+        if not 0 <= c < dim:
+            raise DimensionError(dim, c, f"index {c} of multiset key {m!r}")
     lay, start = _top_grade(dim, n)
     return lay.index[m] - start
 

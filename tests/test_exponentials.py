@@ -31,6 +31,7 @@ from conelogic.cones import (
     one_obj,
     pairing,
     primal_gens,
+    zero_obj,
 )
 from conelogic.errors import (
     BallError,
@@ -77,7 +78,7 @@ from conelogic.exponentials import (
     _shape,
 )
 from conelogic.lp import lp_maximize
-from conelogic.mall import adjoint, compose, identity, mor, morphism_norm, product_obj
+from conelogic.mall import adjoint, compose, identity, mor, morphism_norm, product_obj, sparse_mor
 from conelogic.multisets import (
     graded_layout,
     monomial_values,
@@ -1016,6 +1017,89 @@ def test_analytic_compose_matches_cokleisli():
     assert checked >= 60
 
 
+def _exponents(m, dim):
+    out = [0] * dim
+    for c in m:
+        out[c] += 1
+    return tuple(out)
+
+
+def _coordinate_polys(f, dim):
+    """Coordinate i of the analytic map f as a Polynomial in dim variables."""
+    terms = [[] for _ in range(f.target.dim)]
+    for m, col in zip(graded_coords(f.source), f.cols):
+        for i, x in col:
+            terms[i].append(Polynomial(dim, {_exponents(m, dim): x}))
+    return [poly_sum(t, dim) for t in terms]
+
+
+def substituted_compose(g, f, trunc=None):
+    """The substitution route for analytic_compose: f and g rebuilt as
+    polynomials, and each coordinate of g substituted with f's up to degree
+    trunc, behind the same norm gate."""
+    fn, gn = _shape(f.source).node, _shape(g.source).node
+    if trunc is None:
+        trunc = max(fn.trunc, gn.trunc)
+    fb = analytic_norm_bounds(f)
+    if fb.lower > 1:
+        raise BallError("composition needs ||f|| <= 1", norm=fb.lower)
+    a = dual_object(fn.base)
+    middle = _coordinate_polys(f, a.dim)
+    src = bang_obj(a, trunc)
+    idx = {m: j for j, m in enumerate(graded_coords(src))}
+    cols = [[] for _ in range(src.dim)]
+    for r, gpoly in enumerate(_coordinate_polys(g, f.target.dim)):
+        for exps, x in gpoly.substitute(middle, max_degree=trunc).terms.items():
+            m = tuple(c for c, k in enumerate(exps) for _ in range(k))
+            cols[idx[m]].append((r, x))
+    return sparse_mor(src, g.target, cols)
+
+
+analytic_objects = st.sampled_from(
+    [
+        simplex_pcs(1),
+        simplex_pcs(2),
+        simplex_pcs(3),
+        cube_pcs(2),
+        one_obj(),
+        zero_obj(),
+        from_p_gens([[F(1, 2), 0], [0, F(3, 2)], [1, F(1, 3)]], 2),  # not a unit ball
+    ]
+)
+analytic_entry = st.sampled_from([F(0), F(0), F(0), F(1, 4), F(1, 3), F(1)])
+
+
+def _drawn_analytic(draw, a, b, n):
+    grades = [
+        [draw(st.lists(analytic_entry, min_size=k, max_size=k)) for _ in range(b.dim)]
+        for k in (mset_count(a.dim, j) for j in range(n + 1))
+    ]
+    return analytic_map(a, b, grades)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_analytic_compose_matches_the_substitution_route(data):
+    # mixed truncations: f and g at 0-3, the composite at None or 0-4
+    a, b, c = (data.draw(analytic_objects) for _ in range(3))
+    nf, ng = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
+    trunc = data.draw(st.sampled_from([None, 0, 1, 2, 3, 4]))
+    f = _drawn_analytic(data.draw, a, b, nf)
+    g = _drawn_analytic(data.draw, b, c, ng)
+    try:
+        want = substituted_compose(g, f, trunc)
+    except BallError as e:
+        with pytest.raises(BallError) as err:
+            analytic_compose(g, f, trunc)
+        assert (str(err.value), err.value.norm) == (str(e), e.norm)
+    else:
+        assert analytic_compose(g, f, trunc) == want
+    # the lift delta_x -> delta_{f(x)} is !f after digging, at f's truncation
+    dig = adjoint(mu(dual_object(a), nf))
+    lift = exponentials._analytic_lift(f, bang_obj(b, nf), nf)
+    assert lift == compose(bang_mor(f, nf), dig)
+
+
 def test_sample_points_cover_the_resolution_two_grid():
     half, third = F(1, 2), F(1, 3)
     grid = {
@@ -1213,7 +1297,7 @@ def test_poly_combination_equals_poly_sum(k_and_pairs):
 
 
 def test_poly_combination_reinserts_a_cancelled_key_last():
-    t = lambda j: Polynomial.monomial(1, (j,))  # noqa: E731
+    t = lambda j: Polynomial(1, {(j,): 1})  # noqa: E731
     polys = [t(1) + t(2), t(3), t(2), t(2)]
     got = poly_combination([F(1), F(1), F(-1), F(3)], polys, 1)
     assert list(got.terms.items()) == [((1,), F(1)), ((3,), F(1)), ((2,), F(3))]

@@ -1,9 +1,10 @@
 """Source hygiene: no module of the package, test file or demo imports a
 name it never uses, no public name is defined in two package modules,
 every name the benchmark's tracer patches still exists, the package's
-global caches are exactly the listed ones, the bracket primitives and a
-morphism's integer view are named only where listed, and every public
-function or class of the package has a caller outside the tests.
+global caches are exactly the listed ones, the bracket primitives, a
+morphism's integer view and the multiset products are named only where
+listed, and every public function or class of the package has a caller
+outside the tests.
 
 `__init__.py` is exempt from the import check, since its imports are the
 public re-exports.
@@ -217,12 +218,15 @@ def test_bracket_routes_are_listed():
 
 # Every place in the package that reads a morphism's integer view, and every
 # place in the morphism modules that reads a denominator. A map's columns
-# are scaled to integers once, by Morphism.int_cols; compose, the norm and
-# the two lifts (through the symmetric-power kernel) read that view, and
-# adjoint makes its weighted entries from the numerator and denominator. A
-# second integer derivation of a map's columns has to be argued for here.
+# are scaled to integers once, by Morphism.int_cols; compose, the norm, the
+# two functorial lifts (through the symmetric-power kernel) and the analytic
+# lift delta_x -> delta_{f(x)} (whose factors are the rows of f's view) read
+# that view, and adjoint makes its weighted entries from the numerator and
+# denominator. A second integer derivation of a map's columns has to be
+# argued for here.
 INT_VIEW_ROUTES = {
     "int_cols": [
+        "exponentials._analytic_lift",
         "exponentials.bang_mor",
         "exponentials.whynot_mor",
         "mall.compose",
@@ -248,19 +252,28 @@ def test_int_view_routes_are_listed():
     assert {k: sorted(v) for k, v in found.items()} == INT_VIEW_ROUTES
 
 
-# Every place in the package that names the multiset-product recurrence or
-# the monomials built on it. One identity, the multinomial expansion over
-# multisets, gives the coordinates of delta_x (monomial_values, which
-# series_eval, delta, the recognized deltas, the honest members of a !A
-# scheme and symmetric.power_tensor read), the ball-scheme families
-# (layout_products) and the columns of symmetric powers, the lifts !s and
-# ?l among them (multisets.sym_power_cols). A second product loop over the
-# multiset table has to be argued for here.
+# Every place in the package that names the multiset-product recurrence,
+# its one product step on multiset-keyed dicts, or the monomials built on
+# it. One identity, the multinomial expansion over multisets, gives the
+# coordinates of delta_x (monomial_values, which series_eval, delta, the
+# recognized deltas, the honest members of a !A scheme and
+# symmetric.power_tensor read), the ball-scheme families (layout_products),
+# the columns of symmetric powers, the lifts !s and ?l among them
+# (multisets.sym_power_cols), and the lift delta_x -> delta_{f(x)} that
+# analytic composition applies g to (exponentials._analytic_lift). The last
+# two multiply multiset-keyed integer forms by _mset_mul. A second product
+# loop over the multiset table, or a third multiset product, has to be
+# argued for here.
 PRODUCT_ROUTES = {
     "prefix_products": [
+        "exponentials._analytic_lift",
         "multisets.monomial_values",
         "multisets.sym_power_cols",
         "polynomials.layout_products",
+    ],
+    "_mset_mul": [
+        "exponentials._analytic_lift",
+        "multisets.sym_power_cols",
     ],
     "monomial_values": [
         "exponentials._delta_like_bounds",

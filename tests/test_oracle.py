@@ -49,7 +49,7 @@ def test_truncated_product_drops_high_degrees():
 def test_substitute_composes_polynomials():
     # g(s) = s + s^2, s = t^2  ->  t^2 + t^4
     g = Polynomial(1, {(1,): F(1), (2,): F(1)})
-    t2 = Polynomial.monomial(1, (2,))
+    t2 = Polynomial(1, {(2,): 1})
     h = g.substitute([t2])
     assert h.terms == {(2,): F(1), (4,): F(1)}
     h3 = g.substitute([t2], max_degree=3)
@@ -79,7 +79,7 @@ def test_affine_case_is_exact():
 
 def test_product_monomial_bracket():
     # t1 t2 on the 2-simplex: true sup 1/4 at (1/2, 1/2); averaged upper 1/2.
-    p = Polynomial.monomial(2, (1, 1))
+    p = Polynomial(2, {(1, 1): 1})
     br = simplex_polynomial_bounds(p, (2,))
     assert br.lower == F(1, 4)
     assert br.upper == F(1, 2)
@@ -87,7 +87,7 @@ def test_product_monomial_bracket():
 
 
 def test_three_way_product_monomial():
-    p = Polynomial.monomial(3, (1, 1, 1))
+    p = Polynomial(3, {(1, 1, 1): 1})
     br = simplex_polynomial_bounds(p, (3,))
     assert br.lower == F(1, 27)
     assert br.upper == F(1, 6)
@@ -95,7 +95,7 @@ def test_three_way_product_monomial():
 
 def test_two_blocks_are_independent_simplices():
     # t * s with t and s in their own 1-simplex: sup = 1, exactly bracketed.
-    p = Polynomial.monomial(2, (1, 1))
+    p = Polynomial(2, {(1, 1): 1})
     br = simplex_polynomial_bounds(p, (1, 1))
     assert br.lower == br.upper == 1
 
@@ -103,14 +103,14 @@ def test_two_blocks_are_independent_simplices():
 def test_ascent_refines_a_coarse_grid():
     # t1^2 t2 peaks at (2/3, 1/3) with value 4/27; a half-step grid only
     # reaches 1/8, and the multiplicative update must recover the peak.
-    p = Polynomial.monomial(2, (2, 1))
+    p = Polynomial(2, {(2, 1): 1})
     br = simplex_polynomial_bounds(p, (2,), OracleParams(grid_resolution=2))
     assert br.lower == F(4, 27)
     assert br.argmax == (F(2, 3), F(1, 3))
 
 
 def test_even_power_peak_found_by_grid():
-    p = Polynomial.monomial(2, (2, 2))
+    p = Polynomial(2, {(2, 2): 1})
     br = simplex_polynomial_bounds(p, (2,))
     assert br.lower == F(1, 16)
     assert br.upper == F(1, 6)  # coefficient 1 over multinomial(2,2) = 6
@@ -584,7 +584,7 @@ def test_closed_bracket_evaluates_no_candidate(monkeypatch):
     br = simplex_polynomial_bounds(closed, (2,))
     assert (br.lower, br.upper, br.note) == (F(1), F(1), "grid 1/10 + ascent")
     assert calls == [] and grads == []
-    simplex_polynomial_bounds(Polynomial.monomial(2, (1, 1)), (2,))
+    simplex_polynomial_bounds(Polynomial(2, {(1, 1): 1}), (2,))
     assert len(calls) == 2 and grads  # the center and the snapped point
 
 

@@ -161,6 +161,33 @@ def test_dimension_mismatch_is_refused():
             new_norm_bounds(f, bool_obj())
 
 
+@pytest.mark.parametrize(
+    "key, where",
+    [
+        ((0, 5), "index 5 of multiset key (0, 5)"),
+        ((-1, 1), "index -1 of multiset key (-1, 1)"),
+        ((0,), "size of multiset key (0,)"),
+        ((0, 1, 1), "size of multiset key (0, 1, 1)"),
+    ],
+)
+def test_sym_tensor_names_a_bad_key(key, where):
+    with pytest.raises(DimensionError) as err:
+        sym_tensor(2, 2, {key: 1})
+    assert err.value.where == where
+    with pytest.raises(DimensionError):
+        xy_form().coord(key)
+
+
+def test_sym_tensor_refuses_a_negative_degree():
+    for build in (
+        lambda: sym_tensor(2, -1, {}),
+        lambda: sym_tensor(2, -1, []),
+        lambda: power_tensor((F(1), F(0)), -1),
+    ):
+        with pytest.raises(ValueError, match="^negative degree$"):
+            build()
+
+
 def test_new_norm_refuses_non_polyhedral_operands():
     # The diagonal norm brackets over the ball scheme of !a, which exists
     # for a polyhedral a only: a graded a would make !a nested.
