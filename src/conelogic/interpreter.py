@@ -12,9 +12,12 @@ The CLI builds only the atoms its formula names (env_from_json's `names`),
 so a broken atom fails only the requests that name it.
 Interpretation is a straight recursion: polyhedral operands use the MALL
 constructors, graded operands route through the exponential module, and
-spectral operands survive only under duality (the constructors reject them
-with their own errors). The lollipop interprets as dual-first-factor par,
-which coincides with the hom object exactly.
+spectral operands survive only under duality: interpret itself refuses a
+spectral operand of an exponential or a binary connective, with a
+CapabilityError that says so (left to the constructors, `q & q` would fail
+with a message that does not mention spectral operands). The lollipop
+interprets as dual-first-factor par, which coincides with the hom object
+exactly.
 """
 
 from __future__ import annotations

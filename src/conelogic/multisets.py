@@ -46,9 +46,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain, combinations_with_replacement
-from math import comb, factorial, lcm
+from math import comb, factorial
 from operator import mul
 from typing import Callable, Sequence
+
+from .rationals import int_vector
 
 Mset = tuple[int, ...]
 
@@ -97,8 +99,7 @@ def monomial_values(x, lay: "Layout") -> tuple[Fraction, ...]:
     """The monomial x^m = prod_{c in m} x_c for every label m of lay, in
     integers: x is scaled by the lcm D of its denominators, and coordinate m
     is one Fraction, its integer prefix product over D^|m|."""
-    d = lcm(*(c.denominator for c in x))
-    ks = [c.numerator * (d // c.denominator) for c in x]
+    d, ks = int_vector(x)
     dens = [d**k for k in range(max(lay.grades) + 1)]
     prods = prefix_products(lay, ks, mul, 1)
     return tuple(Fraction(v, dens[k]) for v, k in zip(prods, lay.grades))

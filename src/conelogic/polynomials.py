@@ -4,8 +4,10 @@ Terms live in a dict from exponent tuples to Fractions; zero coefficients
 are dropped eagerly so equality of term dicts is equality of polynomials.
 Only what the oracles and the ball schemes need: ring operations,
 truncated products, exact and float evaluation, gradients. substitute,
-poly_sum and poly_product have no package caller; the benchmark's tracer
-(perfbench/layers.py) names them, and the tests use them as references.
+poly_sum and poly_product have no package caller; they are kept only
+because the benchmark's tracer (perfbench/layers.py) names them. The tests
+check this module against their own polynomial arithmetic
+(tests/reference.py), not against these.
 The term dict is never mutated after construction, so three derived views
 are built once per polynomial, on first use: the float view the oracle's
 ascent reads (each coefficient as a float with its nonzero exponents), the

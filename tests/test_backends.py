@@ -20,17 +20,13 @@ from conelogic.backends import (
     qcs_trace_norm,
     simplex_pcs,
 )
-from conelogic import cones, lp
 from conelogic.cones import dual_object, from_both_gens, norm_primal, validate_object
 from conelogic.errors import MembershipError
 from conelogic.mall import identity, morphism_norm
 from conelogic.rationals import mat, unit, vec
+from reference import eye
 
 F = Fraction
-
-
-def eye(n):
-    return tuple(unit(n, i) for i in range(n))
 
 
 def test_simplex_is_bool_and_cube_its_dual():
@@ -38,29 +34,20 @@ def test_simplex_is_bool_and_cube_its_dual():
     assert cube_pcs(2) == dual_object(bool_obj())
 
 
-def test_simplex_and_cube_are_canonical_without_an_lp(monkeypatch):
+def test_simplex_and_cube_are_canonical_without_an_lp(lp_solves):
     # the unit vectors and the all-ones point are canonical lists as they
     # stand, so the constructors solve no reduction LP
-    solves = [0]
-    real = lp.lp_maximize
-
-    def counted(prob):
-        solves[0] += 1
-        return real(prob)
-
-    monkeypatch.setattr(lp, "lp_maximize", counted)
-    monkeypatch.setattr(cones, "lp_maximize", counted)
     for d in range(1, 7):
         units = [unit(d, i) for i in range(d)]
         ones = [vec([1] * d)]
-        before = solves[0]
+        before = lp_solves[0]
         s, c = simplex_pcs(d), cube_pcs(d)
-        assert solves[0] == before
+        assert lp_solves[0] == before
         assert s == from_both_gens(units, ones, d)
         assert c == from_both_gens(ones, units, d)
         assert (s.label, c.label) == (f"simplex({d})", f"cube({d})")
         assert c == dual_object(s)
-    assert solves[0] > 0  # the reference route still reduces by LP
+    assert lp_solves[0] > 0  # the reference route still reduces by LP
 
 
 def test_pcs_objects_validate():

@@ -14,39 +14,32 @@ stored requests, and the file's diff shows every report that moved:
     PYTHONPATH=src python tests/test_bracket_corpus.py
 """
 
-import contextlib
-import io
 import json
 import os
 import tempfile
 from fractions import Fraction
 
-from conelogic import cli
+import corpus
 
-CORPUS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "bracket_corpus.json")
+CORPUS = os.path.join(corpus.GOLDEN, "bracket_corpus.json")
 
 
-def _write_json(path, doc):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-    return path
+def _argv(i, pair, put):
+    env, req = pair
+    return [
+        "norm",
+        "--env", put(f"{i}.env.json", env),
+        "--object", req["object"],
+        "--vector", put(f"{i}.vec.json", {"schema": 1, "vector": req["vector"]}),
+        "--trunc", str(req["trunc"]),
+    ]
 
 
 def replay(rounds, workdir):
-    """Yield (request, exit code, report) for every request, in order,
-    each run through cli.main in this process."""
-    for i, rnd in enumerate(rounds):
-        env = _write_json(os.path.join(workdir, f"r{i}.env.json"), rnd["env"])
-        for j, req in enumerate(rnd["requests"]):
-            vec = _write_json(
-                os.path.join(workdir, f"r{i}-{j}.vec.json"), {"schema": 1, "vector": req["vector"]}
-            )
-            argv = ["norm", "--env", env, "--object", req["object"],
-                    "--vector", vec, "--trunc", str(req["trunc"])]
-            buf = io.StringIO()
-            with contextlib.redirect_stdout(buf):
-                code = cli.main(argv)
-            yield req, code, buf.getvalue()
+    """Yield (request, exit code, report) for every request, in order."""
+    pairs = [(rnd["env"], req) for rnd in rounds for req in rnd["requests"]]
+    for (_, req), code, out in corpus.replay(pairs, workdir, _argv):
+        yield req, code, out
 
 
 def ledger(reports):
@@ -65,13 +58,8 @@ def ledger(reports):
     }
 
 
-def _load():
-    with open(CORPUS, encoding="utf-8") as fh:
-        return json.load(fh)
-
-
 def test_corpus_is_the_bracket_workload():
-    doc = _load()
+    doc = corpus.load(CORPUS)
     rounds = doc["rounds"]
     assert [(r["seed"], r["round"]) for r in rounds] == [(s, n) for s in (1, 2, 3) for n in range(4)]
     for rnd in rounds:
@@ -84,13 +72,13 @@ def test_corpus_is_the_bracket_workload():
 
 
 def test_stored_ledger_is_that_of_the_stored_reports():
-    doc = _load()
+    doc = corpus.load(CORPUS)
     reports = [req["report"] for rnd in doc["rounds"] for req in rnd["requests"]]
     assert ledger(reports) == doc["ledger"]
 
 
 def test_corpus_replays_byte_identical(tmp_path):
-    doc = _load()
+    doc = corpus.load(CORPUS)
     outs, moved = [], []
     for req, code, out in replay(doc["rounds"], str(tmp_path)):
         assert code == 0, out
@@ -111,11 +99,9 @@ def write_corpus(rounds, path=CORPUS):
             req["report"] = out
     reports = [req["report"] for rnd in rounds for req in rnd["requests"]]
     doc = {"schema": 1, "ledger": ledger(reports), "rounds": rounds}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    corpus.save(path, doc)
     return doc["ledger"]
 
 
 if __name__ == "__main__":
-    print(json.dumps(write_corpus(_load()["rounds"])))
+    print(json.dumps(write_corpus(corpus.load(CORPUS)["rounds"])))

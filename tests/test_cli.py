@@ -13,8 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conelogic import cli
+from corpus import GOLDEN
 
-GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+ENV = os.path.join(GOLDEN, "env.json")
+VECTOR = os.path.join(GOLDEN, "vector.json")
 
 
 def golden(name):
@@ -36,12 +38,7 @@ def test_parse_golden(capsys):
 
 
 def test_interpret_golden(capsys):
-    args = (
-        "interpret",
-        "--env", os.path.join(GOLDEN, "env.json"),
-        "--formula", "!(a & b)",
-        "--trunc", "2",
-    )
+    args = ("interpret", "--env", ENV, "--formula", "!(a & b)", "--trunc", "2")
     code, out = run(capsys, *args)
     assert code == 0
     assert out == golden("interpret.json")
@@ -50,13 +47,7 @@ def test_interpret_golden(capsys):
 
 
 def test_norm_golden(capsys):
-    args = (
-        "norm",
-        "--env", os.path.join(GOLDEN, "env.json"),
-        "--object", "?a",
-        "--vector", os.path.join(GOLDEN, "vector.json"),
-        "--trunc", "2",
-    )
+    args = ("norm", "--env", ENV, "--object", "?a", "--vector", VECTOR, "--trunc", "2")
     code, out = run(capsys, *args)
     assert code == 0
     assert out == golden("norm.json")
@@ -85,13 +76,7 @@ def test_single_suite_matches_the_all_run(capsys):
 def test_interpret_text_output(capsys):
     # Every report is JSON: the old text rendering is gone, and asking for it
     # is a usage error.
-    code, out = run(
-        capsys,
-        "interpret",
-        "--env", os.path.join(GOLDEN, "env.json"),
-        "--formula", "a & b",
-        "--out", "text",
-    )
+    code, out = run(capsys, "interpret", "--env", ENV, "--formula", "a & b", "--out", "text")
     assert code == 2
     report = json.loads(out)
     assert report["command"] is None
@@ -100,10 +85,8 @@ def test_interpret_text_output(capsys):
 
 
 def test_interpret_states_the_order_of_graded_coordinates(capsys):
-    env = os.path.join(GOLDEN, "env.json")
-
     def layout(formula):
-        code, out = run(capsys, "interpret", "--env", env, "--formula", formula, "--trunc", "2")
+        code, out = run(capsys, "interpret", "--env", ENV, "--formula", formula, "--trunc", "2")
         assert code == 0
         obj = json.loads(out)["object"]
         return obj["layout"], [ast.literal_eval(c) for c in obj["coords"]]
@@ -129,12 +112,7 @@ def test_parse_error_exit_code(capsys):
 
 
 def test_unbound_atom_exit_code(capsys):
-    code, out = run(
-        capsys,
-        "interpret",
-        "--env", os.path.join(GOLDEN, "env.json"),
-        "--formula", "nope",
-    )
+    code, out = run(capsys, "interpret", "--env", ENV, "--formula", "nope")
     assert code == 2
     assert json.loads(out)["error"]["type"] == "EnvError"
 
@@ -157,13 +135,7 @@ def test_norm_refuses_a_box_without_certificate(capsys, tmp_path):
 
 
 def test_norm_dimension_mismatch(capsys):
-    code, out = run(
-        capsys,
-        "norm",
-        "--env", os.path.join(GOLDEN, "env.json"),
-        "--object", "a",
-        "--vector", os.path.join(GOLDEN, "vector.json"),
-    )
+    code, out = run(capsys, "norm", "--env", ENV, "--object", "a", "--vector", VECTOR)
     assert code == 2
     assert "coordinates" in json.loads(out)["error"]["message"]
 
@@ -187,12 +159,7 @@ def test_failing_check_exits_one(capsys, monkeypatch):
 
 
 def test_interpret_missing_env_file(capsys, tmp_path):
-    code, out = run(
-        capsys,
-        "interpret",
-        "--env", str(tmp_path / "missing.json"),
-        "--formula", "a",
-    )
+    code, out = run(capsys, "interpret", "--env", str(tmp_path / "missing.json"), "--formula", "a")
     assert code == 2
     report = json.loads(out)
     assert report["schema"] == 1
@@ -285,14 +252,10 @@ def test_an_unused_atom_beyond_the_exact_polar_fails_no_request(capsys, tmp_path
     ],
 )
 def test_interpret_rejects_negative_generators(capsys, tmp_path, atom):
-    env = tmp_path / "env.json"
-    env.write_text(json.dumps({"schema": 1, "atoms": {"a": atom}}), encoding="utf-8")
-    code, out = run(capsys, "interpret", "--env", str(env), "--formula", "a")
-    assert code == 2
-    report = json.loads(out)
-    assert report["schema"] == 1
-    assert report["error"]["type"] == "EnvError"
-    assert "orthant" in report["error"]["message"]
+    env = _write_env(tmp_path, {"a": atom})
+    code, out = run(capsys, "interpret", "--env", env, "--formula", "a")
+    _env_error(code, out, "a")
+    assert "orthant" in json.loads(out)["error"]["message"]
 
 
 @pytest.mark.parametrize(
@@ -312,14 +275,9 @@ def test_interpret_rejects_negative_generators(capsys, tmp_path, atom):
     ],
 )
 def test_interpret_rejects_malformed_atom_fields(capsys, tmp_path, atom):
-    env = tmp_path / "env.json"
-    env.write_text(json.dumps({"schema": 1, "atoms": {"a": atom}}), encoding="utf-8")
-    code, out = run(capsys, "interpret", "--env", str(env), "--formula", "a")
-    assert code == 2
-    report = json.loads(out)
-    assert report["schema"] == 1
-    assert report["error"]["type"] == "EnvError"
-    assert report["error"]["message"].startswith("atom 'a': ")
+    env = _write_env(tmp_path, {"a": atom})
+    code, out = run(capsys, "interpret", "--env", env, "--formula", "a")
+    _env_error(code, out, "a")
 
 
 def test_check_rejects_trials_below_one(capsys):
@@ -334,13 +292,7 @@ def test_check_rejects_trials_below_one(capsys):
 def test_interpret_rejects_negative_trunc(capsys):
     # rejected before interpretation, so polyhedral formulas fail as well
     for formula in ("!a", "a & b"):
-        code, out = run(
-            capsys,
-            "interpret",
-            "--env", os.path.join(GOLDEN, "env.json"),
-            "--formula", formula,
-            "--trunc", "-1",
-        )
+        code, out = run(capsys, "interpret", "--env", ENV, "--formula", formula, "--trunc", "-1")
         assert code == 2
         assert "--trunc" in json.loads(out)["error"]["message"]
 
@@ -348,13 +300,8 @@ def test_interpret_rejects_negative_trunc(capsys):
 @pytest.mark.parametrize("formula", ["?a", "!a"])
 def test_interpret_refuses_a_huge_trunc_at_once(capsys, formula):
     # the size guard is one binomial, not a sum over every degree
-    code, out = run(
-        capsys,
-        "interpret",
-        "--env", os.path.join(GOLDEN, "env.json"),
-        "--formula", formula,
-        "--trunc", "1000000000000",
-    )
+    huge = "1000000000000"
+    code, out = run(capsys, "interpret", "--env", ENV, "--formula", formula, "--trunc", huge)
     assert code == 2
     report = json.loads(out)
     assert report["schema"] == 1
@@ -363,14 +310,8 @@ def test_interpret_refuses_a_huge_trunc_at_once(capsys, formula):
 
 
 def test_norm_rejects_negative_trunc(capsys):
-    code, out = run(
-        capsys,
-        "norm",
-        "--env", os.path.join(GOLDEN, "env.json"),
-        "--object", "?a",
-        "--vector", os.path.join(GOLDEN, "vector.json"),
-        "--trunc", "-1",
-    )
+    args = ("norm", "--env", ENV, "--object", "?a", "--vector", VECTOR, "--trunc", "-1")
+    code, out = run(capsys, *args)
     assert code == 2
     assert "--trunc" in json.loads(out)["error"]["message"]
 
@@ -456,13 +397,10 @@ def test_help_still_prints_usage(capsys):
 def test_files_that_are_not_utf8_are_bad_input(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_bytes(b"\xff\xfe{")
-    env = os.path.join(GOLDEN, "env.json")
     code, out = run(capsys, "interpret", "--env", str(bad), "--formula", "a")
     assert code == 2
     assert json.loads(out)["error"]["type"] == "EnvError"
-    code, out = run(
-        capsys, "norm", "--env", env, "--object", "a", "--vector", str(bad)
-    )
+    code, out = run(capsys, "norm", "--env", ENV, "--object", "a", "--vector", str(bad))
     assert code == 2
     assert json.loads(out)["error"]["type"] == "UnicodeDecodeError"
 
@@ -472,10 +410,7 @@ def test_files_that_are_not_utf8_are_bad_input(capsys, tmp_path):
 def test_spectral_norm_rejects_non_finite_entries(capsys, tmp_path, entry):
     vector = tmp_path / "x.json"
     vector.write_text('{"schema": 1, "vector": [%s, 0, 0, 1]}' % entry)
-    env = os.path.join(GOLDEN, "env.json")
-    code, out = run(
-        capsys, "norm", "--env", env, "--object", "q", "--vector", str(vector)
-    )
+    code, out = run(capsys, "norm", "--env", ENV, "--object", "q", "--vector", str(vector))
     assert code == 2
 
     def strict(name):

@@ -12,7 +12,6 @@ Hand-derived anchors used below, all over the two-point base:
 """
 
 from fractions import Fraction as F
-import itertools
 import random
 
 import pytest
@@ -79,37 +78,17 @@ from conelogic.exponentials import (
 )
 from conelogic.lp import lp_maximize
 from conelogic.mall import adjoint, compose, identity, mor, morphism_norm, product_obj, sparse_mor
-from conelogic.multisets import (
-    graded_layout,
-    monomial_values,
-    mset_count,
-    multiplicity,
-)
+from conelogic.multisets import graded_layout, monomial_values, mset_count, multiplicity
 from conelogic.oracle import Bracket, OracleParams, averaged_upper, simplex_polynomial_bounds
-from conelogic.polynomials import (
-    Polynomial,
-    layout_products,
-    poly_combination,
-    poly_product,
-    poly_sum,
-)
+from conelogic.polynomials import Polynomial, layout_products, poly_combination
 from conelogic.rationals import unit, vec
 from conelogic.symmetric import apply_multilinear, new_norm_bounds, sym_tensor
-from test_symmetric import map_rows, xy_form
+import reference as ref
 
 Bool = bool_obj()
 BoolStar = dual_object(Bool)
 
 rat01 = st.fractions(min_value=0, max_value=1, max_denominator=8)
-
-
-def monomial_value(x, m):
-    """x^m = prod_{c in m} x_c, one label at a time: the reference for
-    multisets.monomial_values, which builds every label from its prefix."""
-    v = F(1)
-    for c in m:
-        v *= x[c]
-    return v
 
 
 def contraction_2x2(draw):
@@ -363,11 +342,11 @@ def test_sum_objects_carry_no_norms():
         graded_norm_bounds(wp, (F(1),) + (F(0),) * 11)
 
 
-def _ref_honest_lower(w, e, members):
-    """max over members z of sum w_c e_c z_c in Fractions; first strict max."""
+def _ref_honest_lower(k, members):
+    """max over members z of sum k_c z_c in Fractions; first strict max."""
     best, arg = F(0), None
     for z in members:
-        v = sum((F(wc) * ec * zc for wc, ec, zc in zip(w, e, z)), F(0))
+        v = sum((kc * zc for kc, zc in zip(k, z)), F(0))
         if v > best:
             best, arg = v, z
     return best, arg
@@ -400,7 +379,7 @@ def test_honest_lower_matches_the_fraction_reference(case):
     scheme = exponentials.BallScheme((), (), tuple(members), False)
     k = tuple(F(wc) * ec for wc, ec in zip(w, e))  # the weighted vector
     value, arg = exponentials._honest_lower(k, scheme)
-    ref_value, ref_arg = _ref_honest_lower(w, e, members)
+    ref_value, ref_arg = _ref_honest_lower(k, members)
     assert value == ref_value and type(value) is F
     assert arg is ref_arg
 
@@ -459,14 +438,15 @@ def test_whynot_rejects_spectral():
 # -- monad and comonoid ------------------------------------------------------
 
 
+def assert_monad_unit_laws(b, n):
+    w = whynot_obj(b, n)
+    assert compose(mu(b, n), eta(w, n)).matrix == identity(w).matrix
+    assert compose(mu(b, n), whynot_mor(eta(b, n), n)).matrix == identity(w).matrix
+
+
 def test_monad_unit_laws_exact():
     for n in (1, 2, 3):
-        w = whynot_obj(Bool, n)
-        assert compose(mu(Bool, n), eta(w, n)).matrix == identity(w).matrix
-        assert (
-            compose(mu(Bool, n), whynot_mor(eta(Bool, n), n)).matrix
-            == identity(w).matrix
-        )
+        assert_monad_unit_laws(Bool, n)
 
 
 def test_monad_associative_on_untruncated_columns():
@@ -493,19 +473,20 @@ def test_monad_associative_on_untruncated_columns():
 
 def test_monad_unit_laws_exact_at_dim_3_trunc_3():
     # a 20 x 1771 x 20 product: affordable because compose skips zeros
-    b = simplex_pcs(3)
-    w = whynot_obj(b, 3)
-    assert compose(mu(b, 3), eta(w, 3)).matrix == identity(w).matrix
-    assert compose(mu(b, 3), whynot_mor(eta(b, 3), 3)).matrix == identity(w).matrix
+    assert_monad_unit_laws(simplex_pcs(3), 3)
+
+
+def _labels(h):
+    return graded_coords(h) if h.backend is Backend.GRADED else tuple(range(h.dim))
+
+
+def _index(h):
+    return {lbl: i for i, lbl in enumerate(_labels(h))}
 
 
 def _pair_mor_by_definition(src, tgt, f, g):
     # every (target pair, source pair) entry is f's entry times g's entry
-    def index(h):
-        labels = graded_coords(h) if h.backend is Backend.GRADED else range(h.dim)
-        return {l: i for i, l in enumerate(labels)}
-
-    fs, ft, gs, gt = (index(h) for h in (f.source, f.target, g.source, g.target))
+    fs, ft, gs, gt = (_index(h) for h in (f.source, f.target, g.source, g.target))
     return tuple(
         tuple(
             f.matrix[ft[ta]][fs[sa]] * g.matrix[gt[tb]][gs[sb]]
@@ -527,6 +508,10 @@ def test_graded_pair_maps_match_the_definition(dim, n):
         (graded_par_mor, eta(b, n), wi),
         (graded_tensor_mor, bb, bb),
     ]
+    assert_pair_maps_by_definition(cases, n)
+
+
+def assert_pair_maps_by_definition(cases, n):
     for lift, f, g in cases:
         m = lift(f, g, n)
         assert m.matrix == _pair_mor_by_definition(m.source, m.target, f, g)
@@ -534,6 +519,10 @@ def test_graded_pair_maps_match_the_definition(dim, n):
 
 @pytest.mark.parametrize("base, n", [(cube_pcs(2), 3), (simplex_pcs(3), 3)])
 def test_diag_mult_associative_through_pair_maps(base, n):
+    assert_diag_mult_associative(base, n)
+
+
+def assert_diag_mult_associative(base, n):
     w = whynot_obj(base, n)
     d = diag_mult(base, n)
     wi = identity(w)
@@ -579,19 +568,7 @@ def test_diag_mult_unit_and_commutativity():
 
 
 def test_diag_mult_associative():
-    n = 3
-    w = whynot_obj(Bool, n)
-    d = diag_mult(Bool, n)
-    wi = identity(w)
-    ww = graded_par_obj(w, w, n)
-    left_src = graded_par_obj(ww, w, n)
-    right_src = graded_par_obj(w, ww, n)
-    alpha = graded_relabel(
-        left_src, right_src, lambda t: (t[0][0], (t[0][1], t[1]))
-    )
-    path_a = compose(d, graded_par_mor(d, wi, n))
-    path_b = compose(d, compose(graded_par_mor(wi, d, n), alpha))
-    assert path_a.matrix == path_b.matrix
+    assert_diag_mult_associative(Bool, 3)
 
 
 def test_diag_mult_merges_split_variables():
@@ -707,112 +684,83 @@ def test_exp_iso_needs_polyhedral_factors():
 # -- the sparse structure maps against dense references -----------------------
 #
 # Each reference fills a dense row list entry by entry from the definition;
-# whynot_mor and bang_mor expand their products over index tuples by brute
-# force instead of through polynomials or symmetric-power blocks.
+# bang_mor and whynot_mor are checked against arrangement sums
+# (reference.graded_power) instead of products of multiset-keyed forms.
 
 
-def _zero_rows(src, tgt):
-    return [[F(0)] * src.dim for _ in range(tgt.dim)]
-
-
-def _labels(h):
-    return graded_coords(h) if h.backend is Backend.GRADED else tuple(range(h.dim))
-
-
-def _index(h):
-    return {lbl: i for i, lbl in enumerate(_labels(h))}
-
-
-def _dense(rows):
+def _dense_map(src, tgt, entries):
+    """The dense rows of a map src -> tgt: v in the row of the target label
+    t and the column j for each (t, j, v) of entries, 0 elsewhere."""
+    rows, idx = [[F(0)] * src.dim for _ in range(tgt.dim)], _index(tgt)
+    for t, j, v in entries:
+        rows[idx[t]][j] = v
     return tuple(map(tuple, rows))
 
 
 def _ref_eta(a, n):
-    tgt = whynot_obj(a, n)
-    rows, idx = _zero_rows(a, tgt), _index(tgt)
-    for c, w in enumerate(a.pairing_weights):
-        rows[idx[(c,)]][c] = w
-    return _dense(rows)
+    return _dense_map(a, whynot_obj(a, n), [((c,), c, w) for c, w in enumerate(a.pairing_weights)])
 
 
 def _ref_monoid_unit(a, n):
-    tgt = whynot_obj(a, n)
-    rows = _zero_rows(one_obj(), tgt)
-    rows[_index(tgt)[()]][0] = F(1)
-    return _dense(rows)
+    return _dense_map(one_obj(), whynot_obj(a, n), [((), 0, F(1))])
 
 
 def _ref_mu(a, n):
     inner = whynot_obj(a, n)
-    outer = whynot_obj(inner, n)
-    rows, idx, ic = _zero_rows(outer, inner), _index(inner), graded_coords(inner)
+    outer, ic = whynot_obj(inner, n), graded_coords(inner)
+    entries = []
     for j, m in enumerate(graded_coords(outer)):
         kt = tuple(sorted(c for p in m for c in ic[p]))
         if len(kt) <= n:
-            rows[idx[kt]][j] = F(multiplicity(m), multiplicity(kt))
-    return _dense(rows)
+            entries.append((kt, j, F(multiplicity(m), multiplicity(kt))))
+    return _dense_map(outer, inner, entries)
 
 
 def _ref_diag_mult(a, n):
     w = whynot_obj(a, n)
     src = graded_par_obj(w, w, n)
-    rows, idx = _zero_rows(src, w), _index(w)
+    entries = []
     for j, (m, k) in enumerate(graded_coords(src)):
         kt = tuple(sorted(m + k))
-        rows[idx[kt]][j] = F(multiplicity(m) * multiplicity(k), multiplicity(kt))
-    return _dense(rows)
+        entries.append((kt, j, F(multiplicity(m) * multiplicity(k), multiplicity(kt))))
+    return _dense_map(src, w, entries)
 
 
 def _ref_relabel(src, tgt, fn):
-    rows, idx = _zero_rows(src, tgt), _index(tgt)
-    for j, lbl in enumerate(_labels(src)):
-        rows[idx[fn(lbl)]][j] = F(1)
-    return _dense(rows)
+    return _dense_map(src, tgt, [(fn(lbl), j, F(1)) for j, lbl in enumerate(_labels(src))])
 
 
 def _ref_whynot_mor(l, n):
     # ?l sends the series coordinate m to multiplicity(m) * prod_{c in m}
-    # (l* y)_c; the coefficient of y^nu is spread over multiplicity(nu)
-    src, tgt = whynot_obj(l.source, n), whynot_obj(l.target, n)
+    # (l* y)_c, with l* y = pull y; the coefficient of y^nu, entry (m, nu)
+    # of the graded power of pull, is spread over multiplicity(nu)
+    ds, dt = l.source.dim, l.target.dim
     ws, wt = l.source.pairing_weights, l.target.pairing_weights
-    pull = [
-        [l.matrix[j][c] * wt[j] / ws[c] for j in range(l.target.dim)]
-        for c in range(l.source.dim)
-    ]
-    rows, idx = _zero_rows(src, tgt), _index(tgt)
-    for col, m in enumerate(graded_coords(src)):
-        for t in itertools.product(range(l.target.dim), repeat=len(m)):
-            term = F(multiplicity(m))
-            for c, j in zip(m, t):
-                term *= pull[c][j]
-            nu = tuple(sorted(t))
-            rows[idx[nu]][col] += term / multiplicity(nu)
-    return _dense(rows)
+    pull = [[l.matrix[j][c] * wt[j] / ws[c] for j in range(dt)] for c in range(ds)]
+    power = ref.graded_power(pull, n, ds, dt)
+    return tuple(
+        tuple(
+            power[col][row] * ref.multiplicity(m) / ref.multiplicity(nu)
+            for col, m in enumerate(ref.graded_labels(ds, n))
+        )
+        for row, nu in enumerate(ref.graded_labels(dt, n))
+    )
 
 
 def _ref_bang_mor(s, n):
-    # delta_x has coordinates x^mu; (s x)^nu expands over index tuples t
-    # as prod_k s[nu_k][t_k] x_{t_k}, collected on the multiset of t
-    src, tgt = bang_obj(s.source, n), bang_obj(s.target, n)
-    rows, sidx = _zero_rows(src, tgt), _index(src)
-    for r, nu in enumerate(graded_coords(tgt)):
-        for t in itertools.product(range(s.source.dim), repeat=len(nu)):
-            term = F(1)
-            for i, j in zip(nu, t):
-                term *= s.matrix[i][j]
-            rows[r][sidx[tuple(sorted(t))]] += term
-    return _dense(rows)
+    # delta_x has coordinates x^mu, and !s sends it to delta_{s x}
+    return ref.graded_power(s.matrix, n, s.target.dim, s.source.dim)
 
 
 def _ref_exp_iso(a, b, n):
     src = bang_obj(product_obj(a, b), n)
     tgt = graded_tensor_obj(bang_obj(a, n), bang_obj(b, n), n)
-    rows, idx = _zero_rows(src, tgt), _index(tgt)
-    for j, m in enumerate(graded_coords(src)):
-        ka = tuple(c for c in m if c < a.dim)
-        kb = tuple(c - a.dim for c in m if c >= a.dim)
-        rows[idx[(ka, kb)]][j] = F(1)
-    return _dense(rows), tuple(zip(*rows)) if rows else ()
+    split = [
+        (tuple(c for c in m if c < a.dim), tuple(c - a.dim for c in m if c >= a.dim))
+        for m in graded_coords(src)
+    ]
+    rows = _dense_map(src, tgt, [(t, j, F(1)) for j, t in enumerate(split)])
+    return rows, tuple(zip(*rows)) if rows else ()
 
 
 def _spread_map(src, tgt):
@@ -843,14 +791,9 @@ def test_structure_maps_match_dense_references(dim, n):
     assert morphism_norm(s) <= 1 and morphism_norm(adjoint(s)) <= 1
     assert whynot_mor(s, n).matrix == _ref_whynot_mor(s, n)
     assert bang_mor(s, n).matrix == _ref_bang_mor(s, n)
-    d = diag_mult(cube, n)
-    wi = identity(w)
-    for f, g in ((d, wi), (eta(cube, n), wi)):
-        m = graded_par_mor(f, g, n)
-        assert m.matrix == _pair_mor_by_definition(m.source, m.target, f, g)
-    bb = bang_mor(s, n)
-    m = graded_tensor_mor(bb, bb, n)
-    assert m.matrix == _pair_mor_by_definition(m.source, m.target, bb, bb)
+    d, wi, bb = diag_mult(cube, n), identity(w), bang_mor(s, n)
+    pars = [(graded_par_mor, d, wi), (graded_par_mor, eta(cube, n), wi)]
+    assert_pair_maps_by_definition(pars + [(graded_tensor_mor, bb, bb)], n)
     a1, a2 = (cube_pcs(1), simplex_pcs(dim - 1)) if dim > 2 else (cube, simplex_pcs(1))
     phi, phi_inv = exp_iso(a1, a2, n)
     want, want_inv = _ref_exp_iso(a1, a2, n)
@@ -858,7 +801,7 @@ def test_structure_maps_match_dense_references(dim, n):
 
 
 @settings(max_examples=25, deadline=None)
-@given(map_rows(), st.integers(0, 4), st.booleans(), st.booleans())
+@given(ref.map_rows(), st.integers(0, 4), st.booleans(), st.booleans())
 def test_functors_match_the_references_on_random_maps(drawn, n, cube_src, cube_tgt):
     # the same draws as the symmetric-power kernel's test, scaled down to a
     # contraction both ways between simplex or cube endpoints
@@ -981,20 +924,11 @@ def test_analytic_eval_agrees_with_bang_morphism(data):
 def _rand_analytic(r, a, b, n):
     """A random positive analytic map a -> b truncated at n; about two thirds
     of the coefficients are zero, and the constant terms are drawn too."""
-    return analytic_map(
-        a,
-        b,
-        [
-            [
-                [
-                    F(r.randint(0, 2), r.randint(3, 9)) * r.randint(0, 1)
-                    for _ in range(mset_count(a.dim, k))
-                ]
-                for _ in range(b.dim)
-            ]
-            for k in range(n + 1)
-        ],
-    )
+    def coeff():
+        return F(r.randint(0, 2), r.randint(3, 9)) * r.randint(0, 1)
+
+    sizes = [mset_count(a.dim, k) for k in range(n + 1)]
+    return analytic_map(a, b, [[[coeff() for _ in range(k)] for _ in range(b.dim)] for k in sizes])
 
 
 def test_analytic_compose_matches_cokleisli():
@@ -1017,20 +951,13 @@ def test_analytic_compose_matches_cokleisli():
     assert checked >= 60
 
 
-def _exponents(m, dim):
-    out = [0] * dim
-    for c in m:
-        out[c] += 1
-    return tuple(out)
-
-
 def _coordinate_polys(f, dim):
-    """Coordinate i of the analytic map f as a Polynomial in dim variables."""
-    terms = [[] for _ in range(f.target.dim)]
+    """Coordinate i of the analytic map f as a polynomial in dim variables."""
+    polys = [{} for _ in range(f.target.dim)]
     for m, col in zip(graded_coords(f.source), f.cols):
         for i, x in col:
-            terms[i].append(Polynomial(dim, {_exponents(m, dim): x}))
-    return [poly_sum(t, dim) for t in terms]
+            polys[i][tuple(m.count(c) for c in range(dim))] = x
+    return polys
 
 
 def substituted_compose(g, f, trunc=None):
@@ -1049,7 +976,7 @@ def substituted_compose(g, f, trunc=None):
     idx = {m: j for j, m in enumerate(graded_coords(src))}
     cols = [[] for _ in range(src.dim)]
     for r, gpoly in enumerate(_coordinate_polys(g, f.target.dim)):
-        for exps, x in gpoly.substitute(middle, max_degree=trunc).terms.items():
+        for exps, x in ref.plug(gpoly, middle, a.dim, trunc).items():
             m = tuple(c for c, k in enumerate(exps) for _ in range(k))
             cols[idx[m]].append((r, x))
     return sparse_mor(src, g.target, cols)
@@ -1198,8 +1125,8 @@ def test_dual_of_a_sum_flips_it():
 
 
 # The !A family polynomials and honest members are built prefix by prefix
-# over the multiset table, in integers; they must be poly_product's and
-# monomial_value's, term for term and in the same key order.
+# over the multiset table, in integers; they must be the reference products
+# and monomials, term for term and in the same key order.
 
 
 @st.composite
@@ -1220,13 +1147,11 @@ def test_family_polynomials_are_the_monomial_products(a, n):
     inner = exponentials.primal_ball_scheme(dual_object(node.base))
     nv = sum(inner.blocks)
     coords = node.layout.coords
-    want = [poly_product((inner.polys[c] for c in m), nv) for m in coords]
-    assert [list(p.terms.items()) for p in s.polys] == [list(p.terms.items()) for p in want]
+    want = [ref.product([inner.polys[c].terms for c in m], nv) for m in coords]
+    assert [list(p.terms.items()) for p in s.polys] == [list(p.items()) for p in want]
     assert all(type(c) is F for p in s.polys for c in p.terms.values())
     pts = [tuple(F(0) for _ in range(a.dim))] + list(inner.honest)
-    assert s.honest == tuple(
-        tuple(monomial_value(y, m) for m in coords) for y in pts[: exponentials.HONEST_CAP]
-    )
+    assert s.honest == tuple(ref.monomials(y, coords) for y in pts[: exponentials.HONEST_CAP])
 
 
 @settings(max_examples=80, deadline=None)
@@ -1247,25 +1172,25 @@ def test_family_polynomials_are_the_monomial_products(a, n):
     ),
     st.integers(0, 3),
 )
-def test_layout_products_equal_poly_product(k_and_forms, n):
+def test_layout_products_equal_the_reference_product(k_and_forms, n):
     # signed forms, so that products cancel and keys drop out mid-product
     k, forms = k_and_forms
     lay = graded_layout(len(forms), n)
     got = layout_products(forms, lay, k)
     for m, p in zip(lay.coords, got):
-        want = poly_product((forms[c] for c in m), k)
-        assert list(p.terms.items()) == list(want.terms.items())
+        want = ref.product([forms[c].terms for c in m], k)
+        assert list(p.terms.items()) == list(want.items())
 
 
 def test_layout_products_reinsert_a_cancelled_key_last():
     # (2 + t - t^2)(2 - 2t + t^2): the t^2 sum is 0 after two products and
-    # nonzero after the third, so Polynomial.mul moves t^2 behind t^3.
+    # nonzero after the third, so the product moves t^2 behind t^3.
     f = Polynomial(1, {(0,): F(2), (1,): F(1), (2,): F(-1)})
     g = Polynomial(1, {(0,): F(2), (1,): F(-2), (2,): F(1)})
     lay = graded_layout(2, 2)
     fg = layout_products([f, g], lay, 1)[lay.index[(0, 1)]]
     assert list(fg.terms) == [(0,), (1,), (3,), (2,), (4,)]
-    assert list(fg.terms.items()) == list((f * g).terms.items())
+    assert list(fg.terms.items()) == list(ref.times(f.terms, g.terms).items())
 
 
 @settings(max_examples=150, deadline=None)
@@ -1287,12 +1212,12 @@ def test_layout_products_reinsert_a_cancelled_key_last():
         )
     )
 )
-def test_poly_combination_equals_poly_sum(k_and_pairs):
+def test_poly_combination_equals_the_reference_sum(k_and_pairs):
     # few keys and signed coefficients, so that sums cancel and come back
     k, pairs = k_and_pairs
     got = poly_combination([c for c, _ in pairs], [p for _, p in pairs], k)
-    want = poly_sum((p.scale(c) for c, p in pairs), k)
-    assert list(got.terms.items()) == list(want.terms.items())
+    want = ref.combination((c, p.terms) for c, p in pairs)
+    assert list(got.terms.items()) == list(want.items())
     assert all(type(c) is F for c in got.terms.values())
 
 
@@ -1335,8 +1260,7 @@ def test_every_graded_bracket_has_a_witness_of_the_object(case):
     s = exponentials.primal_ball_scheme(dual_object(h))
     if s.exact:
         k = [w * x for w, x in zip(h.pairing_weights, e)]
-        pol = poly_combination(k, s.polys, sum(s.blocks))
-        assert s.bracket(k).upper == averaged_upper(pol, s.blocks)
+        assert s.bracket(k).upper == averaged_upper(_combined(k, s), s.blocks)
 
 
 # The bounding step: the averaged upper bound first, and the oracle only
@@ -1346,15 +1270,16 @@ def test_every_graded_bracket_has_a_witness_of_the_object(case):
 # each box corner the unit vector's bracket, read with no witness.
 
 
+def _combined(k, s):
+    """sum_c k_c polys[c] of the scheme s, made by the reference sum."""
+    return Polynomial(sum(s.blocks), ref.combination(zip(k, (p.terms for p in s.polys))))
+
+
 def always_oracle_bracket(s, k):
     """BallScheme.bracket with the oracle run on every exact family and its
     argmax mapped through the family one polynomial at a time."""
-    low, arg = F(0), None
-    for z in s.honest:
-        v = sum((kc * zc for kc, zc in zip(k, z)), F(0))
-        if v > low:
-            low, arg = v, z
-    pol = poly_combination(k, s.polys, sum(s.blocks))
+    low, arg = _ref_honest_lower(k, s.honest)
+    pol = _combined(k, s)
     if not s.exact:
         return Bracket(low, averaged_upper(pol, s.blocks), arg, "honest lower / averaged upper")
     br = simplex_polynomial_bounds(pol, s.blocks)
@@ -1418,35 +1343,42 @@ def test_box_corners_run_the_oracle_only_below_the_bound(monkeypatch):
 # The analytic and the Sym^n diagonal norms are sups of <g, delta_x> over
 # the ball of !A, one BallScheme.bracket each (one per target dual
 # generator, for an analytic map). The references build the mixing
-# polynomial by hand and run the oracle on it, as these norms once did: the
+# polynomial by hand, from the generator mix x(t) = sum_i t_i g_i of the
+# ball of A, and run the oracle on it, as these norms once did: the
 # brackets must agree, open ones included, and the witness must be delta_x
 # for an x in the ball of A that attains the lower bound.
 
 
-def hand_built_new_norm(f, a):
-    """(lower, upper) of the oracle on f(x(t), ..., x(t)), with x(t) the
-    generator mix sum_i t_i g_i."""
+def _mix_monomials(a, labels):
+    """x(t)^m for each label m, x(t) the generator mix of the ball of a, as
+    polynomials in the generator count's variables; with that count."""
     gens = primal_gens(a)
     k = len(gens)
-    xs = [Polynomial.linear(k, [g[c] for g in gens]) for c in range(a.dim)]
-    lay = graded_layout(a.dim, f.degree)
-    start = len(lay.coords) - mset_count(a.dim, f.degree)
-    weighted = [w * c for w, c in zip(lay.weights[start:], f.coords)]
-    pol = poly_combination(weighted, layout_products(xs, lay, k)[start:], k)
-    br = simplex_polynomial_bounds(pol, (k,))
+    xs = [ref.linear([g[c] for g in gens], k) for c in range(a.dim)]
+    return [ref.product([xs[c] for c in m], k) for m in labels], k
+
+
+def hand_built_new_norm(f, a):
+    """(lower, upper) of the oracle on f(x(t), ..., x(t))."""
+    labels = ref.multisets(a.dim, f.degree)
+    family, k = _mix_monomials(a, labels)
+    weights = [ref.multiplicity(m) * c for m, c in zip(labels, f.coords)]
+    br = simplex_polynomial_bounds(Polynomial(k, ref.combination(zip(weights, family))), (k,))
     return br.lower, br.upper
 
 
-def hand_built_analytic_norm(f):
+def hand_built_analytic_norm(f, a, trunc):
     """(lower, upper): the max over the target's dual generators psi of the
-    oracle on sum_i w_i psi_i f_i(x(t)), each f_i built from a dense row."""
-    s = exponentials.primal_ball_scheme(f.source)
-    nv = sum(s.blocks)
-    rows = [poly_combination(row, s.polys, nv) for row in f.matrix]
+    oracle on sum_i w_i psi_i f_i(x(t)) = sum_m k_m x(t)^m, with k_m =
+    sum_i w_i psi_i f_im read off the dense matrix. The x(t)^m are added in
+    the order of the labels m: summing the rows f_i first orders the terms
+    differently, and the ascent's lower bound can follow the order."""
+    family, nv = _mix_monomials(a, ref.graded_labels(a.dim, trunc))
     lower = upper = F(0)
     for psi in materialize_q(f.target).q_ball_gens:
-        k = [w * p for w, p in zip(f.target.pairing_weights, psi)]
-        br = simplex_polynomial_bounds(poly_combination(k, rows, nv), s.blocks)
+        wpsi = [w * p for w, p in zip(f.target.pairing_weights, psi)]
+        k = [sum(wp * x for wp, x in zip(wpsi, col)) for col in zip(*f.matrix)]
+        br = simplex_polynomial_bounds(Polynomial(nv, ref.combination(zip(k, family))), (nv,))
         lower, upper = max(lower, br.lower), max(upper, br.upper)
     return lower, upper
 
@@ -1458,9 +1390,9 @@ def assert_delta_witness(br, a, trunc, value):
     assert (br.argmax is None) == (br.lower == 0)
     if br.argmax is None:
         return
-    lay = graded_layout(a.dim, trunc)
-    x = tuple(br.argmax[lay.index[(c,)]] if trunc else F(0) for c in range(a.dim))
-    assert br.argmax == monomial_values(x, lay)
+    labels = ref.graded_labels(a.dim, trunc)
+    x = tuple(br.argmax[labels.index((c,))] if trunc else F(0) for c in range(a.dim))
+    assert br.argmax == ref.monomials(x, labels)
     assert in_ball(a, x)
     assert value(x) == br.lower
 
@@ -1483,7 +1415,7 @@ def sym_forms(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@example((xy_form(), Bool))  # open: [1/4, 1/2]
+@example((ref.xy_form(), Bool))  # open: [1/4, 1/2]
 @given(sym_forms())
 def test_new_norm_matches_the_hand_built_route(case):
     f, a = case
@@ -1505,12 +1437,20 @@ def analytic_maps(draw):
 
 @settings(max_examples=40, deadline=None)
 @example(analytic_map(Bool, simplex_pcs(1), [[[0]], [[0, 0]], [[0, 1, 0]]]))  # x1 x2: open
+@example(  # rows summed first give another term order and a lower bound 1e-20 off
+    analytic_map(
+        from_p_gens([[F(1, 4), 0, 0], [0, F(1, 4), 0], [0, 0, F(1, 4)]], 3),
+        Bool,
+        [[[0], [0]], [[0] * 3, [0] * 3], [[0] * 6, [0, 0, F(5, 2), 0, 0, 0]],
+         [[0] * 9 + [F(1, 3)], [0] * 8 + [F(1, 3), F(5, 2)]]],
+    )
+)
 @given(analytic_maps())
 def test_analytic_norm_matches_the_hand_built_route(f):
     br = analytic_norm_bounds(f)
-    assert (br.lower, br.upper) == hand_built_analytic_norm(f)
     node = _shape(f.source).node
     a = dual_object(node.base)
+    assert (br.lower, br.upper) == hand_built_analytic_norm(f, a, node.trunc)
     assert_delta_witness(br, a, node.trunc, lambda x: norm_primal(f.target, analytic_eval(f, x)))
 
 
@@ -1537,7 +1477,7 @@ def test_equal_tensor_factors_build_one_scheme(monkeypatch):
 def test_monomial_values_read_the_table():
     x = (F(1, 2), F(0), F(2, 3))
     lay = graded_layout(3, 3)
-    assert monomial_values(x, lay) == tuple(monomial_value(x, m) for m in lay.coords)
+    assert monomial_values(x, lay) == ref.monomials(x, lay.coords)
     assert monomial_values((), graded_layout(0, 2)) == (F(1),)
 
 
@@ -1553,8 +1493,7 @@ def test_ascent_lower_bounds_are_pinned():
     # the grid alone, on the scheme's combination polynomial
     s = exponentials.primal_ball_scheme(dual_object(h))
     k = [w * x for w, x in zip(h.pairing_weights, v2)]
-    pol = poly_combination(k, s.polys, sum(s.blocks))
-    grid = simplex_polynomial_bounds(pol, s.blocks, OracleParams(ascent_iters=0))
+    grid = simplex_polynomial_bounds(_combined(k, s), s.blocks, OracleParams(ascent_iters=0))
     assert (grid.lower, grid.upper) == (F(139, 27), F(79, 9))
     v3 = vec(
         [1, 1, 0, 1, 0, 1, 0, 1, 1, 0, 0, 0, 1, "2/3", "2/3", "1/3", 1, 0, "2/3", "2/3"]

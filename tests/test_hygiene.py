@@ -4,7 +4,8 @@ every name the benchmark's tracer patches still exists, the package's
 global caches are exactly the listed ones, the bracket primitives, a
 morphism's integer view and the multiset products are named only where
 listed, and every public function or class of the package has a caller
-outside the tests.
+outside the tests. The tests' reference routes import from the package only
+the listed constructors and accessors, and no test module imports another.
 
 `__init__.py` is exempt from the import check, since its imports are the
 public re-exports.
@@ -32,6 +33,16 @@ SOURCES = [
     for f in sorted(os.listdir(os.path.join(ROOT, d)))
     if f.endswith(".py")
 ]
+
+
+def _parse(path):
+    with open(path, encoding="utf-8") as fh:
+        return ast.parse(fh.read())
+
+
+def _package_trees():
+    """(file name, syntax tree) of every package module but __init__."""
+    return [(name, _parse(path)) for path, name in SOURCES if "/" not in name]
 
 
 def _imported(tree):
@@ -70,8 +81,7 @@ def _used(tree):
     "path", [pytest.param(p, id=i) for p, i in SOURCES]
 )
 def test_no_unused_imports(path):
-    with open(path, encoding="utf-8") as fh:
-        tree = ast.parse(fh.read())
+    tree = _parse(path)
     used = _used(tree)
     unused = sorted(
         f"{name} (line {line})"
@@ -99,11 +109,7 @@ def test_public_names_have_one_definition():
     # A second definition of a public name is either a duplicate that can
     # drift from the first or a different thing under the same name.
     homes: dict = {}
-    for path, name in SOURCES:
-        if "/" in name:
-            continue  # tests and demos
-        with open(path, encoding="utf-8") as fh:
-            tree = ast.parse(fh.read())
+    for name, tree in _package_trees():
         for defined in set(_public_definitions(tree)):
             homes.setdefault(defined, []).append(name)
     twice = {k: v for k, v in homes.items() if len(v) > 1}
@@ -113,9 +119,7 @@ def test_public_names_have_one_definition():
 def _tracer_layers():
     """LAYERS from perfbench/layers.py, read as a literal without importing
     the benchmark."""
-    with open(os.path.join(ROOT, "perfbench", "layers.py"), encoding="utf-8") as fh:
-        tree = ast.parse(fh.read())
-    for node in tree.body:
+    for node in _parse(os.path.join(ROOT, "perfbench", "layers.py")).body:
         if isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "LAYERS" for t in node.targets
         ):
@@ -163,13 +167,8 @@ def _cache_decorated(tree):
 
 
 def test_global_caches_are_listed():
-    found = []
-    for path, name in SOURCES:
-        if "/" in name:
-            continue  # tests and demos
-        with open(path, encoding="utf-8") as fh:
-            tree = ast.parse(fh.read())
-        found += [f"{name[:-3]}.{fn}" for fn in _cache_decorated(tree)]
+    trees = _package_trees()
+    found = [f"{name[:-3]}.{fn}" for name, tree in trees for fn in _cache_decorated(tree)]
     assert sorted(found) == GLOBAL_CACHES
 
 
@@ -205,11 +204,9 @@ def _references(tree, scope):
 
 def test_bracket_routes_are_listed():
     found: dict = {name: set() for name in BRACKET_ROUTES}
-    for path, name in SOURCES:
-        if "/" in name or name == "oracle.py":
-            continue  # tests, demos and the oracle itself
-        with open(path, encoding="utf-8") as fh:
-            tree = ast.parse(fh.read())
+    for name, tree in _package_trees():
+        if name == "oracle.py":
+            continue  # the oracle itself
         for ref, scope in _references(tree, name[:-3]):
             if ref in found:
                 found[ref].add(scope)
@@ -239,11 +236,7 @@ INT_VIEW_ROUTES = {
 
 def test_int_view_routes_are_listed():
     found: dict = {name: set() for name in INT_VIEW_ROUTES}
-    for path, name in SOURCES:
-        if "/" in name:
-            continue  # tests and demos
-        with open(path, encoding="utf-8") as fh:
-            tree = ast.parse(fh.read())
+    for name, tree in _package_trees():
         for ref, scope in _references(tree, name[:-3]):
             if ref == "int_cols" or (
                 ref == "denominator" and name in ("mall.py", "symmetric.py", "exponentials.py")
@@ -287,11 +280,7 @@ PRODUCT_ROUTES = {
 
 def test_product_routes_are_listed():
     found: dict = {name: set() for name in PRODUCT_ROUTES}
-    for path, name in SOURCES:
-        if "/" in name:
-            continue  # tests and demos
-        with open(path, encoding="utf-8") as fh:
-            tree = ast.parse(fh.read())
+    for name, tree in _package_trees():
         for ref, scope in _references(tree, name[:-3]):
             if ref in found:
                 found[ref].add(scope)
@@ -302,17 +291,12 @@ def test_public_definitions_have_a_package_caller():
     # A public function or class that no other package scope names, that
     # __init__ does not export and that the tracer does not patch is reached
     # only from tests. Such a helper belongs in the tests that use it.
-    with open(os.path.join(PKG, "__init__.py"), encoding="utf-8") as fh:
-        exported = set(_imported(ast.parse(fh.read())))
+    exported = set(_imported(_parse(os.path.join(PKG, "__init__.py"))))
     traced = {
         part for _, names in _tracer_layers().values() for n in names for part in n.split(".")
     }
     defined, scopes = [], {}
-    for path, name in SOURCES:
-        if "/" in name:
-            continue  # tests and demos
-        with open(path, encoding="utf-8") as fh:
-            tree = ast.parse(fh.read())
+    for name, tree in _package_trees():
         mod = name[:-3]
         defined += [
             (mod, node.name)
@@ -329,3 +313,37 @@ def test_public_definitions_have_a_package_caller():
         and all(s == f"{mod}.{fn}" or s.startswith(f"{mod}.{fn}.") for s in scopes.get(fn, ()))
     ]
     assert not unreached, f"public names no package caller reaches: {unreached}"
+
+
+# Everything tests/reference.py may import from the package: constructors
+# and accessors only, so that no reference route leans on the arithmetic it
+# is the reference for. A module imported whole counts as all its names.
+REFERENCE_IMPORTS = {"conelogic.symmetric.sym_tensor"}
+
+
+def _imported_modules(tree):
+    """The dotted name of every import: a module, or module.name."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield from (f"{node.module or ''}.{a.name}" for a in node.names)
+
+
+def test_reference_imports_only_listed_package_names():
+    imports = _imported_modules(_parse(os.path.join(ROOT, "tests", "reference.py")))
+    package = {m for m in imports if m.split(".")[0] == "conelogic"}
+    assert package <= REFERENCE_IMPORTS, f"unlisted: {sorted(package - REFERENCE_IMPORTS)}"
+
+
+def test_test_modules_import_no_test_module():
+    # Shared routes and draws live in tests/reference.py, fixtures in
+    # tests/conftest.py and the corpus replay in tests/corpus.py.
+    found = [
+        f"{name}: {m}"
+        for path, name in SOURCES
+        if name.startswith("tests/test_")
+        for m in _imported_modules(_parse(path))
+        if any(part.startswith("test_") for part in m.split("."))
+    ]
+    assert not found, f"test modules importing test modules: {found}"

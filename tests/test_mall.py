@@ -37,20 +37,17 @@ from conelogic.mall import (
     uncurry,
 )
 from conelogic.polyhedra import DD_MAX_DIM, polar_of_points, reduce_generators
-from conelogic.rationals import unit, vec, zeros
+from conelogic.rationals import vec, zeros
+from reference import eye
 
 F = Fraction
 Bool = bool_obj()
 
 
-def kron_vec(a, b):
-    """Kronecker product in Fractions; coordinate (i, j) lands at index
-    i*len(b) + j."""
-    return tuple(x * y for x in a for y in b)
-
-
-def eye(n):
-    return tuple(unit(n, i) for i in range(n))
+def kron(xs, ys):
+    """The Kronecker products u (x) v over u in xs and v in ys, in Fractions;
+    coordinate (i, j) of u (x) v lands at index i*len(v) + j."""
+    return [tuple(x * y for x in u for y in v) for u in xs for v in ys]
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +170,7 @@ def test_tensor_cross_norm():
     t = tensor_obj(a, b)
     u = vec([F(1, 3), F(2, 3)])
     v = vec([F(1, 2), F(3, 4)])
-    assert norm_primal(t, kron_vec(u, v)) == norm_primal(a, u) * norm_primal(b, v)
+    assert norm_primal(t, kron([u], [v])[0]) == norm_primal(a, u) * norm_primal(b, v)
 
 
 def test_cotensor_is_de_morgan_dual():
@@ -407,10 +404,6 @@ spanning_atoms = st.integers(1, 3).flatmap(
 )
 
 
-def _kron(xs, ys):
-    return [kron_vec(u, v) for u in xs for v in ys]
-
-
 @settings(max_examples=30, deadline=None)
 @given(spanning_atoms, spanning_atoms)
 def test_connective_generators_equal_lp_reduction(a, b):
@@ -421,13 +414,13 @@ def test_connective_generators_equal_lp_reduction(a, b):
     s = coproduct_obj(a, b)
     h = hom_obj(a, b)
     c = cotensor_obj(a, b)
-    assert t.p_ball_gens == reduce_generators(_kron(pa, pb))
+    assert t.p_ball_gens == reduce_generators(kron(pa, pb))
     assert w.p_ball_gens == reduce_generators(u + v for u in pa for v in pb)
     assert w.q_ball_gens == reduce_generators([f + zb for f in qa] + [za + g for g in qb])
     assert s.p_ball_gens == reduce_generators([u + zb for u in pa] + [za + v for v in pb])
     assert s.q_ball_gens == reduce_generators(f + g for f in qa for g in qb)
-    assert h.q_ball_gens == reduce_generators(_kron(pa, qb))
-    assert c.q_ball_gens == reduce_generators(_kron(qa, qb))
+    assert h.q_ball_gens == reduce_generators(kron(pa, qb))
+    assert c.q_ball_gens == reduce_generators(kron(qa, qb))
     for o in (t, w, s, h, c):
         if o.dim <= DD_MAX_DIM:
             assert validate_object(o).passed, o.label
@@ -468,7 +461,7 @@ def test_connective_lists_equal_the_fraction_reference(a, b):
     za, zb = zeros(a.dim), zeros(b.dim)
     t = tensor_obj(a, b)
     w = product_obj(a, b)
-    assert t.p_ball_gens == _fraction_sort(_kron(a.p_ball_gens, b.p_ball_gens))
+    assert t.p_ball_gens == _fraction_sort(kron(a.p_ball_gens, b.p_ball_gens))
     pairs = [u + v for u in _pad(a.p_ball_gens, a.dim) for v in _pad(b.p_ball_gens, b.dim)]
     assert w.p_ball_gens == _fraction_sort(pairs)
     embedded = [f + zb for f in a.q_ball_gens] + [za + g for g in b.q_ball_gens]
@@ -490,7 +483,7 @@ signed = st.integers(-3, 12).flatmap(lambda n: st.sampled_from([1, 2, 5, 7]).map
 def test_tensor_side_norm_is_the_fraction_row_lp(data):
     a, b = data.draw(operands), data.draw(operands)
     s = vec(data.draw(st.lists(signed, min_size=a.dim * b.dim, max_size=a.dim * b.dim)))
-    cons = [lp.constraint(kron_vec(u, v), "<=", 1) for u in a.p_ball_gens for v in b.p_ball_gens]
+    cons = [lp.constraint(uv, "<=", 1) for uv in kron(a.p_ball_gens, b.p_ball_gens)]
     reference = lp.lp_maximize(lp.problem(list(s), cons))
     assert reference.status is lp.LpStatus.OPTIMAL
     assert cones.tensor_side_norm(tensor_obj(a, b).q_implicit, s) == reference.value
@@ -519,22 +512,6 @@ def test_tensor_side_norm_rows_reach_the_lp_as_ints(data):
 # ---------------------------------------------------------------------------
 # LP counts: the shortcut paths solve none, user input still goes through
 # the per-point reduction
-
-
-@pytest.fixture
-def lp_solves(monkeypatch):
-    """Counts every exact LP, whichever module calls the solver (lp_feasible
-    and lp_minimize reach lp_maximize through the lp module)."""
-    count = [0]
-    real = lp.lp_maximize
-
-    def counted(prob):
-        count[0] += 1
-        return real(prob)
-
-    monkeypatch.setattr(lp, "lp_maximize", counted)
-    monkeypatch.setattr(cones, "lp_maximize", counted)
-    return count
 
 
 def test_connectives_and_polars_solve_no_lp(lp_solves):

@@ -18,17 +18,14 @@ stored requests, and the files' diffs show every report that moved:
     PYTHONPATH=src python tests/test_mall_corpus.py
 """
 
-import contextlib
-import io
 import json
 import os
 import tempfile
 
-from conelogic import cli
+import corpus
 
-GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
-CORPUS = os.path.join(GOLDEN, "mall_corpus.json")
-CONSTANTS = os.path.join(GOLDEN, "mall_constants.json")
+CORPUS = os.path.join(corpus.GOLDEN, "mall_corpus.json")
+CONSTANTS = os.path.join(corpus.GOLDEN, "mall_constants.json")
 
 CONSTANT_ENV = {
     "schema": 1,
@@ -51,33 +48,17 @@ CONSTANT_FORMULAS = (
 )
 
 
-def _write_json(path, doc):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-    return path
+def _argv(i, req, put):
+    env = put(f"{i}.env.json", req["env"])
+    if req["command"] == "interpret":
+        return ["interpret", "--env", env, "--formula", req["formula"]]
+    vec = put(f"{i}.vec.json", {"schema": 1, "vector": req["vector"]})
+    return ["norm", "--env", env, "--object", req["formula"], "--vector", vec]
 
 
 def replay(requests, workdir):
-    """Yield (request, exit code, report) for every request, in order,
-    each run through cli.main in this process."""
-    for i, req in enumerate(requests):
-        env = _write_json(os.path.join(workdir, f"{i}.env.json"), req["env"])
-        if req["command"] == "interpret":
-            argv = ["interpret", "--env", env, "--formula", req["formula"]]
-        else:
-            vec = _write_json(
-                os.path.join(workdir, f"{i}.vec.json"), {"schema": 1, "vector": req["vector"]}
-            )
-            argv = ["norm", "--env", env, "--object", req["formula"], "--vector", vec]
-        buf = io.StringIO()
-        with contextlib.redirect_stdout(buf):
-            code = cli.main(argv)
-        yield req, code, buf.getvalue()
-
-
-def _load(path=CORPUS):
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+    """Yield (request, exit code, report) for every request, in order."""
+    return corpus.replay(requests, workdir, _argv)
 
 
 def constant_requests():
@@ -95,7 +76,7 @@ def constant_requests():
 
 
 def test_corpus_is_the_mall_workload():
-    reqs = _load()["requests"]
+    reqs = corpus.load(CORPUS)["requests"]
     assert len(reqs) == 196
     rounds = sorted({(r["seed"], r["round"]) for r in reqs})
     assert rounds == [(s, n) for s in (1, 2) for n in range(2)]
@@ -110,7 +91,7 @@ def test_corpus_is_the_mall_workload():
 
 def _assert_replays(path, workdir):
     moved = []
-    for req, code, out in replay(_load(path)["requests"], str(workdir)):
+    for req, code, out in replay(corpus.load(path)["requests"], str(workdir)):
         if (code, out) != (req["exit"], req["report"]):
             moved.append((req["command"], req["formula"], code, out[:200]))
     assert not moved, f"{len(moved)} reports moved, first {moved[:3]}"
@@ -123,7 +104,7 @@ def test_corpus_replays_byte_identical(tmp_path):
 def test_constants_are_the_listed_requests():
     stored = [
         {k: v for k, v in r.items() if k not in ("exit", "report")}
-        for r in _load(CONSTANTS)["requests"]
+        for r in corpus.load(CONSTANTS)["requests"]
     ]
     assert stored == constant_requests()
 
@@ -137,12 +118,10 @@ def write_corpus(requests, path=CORPUS):
     with tempfile.TemporaryDirectory() as wd:
         for req, code, out in replay(requests, wd):
             req["exit"], req["report"] = code, out
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"schema": 1, "requests": requests}, fh, indent=1)
-        fh.write("\n")
+    corpus.save(path, {"schema": 1, "requests": requests})
     return len(requests)
 
 
 if __name__ == "__main__":
     for path in (CORPUS, CONSTANTS):
-        print(path, write_corpus(_load(path)["requests"], path))
+        print(path, write_corpus(corpus.load(path)["requests"], path))

@@ -13,15 +13,7 @@ from conelogic.multisets import (
     msets,
     multiplicity,
 )
-
-
-def monomial_value(x, m):
-    """x^m = prod_{c in m} x_c, one label at a time: the reference for the
-    package's prefix products."""
-    v = Fraction(1)
-    for c in m:
-        v *= x[c]
-    return v
+from reference import monomial
 
 
 def test_counts_match_enumeration():
@@ -96,7 +88,7 @@ def test_power_pairing_identity(dim, degree, data):
     x = [data.draw(rat) for _ in range(dim)]
     lhs = sum(
         (
-            multiplicity(m) * monomial_value(phi, m) * monomial_value(x, m)
+            multiplicity(m) * monomial(phi, m) * monomial(x, m)
             for m in msets(dim, degree)
         ),
         Fraction(0),

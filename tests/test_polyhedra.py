@@ -13,7 +13,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conelogic import lp
 from conelogic.cones import from_p_gens, validate_object
 from conelogic.polyhedra import (
     _dd_rays,
@@ -166,20 +165,6 @@ def test_reduce_equals_the_lp_only_definition(pts):
         p for p in canon if not dominates([g for g in canon if g != p], p)
     )
     assert reduce_generators(pts) == expected
-
-
-@pytest.fixture
-def lp_solves(monkeypatch):
-    """Counts the exact LPs (lp_feasible reaches lp_maximize in the lp module)."""
-    count = [0]
-    real = lp.lp_maximize
-
-    def counted(prob):
-        count[0] += 1
-        return real(prob)
-
-    monkeypatch.setattr(lp, "lp_maximize", counted)
-    return count
 
 
 @pytest.mark.parametrize(

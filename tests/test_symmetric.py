@@ -10,7 +10,6 @@ Oracle values derived by hand before the assertions:
 """
 
 from fractions import Fraction as F
-import itertools
 import random
 
 import pytest
@@ -34,11 +33,7 @@ from conelogic.symmetric import (
     sym_power_obj,
     sym_tensor,
 )
-
-
-def xy_form():
-    # (x1 y2 + x2 y1)/2 as a symmetric bilinear functional on dim 2.
-    return sym_tensor(2, 2, {(0, 1): F(1, 2)})
+from reference import graded_power, map_rows, xy_form
 
 
 def test_power_tensor_and_pairing_identity():
@@ -264,52 +259,6 @@ def test_grade_one_block_is_the_map_itself():
 # -- the symmetric-power kernel ------------------------------------------------
 
 
-def _ref_sym_power_matrix(m, n, dim_src, dim_tgt):
-    # Entry (nu, mu) of Sym^n m: the sum over the distinct arrangements a of
-    # mu of prod_t m[nu_t][a_t], filled densely, zeros included.
-    out = []
-    for nu in msets(dim_tgt, n):
-        row = []
-        for mu in msets(dim_src, n):
-            total = F(0)
-            for arr in set(itertools.permutations(mu)):
-                term = F(1)
-                for t in range(n):
-                    term *= m[nu[t]][arr[t]]
-                total += term
-            row.append(total)
-        out.append(tuple(row))
-    return tuple(out)
-
-
-def _dense_block(cols, dim_src, dim_tgt, n):
-    """Grade n of the graded columns as a dense matrix: the grade-n source
-    columns, their rows shifted from the target table to grade n."""
-    lay_s, lay_t = graded_layout(dim_src, n), graded_layout(dim_tgt, n)
-    start = len(lay_s.coords) - len(msets(dim_src, n))
-    tstart = len(lay_t.coords) - len(msets(dim_tgt, n))
-    rows = [[F(0)] * len(msets(dim_src, n)) for _ in msets(dim_tgt, n)]
-    for j, col in enumerate(cols[start : start + len(msets(dim_src, n))]):
-        for i, x in col:
-            assert lay_t.grades[i] == n  # grades never mix
-            rows[i - tstart][j] = x
-    return tuple(map(tuple, rows))
-
-
-entries = st.one_of(
-    st.just(F(0)), st.fractions(min_value=0, max_value=2, max_denominator=6)
-)
-
-
-@st.composite
-def map_rows(draw):
-    """dim_src, dim_tgt in 0..3 and dim_tgt rows of nonnegative entries,
-    zeros and non-integers both likely."""
-    ds, dt = draw(st.integers(0, 3)), draw(st.integers(0, 3))
-    rows = [[draw(entries) for _ in range(ds)] for _ in range(dt)]
-    return ds, dt, rows
-
-
 @settings(max_examples=40, deadline=None)
 @given(map_rows(), st.integers(0, 4))
 def test_power_blocks_match_the_arrangement_sum(drawn, trunc):
@@ -318,8 +267,12 @@ def test_power_blocks_match_the_arrangement_sum(drawn, trunc):
     cols = sym_power_cols(f.int_cols, dt, trunc)
     assert len(cols) == len(graded_layout(ds, trunc).coords)
     assert all(x for col in cols for _, x in col)  # zeros are never kept
-    for n in range(trunc + 1):
-        assert _dense_block(cols, ds, dt, n) == _ref_sym_power_matrix(rows, n, ds, dt)
+    dense = [[F(0)] * len(cols) for _ in graded_layout(dt, trunc).coords]
+    for j, col in enumerate(cols):
+        for i, x in col:
+            dense[i][j] = x
+    # Sym^0 .. Sym^trunc block by block, and zeros between grades
+    assert tuple(map(tuple, dense)) == graded_power(rows, trunc, dt, ds)
 
 
 def test_power_blocks_entry_is_the_multinomial_coefficient():
