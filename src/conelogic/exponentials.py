@@ -33,7 +33,7 @@ Norms are certified brackets, never point values, and they take one route.
 A BallScheme is a family of primal ball members parametrized by simplices,
 with explicit honest members beside it, and BallScheme.bracket(k) brackets
 the sup over the ball of sum_c k_c z_c for k >= 0: the best honest member
-below, and above the averaged upper bound of the family polynomial
+below, and above the Bernstein upper bound of the family polynomial
 sum_c k_c polys[c], or, when the family is exact and no honest member
 reaches that bound, the oracle on it. The primal ball of a distribution-
 side object is parametrized exactly by delta families over the argument
@@ -484,7 +484,7 @@ class BallScheme:
         return tuple(dict.fromkeys(pts))
 
     def _bound(self, pol: Polynomial, low: Fraction) -> tuple[Fraction, Optional[Bracket]]:
-        """The averaged upper bound of the family polynomial pol, and the
+        """The Bernstein upper bound of the family polynomial pol, and the
         oracle's bracket only when the family is exact and low, a value an
         honest member reaches, is below it: a member reaching a certified
         upper bound attains the sup, which no search could change."""
@@ -502,7 +502,7 @@ class BallScheme:
         pol = poly_combination(k, self.polys, sum(self.blocks))
         upper, br = self._bound(pol, low)
         if br is None:
-            return Bracket(low, upper, arg, "honest lower / averaged upper")
+            return Bracket(low, upper, arg, "honest lower / Bernstein upper")
         if br.lower > low:
             low, arg = br.lower, eval_family(self.polys, br.argmax)
         return Bracket(low, br.upper, arg, f"distribution-family oracle ({br.note})")

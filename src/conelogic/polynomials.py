@@ -19,7 +19,7 @@ the integer view: the point is scaled by the lcm m of its denominators to
 integers k, L m^D p(k/m) is summed in integers, and one Fraction is made
 at the end; eval_family does so for a family of polynomials (a ball
 scheme's coordinates) at one point, scaling the point once. The oracle's
-grid scan, its averaged upper bound and the sign check read the same view.
+grid scan, its Bernstein upper bound and the sign check read the same view.
 
 layout_products builds the monomial family of a multiset table, the
 product of the forms over every multiset, each from its prefix one grade

@@ -19,9 +19,10 @@ constant
 
 because splitting f(x_1,...,x_n) by inclusion-exclusion over subset sums
 x_S bounds each diagonal term by |S|^n times the new norm. The bracket's
-upper bound is the averaged-coefficient bound of the scheme's mixing
-polynomial, which collapses to exactly old_norm, the generator-tuple
-maximum; old_norm stays as the independent reference.
+upper bound is the Bernstein bound of the scheme's mixing polynomial; that
+polynomial is homogeneous on its one block, so the bound collapses to
+exactly old_norm, the generator-tuple maximum; old_norm stays as the
+independent reference.
 
 The power functor acts on a map S plainly on multiset coordinates, its
 columns expanded by the multinomial theorem: Sym^n S is grade n of

@@ -19,7 +19,7 @@ the left terms outside and the right terms inside.
 
 from fractions import Fraction as F
 from itertools import combinations_with_replacement, permutations
-from math import prod
+from math import factorial, prod
 
 from hypothesis import strategies as st
 
@@ -144,6 +144,39 @@ def plug(p, values, nvars, trunc=None):
                 term = times(term, values[i], trunc)
         add_into(out, term)
     return out
+
+
+def bernstein_upper(p, blocks):
+    """The largest Bernstein coefficient of p >= 0 on the product of
+    simplices with the given block sizes. Each term is multiplied by
+    (sum of block b's variables)^(top_b - d_b), with d_b its degree in
+    block b and top_b the largest d_b over the terms, so that H is
+    homogeneous of degree top_b in every block; the bound is the max over
+    the exponents a of H of H_a / M_a, with M_a the product over the
+    blocks of the multinomial top_b! / prod_{i in b} a_i!."""
+    nvars = sum(blocks)
+    spans = [range(sum(blocks[:j]), sum(blocks[: j + 1])) for j in range(len(blocks))]
+    sums = [linear([int(i in span) for i in range(nvars)], nvars) for span in spans]
+
+    def degrees(e):
+        return [sum(e[i] for i in span) for span in spans]
+
+    tops = [max(d) for d in zip(*map(degrees, p))] if p else []
+    h = {}
+    for e, c in p.items():
+        term = {e: c}
+        for s, top, d in zip(sums, tops, degrees(e)):
+            for _ in range(top - d):
+                term = times(term, s)
+        add_into(h, term)
+
+    def weight(a):
+        return prod(
+            factorial(top) // prod(factorial(a[i]) for i in span)
+            for span, top in zip(spans, tops)
+        )
+
+    return max((c / weight(a) for a, c in h.items()), default=F(0))
 
 
 # -- shared draws -------------------------------------------------------------

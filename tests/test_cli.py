@@ -544,15 +544,16 @@ def _norm_report(capsys, tmp_path, obj, vector, trunc, atom=ASCENT_ATOM):
 @pytest.mark.parametrize(
     "vector, trunc, lower, upper",
     [
-        (["1/3", "1/3", "0", "0", "0", "2/3", "1/3", "1/3", "1/3", "0"], 2, "1241/240", "79/9"),
+        (["1/3", "1/3", "0", "0", "0", "2/3", "1/3", "1/3", "1/3", "0"], 2, "1241/240", "73/9"),
         (
             ["1", "1", "0", "1", "0", "1", "0", "1", "1", "0",
              "0", "0", "1", "2/3", "2/3", "1/3", "1", "0", "2/3", "2/3"],
             3,
             "2158818806678007081686939/78422281462684439188875",
-            "935/27",
+            "277/9",
         ),
     ],
+    ids=["trunc2", "trunc3"],
 )
 def test_ascent_brackets_are_pinned(capsys, tmp_path, vector, trunc, lower, upper):
     code, report = _norm_report(capsys, tmp_path, "?a", vector, trunc)
@@ -568,8 +569,15 @@ def test_ascent_brackets_are_pinned(capsys, tmp_path, vector, trunc, lower, uppe
 @pytest.mark.parametrize("obj", ["?a", "!a"])
 @pytest.mark.parametrize("big", [BIG, str(17 * 10**307)], ids=["1e400", "1.7e308"])
 def test_norm_takes_entries_beyond_float_range(capsys, tmp_path, obj, big):
-    atom = {"kind": "polyhedral", "p_gens": [["1", "1/2"], ["2/3", "3"]]}
-    vector = ["1", "1", "1", big, "1", "1"]
+    # On ?a the big entry sits at x1 x2 over an atom whose bracket stays
+    # open, so the oracle reaches the ascent and must skip it.
+    p_gens, at = {
+        "?a": ([["1", "1/2"], ["1/2", "1"]], 4),
+        "!a": ([["1", "1/2"], ["2/3", "3"]], 3),
+    }[obj]
+    vector = ["1"] * 6
+    vector[at] = big
+    atom = {"kind": "polyhedral", "p_gens": p_gens}
     code, report = _norm_report(capsys, tmp_path, obj, vector, 2, atom)
     assert code == 0
     result = report["result"]

@@ -5,8 +5,9 @@ Hand-derived anchors used below, all over the two-point base:
   * ?(Bool*) at N=2 holds series on the ball of Bool (hull of e1, e2).
     f = 1 + (1/2) x1 x2 as coordinates is (1, 0, 0, 0, 1/2, 0); its sup on
     the segment (t, 1-t) is 1 + t(1-t), attained at t = 1/2 with value 5/4.
-    The averaged upper bound groups f's two terms as 1 + (1/2)/C(2;1,1),
-    giving 3/2.
+    On the segment f is 1 + t1 t2; the Bernstein upper bound homogenizes
+    it to (t1 + t2)^2 + t1 t2 = t1^2 + 3 t1 t2 + t2^2, whose coefficients
+    over the multinomials are 1, 3/2 and 1, giving 3/2.
   * delta_{(1,0)} at N=2 lists the powers of (1, 0): (1, 1, 0, 1, 0, 0).
   * <x1 x2 form, delta_{(1/2,1/2)}> = 2 * (1/2) * (1/4) = 1/4.
 """
@@ -1263,7 +1264,7 @@ def test_every_graded_bracket_has_a_witness_of_the_object(case):
         assert s.bracket(k).upper == averaged_upper(_combined(k, s), s.blocks)
 
 
-# The bounding step: the averaged upper bound first, and the oracle only
+# The bounding step: the Bernstein upper bound first, and the oracle only
 # when the family is exact and no honest member reaches that bound. An
 # honest member that reaches a certified upper bound attains the sup, so
 # the bracket must be the one of the route that always ran the oracle, and
@@ -1281,7 +1282,7 @@ def always_oracle_bracket(s, k):
     low, arg = _ref_honest_lower(k, s.honest)
     pol = _combined(k, s)
     if not s.exact:
-        return Bracket(low, averaged_upper(pol, s.blocks), arg, "honest lower / averaged upper")
+        return Bracket(low, averaged_upper(pol, s.blocks), arg, "honest lower / Bernstein upper")
     br = simplex_polynomial_bounds(pol, s.blocks)
     if br.lower > low:
         low, arg = br.lower, tuple(p.eval_exact(br.argmax) for p in s.polys)
@@ -1299,7 +1300,23 @@ def scheme_objectives(draw):
     return s, tuple(draw(st.lists(entry, min_size=h.dim, max_size=h.dim)))
 
 
+def _series_case(p_gens, n, k):
+    """A scheme_objectives case: the exact scheme of ?a at truncation n
+    over the polyhedral atom with these p_gens, and the objective k."""
+    h = whynot_obj(from_p_gens(p_gens, len(p_gens[0])), n)
+    return exponentials.primal_ball_scheme(dual_object(h)), tuple(k)
+
+
 @settings(max_examples=80, deadline=None)
+# An open bracket, [67/99, 37/54], whose oracle lower beats the best honest
+# member, 217/324, though that member reaches more than half the bound.
+@example(
+    _series_case(
+        [[F(3), F(0)], [F(0), F(1, 2)], [F(11, 4), F(3)]],
+        2,
+        [F(2, 3), F(0), F(0), F(0), F(1, 3), F(0)],
+    )
+)
 @given(scheme_objectives())
 def test_bracket_equals_the_always_oracle_route(case):
     s, k = case
@@ -1321,7 +1338,7 @@ def test_corners_equal_the_unit_brackets(a, n, series_side):
 
 def test_box_corners_run_the_oracle_only_below_the_bound(monkeypatch):
     # !a at truncation 3 over a dimension-3 atom: 20 corners, and at all
-    # but 2 (coordinates 6 and 14) an honest member reaches the averaged
+    # but 2 (coordinates 6 and 14) an honest member reaches the Bernstein
     # upper bound. No corner builds a witness.
     a = from_p_gens([[F(1, 8), F(3, 8), F(2)], [F(1, 4), F(3, 8), F(1)]], 3)
     h = dual_object(bang_obj(a, 3))
@@ -1488,17 +1505,23 @@ def test_ascent_lower_bounds_are_pinned():
     v2 = vec(["1/3", "1/3", 0, 0, 0, "2/3", "1/3", "1/3", "1/3", 0])
     h = whynot_obj(a, 2)
     br = graded_norm_bounds(h, v2)
-    assert (br.lower, br.upper) == (F(1241, 240), F(79, 9))
+    assert (br.lower, br.upper) == (F(1241, 240), F(73, 9))
     assert br.note == "distribution-family oracle (grid 1/10 + ascent)"
     # the grid alone, on the scheme's combination polynomial
     s = exponentials.primal_ball_scheme(dual_object(h))
     k = [w * x for w, x in zip(h.pairing_weights, v2)]
     grid = simplex_polynomial_bounds(_combined(k, s), s.blocks, OracleParams(ascent_iters=0))
-    assert (grid.lower, grid.upper) == (F(139, 27), F(79, 9))
+    assert (grid.lower, grid.upper) == (F(139, 27), F(73, 9))
+    # each upper is the largest Bernstein coefficient of that polynomial
+    assert ref.bernstein_upper(_combined(k, s).terms, s.blocks) == F(73, 9)
     v3 = vec(
         [1, 1, 0, 1, 0, 1, 0, 1, 1, 0, 0, 0, 1, "2/3", "2/3", "1/3", 1, 0, "2/3", "2/3"]
     )
-    br = graded_norm_bounds(whynot_obj(a, 3), v3)
+    h = whynot_obj(a, 3)
+    br = graded_norm_bounds(h, v3)
     assert br.lower == F(
         2158818806678007081686939, 78422281462684439188875
-    ) and br.upper == F(935, 27)
+    ) and br.upper == F(277, 9)
+    s = exponentials.primal_ball_scheme(dual_object(h))
+    k = [w * x for w, x in zip(h.pairing_weights, v3)]
+    assert ref.bernstein_upper(_combined(k, s).terms, s.blocks) == F(277, 9)

@@ -174,7 +174,7 @@ def test_global_caches_are_listed():
 
 # Every place in the package that names a bracket primitive, outside the
 # oracle module that defines them. Each norm bracket is bounded through one
-# BallScheme step, _bound: the averaged upper bound first, and the oracle
+# BallScheme step, _bound: the Bernstein upper bound first, and the oracle
 # only when the family is exact and no honest member reaches that bound.
 # BallScheme.bracket and the box corners (BallScheme.corner, which reads
 # the honest column maximum and builds no witness) both go through it, so

@@ -1,8 +1,8 @@
 """Polynomial arithmetic and the simplex bracketing oracle.
 
 The oracle cases are hand-derived: small monomials on simplices have
-closed-form maxima (t^e peaks at t_i = e_i / |e|), and the averaged
-coefficient bound is computable by hand for one or two terms.
+closed-form maxima (t^e peaks at t_i = e_i / |e|), and the Bernstein
+bound is computable by hand for one or two terms.
 """
 
 import itertools
@@ -27,6 +27,8 @@ from conelogic.oracle import (
     simplex_polynomial_bounds,
 )
 from conelogic.polynomials import Polynomial, eval_family
+
+import reference as ref
 
 
 def test_polynomial_ring_ops():
@@ -78,7 +80,7 @@ def test_affine_case_is_exact():
 
 
 def test_product_monomial_bracket():
-    # t1 t2 on the 2-simplex: true sup 1/4 at (1/2, 1/2); averaged upper 1/2.
+    # t1 t2 on the 2-simplex: true sup 1/4 at (1/2, 1/2); Bernstein bound 1/2.
     p = Polynomial(2, {(1, 1): 1})
     br = simplex_polynomial_bounds(p, (2,))
     assert br.lower == F(1, 4)
@@ -117,9 +119,20 @@ def test_even_power_peak_found_by_grid():
 
 
 def test_averaged_upper_groups_by_profile():
-    # 2 t1 t2 + t1^2 on one block: profile (2) best ratio max(2/2, 1/1) = 1.
+    # 2 t1 t2 + t1^2 on one block, homogeneous of degree 2: coefficient
+    # over multinomial, max(2/2, 1/1) = 1.
     p = Polynomial(2, {(1, 1): F(2), (2, 0): F(1)})
     assert averaged_upper(p, (2,)) == 1
+
+
+def test_bernstein_bound_closes_a_mixed_degree_bracket():
+    # t1 + t1 t2 on one 2-block: homogenized, t1 (t1 + t2) + t1 t2 =
+    # t1^2 + 2 t1 t2, whose coefficients over the multinomials are 1 and 1.
+    # The averaged bound was 1 + 1/2; the vertex (1, 0) reaches 1.
+    p = Polynomial(2, {(1, 0): F(1), (1, 1): F(1)})
+    assert fraction_averaged_upper(p, (2,)) == F(3, 2)
+    br = simplex_polynomial_bounds(p, (2,))
+    assert (br.lower, br.upper, br.argmax) == (F(1), F(1), (F(1), F(0)))
 
 
 def test_negative_coefficient_is_refused():
@@ -365,8 +378,10 @@ def test_eval_family_refuses_a_point_of_the_wrong_length():
     assert eval_family([], (F(1, 2),)) == ()
 
 
-# The averaged upper bound on the integer view against the Fraction formula
-# it replaced: one Fraction ratio per term, compared per profile.
+# The bound is the largest Bernstein coefficient, on the integer view; it
+# is checked against the Fraction route of tests/reference.py, and against
+# the averaged bound it replaced: per degree profile, the best Fraction
+# ratio of coefficient to multinomial, summed over the profiles.
 
 
 def fraction_averaged_upper(poly, blocks):
@@ -387,22 +402,50 @@ def fraction_averaged_upper(poly, blocks):
     return sum(best.values(), F(0))
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    st.lists(st.integers(1, 3), max_size=3).flatmap(
-        lambda blocks: st.tuples(
+def block_polynomials(blocks, max_exponent, min_terms=0):
+    """(poly, blocks): up to 8 terms with nonnegative coefficients over the
+    variables of the drawn blocks."""
+    return blocks.flatmap(
+        lambda sizes: st.tuples(
             st.dictionaries(
-                st.tuples(*([st.integers(0, 4)] * sum(blocks))),
+                st.tuples(*([st.integers(0, max_exponent)] * sum(sizes))),
                 st.fractions(min_value=0, max_value=7, max_denominator=12).filter(bool),
+                min_size=min_terms,
                 max_size=8,
-            ).map(lambda terms: Polynomial(sum(blocks), terms)),
-            st.just(tuple(blocks)),
+            ).map(lambda terms: Polynomial(sum(sizes), terms)),
+            st.just(tuple(sizes)),
         )
     )
-)
+
+
+@settings(max_examples=200, deadline=None)
+@given(block_polynomials(st.lists(st.integers(1, 3), max_size=3), 4))
 def test_averaged_upper_matches_the_fraction_formula(problem):
     poly, blocks = problem
-    assert averaged_upper(poly, blocks) == fraction_averaged_upper(poly, blocks)
+    assert averaged_upper(poly, blocks) == ref.bernstein_upper(poly.terms, blocks)
+
+
+def _quarter_grid(blocks):
+    """Every point k/4 with k >= 0 and sum k <= 4 per block: the vertices
+    of each simplex, its origin among them, lie on it."""
+    per_block = [[c[:-1] for c in _compositions(4, b + 1)] for b in blocks]
+    for combo in itertools.product(*per_block):
+        yield tuple(F(k, 4) for part in combo for k in part)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    block_polynomials(
+        st.lists(st.integers(1, 3), min_size=2, max_size=3).filter(lambda b: sum(b) <= 5),
+        3,
+        min_terms=1,
+    )
+)
+def test_bernstein_bound_lies_between_the_values_and_the_averaged_bound(problem):
+    poly, blocks = problem
+    upper = averaged_upper(poly, blocks)
+    assert upper <= fraction_averaged_upper(poly, blocks)
+    assert all(fraction_value(poly, t) <= upper for t in _quarter_grid(blocks))
 
 
 def test_negative_coefficient_error_names_the_first_negative_term():

@@ -120,7 +120,7 @@ def test_rank_one_power_has_equal_norms():
 @given(st.sampled_from([(2, 2), (2, 3), (3, 2)]), st.booleans(), st.data())
 def test_averaged_upper_collapses_to_old_norm(dim_n, simplex, data):
     # The diagonal polynomial of the !a scheme is homogeneous on one block,
-    # so its averaged bound is the largest generator-tuple value:
+    # so its Bernstein bound is the largest generator-tuple value:
     # new_norm_bounds reports old_norm as its upper bound without computing
     # it.
     dim, n = dim_n
