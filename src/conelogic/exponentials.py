@@ -491,7 +491,7 @@ class BallScheme:
         upper = averaged_upper(pol, self.blocks)
         if not self.exact or low >= upper:
             return upper, None
-        return upper, simplex_polynomial_bounds(pol, self.blocks)
+        return upper, simplex_polynomial_bounds(pol, self.blocks, upper=upper)
 
     def bracket(self, k: VecQ) -> Bracket:
         """Bracket the sup over the ball of sum_c k_c z_c, for k >= 0: the

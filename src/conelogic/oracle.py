@@ -11,17 +11,13 @@ returns a certified bracket instead:
           composition grid per block, scanned in integers (the
           polynomial's integer view scaled to integer values at grid
           points, so only the winning point becomes a Fraction), then the
-          uniform center and a multiplicative-update ascent in floats
-          whose best point is snapped back to rationals and re-evaluated
-          exactly; the ascent stops once an update leaves its point
-          unchanged, since every later update would too and none could
-          beat the best value under the strict comparison. The upper
-          bound comes first, so the grid scan stops at the first point
-          that reaches it, and the center and the ascent run only while
-          the bracket is still open (lower < upper): no feasible point
-          exceeds the upper bound, so neither could change the result.
-          A polynomial with a coefficient beyond float range has no float
-          view; its ascent is skipped and the note says so,
+          uniform center. The upper bound comes first, so the grid scan
+          stops at the first point that reaches it, and the center is
+          evaluated only while the bracket is still open (lower < upper):
+          no feasible point exceeds the upper bound, so it could not
+          change the result. Every candidate is compared by its exact
+          value, so the bracket does not depend on the order of the
+          polynomial's terms; no float is computed,
 
   upper   the largest Bernstein coefficient (Garloff 1986): on each
           block's face sum t = 1, multiply every term of block degree d by
@@ -35,7 +31,8 @@ returns a certified bracket instead:
           benchmark's tracer names it. Computed in integers on the integer
           view by a Horner cascade per block, with one Fraction at the
           end. A feasible value that reaches it is the sup, so
-          exponentials.BallScheme runs the oracle only below it.
+          exponentials.BallScheme runs the oracle only below it, handing
+          in the bound it has, so each oracle run computes it once.
 
 Degree <= 1 is solved exactly (vertex maximum), and the bracket collapses.
 Since coefficients are nonnegative the sup is attained with every block on
@@ -59,17 +56,10 @@ from .rationals import Q0, Q1, VecQ
 @dataclass(frozen=True)
 class OracleParams:
     grid_resolution: Optional[int] = None  # None picks the finest that fits the cap
-    ascent_iters: int = 120
-    snap_denominator: int = 10**6
     candidate_cap: int = 20000
 
     def __post_init__(self):
-        for name, least in (
-            ("grid_resolution", 1),
-            ("ascent_iters", 0),
-            ("snap_denominator", 1),
-            ("candidate_cap", 0),
-        ):
+        for name, least in (("grid_resolution", 1), ("candidate_cap", 0)):
             v = getattr(self, name)
             if name == "grid_resolution" and v is None:
                 continue
@@ -231,58 +221,18 @@ def _grid_argmax(
     return Fraction(best, den * r**deg), tuple(Fraction(x, r) for x in best_k)
 
 
-def _ascent(
-    poly: Polynomial, blocks: Sequence[int], start: Sequence[float], iters: int
-) -> list[float]:
-    """Multiplicative-update hill climb; a heuristic refiner, not a proof.
-
-    Soundness never depends on it: whatever point it lands on is snapped to
-    rationals and re-evaluated exactly before being believed.
-    """
-    t = list(start)
-    best = list(start)
-    best_val = poly.eval_float(t)
-    slices = _block_slices(blocks)
-    for _ in range(iters):
-        prev = list(t)
-        grad = poly.grad_float(t)
-        moved = False
-        for s in slices:
-            u = [max(t[i], 1e-12) * max(grad[i], 0.0) for i in range(s.start, s.stop)]
-            z = sum(u)
-            if z <= 0.0:
-                continue
-            for j, i in enumerate(range(s.start, s.stop)):
-                t[i] = u[j] / z
-            moved = True
-        if not moved or t == prev:
-            # A fixed point: every later update leaves t as it is, so none
-            # can beat best_val under the strict > below.
-            break
-        val = poly.eval_float(t)
-        if val > best_val:
-            best_val = val
-            best = list(t)
-    return best
-
-
-def _snap(point: Sequence[float], blocks: Sequence[int], denominator: int) -> VecQ:
-    snapped = [max(Q0, Fraction(x).limit_denominator(denominator)) for x in point]
-    off = 0
-    for b in blocks:
-        s = sum(snapped[off : off + b], Q0)
-        if s > 1:
-            for i in range(off, off + b):
-                snapped[i] /= s
-        off += b
-    return tuple(snapped)
-
-
 def simplex_polynomial_bounds(
-    poly: Polynomial, blocks: Sequence[int], params: OracleParams = DEFAULT_PARAMS
+    poly: Polynomial,
+    blocks: Sequence[int],
+    params: OracleParams = DEFAULT_PARAMS,
+    upper: Optional[Fraction] = None,
 ) -> Bracket:
-    """Bracket sup { poly(t) : per block, t >= 0 and sum t <= 1 }."""
-    upper = averaged_upper(poly, blocks)  # checks the blocks and the signs once
+    """Bracket sup { poly(t) : per block, t >= 0 and sum t <= 1 }.
+
+    upper, when given, is averaged_upper(poly, blocks), already computed
+    by the caller (which has then checked the blocks and the signs)."""
+    if upper is None:
+        upper = averaged_upper(poly, blocks)  # checks the blocks and the signs once
     if poly.nvars == 0 or poly.total_degree() == 0:
         v = poly.constant_term()
         return Bracket(v, v, (Q0,) * poly.nvars, "constant")
@@ -294,31 +244,15 @@ def simplex_polynomial_bounds(
     lower, argmax = _grid_argmax(
         poly, blocks, resolution, params.candidate_cap, upper
     )
-    note = f"grid 1/{resolution} + ascent"
-    # Once lower == upper no candidate can beat lower, so the center and
-    # the ascent run only while the bracket is open.
+    # Once lower == upper no candidate can beat lower, so the center is
+    # evaluated only while the bracket is open; it helps a coarse grid.
     if count <= params.candidate_cap and lower < upper:
-        # The uniform center, useful when the grid is coarse.
         center = tuple(Fraction(1, b) for b in blocks for _ in range(b))
         v = poly.eval_exact(center)
         if v > lower:
             lower, argmax = v, center
-    if params.ascent_iters > 0 and lower < upper:
-        try:
-            refined = _ascent(
-                poly, blocks, [float(x) for x in argmax], params.ascent_iters
-            )
-        except OverflowError:
-            # A coefficient beyond float range leaves no float view to
-            # climb on; the exact grid bound stands.
-            note = f"grid 1/{resolution}, ascent skipped: coefficients beyond float range"
-        else:
-            snapped = _snap(refined, blocks, params.snap_denominator)
-            v = poly.eval_exact(snapped)
-            if v > lower:
-                lower, argmax = v, snapped
     if lower > upper:
         raise AssertionError(
             f"oracle inconsistency: lower {lower} exceeds upper {upper}"
         )
-    return Bracket(lower, upper, argmax, note)
+    return Bracket(lower, upper, argmax, f"grid 1/{resolution}")

@@ -3,21 +3,21 @@
 Terms live in a dict from exponent tuples to Fractions; zero coefficients
 are dropped eagerly so equality of term dicts is equality of polynomials.
 Only what the oracles and the ball schemes need: ring operations,
-truncated products, exact and float evaluation, gradients. substitute,
-poly_sum and poly_product have no package caller; they are kept only
-because the benchmark's tracer (perfbench/layers.py) names them. The tests
-check this module against their own polynomial arithmetic
-(tests/reference.py), not against these.
-The term dict is never mutated after construction, so three derived views
-are built once per polynomial, on first use: the float view the oracle's
-ascent reads (each coefficient as a float with its nonzero exponents), the
-gradient plan built from it (each partial derivative term as c k and the
-slots of its powers in a per-call power table), and the integer view
-(L, D, [(L c_e, D - |e|, nonzero exponents)]) with L the lcm of the
-coefficient denominators and D the total degree. Exact evaluation reads
-the integer view: the point is scaled by the lcm m of its denominators to
-integers k, L m^D p(k/m) is summed in integers, and one Fraction is made
-at the end; eval_family does so for a family of polynomials (a ball
+truncated products and exact evaluation. substitute, poly_sum,
+poly_product, eval_float and grad_float have no package caller; they are
+kept only because the benchmark's tracer (perfbench/layers.py) names
+them, and so are the float view and the gradient plan behind the last two
+(each coefficient as a float with its nonzero exponents; each partial
+derivative term as c k and the slots of its powers in a per-call power
+table). No bracket reads a float. The tests check this module against
+their own polynomial arithmetic (tests/reference.py), not against these.
+The term dict is never mutated after construction, so the derived views
+are built once per polynomial, on first use. The one the package reads is
+the integer view (L, D, [(L c_e, D - |e|, nonzero exponents)]) with L the
+lcm of the coefficient denominators and D the total degree. Exact
+evaluation reads it: the point is scaled by the lcm m of its denominators
+to integers k, L m^D p(k/m) is summed in integers, and one Fraction is
+made at the end; eval_family does so for a family of polynomials (a ball
 scheme's coordinates) at one point, scaling the point once. The oracle's
 grid scan, its Bernstein upper bound and the sign check read the same view.
 
@@ -206,6 +206,8 @@ class Polynomial:
         is divided by L m^D once."""
         return eval_family((self,), point)[0]
 
+    # -- float view: tracer-only, no package caller ------------------------
+
     def _float_terms(self) -> list[tuple[float, list[tuple[int, int]]]]:
         if self._floats is None:
             self._floats = [
@@ -285,11 +287,9 @@ def poly_sum(polys: Iterable[Polynomial], nvars: int) -> Polynomial:
 
 
 def poly_combination(coeffs: Sequence, polys: Sequence[Polynomial], nvars: int) -> Polynomial:
-    """sum_c coeffs[c] polys[c] over the nonzero coeffs, as poly_sum of the
-    scaled polys would make it: the same keys in the same order (a sum that
-    reaches 0 is popped, and comes back last), in one dict. A single
-    coefficient 1 gives that polynomial itself, its derived views kept;
-    polynomials are never mutated, so it can be shared."""
+    """sum_c coeffs[c] polys[c] over the nonzero coeffs, in one dict. A
+    single coefficient 1 gives that polynomial itself, its derived views
+    kept; polynomials are never mutated, so it can be shared."""
     picked = [(k, p) for k, p in zip(coeffs, polys) if k]
     if len(picked) == 1 and picked[0][0] == 1:
         return picked[0][1]
@@ -314,8 +314,7 @@ def poly_product(polys: Iterable[Polynomial], nvars: int) -> Polynomial:
 
 
 def _int_mul(left: dict[Expvec, int], right: list[tuple[Expvec, int]]) -> dict[Expvec, int]:
-    """Polynomial.mul on integer coefficients: the same loops, so the same
-    keys in the same order."""
+    """Polynomial.mul on integer coefficients."""
     out: dict[Expvec, int] = {}
     for e1, c1 in left.items():
         for e2, c2 in right:
@@ -330,7 +329,7 @@ def _int_mul(left: dict[Expvec, int], right: list[tuple[Expvec, int]]) -> dict[E
 
 def layout_products(forms: Sequence[Polynomial], lay: Layout, nvars: int) -> list[Polynomial]:
     """poly_product(forms[c] for c in m) for every label m of the multiset
-    table lay, term for term and in the same key order.
+    table lay.
 
     The forms are scaled to integers over one common denominator g, each
     product is its prefix's one grade down times forms[m[-1]], multiplied

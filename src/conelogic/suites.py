@@ -324,7 +324,7 @@ def _exp_delta_norm(r: random.Random, trials: int) -> dict:
         True,
         f"||delta_x|| bracketed within [lower, upper] <= 1 on {trials} "
         f"ball points (worst upper {worst}; bounds from the simplex oracle, "
-        "grid plus multiplicative ascent)",
+        "exact grid and center)",
     )
 
 

@@ -11,10 +11,6 @@ checked against. From conelogic this module imports only the constructors
 and accessors that test_hygiene.REFERENCE_IMPORTS lists.
 
 A polynomial here is a dict from exponent tuples to nonzero Fractions.
-Reports depend on term order through the oracle's ascent, so the
-arithmetic keeps the package's key order: a sum pops a key that reaches 0
-and appends it again at the end if it comes back, and a product loops over
-the left terms outside and the right terms inside.
 """
 
 from fractions import Fraction as F
@@ -49,6 +45,18 @@ def graded_labels(dim, n):
 def multiplicity(m):
     """The number of distinct arrangements of the multiset m."""
     return len(set(permutations(m)))
+
+
+def compositions(total, parts):
+    """The tuples of parts nonnegative ints summing to total, the first
+    part running from 0 up: the points k/total of a simplex grid, in the
+    order the oracle scans them."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in compositions(total - first, parts - 1):
+            yield (first,) + rest
 
 
 def monomial(x, m):

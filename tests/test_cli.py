@@ -520,14 +520,16 @@ def test_random_requests_keep_the_contract(formula, env_doc, trunc, data):
         )
 
 
-# Two reports whose lower bound comes from the ascent, and entries beyond
-# float range, which leave the oracle no float view to climb on.
+# Two open reports whose lower bound is the best point of the oracle's exact
+# 1/10 grid (derived by a grid scan of its own in
+# test_exponentials.test_ascent_lower_bounds_are_pinned), and entries beyond
+# float range, which the exact oracle brackets like any other.
 
-ASCENT_ATOM = {"kind": "polyhedral", "p_gens": [["1/8", "3/8", "2"], ["1/4", "3/8", "1"]]}
+GRID_ATOM = {"kind": "polyhedral", "p_gens": [["1/8", "3/8", "2"], ["1/4", "3/8", "1"]]}
 BIG = "1" + "0" * 400
 
 
-def _norm_report(capsys, tmp_path, obj, vector, trunc, atom=ASCENT_ATOM):
+def _norm_report(capsys, tmp_path, obj, vector, trunc, atom=GRID_ATOM):
     env = tmp_path / "env.json"
     env.write_text(json.dumps({"schema": 1, "atoms": {"a": atom}}))
     vec = tmp_path / "x.json"
@@ -544,24 +546,24 @@ def _norm_report(capsys, tmp_path, obj, vector, trunc, atom=ASCENT_ATOM):
 @pytest.mark.parametrize(
     "vector, trunc, lower, upper",
     [
-        (["1/3", "1/3", "0", "0", "0", "2/3", "1/3", "1/3", "1/3", "0"], 2, "1241/240", "73/9"),
+        (["1/3", "1/3", "0", "0", "0", "2/3", "1/3", "1/3", "1/3", "0"], 2, "139/27", "73/9"),
         (
             ["1", "1", "0", "1", "0", "1", "0", "1", "1", "0",
              "0", "0", "1", "2/3", "2/3", "1/3", "1", "0", "2/3", "2/3"],
             3,
-            "2158818806678007081686939/78422281462684439188875",
+            "3439/125",
             "277/9",
         ),
     ],
     ids=["trunc2", "trunc3"],
 )
-def test_ascent_brackets_are_pinned(capsys, tmp_path, vector, trunc, lower, upper):
+def test_grid_brackets_are_pinned(capsys, tmp_path, vector, trunc, lower, upper):
     code, report = _norm_report(capsys, tmp_path, "?a", vector, trunc)
     assert code == 0
     assert report["result"] == {
         "kind": "bracket",
         "lower": lower,
-        "provenance": "distribution-family oracle (grid 1/10 + ascent)",
+        "provenance": "distribution-family oracle (grid 1/10)",
         "upper": upper,
     }
 
@@ -570,7 +572,7 @@ def test_ascent_brackets_are_pinned(capsys, tmp_path, vector, trunc, lower, uppe
 @pytest.mark.parametrize("big", [BIG, str(17 * 10**307)], ids=["1e400", "1.7e308"])
 def test_norm_takes_entries_beyond_float_range(capsys, tmp_path, obj, big):
     # On ?a the big entry sits at x1 x2 over an atom whose bracket stays
-    # open, so the oracle reaches the ascent and must skip it.
+    # open, so the oracle runs on a coefficient beyond float range.
     p_gens, at = {
         "?a": ([["1", "1/2"], ["1/2", "1"]], 4),
         "!a": ([["1", "1/2"], ["2/3", "3"]], 3),
@@ -586,7 +588,4 @@ def test_norm_takes_entries_beyond_float_range(capsys, tmp_path, obj, big):
         return
     assert result["kind"] == "bracket"
     assert Fraction(result["lower"]) <= Fraction(result["upper"])
-    assert result["provenance"] == (
-        "distribution-family oracle "
-        "(grid 1/10, ascent skipped: coefficients beyond float range)"
-    )
+    assert result["provenance"] == "distribution-family oracle (grid 1/10)"

@@ -80,8 +80,14 @@ from conelogic.exponentials import (
 from conelogic.lp import lp_maximize
 from conelogic.mall import adjoint, compose, identity, mor, morphism_norm, product_obj, sparse_mor
 from conelogic.multisets import graded_layout, monomial_values, mset_count, multiplicity
-from conelogic.oracle import Bracket, OracleParams, averaged_upper, simplex_polynomial_bounds
-from conelogic.polynomials import Polynomial, layout_products, poly_combination
+from conelogic.oracle import Bracket, averaged_upper, simplex_polynomial_bounds
+from conelogic.polynomials import (
+    Polynomial,
+    layout_products,
+    poly_combination,
+    poly_product,
+    poly_sum,
+)
 from conelogic.rationals import unit, vec
 from conelogic.symmetric import apply_multilinear, new_norm_bounds, sym_tensor
 import reference as ref
@@ -1181,6 +1187,7 @@ def test_layout_products_equal_the_reference_product(k_and_forms, n):
     for m, p in zip(lay.coords, got):
         want = ref.product([forms[c].terms for c in m], k)
         assert list(p.terms.items()) == list(want.items())
+        assert poly_product([forms[c] for c in m], k).terms == want
 
 
 def test_layout_products_reinsert_a_cancelled_key_last():
@@ -1219,6 +1226,7 @@ def test_poly_combination_equals_the_reference_sum(k_and_pairs):
     got = poly_combination([c for c, _ in pairs], [p for _, p in pairs], k)
     want = ref.combination((c, p.terms) for c, p in pairs)
     assert list(got.terms.items()) == list(want.items())
+    assert poly_sum([p.scale(c) for c, p in pairs], k).terms == want
     assert all(type(c) is F for c in got.terms.values())
 
 
@@ -1345,9 +1353,11 @@ def test_box_corners_run_the_oracle_only_below_the_bound(monkeypatch):
     s = exponentials.primal_ball_scheme(dual_object(h))
     oracle, family = [], []
 
-    def counting_oracle(pol, blocks):
+    def counting_oracle(pol, blocks, upper):
+        # the Bernstein bound _bound already holds is handed in, not redone
+        assert upper == averaged_upper(pol, blocks)
         oracle.append(s.polys.index(pol))
-        return simplex_polynomial_bounds(pol, blocks)
+        return simplex_polynomial_bounds(pol, blocks, upper=upper)
 
     monkeypatch.setattr(exponentials, "simplex_polynomial_bounds", counting_oracle)
     monkeypatch.setattr(exponentials, "eval_family", lambda *args: family.append(args))
@@ -1387,9 +1397,8 @@ def hand_built_new_norm(f, a):
 def hand_built_analytic_norm(f, a, trunc):
     """(lower, upper): the max over the target's dual generators psi of the
     oracle on sum_i w_i psi_i f_i(x(t)) = sum_m k_m x(t)^m, with k_m =
-    sum_i w_i psi_i f_im read off the dense matrix. The x(t)^m are added in
-    the order of the labels m: summing the rows f_i first orders the terms
-    differently, and the ascent's lower bound can follow the order."""
+    sum_i w_i psi_i f_im read off the dense matrix, the x(t)^m added in the
+    order of the labels m."""
     family, nv = _mix_monomials(a, ref.graded_labels(a.dim, trunc))
     lower = upper = F(0)
     for psi in materialize_q(f.target).q_ball_gens:
@@ -1454,7 +1463,7 @@ def analytic_maps(draw):
 
 @settings(max_examples=40, deadline=None)
 @example(analytic_map(Bool, simplex_pcs(1), [[[0]], [[0, 0]], [[0, 1, 0]]]))  # x1 x2: open
-@example(  # rows summed first give another term order and a lower bound 1e-20 off
+@example(  # rows summed first give another term order
     analytic_map(
         from_p_gens([[F(1, 4), 0, 0], [0, F(1, 4), 0], [0, 0, F(1, 4)]], 3),
         Bool,
@@ -1498,30 +1507,40 @@ def test_monomial_values_read_the_table():
     assert monomial_values((), graded_layout(0, 2)) == (F(1),)
 
 
+def _grid_mixes(gens, r):
+    """x(t) = sum_i t_i gens[i] at every point t = k/r of the simplex face
+    sum t = 1, in the order the oracle scans them."""
+    dim = len(gens[0])
+    for k in ref.compositions(r, len(gens)):
+        yield tuple(sum((F(ki, r) * g[c] for ki, g in zip(k, gens)), F(0)) for c in range(dim))
+
+
 def test_ascent_lower_bounds_are_pinned():
-    # ?a over p_gens [[1/8, 3/8, 2], [1/4, 3/8, 1]]; the grid alone gives
-    # 139/27 at truncation 2, and the ascent lifts it.
+    # ?a over p_gens [[1/8, 3/8, 2], [1/4, 3/8, 1]] at truncations 2 and 3:
+    # open brackets whose lower bound is the best point of the exact 1/10
+    # grid on the simplex of mixes x(t) of the dual atom's generators, the
+    # value there summed from the reference monomials delta_x; the first
+    # strict maximum is the witness. Each upper is the largest Bernstein
+    # coefficient of the scheme's combination polynomial.
     a = from_p_gens([[F(1, 8), F(3, 8), F(2)], [F(1, 4), F(3, 8), F(1)]], 3)
     v2 = vec(["1/3", "1/3", 0, 0, 0, "2/3", "1/3", "1/3", "1/3", 0])
-    h = whynot_obj(a, 2)
-    br = graded_norm_bounds(h, v2)
-    assert (br.lower, br.upper) == (F(1241, 240), F(73, 9))
-    assert br.note == "distribution-family oracle (grid 1/10 + ascent)"
-    # the grid alone, on the scheme's combination polynomial
-    s = exponentials.primal_ball_scheme(dual_object(h))
-    k = [w * x for w, x in zip(h.pairing_weights, v2)]
-    grid = simplex_polynomial_bounds(_combined(k, s), s.blocks, OracleParams(ascent_iters=0))
-    assert (grid.lower, grid.upper) == (F(139, 27), F(73, 9))
-    # each upper is the largest Bernstein coefficient of that polynomial
-    assert ref.bernstein_upper(_combined(k, s).terms, s.blocks) == F(73, 9)
     v3 = vec(
         [1, 1, 0, 1, 0, 1, 0, 1, 1, 0, 0, 0, 1, "2/3", "2/3", "1/3", 1, 0, "2/3", "2/3"]
     )
-    h = whynot_obj(a, 3)
-    br = graded_norm_bounds(h, v3)
-    assert br.lower == F(
-        2158818806678007081686939, 78422281462684439188875
-    ) and br.upper == F(277, 9)
-    s = exponentials.primal_ball_scheme(dual_object(h))
-    k = [w * x for w, x in zip(h.pairing_weights, v3)]
-    assert ref.bernstein_upper(_combined(k, s).terms, s.blocks) == F(277, 9)
+    pins = [(2, v2, F(139, 27), F(73, 9)), (3, v3, F(3439, 125), F(277, 9))]
+    for trunc, v, lower, upper in pins:
+        h = whynot_obj(a, trunc)
+        br = graded_norm_bounds(h, v)
+        assert (br.lower, br.upper) == (lower, upper)
+        assert br.note == "distribution-family oracle (grid 1/10)"
+        labels = ref.graded_labels(a.dim, trunc)
+        k = [w * x for w, x in zip(h.pairing_weights, v)]
+        best, witness = F(0), None
+        for x in _grid_mixes(primal_gens(dual_object(a)), 10):
+            delta_x = ref.monomials(x, labels)
+            value = sum((kc * d for kc, d in zip(k, delta_x)), F(0))
+            if value > best:
+                best, witness = value, delta_x
+        assert (br.lower, br.argmax) == (best, witness)
+        s = exponentials.primal_ball_scheme(dual_object(h))
+        assert ref.bernstein_upper(_combined(k, s).terms, s.blocks) == upper

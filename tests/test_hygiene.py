@@ -3,9 +3,10 @@ name it never uses, no public name is defined in two package modules,
 every name the benchmark's tracer patches still exists, the package's
 global caches are exactly the listed ones, the bracket primitives, a
 morphism's integer view and the multiset products are named only where
-listed, and every public function or class of the package has a caller
-outside the tests. The tests' reference routes import from the package only
-the listed constructors and accessors, and no test module imports another.
+listed, the modules on the bracket path compute no float, and every public
+function or class of the package has a caller outside the tests. The tests'
+reference routes import from the package only the listed constructors and
+accessors, and no test module imports another.
 
 `__init__.py` is exempt from the import check, since its imports are the
 public re-exports.
@@ -285,6 +286,33 @@ def test_product_routes_are_listed():
             if ref in found:
                 found[ref].add(scope)
     assert {k: sorted(v) for k, v in found.items()} == PRODUCT_ROUTES
+
+
+# The modules every norm, polar and bracket is computed in hold no float:
+# they name no `float`, hold no float literal and read no float view of a
+# polynomial (eval_float and grad_float are kept for the benchmark's tracer
+# only). A float on this path has to be argued for here.
+FLOAT_FREE = [
+    "cones", "exponentials", "lp", "mall", "multisets", "oracle", "polyhedra",
+    "rationals", "symmetric",
+]
+FLOAT_VIEWS = {"eval_float", "grad_float"}
+
+
+def _floats(tree):
+    """(line, what) of every float name, float literal and float view."""
+    for node in ast.walk(tree):
+        name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+        if name == "float" or name in FLOAT_VIEWS:
+            yield node.lineno, name
+        elif isinstance(node, ast.Constant) and isinstance(node.value, float):
+            yield node.lineno, repr(node.value)
+
+
+@pytest.mark.parametrize("module", FLOAT_FREE)
+def test_bracket_path_computes_no_float(module):
+    found = list(_floats(_parse(os.path.join(PKG, f"{module}.py"))))
+    assert not found, f"{module}.py: {found}"
 
 
 def test_public_definitions_have_a_package_caller():

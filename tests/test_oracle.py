@@ -6,23 +6,19 @@ bound is computable by hand for one or two terms.
 """
 
 import itertools
-from dataclasses import replace
 from fractions import Fraction as F
 from math import comb, factorial, prod
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conelogic.errors import NegativeCoefficientError
 from conelogic.oracle import (
     Bracket,
     OracleParams,
-    _ascent,
-    _block_slices,
     _grid_argmax,
     _grid_resolution,
-    _snap,
     averaged_upper,
     simplex_polynomial_bounds,
 )
@@ -102,15 +98,6 @@ def test_two_blocks_are_independent_simplices():
     assert br.lower == br.upper == 1
 
 
-def test_ascent_refines_a_coarse_grid():
-    # t1^2 t2 peaks at (2/3, 1/3) with value 4/27; a half-step grid only
-    # reaches 1/8, and the multiplicative update must recover the peak.
-    p = Polynomial(2, {(2, 1): 1})
-    br = simplex_polynomial_bounds(p, (2,), OracleParams(grid_resolution=2))
-    assert br.lower == F(4, 27)
-    assert br.argmax == (F(2, 3), F(1, 3))
-
-
 def test_even_power_peak_found_by_grid():
     p = Polynomial(2, {(2, 2): 1})
     br = simplex_polynomial_bounds(p, (2,))
@@ -168,15 +155,6 @@ def fraction_value(poly, point):
     return total
 
 
-def _compositions(total, parts):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def reference_grid_bracket(poly, blocks, params):
     if params.grid_resolution is not None:
         resolutions = [params.grid_resolution]
@@ -189,7 +167,7 @@ def reference_grid_bracket(poly, blocks, params):
     )
 
     def points():
-        grids = [list(_compositions(r, b)) for b in blocks]
+        grids = [list(ref.compositions(r, b)) for b in blocks]
         for combo in itertools.product(*grids):
             yield tuple(F(k, r) for part in combo for k in part)
         yield tuple(F(1, b) for b in blocks for _ in range(b))
@@ -199,11 +177,10 @@ def reference_grid_bracket(poly, blocks, params):
         v = fraction_value(poly, point)
         if v > lower:
             lower, argmax = v, point
-    return lower, argmax, f"grid 1/{r} + ascent"
+    return lower, argmax, f"grid 1/{r}"
 
 
 def assert_grid_matches_reference(poly, blocks, params):
-    params = replace(params, ascent_iters=0)
     br = simplex_polynomial_bounds(poly, blocks, params)
     assert (br.lower, br.argmax, br.note) == reference_grid_bracket(poly, blocks, params)
 
@@ -428,7 +405,7 @@ def test_averaged_upper_matches_the_fraction_formula(problem):
 def _quarter_grid(blocks):
     """Every point k/4 with k >= 0 and sum k <= 4 per block: the vertices
     of each simplex, its origin among them, lie on it."""
-    per_block = [[c[:-1] for c in _compositions(4, b + 1)] for b in blocks]
+    per_block = [[c[:-1] for c in ref.compositions(4, b + 1)] for b in blocks]
     for combo in itertools.product(*per_block):
         yield tuple(F(k, 4) for part in combo for k in part)
 
@@ -463,35 +440,6 @@ def test_negative_coefficient_error_names_the_first_negative_term():
     assert Polynomial(2, {(1, 1): F(1, 3)}).negative_term() is None
 
 
-# The ascent stops at its fixed point; the plain loop below runs every
-# iteration and must land on the same point.
-
-
-def reference_ascent(poly, blocks, start, iters):
-    t = list(start)
-    best = list(start)
-    best_val = poly.eval_float(t)
-    slices = _block_slices(blocks)
-    for _ in range(iters):
-        grad = poly.grad_float(t)
-        moved = False
-        for s in slices:
-            u = [max(t[i], 1e-12) * max(grad[i], 0.0) for i in range(s.start, s.stop)]
-            z = sum(u)
-            if z <= 0.0:
-                continue
-            for j, i in enumerate(range(s.start, s.stop)):
-                t[i] = u[j] / z
-            moved = True
-        if not moved:
-            break
-        val = poly.eval_float(t)
-        if val > best_val:
-            best_val = val
-            best = list(t)
-    return best
-
-
 def counted_gradients(monkeypatch):
     calls = []
     grad = Polynomial.grad_float
@@ -504,41 +452,8 @@ def counted_gradients(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize(
-    "terms, blocks, start",
-    [
-        ({(1, 1): F(1)}, (2,), [0.5, 0.5]),  # t1 t2 at its peak
-        ({(2,): F(3)}, (1,), [1.0]),  # one coordinate: t = 1 is kept
-        ({(1, 1): F(1)}, (1, 1), [1.0, 1.0]),
-    ],
-)
-def test_ascent_stops_at_a_fixed_point(monkeypatch, terms, blocks, start):
-    poly = Polynomial(sum(blocks), terms)
-    calls = counted_gradients(monkeypatch)
-    assert _ascent(poly, blocks, start, 120) == start
-    assert len(calls) == 1
-    calls.clear()
-    assert reference_ascent(poly, blocks, start, 120) == start
-    assert len(calls) == 120
-
-
-@settings(max_examples=150, deadline=None)
-@given(grid_problems(), st.data())
-def test_ascent_matches_the_full_loop(problem, data):
-    poly, blocks, _ = problem
-    start = []
-    for b in blocks:
-        k = data.draw(st.lists(st.integers(0, 6), min_size=b, max_size=b))
-        total = sum(k) or 1
-        start.extend(x / total for x in k)
-    iters = data.draw(st.sampled_from([0, 1, 5, 120]))
-    got = _ascent(poly, blocks, start, iters)
-    want = reference_ascent(poly, blocks, start, iters)
-    assert [x.hex() for x in got] == [x.hex() for x in want]  # bit for bit
-
-
-# The grid scan stops at the certified upper bound, and the center and the
-# ascent run only while the bracket is open. Both are checked against the
+# The grid scan stops at the certified upper bound, and the center is
+# evaluated only while the bracket is open. Both are checked against the
 # full scan and against a reference that always runs every step.
 
 
@@ -579,8 +494,8 @@ def test_grid_scan_stops_at_a_closed_bracket():
 
 
 def reference_bounds(poly, blocks, params):
-    """The oracle with the center and the ascent always run, as before the
-    bracket could close early."""
+    """The oracle with the full grid scan and the center always run, as
+    before the bracket could close early."""
     upper = averaged_upper(poly, blocks)
     r, count = _grid_resolution(blocks, params)
     lower, argmax = _grid_argmax(poly, blocks, r, params.candidate_cap)
@@ -589,28 +504,63 @@ def reference_bounds(poly, blocks, params):
         v = fraction_value(poly, center)
         if v > lower:
             lower, argmax = v, center
-    if params.ascent_iters > 0:
-        refined = _ascent(poly, blocks, [float(x) for x in argmax], params.ascent_iters)
-        snapped = _snap(refined, blocks, params.snap_denominator)
-        v = fraction_value(poly, snapped)
-        if v > lower:
-            lower, argmax = v, snapped
-    return Bracket(lower, upper, argmax, f"grid 1/{r} + ascent")
+    return Bracket(lower, upper, argmax, f"grid 1/{r}")
 
 
 @settings(max_examples=150, deadline=None)
 @given(
     nonnegative_problems(),
     st.sampled_from([None, 1, 2, 3]),
-    st.sampled_from([0, 1, 5, 120]),
     st.sampled_from([1, 5, 400, 20000]),
 )
-def test_bounds_equal_the_always_run_reference(problem, r, iters, cap):
+def test_bounds_equal_the_always_run_reference(problem, r, cap):
     poly, blocks = problem
-    params = OracleParams(grid_resolution=r, ascent_iters=iters, candidate_cap=cap)
-    assert simplex_polynomial_bounds(poly, blocks, params) == reference_bounds(
-        poly, blocks, params
-    )
+    params = OracleParams(grid_resolution=r, candidate_cap=cap)
+    want = reference_bounds(poly, blocks, params)
+    assert simplex_polynomial_bounds(poly, blocks, params) == want
+    # the caller's Bernstein bound, handed in, gives the same bracket
+    upper = averaged_upper(poly, blocks)
+    assert simplex_polynomial_bounds(poly, blocks, params, upper=upper) == want
+
+
+# Every candidate is compared by its exact value, so the bracket cannot
+# depend on the order in which a polynomial's terms were added. The pinned
+# polynomial is the combination that the ?a norm at truncation 3 of
+# test_exponentials.test_ascent_lower_bounds_are_pinned brackets; with its
+# terms reversed, a float ascent once lifted its lower bound to a value
+# other than the one it reached in this order.
+
+PINNED_COMBINATION = [
+    ((0, 0, 0, 0), F(1)), ((0, 0, 1, 0), F(3)), ((0, 0, 0, 1), F(4)),
+    ((1, 0, 0, 0), F(1, 2)), ((0, 1, 1, 0), F(16)), ((0, 1, 0, 1), F(64, 3)),
+    ((0, 2, 0, 0), F(64, 9)), ((1, 1, 0, 0), F(8, 3)), ((1, 0, 2, 0), F(35, 3)),
+    ((0, 0, 3, 0), F(602, 81)), ((1, 0, 1, 1), F(100, 3)), ((0, 0, 2, 1), F(196, 9)),
+    ((1, 0, 0, 2), F(24)), ((0, 0, 1, 2), F(16)), ((0, 2, 1, 0), F(1024, 27)),
+    ((0, 2, 0, 1), F(512, 9)), ((1, 1, 1, 0), F(16)), ((0, 1, 2, 0), F(272, 27)),
+    ((1, 1, 0, 1), F(64, 3)), ((0, 1, 1, 1), F(128, 9)), ((2, 0, 1, 0), F(5, 6)),
+    ((2, 0, 0, 1), F(1)), ((0, 3, 0, 0), F(512, 27)), ((2, 1, 0, 0), F(4, 3)),
+    ((3, 0, 0, 0), F(1, 12)),
+]
+
+
+@st.composite
+def reordered_problems(draw):
+    """(terms, blocks, order): a nonnegative polynomial's terms and a
+    permutation to add them in."""
+    poly, blocks = draw(nonnegative_problems())
+    terms = list(poly.terms.items())
+    return terms, blocks, draw(st.permutations(range(len(terms))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(reordered_problems())
+@example((PINNED_COMBINATION, (4,), tuple(reversed(range(len(PINNED_COMBINATION))))))
+def test_bracket_does_not_depend_on_term_order(problem):
+    terms, blocks, order = problem
+    n = sum(blocks)
+    want = simplex_polynomial_bounds(Polynomial(n, dict(terms)), blocks)
+    got = simplex_polynomial_bounds(Polynomial(n, dict(terms[i] for i in order)), blocks)
+    assert got == want  # lower, upper, argmax and note
 
 
 def test_closed_bracket_evaluates_no_candidate(monkeypatch):
@@ -625,18 +575,26 @@ def test_closed_bracket_evaluates_no_candidate(monkeypatch):
     grads = counted_gradients(monkeypatch)
     closed = Polynomial(2, {(2, 0): F(1), (0, 2): F(1)})
     br = simplex_polynomial_bounds(closed, (2,))
-    assert (br.lower, br.upper, br.note) == (F(1), F(1), "grid 1/10 + ascent")
+    assert (br.lower, br.upper, br.note) == (F(1), F(1), "grid 1/10")
     assert calls == [] and grads == []
     simplex_polynomial_bounds(Polynomial(2, {(1, 1): 1}), (2,))
-    assert len(calls) == 2 and grads  # the center and the snapped point
+    assert calls == [(F(1, 2), F(1, 2))] and grads == []  # the center only
 
 
-def test_coefficients_beyond_float_range_skip_the_ascent():
+def test_coefficient_beyond_float_range_is_bracketed_exactly(monkeypatch):
+    # float(10**400) overflows; the oracle reads no float view at all
+    def no_float(self, *args):
+        raise AssertionError("the oracle read a float view")
+
+    for name in ("eval_float", "grad_float", "_float_terms", "_grad_plan"):
+        monkeypatch.setattr(Polynomial, name, no_float)
     huge = F(10**400)
     p = Polynomial(2, {(1, 1): huge, (2, 0): F(1)})
     br = simplex_polynomial_bounds(p, (2,))
-    assert br.note == "grid 1/10, ascent skipped: coefficients beyond float range"
+    assert br.note == "grid 1/10"
+    assert br.argmax == (F(1, 2), F(1, 2))  # the grid's first best point
     assert br.lower == p.eval_exact(br.argmax) == huge / 4 + F(1, 4)
+    assert br.upper == averaged_upper(p, (2,)) == huge / 2  # 1 and huge / 2
     assert br.lower <= br.upper
 
 
@@ -644,8 +602,6 @@ def test_coefficients_beyond_float_range_skip_the_ascent():
     "field, bad",
     [
         ("grid_resolution", 0),
-        ("ascent_iters", -1),
-        ("snap_denominator", 0),
         ("candidate_cap", -1),
     ],
 )
