@@ -295,7 +295,7 @@ def norm_primal(a: ConeObject, x: VecQ) -> Fraction:
     if a.backend is Backend.GRADED:
         raise CapabilityError(
             "graded norms are bracketed, not exact",
-            "use series_norm_bounds / distribution_norm_bounds",
+            "use graded_norm_bounds, which takes the same object and coordinates",
         )
     if a.q_ball_gens is not None:
         return _gen_max(a.q_rows, a.weights, x)

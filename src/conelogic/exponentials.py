@@ -412,20 +412,12 @@ def delta(a: ConeObject, x, trunc: int = DEFAULT_TRUNC) -> GradedDistribution:
 
 def series_eval(f: GradedSeries, x) -> Fraction:
     """f(x) = sum over multisets of multiplicity(m) * f_m * x^m, that is
-    <f, delta_x>: the pairing of f with the monomials x^m."""
+    <f, delta_x>: the pairing of f with the monomials x^m. x is refused
+    exactly where delta refuses it."""
     node = _shape(f.obj).node
     if not isinstance(node, ExpNode):
         raise CapabilityError("evaluation needs a plain series object", f.obj.label)
-    xq = vec(x)
-    arg = dual_object(node.base)
-    check_membership(arg, xq)
-    try:
-        n = norm_primal(arg, xq)
-    except CapabilityError:
-        n = None  # graded argument domain; no exact gate available
-    if n is not None and n > 1:
-        raise BallError(f"series argument escapes the ball of {arg.label!r}", norm=n)
-    return pairing(f.obj, f.coords, monomial_values(xq, node.layout))
+    return pairing(f.obj, f.coords, delta(dual_object(node.base), x, node.trunc).coords)
 
 
 def graded_pairing(f: GradedSeries, e: GradedDistribution) -> Fraction:
@@ -491,7 +483,7 @@ class BallScheme:
         upper = averaged_upper(pol, self.blocks)
         if not self.exact or low >= upper:
             return upper, None
-        return upper, simplex_polynomial_bounds(pol, self.blocks, upper=upper)
+        return upper, simplex_polynomial_bounds(pol, self.blocks, upper)
 
     def bracket(self, k: VecQ) -> Bracket:
         """Bracket the sup over the ball of sum_c k_c z_c, for k >= 0: the

@@ -8,7 +8,9 @@ non-convex program, so a point value would be a lie. Everything here
 returns a certified bracket instead:
 
   lower   exact evaluation at explicit feasible rational points: a
-          composition grid per block, scanned in integers (the
+          composition grid per block, at the finest resolution in
+          RESOLUTIONS whose grid has at most CANDIDATE_CAP points (module
+          constants; the oracle takes no options), scanned in integers (the
           polynomial's integer view scaled to integer values at grid
           points, so only the winning point becomes a Fraction), then the
           uniform center. The upper bound comes first, so the grid scan
@@ -31,10 +33,12 @@ returns a certified bracket instead:
           benchmark's tracer names it. Computed in integers on the integer
           view by a Horner cascade per block, with one Fraction at the
           end. A feasible value that reaches it is the sup, so
-          exponentials.BallScheme runs the oracle only below it, handing
-          in the bound it has, so each oracle run computes it once.
+          exponentials.BallScheme runs the oracle only below it, and
+          always hands in the bound it has, so each oracle run computes it
+          once and its blocks and signs are checked there.
 
-Degree <= 1 is solved exactly (vertex maximum), and the bracket collapses.
+Total degree <= 1, constants included, is solved exactly (vertex maximum),
+and the bracket collapses.
 Since coefficients are nonnegative the sup is attained with every block on
 its sum = 1 face, which is where the grid lives.
 """
@@ -53,21 +57,10 @@ from .polynomials import Polynomial
 from .rationals import Q0, Q1, VecQ
 
 
-@dataclass(frozen=True)
-class OracleParams:
-    grid_resolution: Optional[int] = None  # None picks the finest that fits the cap
-    candidate_cap: int = 20000
-
-    def __post_init__(self):
-        for name, least in (("grid_resolution", 1), ("candidate_cap", 0)):
-            v = getattr(self, name)
-            if name == "grid_resolution" and v is None:
-                continue
-            if type(v) is not int or v < least:
-                raise ValueError(f"OracleParams.{name} must be an int >= {least}, got {v!r}")
-
-
-DEFAULT_PARAMS = OracleParams()
+# The grid rule: the finest resolution whose grid has at most CANDIDATE_CAP
+# points; the scan evaluates at most CANDIDATE_CAP + 1 of them.
+RESOLUTIONS = (10, 8, 6, 5, 4, 3, 2, 1)
+CANDIDATE_CAP = 20000
 
 
 @dataclass(frozen=True)
@@ -166,44 +159,37 @@ def _compositions(total: int, parts: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def _grid_resolution(blocks: Sequence[int], params: OracleParams) -> tuple[int, int]:
+def _grid_resolution(blocks: Sequence[int]) -> tuple[int, int]:
     """The grid resolution r and the number of grid points it gives."""
-    if params.grid_resolution is not None:
-        resolutions = [params.grid_resolution]
-    else:
-        resolutions = [10, 8, 6, 5, 4, 3, 2, 1]
-    for r in resolutions:
+    for r in RESOLUTIONS:
         count = prod(comb(r + b - 1, b - 1) for b in blocks)
-        if count <= params.candidate_cap:
+        if count <= CANDIDATE_CAP:
             break
     return r, count
 
 
 def _grid_argmax(
-    poly: Polynomial,
-    blocks: Sequence[int],
-    r: int,
-    cap: int,
-    upper: Optional[Fraction] = None,
+    poly: Polynomial, blocks: Sequence[int], r: int, upper: Fraction
 ) -> tuple[Fraction, VecQ]:
-    """Best of the first cap + 1 grid points k/r, scanned in integers.
+    """Best of the first CANDIDATE_CAP + 1 grid points k/r, scanned in
+    integers.
 
     With the polynomial's integer view (L, D, terms), L r^D p(k/r) =
     sum_e (L c_e) r^(D - |e|) prod_i k_i^(e_i) is an integer, so points
     compare as integers; the first strict maximum wins (the zero point when
     no value is > 0), and only the winner becomes a Fraction.
 
-    Given a certified upper bound U on the sup, the scan stops at the first
-    point whose integer reaches ceil(U L r^D): no feasible point exceeds
-    U, so that point is the maximum and the first strict one.
+    Given the certified upper bound U on the sup, the scan stops at the
+    first point whose integer reaches ceil(U L r^D): no feasible point
+    exceeds U, so that point is the maximum and the first strict one.
     """
     den, deg, view = poly.int_terms()
     terms = [(c * r**gap, factors) for c, gap, factors in view]
     powers = [[k**j for j in range(deg + 1)] for k in range(r + 1)]
-    stop = None if upper is None else ceil(upper * den * r**deg)
+    stop = ceil(upper * den * r**deg)
     best, best_k = 0, (0,) * poly.nvars
     grid = product(*(_compositions(r, b) for b in blocks))
-    for combo in islice(grid, cap + 1):
+    for combo in islice(grid, CANDIDATE_CAP + 1):
         k = sum(combo, ())
         total = 0
         for c, factors in terms:
@@ -216,37 +202,27 @@ def _grid_argmax(
                 total += c
         if total > best:
             best, best_k = total, k
-            if stop is not None and total >= stop:
+            if total >= stop:
                 break
     return Fraction(best, den * r**deg), tuple(Fraction(x, r) for x in best_k)
 
 
 def simplex_polynomial_bounds(
-    poly: Polynomial,
-    blocks: Sequence[int],
-    params: OracleParams = DEFAULT_PARAMS,
-    upper: Optional[Fraction] = None,
+    poly: Polynomial, blocks: Sequence[int], upper: Fraction
 ) -> Bracket:
     """Bracket sup { poly(t) : per block, t >= 0 and sum t <= 1 }.
 
-    upper, when given, is averaged_upper(poly, blocks), already computed
-    by the caller (which has then checked the blocks and the signs)."""
-    if upper is None:
-        upper = averaged_upper(poly, blocks)  # checks the blocks and the signs once
-    if poly.nvars == 0 or poly.total_degree() == 0:
-        v = poly.constant_term()
-        return Bracket(v, v, (Q0,) * poly.nvars, "constant")
+    upper is averaged_upper(poly, blocks), computed by the caller, which
+    has thereby checked the blocks and the signs."""
     if poly.total_degree() <= 1:
         v, point = _affine_sup(poly, blocks)
         return Bracket(v, v, point, "affine vertex maximum")
 
-    resolution, count = _grid_resolution(blocks, params)
-    lower, argmax = _grid_argmax(
-        poly, blocks, resolution, params.candidate_cap, upper
-    )
+    resolution, count = _grid_resolution(blocks)
+    lower, argmax = _grid_argmax(poly, blocks, resolution, upper)
     # Once lower == upper no candidate can beat lower, so the center is
     # evaluated only while the bracket is open; it helps a coarse grid.
-    if count <= params.candidate_cap and lower < upper:
+    if count <= CANDIDATE_CAP and lower < upper:
         center = tuple(Fraction(1, b) for b in blocks for _ in range(b))
         v = poly.eval_exact(center)
         if v > lower:

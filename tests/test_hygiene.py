@@ -3,8 +3,9 @@ name it never uses, no public name is defined in two package modules,
 every name the benchmark's tracer patches still exists, the package's
 global caches are exactly the listed ones, the bracket primitives, a
 morphism's integer view and the multiset products are named only where
-listed, the modules on the bracket path compute no float, and every public
-function or class of the package has a caller outside the tests. The tests'
+listed, the modules on the bracket path compute no float, every public
+function or class of the package has a caller outside the tests, and
+`__all__` names exactly the names `__init__` imports. The tests'
 reference routes import from the package only the listed constructors and
 accessors, and no test module imports another.
 
@@ -249,8 +250,8 @@ def test_int_view_routes_are_listed():
 # Every place in the package that names the multiset-product recurrence,
 # its one product step on multiset-keyed dicts, or the monomials built on
 # it. One identity, the multinomial expansion over multisets, gives the
-# coordinates of delta_x (monomial_values, which series_eval, delta, the
-# recognized deltas, the honest members of a !A scheme and
+# coordinates of delta_x (monomial_values, which delta, and through it
+# series_eval, the recognized deltas, the honest members of a !A scheme and
 # symmetric.power_tensor read), the ball-scheme families (layout_products),
 # the columns of symmetric powers, the lifts !s and ?l among them
 # (multisets.sym_power_cols), and the lift delta_x -> delta_{f(x)} that
@@ -273,7 +274,6 @@ PRODUCT_ROUTES = {
         "exponentials._delta_like_bounds",
         "exponentials._node_scheme",
         "exponentials.delta",
-        "exponentials.series_eval",
         "symmetric.power_tensor",
     ],
 }
@@ -341,6 +341,12 @@ def test_public_definitions_have_a_package_caller():
         and all(s == f"{mod}.{fn}" or s.startswith(f"{mod}.{fn}.") for s in scopes.get(fn, ()))
     ]
     assert not unreached, f"public names no package caller reaches: {unreached}"
+
+
+def test_exports_are_the_imports():
+    # __all__ names each name __init__ imports once, and __version__
+    exported = _imported(_parse(os.path.join(PKG, "__init__.py")))
+    assert sorted(conelogic.__all__) == sorted([*exported, "__version__"])
 
 
 # Everything tests/reference.py may import from the package: constructors

@@ -8,15 +8,16 @@ bound is computable by hand for one or two terms.
 import itertools
 from fractions import Fraction as F
 from math import comb, factorial, prod
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from conelogic import oracle
 from conelogic.errors import NegativeCoefficientError
 from conelogic.oracle import (
     Bracket,
-    OracleParams,
     _grid_argmax,
     _grid_resolution,
     averaged_upper,
@@ -70,7 +71,7 @@ def test_float_eval_and_gradient():
 
 def test_affine_case_is_exact():
     p = Polynomial(2, {(0, 0): F(1), (1, 0): F(1), (0, 1): F(2)})
-    br = simplex_polynomial_bounds(p, (2,))
+    br = simplex_polynomial_bounds(p, (2,), averaged_upper(p, (2,)))
     assert br.lower == br.upper == 3
     assert br.argmax == (F(0), F(1))
 
@@ -78,7 +79,7 @@ def test_affine_case_is_exact():
 def test_product_monomial_bracket():
     # t1 t2 on the 2-simplex: true sup 1/4 at (1/2, 1/2); Bernstein bound 1/2.
     p = Polynomial(2, {(1, 1): 1})
-    br = simplex_polynomial_bounds(p, (2,))
+    br = simplex_polynomial_bounds(p, (2,), averaged_upper(p, (2,)))
     assert br.lower == F(1, 4)
     assert br.upper == F(1, 2)
     assert p.eval_exact(br.argmax) == br.lower
@@ -86,7 +87,7 @@ def test_product_monomial_bracket():
 
 def test_three_way_product_monomial():
     p = Polynomial(3, {(1, 1, 1): 1})
-    br = simplex_polynomial_bounds(p, (3,))
+    br = simplex_polynomial_bounds(p, (3,), averaged_upper(p, (3,)))
     assert br.lower == F(1, 27)
     assert br.upper == F(1, 6)
 
@@ -94,13 +95,13 @@ def test_three_way_product_monomial():
 def test_two_blocks_are_independent_simplices():
     # t * s with t and s in their own 1-simplex: sup = 1, exactly bracketed.
     p = Polynomial(2, {(1, 1): 1})
-    br = simplex_polynomial_bounds(p, (1, 1))
+    br = simplex_polynomial_bounds(p, (1, 1), averaged_upper(p, (1, 1)))
     assert br.lower == br.upper == 1
 
 
 def test_even_power_peak_found_by_grid():
     p = Polynomial(2, {(2, 2): 1})
-    br = simplex_polynomial_bounds(p, (2,))
+    br = simplex_polynomial_bounds(p, (2,), averaged_upper(p, (2,)))
     assert br.lower == F(1, 16)
     assert br.upper == F(1, 6)  # coefficient 1 over multinomial(2,2) = 6
 
@@ -118,20 +119,26 @@ def test_bernstein_bound_closes_a_mixed_degree_bracket():
     # The averaged bound was 1 + 1/2; the vertex (1, 0) reaches 1.
     p = Polynomial(2, {(1, 0): F(1), (1, 1): F(1)})
     assert fraction_averaged_upper(p, (2,)) == F(3, 2)
-    br = simplex_polynomial_bounds(p, (2,))
+    br = simplex_polynomial_bounds(p, (2,), averaged_upper(p, (2,)))
     assert (br.lower, br.upper, br.argmax) == (F(1), F(1), (F(1), F(0)))
 
 
 def test_negative_coefficient_is_refused():
     p = Polynomial(2, {(1, 1): F(-1)})
-    with pytest.raises(NegativeCoefficientError):
-        simplex_polynomial_bounds(p, (2,))
+    with pytest.raises(NegativeCoefficientError):  # checked by the caller's bound
+        averaged_upper(p, (2,))
 
 
 def test_constant_polynomial_collapses():
+    # a constant is affine: the vertex maximum is the constant, at the zero
+    # point, also with no variables at all
     p = Polynomial.constant(3, F(5, 7))
-    br = simplex_polynomial_bounds(p, (3,))
-    assert br.lower == br.upper == F(5, 7)
+    br = simplex_polynomial_bounds(p, (3,), averaged_upper(p, (3,)))
+    assert br == Bracket(F(5, 7), F(5, 7), (F(0),) * 3, "affine vertex maximum")
+    none = Polynomial.constant(0, 4)
+    assert simplex_polynomial_bounds(none, (), averaged_upper(none, ())) == Bracket(
+        F(4), F(4), (), "affine vertex maximum"
+    )
 
 
 def test_bracket_width():
@@ -141,8 +148,9 @@ def test_bracket_width():
 
 # The integer grid scan against the Fraction loop it replaced: every grid
 # point and then the uniform center as Fractions, evaluated term by term in
-# Fractions, the first strict maximum kept, at most candidate_cap + 1
-# candidates.
+# Fractions, the first strict maximum kept, at most CANDIDATE_CAP + 1
+# candidates. Tests patch oracle.CANDIDATE_CAP to reach the coarse
+# resolutions, the truncated grid and the skipped center.
 
 
 def fraction_value(poly, point):
@@ -155,56 +163,67 @@ def fraction_value(poly, point):
     return total
 
 
-def reference_grid_bracket(poly, blocks, params):
-    if params.grid_resolution is not None:
-        resolutions = [params.grid_resolution]
-    else:
-        resolutions = [10, 8, 6, 5, 4, 3, 2, 1]
-    cap = params.candidate_cap
-    r = next(
-        (x for x in resolutions if prod(comb(x + b - 1, b - 1) for b in blocks) <= cap),
-        resolutions[-1],
-    )
+def grid_points(blocks, r):
+    grids = [list(ref.compositions(r, b)) for b in blocks]
+    for combo in itertools.product(*grids):
+        yield tuple(F(k, r) for part in combo for k in part)
 
-    def points():
-        grids = [list(ref.compositions(r, b)) for b in blocks]
-        for combo in itertools.product(*grids):
-            yield tuple(F(k, r) for part in combo for k in part)
-        yield tuple(F(1, b) for b in blocks for _ in range(b))
 
+def fraction_scan(poly, points):
+    """The first strict maximum over the points, or the zero point."""
     lower, argmax = F(0), (F(0),) * poly.nvars
-    for point in itertools.islice(points(), cap + 1):
+    for point in points:
         v = fraction_value(poly, point)
         if v > lower:
             lower, argmax = v, point
-    return lower, argmax, f"grid 1/{r}"
+    return lower, argmax
 
 
-def assert_grid_matches_reference(poly, blocks, params):
-    br = simplex_polynomial_bounds(poly, blocks, params)
-    assert (br.lower, br.argmax, br.note) == reference_grid_bracket(poly, blocks, params)
+def reference_grid_bracket(poly, blocks):
+    cap = oracle.CANDIDATE_CAP
+    r = next(
+        (x for x in oracle.RESOLUTIONS if prod(comb(x + b - 1, b - 1) for b in blocks) <= cap),
+        oracle.RESOLUTIONS[-1],
+    )
+    center = tuple(F(1, b) for b in blocks for _ in range(b))
+    points = itertools.chain(grid_points(blocks, r), [center])
+    return (*fraction_scan(poly, itertools.islice(points, cap + 1)), f"grid 1/{r}")
+
+
+def assert_grid_matches_reference(poly, blocks):
+    br = simplex_polynomial_bounds(poly, blocks, averaged_upper(poly, blocks))
+    assert (br.lower, br.argmax, br.note) == reference_grid_bracket(poly, blocks)
 
 
 @pytest.mark.parametrize(
     "terms, blocks, params",
     [
         # tie between the two vertices: the first one wins
-        ({(2, 0): F(1), (0, 2): F(1)}, (2,), OracleParams()),
-        # zero at every grid vertex: the center wins
-        ({(1, 1): F(1)}, (2,), OracleParams(grid_resolution=1)),
+        ({(2, 0): F(1), (0, 2): F(1)}, (2,), {}),
+        # zero at every grid vertex of 1/1: the center wins
+        ({(1, 1): F(1)}, (2,), {"CANDIDATE_CAP": 2}),
         # zero on the truncated grid, center not reached: the zero point
-        ({(1, 1, 1): F(1)}, (3,), OracleParams(grid_resolution=2, candidate_cap=2)),
+        ({(1, 1, 1): F(1)}, (3,), {"CANDIDATE_CAP": 1}),
         # three blocks, mixed denominators
         (
             {(1, 1, 0, 1): F(2, 3), (0, 2, 1, 0): F(5, 4), (0, 0, 0, 2): F(1, 6)},
             (1, 2, 1),
-            OracleParams(),
+            {},
         ),
+        # a 3-variable block's grid at resolution r has comb(r + 2, 2)
+        # points, and a cap of exactly that many picks r: every resolution
+        *[
+            ({(1, 1, 1): F(1), (2, 0, 0): F(1, 2)}, (3,), {"CANDIDATE_CAP": comb(r + 2, 2)})
+            for r in oracle.RESOLUTIONS
+        ],
     ],
 )
-def test_grid_scan_cases(terms, blocks, params):
+def test_grid_scan_cases(terms, blocks, params, monkeypatch):
+    # params: the oracle constants the case sets
+    for name, value in params.items():
+        monkeypatch.setattr(oracle, name, value)
     nvars = sum(blocks)
-    assert_grid_matches_reference(Polynomial(nvars, terms), blocks, params)
+    assert_grid_matches_reference(Polynomial(nvars, terms), blocks)
 
 
 @pytest.mark.parametrize(
@@ -223,8 +242,10 @@ def test_grid_scan_cases(terms, blocks, params):
         ),
     ],
 )
-def test_grid_argmax_pinned(terms, blocks, r, cap, expected):
-    assert _grid_argmax(Polynomial(sum(blocks), terms), blocks, r, cap) == expected
+def test_grid_argmax_pinned(terms, blocks, r, cap, expected, monkeypatch):
+    monkeypatch.setattr(oracle, "CANDIDATE_CAP", cap)
+    poly = Polynomial(sum(blocks), terms)
+    assert _grid_argmax(poly, blocks, r, averaged_upper(poly, blocks)) == expected
 
 
 @st.composite
@@ -235,17 +256,15 @@ def grid_problems(draw):
     exps = st.tuples(*([st.integers(0, 2)] * n))
     poly = Polynomial(n, draw(st.dictionaries(exps, coeff, min_size=1, max_size=5)))
     assume(poly.total_degree() >= 2)
-    params = OracleParams(
-        grid_resolution=draw(st.sampled_from([None, 1, 2, 3, 4])),
-        candidate_cap=draw(st.sampled_from([1, 2, 5, 30, 400])),
-    )
-    return poly, blocks, params
+    return poly, blocks, draw(st.sampled_from([1, 2, 5, 30, 400]))
 
 
 @settings(max_examples=150, deadline=None)
 @given(grid_problems())
 def test_grid_scan_matches_the_fraction_loop(problem):
-    assert_grid_matches_reference(*problem)
+    poly, blocks, cap = problem
+    with mock.patch.object(oracle, "CANDIDATE_CAP", cap):
+        assert_grid_matches_reference(poly, blocks)
 
 
 @settings(max_examples=100, deadline=None)
@@ -430,13 +449,11 @@ def test_negative_coefficient_error_names_the_first_negative_term():
     p = Polynomial(2, {(1, 1): F(-1), (0, 2): F(-3), (2, 0): F(1)})
     assert p.negative_term() == ((0, 2), F(-3))
     with pytest.raises(NegativeCoefficientError) as err:
-        simplex_polynomial_bounds(p, (2,))
+        averaged_upper(p, (2,))
     assert str(err.value) == (
         "monomial t^(0, 2) has coefficient -3 < 0; the simplex oracle only "
         "brackets nonnegative-coefficient polynomials"
     )
-    with pytest.raises(NegativeCoefficientError):
-        averaged_upper(p, (2,))
     assert Polynomial(2, {(1, 1): F(1, 3)}).negative_term() is None
 
 
@@ -473,8 +490,9 @@ def nonnegative_problems(draw):
 def test_stopped_grid_scan_equals_the_full_scan(problem, r, cap):
     poly, blocks = problem
     upper = averaged_upper(poly, blocks)
-    full = _grid_argmax(poly, blocks, r, cap)
-    assert _grid_argmax(poly, blocks, r, cap, upper) == full
+    full = fraction_scan(poly, itertools.islice(grid_points(blocks, r), cap + 1))
+    with mock.patch.object(oracle, "CANDIDATE_CAP", cap):
+        assert _grid_argmax(poly, blocks, r, upper) == full
     assert full[0] <= upper
 
 
@@ -482,24 +500,25 @@ def test_grid_scan_stops_at_a_closed_bracket():
     # t1^2 + t2^2 has upper 1, reached at the first grid point (0, 1); a
     # stop value one notch above a reached value is never met.
     p = Polynomial(2, {(2, 0): F(1), (0, 2): F(1)})
-    assert _grid_argmax(p, (2,), 10, 20000, F(1)) == (F(1), (F(0), F(1)))
+    assert _grid_argmax(p, (2,), 10, F(1)) == (F(1), (F(0), F(1)))
     q = Polynomial(2, {(1, 1): F(1)})  # sup 1/4 at the center
-    assert _grid_argmax(q, (2,), 2, 20000, F(1, 4)) == (F(1, 4), (F(1, 2), F(1, 2)))
-    assert _grid_argmax(q, (2,), 4, 20000, F(1, 2)) == _grid_argmax(q, (2,), 4, 20000)
+    assert _grid_argmax(q, (2,), 2, F(1, 4)) == (F(1, 4), (F(1, 2), F(1, 2)))
+    assert _grid_argmax(q, (2,), 4, F(1, 2)) == fraction_scan(q, grid_points((2,), 4))
     # 2 t1^2 + t2^2 at r = 1: (0, 1) gives 1, one unit below the stop value
     # 2, so the scan goes on to (1, 0).
     p2 = Polynomial(2, {(2, 0): F(2), (0, 2): F(1)})
     assert averaged_upper(p2, (2,)) == 2
-    assert _grid_argmax(p2, (2,), 1, 20000, F(2)) == (F(2), (F(1), F(0)))
+    assert _grid_argmax(p2, (2,), 1, F(2)) == (F(2), (F(1), F(0)))
 
 
-def reference_bounds(poly, blocks, params):
+def reference_bounds(poly, blocks):
     """The oracle with the full grid scan and the center always run, as
     before the bracket could close early."""
     upper = averaged_upper(poly, blocks)
-    r, count = _grid_resolution(blocks, params)
-    lower, argmax = _grid_argmax(poly, blocks, r, params.candidate_cap)
-    if count <= params.candidate_cap:
+    r, count = _grid_resolution(blocks)
+    # no grid point reaches upper + 1, so the scan runs in full
+    lower, argmax = _grid_argmax(poly, blocks, r, upper + 1)
+    if count <= oracle.CANDIDATE_CAP:
         center = tuple(F(1, b) for b in blocks for _ in range(b))
         v = fraction_value(poly, center)
         if v > lower:
@@ -508,19 +527,12 @@ def reference_bounds(poly, blocks, params):
 
 
 @settings(max_examples=150, deadline=None)
-@given(
-    nonnegative_problems(),
-    st.sampled_from([None, 1, 2, 3]),
-    st.sampled_from([1, 5, 400, 20000]),
-)
-def test_bounds_equal_the_always_run_reference(problem, r, cap):
+@given(nonnegative_problems(), st.sampled_from([1, 5, 400, 20000]))
+def test_bounds_equal_the_always_run_reference(problem, cap):
     poly, blocks = problem
-    params = OracleParams(grid_resolution=r, candidate_cap=cap)
-    want = reference_bounds(poly, blocks, params)
-    assert simplex_polynomial_bounds(poly, blocks, params) == want
-    # the caller's Bernstein bound, handed in, gives the same bracket
-    upper = averaged_upper(poly, blocks)
-    assert simplex_polynomial_bounds(poly, blocks, params, upper=upper) == want
+    with mock.patch.object(oracle, "CANDIDATE_CAP", cap):
+        want = reference_bounds(poly, blocks)
+        assert simplex_polynomial_bounds(poly, blocks, averaged_upper(poly, blocks)) == want
 
 
 # Every candidate is compared by its exact value, so the bracket cannot
@@ -558,8 +570,10 @@ def reordered_problems(draw):
 def test_bracket_does_not_depend_on_term_order(problem):
     terms, blocks, order = problem
     n = sum(blocks)
-    want = simplex_polynomial_bounds(Polynomial(n, dict(terms)), blocks)
-    got = simplex_polynomial_bounds(Polynomial(n, dict(terms[i] for i in order)), blocks)
+    p = Polynomial(n, dict(terms))
+    q = Polynomial(n, dict(terms[i] for i in order))
+    want = simplex_polynomial_bounds(p, blocks, averaged_upper(p, blocks))
+    got = simplex_polynomial_bounds(q, blocks, averaged_upper(q, blocks))
     assert got == want  # lower, upper, argmax and note
 
 
@@ -574,10 +588,11 @@ def test_closed_bracket_evaluates_no_candidate(monkeypatch):
     monkeypatch.setattr(Polynomial, "eval_exact", counting)
     grads = counted_gradients(monkeypatch)
     closed = Polynomial(2, {(2, 0): F(1), (0, 2): F(1)})
-    br = simplex_polynomial_bounds(closed, (2,))
+    br = simplex_polynomial_bounds(closed, (2,), averaged_upper(closed, (2,)))
     assert (br.lower, br.upper, br.note) == (F(1), F(1), "grid 1/10")
     assert calls == [] and grads == []
-    simplex_polynomial_bounds(Polynomial(2, {(1, 1): 1}), (2,))
+    q = Polynomial(2, {(1, 1): 1})
+    simplex_polynomial_bounds(q, (2,), averaged_upper(q, (2,)))
     assert calls == [(F(1, 2), F(1, 2))] and grads == []  # the center only
 
 
@@ -590,32 +605,12 @@ def test_coefficient_beyond_float_range_is_bracketed_exactly(monkeypatch):
         monkeypatch.setattr(Polynomial, name, no_float)
     huge = F(10**400)
     p = Polynomial(2, {(1, 1): huge, (2, 0): F(1)})
-    br = simplex_polynomial_bounds(p, (2,))
+    br = simplex_polynomial_bounds(p, (2,), averaged_upper(p, (2,)))
     assert br.note == "grid 1/10"
     assert br.argmax == (F(1, 2), F(1, 2))  # the grid's first best point
     assert br.lower == p.eval_exact(br.argmax) == huge / 4 + F(1, 4)
     assert br.upper == averaged_upper(p, (2,)) == huge / 2  # 1 and huge / 2
     assert br.lower <= br.upper
-
-
-@pytest.mark.parametrize(
-    "field, bad",
-    [
-        ("grid_resolution", 0),
-        ("candidate_cap", -1),
-    ],
-)
-def test_oracle_params_refuse_bad_fields(field, bad):
-    with pytest.raises(ValueError, match=f"OracleParams.{field} "):
-        OracleParams(**{field: bad})
-    least = bad + 1
-    assert getattr(OracleParams(**{field: least}), field) == least
-    with pytest.raises(ValueError, match=field):
-        OracleParams(**{field: 2.0})
-
-
-def test_oracle_params_take_no_resolution():
-    assert OracleParams(grid_resolution=None).grid_resolution is None
 
 
 @settings(max_examples=150, deadline=None)
