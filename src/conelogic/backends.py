@@ -131,11 +131,11 @@ def _check_symmetric(m: np.ndarray) -> None:
         raise MembershipError("matrix is not symmetric within tolerance")
 
 
-def qcs_check_psd(m: np.ndarray, tol: float = PSD_TOL) -> None:
-    """Raise with an eigenvector witness if m is not PSD within tol."""
+def qcs_check_psd(m: np.ndarray) -> None:
+    """Raise with an eigenvector witness if m is not PSD within PSD_TOL."""
     _check_symmetric(m)
     w, v = np.linalg.eigh(m)
-    if w[0] < -tol:
+    if w[0] < -PSD_TOL:
         raise MembershipError(
             f"matrix has negative eigenvalue {w[0]:.3e}",
             witness=tuple(float(x) for x in v[:, 0]),
@@ -158,8 +158,9 @@ def qcs_pair(l: np.ndarray, m: np.ndarray) -> float:
     return float(np.trace(l @ m))
 
 
-def qcs_duality_report(m: np.ndarray, tol: float = DUAL_TOL) -> dict:
-    """Check both norm-duality identities by independent numerical routes.
+def qcs_duality_report(m: np.ndarray) -> dict:
+    """Check both norm-duality identities, within DUAL_TOL, by independent
+    numerical routes.
 
     sup over 0 <= L <= I of tr(LM) equals tr(M): left side evaluated by
     clipping the spectrum (the optimizer is the projector onto the positive
@@ -176,8 +177,8 @@ def qcs_duality_report(m: np.ndarray, tol: float = DUAL_TOL) -> dict:
     return {
         "trace_norm_duality_abs_err": abs(sup_box - trace),
         "op_norm_duality_abs_err": abs(sup_ball - lam_max),
-        "passed": abs(sup_box - trace) <= tol and abs(sup_ball - lam_max) <= tol,
-        "tolerance": tol,
+        "passed": abs(sup_box - trace) <= DUAL_TOL and abs(sup_ball - lam_max) <= DUAL_TOL,
+        "tolerance": DUAL_TOL,
     }
 
 

@@ -14,8 +14,8 @@ nodes are
                           read as the object whose primal ball is on the
                           distribution side; series-side constructors wrap
                           the dual.
-  TensorNode(l, r, trunc) pairs of child coordinates with grade sum
-                          <= trunc, left-major; weights multiply.
+  TensorNode(l, r, trunc) left-major pairs of child positions with grade
+                          sum <= trunc (node.pairs); weights multiply.
   SumNode(l, r, coproduct) disjoint union of coordinates (& / + at the
                           graded level). Structure only; no norms.
 
@@ -61,6 +61,7 @@ g . !f . dig gives the same matrix, at far greater cost).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -115,7 +116,7 @@ SAMPLE_CAP = 200
 # (labels, multiplicity weights, label index) and one column each. At
 # (dim, trunc) = (3, 4), ??a has 82,251 coordinates and building mu takes
 # about 0.5 s on a 2-core x86-64 machine, 0.2 s of it that layout; the cap
-# keeps objects near that size.
+# keeps every graded object, pairs and sums too, near that size.
 MAX_GRADED_DIM = 100_000
 
 
@@ -150,18 +151,18 @@ class TensorNode:
     trunc: int
 
     @cached_property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        """(left position, right position) of each coordinate."""
+        lg, rg = self.left.layout.grades, self.right.layout.grades
+        return tuple((i, j) for i, a in enumerate(lg) for j, b in enumerate(rg) if a + b <= self.trunc)
+
+    @cached_property
     def layout(self) -> Layout:
         lo, ro = self.left.layout, self.right.layout
-        keep = [
-            (i, j)
-            for i, a in enumerate(lo.grades)
-            for j, b in enumerate(ro.grades)
-            if a + b <= self.trunc
-        ]
         return Layout(
-            tuple((lo.coords[i], ro.coords[j]) for i, j in keep),
-            tuple(lo.grades[i] + ro.grades[j] for i, j in keep),
-            tuple(lo.weights[i] * ro.weights[j] for i, j in keep),
+            tuple((lo.coords[i], ro.coords[j]) for i, j in self.pairs),
+            tuple(lo.grades[i] + ro.grades[j] for i, j in self.pairs),
+            tuple(lo.weights[i] * ro.weights[j] for i, j in self.pairs),
         )
 
 
@@ -236,12 +237,32 @@ def _coord_labels(h: ConeObject) -> tuple:
 # Object constructors
 
 
+def _graded_size(node) -> int:
+    """A node's coordinate count before its layout exists; children are objects within the cap."""
+    if isinstance(node, ExpNode):
+        return comb(node.base.dim + node.trunc, node.trunc)  # multisets of size <= trunc
+    lg, rg = node.left.layout.grades, node.right.layout.grades
+    if isinstance(node, SumNode):
+        return len(lg) + len(rg)
+    if len(lg) * len(rg) <= MAX_GRADED_DIM:
+        return len(node.pairs)  # at most the cap to build, and the layout reads them
+    rg = sorted(rg)  # each left coordinate pairs with the right ones of grade <= trunc - a
+    return sum(bisect_right(rg, node.trunc - a) for a in lg)
+
+
 def _graded_object(node, series_primal: bool, label: str) -> ConeObject:
+    size = _graded_size(node)
+    if size > MAX_GRADED_DIM:
+        raise CapabilityError(
+            f"graded dimension exceeds {MAX_GRADED_DIM}",
+            f"{label} at truncation {_node_trunc(node)} has {size} "
+            "coordinates; lower the truncation",
+        )
     weights: Optional[tuple] = node.layout.weights
     if all(w == 1 for w in weights):
         weights = None
     return ConeObject(
-        dim=len(node.layout.coords),
+        dim=size,
         p_ball_gens=None,
         q_ball_gens=None,
         backend=Backend.GRADED,
@@ -257,13 +278,6 @@ def whynot_obj(a: ConeObject, trunc: int = DEFAULT_TRUNC) -> ConeObject:
         raise ValueError("truncation must be >= 0")
     if a.backend is Backend.SPECTRAL:
         raise CapabilityError("exponentials reject spectral operands", a.label)
-    size = comb(a.dim + trunc, trunc)  # multisets of size <= trunc
-    if size > MAX_GRADED_DIM:
-        raise CapabilityError(
-            f"graded dimension exceeds {MAX_GRADED_DIM}",
-            f"?{a.label} at truncation {trunc} has {size} "
-            "coordinates; lower the truncation",
-        )
     return _graded_object(ExpNode(a, trunc), True, f"?{a.label}")
 
 
@@ -432,12 +446,11 @@ def pair_element(pair_obj: ConeObject, left_coords, right_coords) -> VecQ:
     node = _shape(pair_obj).node
     if not isinstance(node, TensorNode):
         raise CapabilityError("needs a graded pair object", pair_obj.label)
-    li, ri = node.left.layout.index, node.right.layout.index
     lc, rc = vec(left_coords), vec(right_coords)
-    for c, idx, side in ((lc, li, "left"), (rc, ri, "right")):
-        if len(c) != len(idx):
-            raise DimensionError(len(idx), len(c), f"{side} pair factor")
-    return tuple(lc[li[a]] * rc[ri[b]] for a, b in node.layout.coords)
+    for c, child, side in ((lc, node.left, "left"), (rc, node.right, "right")):
+        if len(c) != len(child.layout.coords):
+            raise DimensionError(len(child.layout.coords), len(c), f"{side} pair factor")
+    return tuple(lc[i] * rc[j] for i, j in node.pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -545,13 +558,11 @@ def _node_scheme(node) -> BallScheme:
         sr = sl if node.right == node.left else _node_scheme(node.right)
         nl = sum(sl.blocks)
         nv = nl + sum(sr.blocks)
-        li, ri = node.left.layout.index, node.right.layout.index
         lp = [p.shift_vars(0, nv) for p in sl.polys]
         rp = [p.shift_vars(nl, nv) for p in sr.polys]
-        coords = node.layout.coords
-        polys = tuple(lp[li[a]] * rp[ri[b]] for a, b in coords)
+        polys = tuple(lp[i] * rp[j] for i, j in node.pairs)
         honest = tuple(
-            tuple(za[li[a]] * zb[ri[b]] for a, b in coords)
+            tuple(za[i] * zb[j] for i, j in node.pairs)
             for za, zb in islice(product(sl.honest, sr.honest), HONEST_CAP)
         )
         return BallScheme(sl.blocks + sr.blocks, polys, honest, sl.exact and sr.exact)
@@ -776,27 +787,16 @@ def diag_mult(a: ConeObject, trunc: int = DEFAULT_TRUNC) -> Morphism:
     return sparse_mor(src, w, cols)
 
 
-def _label_columns(f: Morphism) -> dict:
-    """Source label -> [(target label, value)] over the nonzero entries."""
-    tgt = _coord_labels(f.target)
-    return {
-        lbl: [(tgt[i], x) for i, x in col]
-        for lbl, col in zip(_coord_labels(f.source), f.cols)
-    }
-
-
 def _pair_mor(src: ConeObject, tgt: ConeObject, f: Morphism, g: Morphism) -> Morphism:
-    """f (x) g on graded pairs: each source pair (sa, sb) multiplies the
-    nonzeros of f's column sa by those of g's column sb; products landing on
-    a pair outside the truncation are dropped."""
-    fcols, gcols = _label_columns(f), _label_columns(g)
-    tidx = _layout(tgt).index
+    """f (x) g on graded pairs: source pair (a, b) of positions takes the
+    products of f's column a and g's column b that land inside the truncation."""
+    tpos = {p: i for i, p in enumerate(_shape(tgt).node.pairs)}
     cols = []
-    for sa, sb in _layout(src).coords:
+    for a, b in _shape(src).node.pairs:
         col = []
-        for ta, x in fcols[sa]:
-            for tb, y in gcols[sb]:
-                i = tidx.get((ta, tb))
+        for ta, x in f.cols[a]:
+            for tb, y in g.cols[b]:
+                i = tpos.get((ta, tb))
                 if i is not None:
                     col.append((i, x * y))
         cols.append(col)

@@ -4,27 +4,27 @@ Terms live in a dict from exponent tuples to Fractions; zero coefficients
 are dropped eagerly so equality of term dicts is equality of polynomials.
 Only what the oracles and the ball schemes need: ring operations,
 truncated products and exact evaluation. substitute, poly_sum,
-poly_product, eval_float and grad_float have no package caller; they are
-kept only because the benchmark's tracer (perfbench/layers.py) names
-them, and so are the float view and the gradient plan behind the last two
-(each coefficient as a float with its nonzero exponents; each partial
-derivative term as c k and the slots of its powers in a per-call power
-table). No bracket reads a float. The tests check this module against
-their own polynomial arithmetic (tests/reference.py), not against these.
-The term dict is never mutated after construction, so the derived views
-are built once per polynomial, on first use. The one the package reads is
-the integer view (L, D, [(L c_e, D - |e|, nonzero exponents)]) with L the
-lcm of the coefficient denominators and D the total degree. Exact
-evaluation reads it: the point is scaled by the lcm m of its denominators
-to integers k, L m^D p(k/m) is summed in integers, and one Fraction is
-made at the end; eval_family does so for a family of polynomials (a ball
-scheme's coordinates) at one point, scaling the point once. The oracle's
-grid scan, its Bernstein upper bound and the sign check read the same view.
+poly_product, scale, eval_float and grad_float have no package caller;
+they are kept only because the benchmark's tracer (perfbench/layers.py)
+names them, and the tests list them (TRACER_ONLY in tests/test_hygiene.py).
+The two float views are plain loops over the terms, with nothing cached;
+no bracket reads a float. The tests check this module against their own
+polynomial arithmetic (tests/reference.py), not against these.
+The term dict is never mutated after construction, so the one derived
+view is built once per polynomial, on first use: the integer view
+(L, D, [(L c_e, D - |e|, nonzero exponents)]) with L the lcm of the
+coefficient denominators and D the total degree. Exact evaluation reads
+it: the point is scaled by the lcm m of its denominators to integers k,
+L m^D p(k/m) is summed in integers, and one Fraction is made at the end;
+eval_family does so for a family of polynomials (a ball scheme's
+coordinates) at one point, scaling the point once. The oracle's grid
+scan, its Bernstein upper bound and the sign check read the same view.
 
 layout_products builds the monomial family of a multiset table, the
 product of the forms over every multiset, each from its prefix one grade
 down, in integers over one common denominator. poly_combination is the one
-linear combination sum_c k_c P_c that every bracket objective is built by.
+linear combination sum_c k_c P_c: every bracket objective is built by it,
+and so are sums and scalar multiples.
 """
 
 from __future__ import annotations
@@ -39,18 +39,15 @@ from .rationals import Q0, Q1, int_vector
 
 Expvec = tuple[int, ...]
 IntTerms = tuple[int, int, list[tuple[int, int, list[tuple[int, int]]]]]
-GradPlan = tuple[list[tuple[int, int]], list[tuple[int, float, list[int]]]]
 
 
 class Polynomial:
-    __slots__ = ("nvars", "terms", "_floats", "_ints", "_grad")
+    __slots__ = ("nvars", "terms", "_ints")
 
     def __init__(self, nvars: int, terms: Optional[dict[Expvec, Fraction]] = None):
         self.nvars = nvars
         self.terms: dict[Expvec, Fraction] = {}
-        self._floats: Optional[list[tuple[float, list[tuple[int, int]]]]] = None
         self._ints: Optional[IntTerms] = None
-        self._grad: Optional[GradPlan] = None
         if terms:
             for e, c in terms.items():
                 if len(e) != nvars:
@@ -91,20 +88,10 @@ class Polynomial:
     def __add__(self, other: "Polynomial") -> "Polynomial":
         if self.nvars != other.nvars:
             raise ValueError("variable count mismatch")
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            v = out.get(e, Q0) + c
-            if v == 0:
-                out.pop(e, None)
-            else:
-                out[e] = v
-        return Polynomial(self.nvars, out)
+        return poly_combination((1, 1), (self, other), self.nvars)
 
     def scale(self, c) -> "Polynomial":
-        cq = Fraction(c)
-        if cq == 0:
-            return Polynomial(self.nvars)
-        return Polynomial(self.nvars, {e: cq * v for e, v in self.terms.items()})
+        return poly_combination((Fraction(c),), (self,), self.nvars)
 
     def mul(self, other: "Polynomial", max_degree: Optional[int] = None) -> "Polynomial":
         if self.nvars != other.nvars:
@@ -208,50 +195,27 @@ class Polynomial:
 
     # -- float view: tracer-only, no package caller ------------------------
 
-    def _float_terms(self) -> list[tuple[float, list[tuple[int, int]]]]:
-        if self._floats is None:
-            self._floats = [
-                (float(c), [(i, k) for i, k in enumerate(e) if k])
-                for e, c in self.terms.items()
-            ]
-        return self._floats
-
     def eval_float(self, point: Sequence[float]) -> float:
         total = 0.0
-        for c, factors in self._float_terms():
-            v = c
-            for i, k in factors:
-                v *= point[i] ** k
+        for e, c in self.terms.items():
+            v = float(c)
+            for i, k in enumerate(e):
+                if k:
+                    v *= point[i] ** k
             total += v
         return total
 
-    def _grad_plan(self) -> GradPlan:
-        """The gradient as ([(j, p)], [(i, c k, [slots])]): one entry per
-        term and variable i with exponent k > 0, whose value is c k times
-        the product of point[j] ** p over its slots, in the term's
-        variable order; the (j, p) powers are listed once."""
-        if self._grad is None:
-            slot: dict[tuple[int, int], int] = {}
-            parts = []
-            for c, factors in self._float_terms():
-                for i, k in factors:
-                    slots = []
-                    for j, kj in factors:
-                        p = kj - 1 if j == i else kj
-                        if p:
-                            slots.append(slot.setdefault((j, p), len(slot)))
-                    parts.append((i, c * k, slots))
-            self._grad = (list(slot), parts)
-        return self._grad
-
     def grad_float(self, point: Sequence[float]) -> list[float]:
-        powers, parts = self._grad_plan()
-        table = [point[j] ** p for j, p in powers]
         g = [0.0] * self.nvars
-        for i, v, slots in parts:
-            for s in slots:
-                v *= table[s]
-            g[i] += v
+        for e, c in self.terms.items():
+            factors = [(i, k) for i, k in enumerate(e) if k]
+            for i, k in factors:
+                v = float(c) * k
+                for j, kj in factors:
+                    p = kj - 1 if j == i else kj
+                    if p:
+                        v *= point[j] ** p
+                g[i] += v
         return g
 
 
@@ -279,16 +243,13 @@ def eval_family(polys: Sequence[Polynomial], point: Sequence[Fraction]) -> tuple
     return tuple(out)
 
 
-def poly_sum(polys: Iterable[Polynomial], nvars: int) -> Polynomial:
-    out = Polynomial.zero(nvars)
-    for p in polys:
-        out = out + p
-    return out
+def poly_sum(polys: Sequence[Polynomial], nvars: int) -> Polynomial:
+    return poly_combination([1] * len(polys), polys, nvars)
 
 
 def poly_combination(coeffs: Sequence, polys: Sequence[Polynomial], nvars: int) -> Polynomial:
     """sum_c coeffs[c] polys[c] over the nonzero coeffs, in one dict. A
-    single coefficient 1 gives that polynomial itself, its derived views
+    single coefficient 1 gives that polynomial itself, its integer view
     kept; polynomials are never mutated, so it can be shared."""
     picked = [(k, p) for k, p in zip(coeffs, polys) if k]
     if len(picked) == 1 and picked[0][0] == 1:

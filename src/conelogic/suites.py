@@ -19,6 +19,7 @@ import random
 from fractions import Fraction
 
 from .backends import (
+    DUAL_TOL,
     cube_pcs,
     matrix_from_json,
     morphism_to_pcs_matrix,
@@ -457,11 +458,10 @@ def _qcs_trace(r: random.Random, trials: int) -> dict:
 
 
 def _qcs_duality(r: random.Random, trials: int) -> dict:
-    tol = 1e-8
     worst_tr, worst_op = 0.0, 0.0
     for _ in range(trials):
         n = r.randint(2, 8)
-        rep = qcs_duality_report(matrix_from_json(rand_psd(r, n)), tol)
+        rep = qcs_duality_report(matrix_from_json(rand_psd(r, n)))
         worst_tr = max(worst_tr, rep["trace_norm_duality_abs_err"])
         worst_op = max(worst_op, rep["op_norm_duality_abs_err"])
         if not rep["passed"]:
@@ -469,13 +469,13 @@ def _qcs_duality(r: random.Random, trials: int) -> dict:
                 "norm-duality",
                 False,
                 f"duality sup off by {worst_tr!r} / {worst_op!r} "
-                f"(tolerance {tol!r})",
+                f"(tolerance {DUAL_TOL!r})",
             )
     return _check(
         "norm-duality",
         True,
         f"both duality sups verified on {trials} PSD matrices, worst errors "
-        f"{worst_tr!r} and {worst_op!r} (tolerance {tol!r})",
+        f"{worst_tr!r} and {worst_op!r} (tolerance {DUAL_TOL!r})",
     )
 
 

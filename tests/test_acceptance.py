@@ -252,8 +252,9 @@ def test_criterion_10_spectral_norm_duality():
         n = r.randint(2, 8)
         m = matrix_from_json(rand_psd(r, n))
         assert abs(qcs_trace_norm(m) - float(m.trace())) <= 1e-9
-        rep = qcs_duality_report(m, 1e-8)
+        rep = qcs_duality_report(m)
         assert rep["passed"], rep
+        assert rep["tolerance"] == 1e-8
 
 
 def test_criterion_11_cli_reports_are_byte_identical(capsys, tmp_path):

@@ -309,6 +309,21 @@ def test_interpret_refuses_a_huge_trunc_at_once(capsys, formula):
     assert "graded dimension exceeds" in report["error"]["message"]
 
 
+@pytest.mark.parametrize(
+    "formula, trunc, size", [("!a * !a", "7", 245157), ("!a & !a", "11", 151164)]
+)
+def test_interpret_refuses_graded_pairs_and_sums_over_the_cap(capsys, tmp_path, formula, trunc, size):
+    # each factor is under the cap (6,435 and 75,582 coordinates); the
+    # pair or the sum is not
+    simplex = [[int(i == j) for j in range(8)] for i in range(8)]
+    env = _write_env(tmp_path, {"a": {"kind": "pcs", "dim": 8, "ball_gens": simplex}})
+    code, out = run(capsys, "interpret", "--env", env, "--formula", formula, "--trunc", trunc)
+    assert code == 2
+    report = json.loads(out)
+    assert report["error"]["type"] == "CapabilityError"
+    assert f"has {size} coordinates" in report["error"]["message"]
+
+
 def test_norm_rejects_negative_trunc(capsys):
     args = ("norm", "--env", ENV, "--object", "?a", "--vector", VECTOR, "--trunc", "-1")
     code, out = run(capsys, *args)

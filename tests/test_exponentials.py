@@ -134,6 +134,22 @@ def test_size_guard_reads_the_closed_form():
         whynot_obj(simplex_pcs(2), 10**12)
 
 
+def test_size_guard_covers_pairs_and_sums(monkeypatch):
+    # 35 multisets of size <= 4 over 3 coordinates per factor; 210 pairs
+    # of grade sum <= 4, and 70 coordinates side by side
+    monkeypatch.setattr(exponentials, "MAX_GRADED_DIM", 50)
+    b = bang_obj(simplex_pcs(3), 4)
+    assert b.dim == 35
+    with pytest.raises(CapabilityError, match="has 210 coordinates"):
+        graded_tensor_obj(b, b)
+    with pytest.raises(CapabilityError, match="has 210 coordinates"):
+        graded_par_obj(dual_object(b), dual_object(b))
+    with pytest.raises(CapabilityError, match="has 70 coordinates"):
+        graded_product_obj(b, b)
+    monkeypatch.setattr(exponentials, "MAX_GRADED_DIM", 210)
+    assert graded_tensor_obj(b, b).dim == 210
+
+
 def test_bang_is_dual_of_whynot():
     bg = bang_obj(Bool, 2)
     assert bg.label == "!Bool"
@@ -1113,6 +1129,7 @@ def _check_layout(node):
             for j in range(len(ro.coords))
             if lo.grades[i] + ro.grades[j] <= node.trunc
         ]
+        assert node.pairs == tuple(pairs)
         assert lay.coords == tuple((lo.coords[i], ro.coords[j]) for i, j in pairs)
         assert lay.grades == tuple(lo.grades[i] + ro.grades[j] for i, j in pairs)
         assert lay.weights == tuple(lo.weights[i] * ro.weights[j] for i, j in pairs)
@@ -1567,3 +1584,39 @@ def test_ascent_lower_bounds_are_pinned():
         assert (br.lower, br.argmax) == (best, witness)
         s = exponentials.primal_ball_scheme(dual_object(h))
         assert ref.bernstein_upper(_combined(k, s).terms, s.blocks) == upper
+
+
+# The paper's invariance: an isomorphism of atoms moves every norm of !A and
+# ?A along with it. For l a permutation times a positive diagonal, l maps A
+# onto l(A) and its inverse is of the same kind, so !l and ?l are isometries
+# at every truncation. The brackets are a claim about the computation, not
+# only about the norms: relabeling and rescaling coordinates moves each ball
+# scheme onto the other's, variable for variable, so both bounds must agree.
+
+
+@st.composite
+def moved_atoms(draw):
+    """A polyhedral atom (dim 2-3, at most 4 generators) and l: A -> l(A),
+    l(x)_r = s_r x_{p(r)} for a permutation p and scales s_r > 0."""
+    d = draw(st.integers(2, 3))
+    entry = st.fractions(min_value=0, max_value=3, max_denominator=4)
+    diag = [draw(st.fractions(min_value=F(1, 4), max_value=3, max_denominator=4)) for _ in range(d)]
+    pts = [[diag[i] if j == i else F(0) for j in range(d)] for i in range(d)]
+    pts += draw(st.lists(st.lists(entry, min_size=d, max_size=d), max_size=4 - d))
+    perm = draw(st.permutations(range(d)))
+    scales = [draw(st.fractions(min_value=F(1, 3), max_value=3, max_denominator=3)) for _ in range(d)]
+    rows = [[scales[r] if c == perm[r] else F(0) for c in range(d)] for r in range(d)]
+    a = from_p_gens(pts, d)
+    moved = from_p_gens([[scales[r] * p[perm[r]] for r in range(d)] for p in pts], d)
+    return mor(a, moved, rows)
+
+
+@settings(max_examples=25, deadline=None)
+@given(moved_atoms(), st.integers(1, 2), st.data())
+def test_graded_brackets_are_invariant_under_atom_isomorphisms(l, n, data):
+    entry = st.sampled_from([F(0), F(0), F(1, 3), F(2, 3), F(1)])
+    for obj, lift in ((bang_obj(l.source, n), bang_mor), (whynot_obj(l.source, n), whynot_mor)):
+        e = tuple(data.draw(st.lists(entry, min_size=obj.dim, max_size=obj.dim)))
+        moved = lift(l, n)
+        before, after = graded_norm_bounds(obj, e), graded_norm_bounds(moved.target, moved(e))
+        assert (before.lower, before.upper) == (after.lower, after.upper)

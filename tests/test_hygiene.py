@@ -1,13 +1,14 @@
 """Source hygiene: no module of the package, test file or demo imports a
 name it never uses, no public name is defined in two package modules,
-every name the benchmark's tracer patches still exists, the package's
-global caches are exactly the listed ones, the bracket primitives, a
-morphism's integer view and the multiset products are named only where
-listed, the modules on the bracket path compute no float, every public
-function or class of the package has a caller outside the tests, and
-`__all__` names exactly the names `__init__` imports. The tests'
-reference routes import from the package only the listed constructors and
-accessors, and no test module imports another.
+every name the benchmark's tracer patches still exists and the ones only
+the tracer reaches are listed, the package's global caches are exactly the
+listed ones, the bracket primitives, a morphism's integer view and the
+multiset products are named only where listed, the modules on the bracket
+path compute no float, every public function or class of the package has
+a caller outside the tests, and `__all__` names exactly the names
+`__init__` imports. The tests' reference routes import from the package
+only the listed constructors and accessors, and no test module imports
+another.
 
 `__init__.py` is exempt from the import check, since its imports are the
 public re-exports.
@@ -191,17 +192,16 @@ BRACKET_ROUTES = {
 }
 
 
-def _references(tree, scope):
-    """(name, qualified scope) of every Name and attribute in the tree."""
+def _references(tree, scope, kinds=(ast.Name, ast.Attribute)):
+    """(name, qualified scope) of every Name and attribute in the tree, or
+    of the given kinds of node only."""
     for node in ast.iter_child_nodes(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield from _references(node, f"{scope}.{node.name}")
+            yield from _references(node, f"{scope}.{node.name}", kinds)
             continue
-        if isinstance(node, ast.Name):
-            yield node.id, scope
-        elif isinstance(node, ast.Attribute):
-            yield node.attr, scope
-        yield from _references(node, scope)
+        if isinstance(node, kinds):
+            yield (node.id if isinstance(node, ast.Name) else node.attr), scope
+        yield from _references(node, scope, kinds)
 
 
 def test_bracket_routes_are_listed():
@@ -341,6 +341,42 @@ def test_public_definitions_have_a_package_caller():
         and all(s == f"{mod}.{fn}" or s.startswith(f"{mod}.{fn}.") for s in scopes.get(fn, ()))
     ]
     assert not unreached, f"public names no package caller reaches: {unreached}"
+
+
+# Every name the benchmark's tracer patches that __init__ does not export
+# and that no package scope but its own names: a function by a bare name, a
+# method by an attribute. They are kept only so that traced runs keep
+# working, and are the ones to delete with their tracer entries. Dunder
+# methods are left out, since an operator calls them without naming them.
+TRACER_ONLY = [
+    "exponentials.graded_tensor_mor",
+    "polynomials.Polynomial.eval_float",
+    "polynomials.Polynomial.grad_float",
+    "polynomials.Polynomial.scale",
+    "polynomials.Polynomial.substitute",
+    "polynomials.poly_product",
+    "polynomials.poly_sum",
+]
+
+
+def test_tracer_only_names_are_listed():
+    exported = set(_imported(_parse(os.path.join(PKG, "__init__.py"))))
+    scopes = {ast.Name: {}, ast.Attribute: {}}
+    for name, tree in _package_trees():
+        for kind, found in scopes.items():
+            for ref, scope in _references(tree, name[:-3], (kind,)):
+                found.setdefault(ref, set()).add(scope)
+    tracer_only = []
+    for module, names in _tracer_layers().values():
+        for name in names:
+            owner, _, attr = name.rpartition(".")
+            if name in exported or attr.startswith("__"):
+                continue
+            home = f"{module}.{name}"
+            refs = scopes[ast.Attribute if owner else ast.Name].get(attr, ())
+            if all(s == home or s.startswith(f"{home}.") for s in refs):
+                tracer_only.append(home)
+    assert sorted(tracer_only) == TRACER_ONLY
 
 
 def test_exports_are_the_imports():

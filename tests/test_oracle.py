@@ -601,7 +601,7 @@ def test_coefficient_beyond_float_range_is_bracketed_exactly(monkeypatch):
     def no_float(self, *args):
         raise AssertionError("the oracle read a float view")
 
-    for name in ("eval_float", "grad_float", "_float_terms", "_grad_plan"):
+    for name in ("eval_float", "grad_float"):
         monkeypatch.setattr(Polynomial, name, no_float)
     huge = F(10**400)
     p = Polynomial(2, {(1, 1): huge, (2, 0): F(1)})
@@ -611,36 +611,3 @@ def test_coefficient_beyond_float_range_is_bracketed_exactly(monkeypatch):
     assert br.lower == p.eval_exact(br.argmax) == huge / 4 + F(1, 4)
     assert br.upper == averaged_upper(p, (2,)) == huge / 2  # 1 and huge / 2
     assert br.lower <= br.upper
-
-
-@settings(max_examples=150, deadline=None)
-@given(
-    st.integers(1, 5).flatmap(
-        lambda n: st.tuples(
-            st.dictionaries(
-                st.tuples(*([st.integers(0, 4)] * n)),
-                st.fractions(min_value=0, max_value=9, max_denominator=11),
-                max_size=8,
-            ).map(lambda terms: Polynomial(n, terms)),
-            st.lists(
-                st.lists(st.floats(0, 2, allow_subnormal=False), min_size=n, max_size=n),
-                min_size=1,
-                max_size=3,
-            ),
-        )
-    )
-)
-def test_grad_float_reads_its_plan_bit_for_bit(poly_and_points):
-    poly, points = poly_and_points
-    for t in points:  # the cached plan serves every point
-        want = [0.0] * poly.nvars
-        for e, c in poly.terms.items():
-            factors = [(i, k) for i, k in enumerate(e) if k]
-            for i, k in factors:
-                v = float(c) * k
-                for j, kj in factors:
-                    p = kj - 1 if j == i else kj
-                    if p:
-                        v *= t[j] ** p
-                want[i] += v
-        assert [x.hex() for x in poly.grad_float(t)] == [x.hex() for x in want]
