@@ -5,32 +5,23 @@ the primal ball generators in coordinates, the dual side is the exact polar.
 They embed in the general machinery with no special casing, which is itself
 one of the checked laws.
 
-The spectral backend is the n x n real symmetric PSD cone with the trace
-norm on one side and the operator norm on the other, paired by tr(LM). It is
-float-only (eigendecompositions) with documented tolerances:
-
-    PSD_TOL     1e-9    eigenvalue floor for membership,
-    DUAL_TOL    1e-8    norm-duality identities.
-
-It is object-level only: no morphisms, and the constructive connectives
-reject spectral operands (min/max tensor products of PSD cones are not
-finitely generated, so they have no honest home in this exact package).
+The spectral object is the n x n real symmetric PSD cone with the trace
+norm on one side and the operator norm on the other. This module only
+builds it; its float arithmetic lives in spectral.py. It is object-level
+only: no morphisms, and the constructive connectives reject spectral
+operands (min/max tensor products of PSD cones are not finitely generated,
+so they have no honest home in this exact package).
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
-
 from .cones import Backend, ConeObject, from_p_gens
-from .errors import DimensionError, MembershipError
+from .errors import DimensionError
 from .mall import Morphism, is_contraction, mor
 from .polyhedra import sort_generators
 from .rationals import MatQ, VecQ, mat, transpose, unit, vec
-
-PSD_TOL = 1e-9
-DUAL_TOL = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -116,82 +107,3 @@ def qcs_object(n: int) -> ConeObject:
         spectral_n=n,
         spectral_trace_primal=True,
     )
-
-
-def as_matrix(a: ConeObject, x: Sequence) -> np.ndarray:
-    n = a.spectral_n
-    arr = np.asarray([float(v) for v in x], dtype=float)
-    if arr.size != n * n:
-        raise DimensionError(n * n, arr.size, "spectral element")
-    return arr.reshape(n, n)
-
-
-def _check_symmetric(m: np.ndarray) -> None:
-    if not np.allclose(m, m.T, atol=PSD_TOL):
-        raise MembershipError("matrix is not symmetric within tolerance")
-
-
-def qcs_check_psd(m: np.ndarray) -> None:
-    """Raise with an eigenvector witness if m is not PSD within PSD_TOL."""
-    _check_symmetric(m)
-    w, v = np.linalg.eigh(m)
-    if w[0] < -PSD_TOL:
-        raise MembershipError(
-            f"matrix has negative eigenvalue {w[0]:.3e}",
-            witness=tuple(float(x) for x in v[:, 0]),
-        )
-
-
-def qcs_trace_norm(m: np.ndarray) -> float:
-    """Trace norm of a PSD matrix: sum of eigenvalues = trace."""
-    qcs_check_psd(m)
-    return float(np.trace(m))
-
-
-def qcs_op_norm(m: np.ndarray) -> float:
-    """Operator norm of a PSD matrix: largest eigenvalue."""
-    qcs_check_psd(m)
-    return float(np.linalg.eigvalsh(m)[-1])
-
-
-def qcs_pair(l: np.ndarray, m: np.ndarray) -> float:
-    return float(np.trace(l @ m))
-
-
-def qcs_duality_report(m: np.ndarray) -> dict:
-    """Check both norm-duality identities, within DUAL_TOL, by independent
-    numerical routes.
-
-    sup over 0 <= L <= I of tr(LM) equals tr(M): left side evaluated by
-    clipping the spectrum (the optimizer is the projector onto the positive
-    eigenspace). sup over PSD trace-ball of tr(LM) equals lambda_max(M):
-    left side evaluated through the SVD-based 2-norm, a different route from
-    eigh.
-    """
-    qcs_check_psd(m)
-    w = np.linalg.eigvalsh(m)
-    sup_box = float(np.clip(w, 0.0, None).sum())
-    trace = float(np.trace(m))
-    sup_ball = float(np.linalg.norm(m, 2))
-    lam_max = float(w[-1])
-    return {
-        "trace_norm_duality_abs_err": abs(sup_box - trace),
-        "op_norm_duality_abs_err": abs(sup_ball - lam_max),
-        "passed": abs(sup_box - trace) <= DUAL_TOL and abs(sup_ball - lam_max) <= DUAL_TOL,
-        "tolerance": DUAL_TOL,
-    }
-
-
-def spectral_norm_primal(a: ConeObject, x: VecQ) -> float:
-    m = as_matrix(a, x)
-    if a.spectral_trace_primal:
-        return qcs_trace_norm(m)
-    return qcs_op_norm(m)
-
-
-def check_psd_membership(a: ConeObject, x: VecQ) -> None:
-    qcs_check_psd(as_matrix(a, x))
-
-
-def matrix_from_json(rows: list[list[float]]) -> np.ndarray:
-    return np.asarray(rows, dtype=float)

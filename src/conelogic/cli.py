@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 from .cones import Backend, ConeObject, in_cone, norm_primal
@@ -41,6 +40,7 @@ from .formulas import (
 )
 from .interpreter import interpret, load_env
 from .jsonio import SCHEMA, check_schema, dump_report, frac_str, mat_json, parse_vec, vec_json
+from .spectral import NORM_PROVENANCE, read_vector
 from .suites import SUITE_NAMES, run_suites
 
 
@@ -164,13 +164,7 @@ def _load_vector(path: str, obj: ConeObject):
         raise ConelogicError(f"{path}: expected an object with a 'vector' list")
     check_schema(data, path)
     if obj.backend is Backend.SPECTRAL:
-        try:
-            x = tuple(float(v) for v in data["vector"])
-        except (TypeError, ValueError, OverflowError) as e:
-            raise ConelogicError(f"{path}: not a number in 'vector': {e}") from e
-        if not all(map(math.isfinite, x)):
-            raise ConelogicError(f"{path}: 'vector' holds a value that is not finite")
-        return x
+        return read_vector(data["vector"], path)
     return parse_vec(data["vector"])
 
 
@@ -207,11 +201,7 @@ def _cmd_norm(args) -> int:
         elif obj.backend is Backend.SPECTRAL:
             n = norm_primal(obj, x)
             report["vector"] = list(x)
-            report["result"] = {
-                "kind": "float",
-                "value": n,
-                "provenance": "eigenvalue routine; PSD tolerance 1e-9",
-            }
+            report["result"] = {"kind": "float", "value": n, "provenance": NORM_PROVENANCE}
         else:
             if not in_cone(obj, x):
                 raise ConelogicError("vector is outside the positive cone")

@@ -27,7 +27,7 @@ Three backends share the ConeObject container:
     POLYHEDRAL  exact rational generator lists, possibly with one side held
                 implicitly (tensor constructions; see ImplicitTensorBall),
     SPECTRAL    positive semidefinite matrix cones with float norms
-                (trace norm / operator norm), handled in backends,
+                (trace norm / operator norm), computed in spectral,
     GRADED      truncated power-series objects whose norms are bracketed by
                 oracles in the exponential modules, never evaluated here.
 
@@ -49,6 +49,7 @@ from .errors import CapabilityError, DimensionError, MembershipError
 from .lp import LpStatus, constraint, lp_maximize, lp_minimize, problem
 from .polyhedra import DD_MAX_DIM, polar_of_points, polar_vertices, reduce_generators
 from .rationals import Q0, Q1, IntRows, VecQ, int_keys, int_rows, is_zero, max_pairing, unit, vec
+from .spectral import check_psd_membership, spectral_norm_primal
 
 
 class Backend(enum.Enum):
@@ -224,9 +225,7 @@ def check_membership(a: ConeObject, x: VecQ) -> None:
     A separating functional is a coordinate functional in both failure modes.
     """
     if a.backend is Backend.SPECTRAL:
-        from . import backends
-
-        backends.check_psd_membership(a, x)
+        check_psd_membership(a, x)
         return
     if len(x) != a.dim:
         raise DimensionError(a.dim, len(x), "membership")
@@ -289,9 +288,7 @@ def norm_primal(a: ConeObject, x: VecQ) -> Fraction:
     if len(x) != a.dim:
         raise DimensionError(a.dim, len(x), "norm_primal")
     if a.backend is Backend.SPECTRAL:
-        from . import backends
-
-        return backends.spectral_norm_primal(a, x)
+        return spectral_norm_primal(a, x)
     if a.backend is Backend.GRADED:
         raise CapabilityError(
             "graded norms are bracketed, not exact",

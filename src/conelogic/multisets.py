@@ -162,8 +162,9 @@ class Layout:
 def graded_layout(dim: int, trunc: int) -> Layout:
     """The multisets of size <= trunc over range(dim), degree-major, with
     their integer multiplicities as weights. Grade n is the last block of
-    graded_layout(dim, n), mset_count(dim, n) labels long."""
-    coords = tuple(m for n in range(trunc + 1) for m in msets(dim, n))
+    graded_layout(dim, n), mset_count(dim, n) labels long. Over no
+    coordinates only grade 0, the empty multiset, is visited."""
+    coords = tuple(m for n in range(trunc + 1 if dim else 1) for m in msets(dim, n))
     return Layout(
         coords,
         tuple(len(m) for m in coords),

@@ -96,11 +96,3 @@ def rand_pcs_matrix(r: random.Random, d_src: int, d_tgt: int) -> MatQ:
         rows.append(tuple(row))
     return tuple(rows)
 
-
-def rand_psd(r: random.Random, n: int) -> list[list[float]]:
-    """Random PSD matrix G Gᵀ with Gaussian factor entries."""
-    g = [[r.gauss(0.0, 1.0) for _ in range(n)] for _ in range(n)]
-    return [
-        [sum(g[i][k] * g[j][k] for k in range(n)) for j in range(n)]
-        for i in range(n)
-    ]

@@ -19,14 +19,10 @@ import random
 from fractions import Fraction
 
 from .backends import (
-    DUAL_TOL,
     cube_pcs,
-    matrix_from_json,
     morphism_to_pcs_matrix,
     pcs_contraction_flag,
     pcs_matrix_to_morphism,
-    qcs_duality_report,
-    qcs_trace_norm,
     simplex_pcs,
 )
 from .cones import (
@@ -77,9 +73,9 @@ from .sampling import (
     rand_gens,
     rand_object,
     rand_pcs_matrix,
-    rand_psd,
     rand_vec,
 )
+from .spectral import DUAL_TOL, PSD_TOL, qcs_duality_report, qcs_trace_norm, rand_psd
 
 SUITE_NAMES = ("mall", "exp", "pcs", "qcs")
 
@@ -438,22 +434,19 @@ def suite_pcs(seed: int, trials: int) -> list[dict]:
 
 
 def _qcs_trace(r: random.Random, trials: int) -> dict:
-    tol = 1e-9
     worst = 0.0
     for _ in range(trials):
         n = r.randint(2, 8)
-        m = matrix_from_json(rand_psd(r, n))
+        m = rand_psd(r, n)
         err = abs(qcs_trace_norm(m) - float(m.trace()))
         worst = max(worst, err)
-        if err > tol:
-            return _check(
-                "trace-norm", False, f"trace norm off by {err!r} (tolerance {tol!r})"
-            )
+        if err > PSD_TOL:
+            return _check("trace-norm", False, f"trace norm off by {err!r} (tolerance {PSD_TOL!r})")
     return _check(
         "trace-norm",
         True,
         f"trace norm = trace on {trials} PSD matrices, worst error {worst!r} "
-        f"(tolerance {tol!r})",
+        f"(tolerance {PSD_TOL!r})",
     )
 
 
@@ -461,7 +454,7 @@ def _qcs_duality(r: random.Random, trials: int) -> dict:
     worst_tr, worst_op = 0.0, 0.0
     for _ in range(trials):
         n = r.randint(2, 8)
-        rep = qcs_duality_report(matrix_from_json(rand_psd(r, n)))
+        rep = qcs_duality_report(rand_psd(r, n))
         worst_tr = max(worst_tr, rep["trace_norm_duality_abs_err"])
         worst_op = max(worst_op, rep["op_norm_duality_abs_err"])
         if not rep["passed"]:

@@ -11,14 +11,7 @@ import time
 from fractions import Fraction as F
 
 from conelogic import cli
-from conelogic.backends import (
-    matrix_from_json,
-    morphism_to_pcs_matrix,
-    pcs_matrix_to_morphism,
-    qcs_duality_report,
-    qcs_trace_norm,
-    simplex_pcs,
-)
+from conelogic.backends import morphism_to_pcs_matrix, pcs_matrix_to_morphism, simplex_pcs
 from conelogic.cones import (
     dual_object,
     gauge_norm,
@@ -62,9 +55,9 @@ from conelogic.sampling import (
     rand_gens,
     rand_object,
     rand_pcs_matrix,
-    rand_psd,
     rand_vec,
 )
+from conelogic.spectral import qcs_duality_report, qcs_trace_norm, rand_psd
 from conelogic.symmetric import (
     new_norm_bounds,
     old_norm,
@@ -250,7 +243,7 @@ def test_criterion_10_spectral_norm_duality():
     r = random.Random(110)
     for _ in range(100):
         n = r.randint(2, 8)
-        m = matrix_from_json(rand_psd(r, n))
+        m = rand_psd(r, n)
         assert abs(qcs_trace_norm(m) - float(m.trace())) <= 1e-9
         rep = qcs_duality_report(m)
         assert rep["passed"], rep

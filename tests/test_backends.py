@@ -12,18 +12,14 @@ from conelogic.backends import (
     pcs_contraction_flag,
     pcs_matrix_to_morphism,
     pcs_object,
-    qcs_check_psd,
-    qcs_duality_report,
     qcs_object,
-    qcs_op_norm,
-    qcs_pair,
-    qcs_trace_norm,
     simplex_pcs,
 )
 from conelogic.cones import dual_object, from_both_gens, norm_primal, validate_object
 from conelogic.errors import MembershipError
 from conelogic.mall import identity, morphism_norm
 from conelogic.rationals import mat, unit, vec
+from conelogic.spectral import qcs_check_psd, qcs_duality_report, qcs_op_norm, qcs_pair, qcs_trace_norm
 from reference import eye
 
 F = Fraction

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conelogic import cli
+from conelogic import cli, spectral
 from corpus import GOLDEN
 
 ENV = os.path.join(GOLDEN, "env.json")
@@ -435,6 +435,45 @@ def test_spectral_norm_rejects_non_finite_entries(capsys, tmp_path, entry):
     assert report["schema"] == 1
     assert report["error"]["type"] == "ConelogicError"
     assert "not finite" in report["error"]["message"]
+
+
+def test_spectral_norm_refuses_booleans(capsys, tmp_path):
+    # JSON true is not a number, as in an exact vector.
+    vector = tmp_path / "x.json"
+    vector.write_text('{"schema": 1, "vector": [true, false, false, true]}')
+    code, out = run(capsys, "norm", "--env", ENV, "--object", "q", "--vector", str(vector))
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["type"] == "ConelogicError"
+    assert "not a number" in error["message"]
+
+
+@pytest.mark.parametrize("obj, value", [("q", 2.0), ("q^", 1.0)])
+def test_spectral_norm_report(capsys, tmp_path, obj, value):
+    # The trace norm of the 2 x 2 identity is 2, its operator norm 1.
+    vector = tmp_path / "x.json"
+    vector.write_text('{"schema": 1, "vector": [1, 0, 0, 1]}')
+    code, out = run(
+        capsys, "norm", "--env", ENV, "--object", obj, "--vector", str(vector), "--trunc", "3"
+    )
+    assert code == 0
+    expected = {
+        "schema": 1,
+        "command": "norm",
+        "object": obj,
+        "trunc": 3,
+        "vector": [1.0, 0.0, 0.0, 1.0],
+        "result": {
+            "kind": "float",
+            "provenance": "eigenvalue routine; PSD tolerance 1e-9",
+            "value": value,
+        },
+    }
+    assert out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+
+def test_spectral_provenance_states_the_tolerance():
+    assert float(spectral.NORM_PROVENANCE.split()[-1]) == spectral.PSD_TOL
 
 # Random requests: formulas from grammar tokens, valid and broken env
 # documents, vectors of the interpreted dimension or of a wrong length.

@@ -3,10 +3,11 @@ name it never uses, no public name is defined in two package modules,
 every name the benchmark's tracer patches still exists and the ones only
 the tracer reaches are listed, the package's global caches are exactly the
 listed ones, the bracket primitives, a morphism's integer view and the
-multiset products are named only where listed, the modules on the bracket
-path compute no float, every public function or class of the package has
-a caller outside the tests, and `__all__` names exactly the names
-`__init__` imports. The tests' reference routes import from the package
+multiset products are named only where listed, only the listed modules
+compute with floats, only `spectral` imports numpy and no exact request
+loads it, every public function or class of the package has a caller
+outside the tests, and `__all__` names exactly the names `__init__`
+imports. The tests' reference routes import from the package
 only the listed constructors and accessors, and no test module imports
 another.
 
@@ -16,7 +17,10 @@ public re-exports.
 
 import ast
 import importlib
+import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -288,13 +292,18 @@ def test_product_routes_are_listed():
     assert {k: sorted(v) for k, v in found.items()} == PRODUCT_ROUTES
 
 
-# The modules every norm, polar and bracket is computed in hold no float:
-# they name no `float`, hold no float literal and read no float view of a
-# polynomial (eval_float and grad_float are kept for the benchmark's tracer
-# only). A float on this path has to be argued for here.
+# The package modules that may hold a float. Every other one, and so every
+# module a norm, polar or bracket is computed in, names no `float`, holds no
+# float literal and reads no float view of a polynomial. A float anywhere
+# else has to be argued for here.
+FLOAT_MODULES = [
+    "jsonio",  # names float only to refuse it
+    "polynomials",  # the float views eval_float and grad_float, for the tracer only
+    "spectral",  # the spectral backend's arithmetic
+    "suites",  # the float bookkeeping of the qcs checks
+]
 FLOAT_FREE = [
-    "cones", "exponentials", "lp", "mall", "multisets", "oracle", "polyhedra",
-    "rationals", "symmetric",
+    name[:-3] for _, name in SOURCES if "/" not in name and name[:-3] not in FLOAT_MODULES
 ]
 FLOAT_VIEWS = {"eval_float", "grad_float"}
 
@@ -313,6 +322,58 @@ def _floats(tree):
 def test_bracket_path_computes_no_float(module):
     found = list(_floats(_parse(os.path.join(PKG, f"{module}.py"))))
     assert not found, f"{module}.py: {found}"
+
+
+def test_only_spectral_imports_numpy():
+    trees = _package_trees() + [("__init__.py", _parse(os.path.join(PKG, "__init__.py")))]
+    found = [
+        name
+        for name, tree in trees
+        if name != "spectral.py"
+        and any(m.split(".")[0] == "numpy" for m in _imported_modules(tree))
+    ]
+    assert not found, f"modules importing numpy: {found}"
+
+
+# Runs each command line in one fresh interpreter and prints its exit code
+# and whether numpy is loaded after it.
+_PROBE = """
+import contextlib, io, json, sys
+import conelogic
+from conelogic import cli
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    print(code, "numpy" in sys.modules)
+"""
+
+
+def test_exact_requests_leave_numpy_unloaded(tmp_path):
+    env = os.path.join(ROOT, "tests", "golden", "env.json")
+    graded = os.path.join(ROOT, "tests", "golden", "vector.json")
+    flat = tmp_path / "flat.json"
+    flat.write_text('{"schema": 1, "vector": ["1/2", "1/3"]}')
+    square = tmp_path / "square.json"
+    square.write_text('{"schema": 1, "vector": [1, 0, 0, 1]}')
+    requests = [
+        ["parse", "--formula", "!a * b -o c"],
+        ["interpret", "--env", env, "--formula", "a * b^"],
+        ["interpret", "--env", env, "--formula", "?a", "--trunc", "2"],
+        ["norm", "--env", env, "--object", "a", "--vector", str(flat)],
+        ["norm", "--env", env, "--object", "?a", "--vector", graded, "--trunc", "2"],
+        ["check", "--suite", "mall", "--trials", "2"],
+        # the control: a spectral request does load it
+        ["norm", "--env", env, "--object", "q", "--vector", str(square)],
+    ]
+    path = os.pathsep.join(p for p in (os.path.dirname(PKG), os.environ.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c", _PROBE, json.dumps(requests)],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out.split("\n")[:-1] == ["0 False"] * (len(requests) - 1) + ["0 True"]
 
 
 def test_public_definitions_have_a_package_caller():

@@ -6,6 +6,7 @@ from math import comb
 
 from hypothesis import given, strategies as st
 
+from conelogic import multisets
 from conelogic.multisets import (
     graded_layout,
     mset_count,
@@ -42,6 +43,21 @@ def test_degree_zero_and_dim_zero():
     assert mset_count(0, 3) == 0
     lay = graded_layout(0, 3)
     assert (lay.coords, lay.grades, lay.weights) == (((),), (0,), (1,))
+
+
+def test_layout_over_no_coordinates_visits_grade_zero_only(monkeypatch):
+    # Every grade above 0 is empty over no coordinates; visiting them made
+    # the table quadratic in the truncation.
+    calls = [0]
+    real = multisets.msets
+
+    def counted(dim, degree):
+        calls[0] += 1
+        return real(dim, degree)
+
+    monkeypatch.setattr(multisets, "msets", counted)
+    assert graded_layout.__wrapped__(0, 1000).coords == ((),)
+    assert calls[0] == 1
 
 
 def test_multiplicity_values():
