@@ -7,7 +7,7 @@ one of the checked laws.
 
 The spectral object is the n x n real symmetric PSD cone with the trace
 norm on one side and the operator norm on the other. This module only
-builds it; its float arithmetic lives in spectral.py. It is object-level
+builds it; its exact arithmetic lives in spectral.py. It is object-level
 only: no morphisms, and the constructive connectives reject spectral
 operands (min/max tensor products of PSD cones are not finitely generated,
 so they have no honest home in this exact package).

@@ -4,8 +4,9 @@ Four subcommands: `parse` (grammar check plus dual-normalized form),
 `interpret` (build the object a formula denotes), `norm` (exact value or
 oracle bracket for one element), `check` (seeded law suites). Every JSON
 report carries `"schema": 1`, is key-sorted, and contains no timestamps or
-machine state, so identical invocations are byte-identical; inexact numbers
-always travel with their tolerance or bracket.
+machine state, so identical invocations are byte-identical; every number is
+an exact rational, and a norm that is not known exactly is a certified
+bracket.
 
 Exit codes: 0 on success (for `check`, all suites passed), 1 when a check
 fails, 2 on bad input (syntax, environment, capability). A command line
@@ -40,7 +41,7 @@ from .formulas import (
 )
 from .interpreter import interpret, load_env
 from .jsonio import SCHEMA, check_schema, dump_report, frac_str, mat_json, parse_vec, vec_json
-from .spectral import NORM_PROVENANCE, read_vector
+from .spectral import spectral_norm_bounds
 from .suites import SUITE_NAMES, run_suites
 
 
@@ -157,14 +158,12 @@ def _cmd_interpret(args) -> int:
     return 0
 
 
-def _load_vector(path: str, obj: ConeObject):
+def _load_vector(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, dict) or not isinstance(data.get("vector"), list):
         raise ConelogicError(f"{path}: expected an object with a 'vector' list")
     check_schema(data, path)
-    if obj.backend is Backend.SPECTRAL:
-        return read_vector(data["vector"], path)
     return parse_vec(data["vector"])
 
 
@@ -175,7 +174,7 @@ def _cmd_norm(args) -> int:
         ast = parse_formula(args.object)
         env = load_env(args.env, atom_names(ast))
         obj = interpret(ast, env, args.trunc)
-        x = _load_vector(args.vector, obj)
+        x = _load_vector(args.vector)
         if len(x) != obj.dim:
             raise ConelogicError(
                 f"vector has {len(x)} coordinates, object has {obj.dim}"
@@ -185,10 +184,15 @@ def _cmd_norm(args) -> int:
             "command": "norm",
             "object": format_formula(ast),
             "trunc": args.trunc,
+            "vector": vec_json(x),
         }
-        if obj.backend is Backend.GRADED:
-            br = graded_norm_bounds(obj, x)
-            report["vector"] = vec_json(x)
+        if obj.backend is Backend.POLYHEDRAL:
+            if not in_cone(obj, x):
+                raise ConelogicError("vector is outside the positive cone")
+            report["result"] = {"kind": "exact", "value": frac_str(norm_primal(obj, x))}
+        else:
+            bounds = graded_norm_bounds if obj.backend is Backend.GRADED else spectral_norm_bounds
+            br = bounds(obj, x)
             if br.lower == br.upper:
                 report["result"] = {"kind": "exact", "value": frac_str(br.lower)}
             else:
@@ -198,16 +202,6 @@ def _cmd_norm(args) -> int:
                     "upper": frac_str(br.upper),
                     "provenance": br.note,
                 }
-        elif obj.backend is Backend.SPECTRAL:
-            n = norm_primal(obj, x)
-            report["vector"] = list(x)
-            report["result"] = {"kind": "float", "value": n, "provenance": NORM_PROVENANCE}
-        else:
-            if not in_cone(obj, x):
-                raise ConelogicError("vector is outside the positive cone")
-            n = norm_primal(obj, x)
-            report["vector"] = vec_json(x)
-            report["result"] = {"kind": "exact", "value": frac_str(n)}
     except (ConelogicError, OSError, json.JSONDecodeError, UnicodeDecodeError) as e:
         return _error_report("norm", e)
     _emit(report)

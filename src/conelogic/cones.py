@@ -26,8 +26,8 @@ Three backends share the ConeObject container:
 
     POLYHEDRAL  exact rational generator lists, possibly with one side held
                 implicitly (tensor constructions; see ImplicitTensorBall),
-    SPECTRAL    positive semidefinite matrix cones with float norms
-                (trace norm / operator norm), computed in spectral,
+    SPECTRAL    positive semidefinite matrix cones: the trace norm exact,
+                the operator norm a certified bracket, both in spectral,
     GRADED      truncated power-series objects whose norms are bracketed by
                 oracles in the exponential modules, never evaluated here.
 
@@ -49,7 +49,7 @@ from .errors import CapabilityError, DimensionError, MembershipError
 from .lp import LpStatus, constraint, lp_maximize, lp_minimize, problem
 from .polyhedra import DD_MAX_DIM, polar_of_points, polar_vertices, reduce_generators
 from .rationals import Q0, Q1, IntRows, VecQ, int_keys, int_rows, is_zero, max_pairing, unit, vec
-from .spectral import check_psd_membership, spectral_norm_primal
+from .spectral import as_matrix, qcs_check_psd
 
 
 class Backend(enum.Enum):
@@ -225,7 +225,7 @@ def check_membership(a: ConeObject, x: VecQ) -> None:
     A separating functional is a coordinate functional in both failure modes.
     """
     if a.backend is Backend.SPECTRAL:
-        check_psd_membership(a, x)
+        qcs_check_psd(as_matrix(a, x))
         return
     if len(x) != a.dim:
         raise DimensionError(a.dim, len(x), "membership")
@@ -287,12 +287,11 @@ def norm_primal(a: ConeObject, x: VecQ) -> Fraction:
     """Exact primal norm: max pairing against the dual ball."""
     if len(x) != a.dim:
         raise DimensionError(a.dim, len(x), "norm_primal")
-    if a.backend is Backend.SPECTRAL:
-        return spectral_norm_primal(a, x)
-    if a.backend is Backend.GRADED:
+    if a.backend is not Backend.POLYHEDRAL:
         raise CapabilityError(
-            "graded norms are bracketed, not exact",
-            "use graded_norm_bounds, which takes the same object and coordinates",
+            f"{a.backend.value} norms are bracketed, not exact",
+            "use graded_norm_bounds or spectral_norm_bounds, which take the same "
+            "object and coordinates",
         )
     if a.q_ball_gens is not None:
         return _gen_max(a.q_rows, a.weights, x)

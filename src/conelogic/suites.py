@@ -1,12 +1,11 @@
 """Law-check suites behind the `check` command.
 
 Each suite is a list of named checks, every check a dict with keys `name`,
-`passed`, `detail`. Details carry the worked numbers: exact values print as
-fractions, floating-point values print with their tolerance so nothing
-inexact appears without its provenance. All randomness comes from
-per-suite seeded generators (seed "<K>/<suite>"), so `check --suite exp`
-reproduces the exp section of `check --suite all` with the same seed and
-reports are byte-stable.
+`passed`, `detail`. Details carry the worked numbers, exact values
+printed as fractions. All randomness comes from per-suite seeded
+generators (seed "<K>/<suite>"), so `check --suite exp` reproduces the exp
+section of `check --suite all` with the same seed and reports are
+byte-stable.
 
 Suites run sequentially. The functions underneath are pure, so fanning them
 out would be safe, but desk-scale runtimes (well under a second a suite)
@@ -75,7 +74,7 @@ from .sampling import (
     rand_pcs_matrix,
     rand_vec,
 )
-from .spectral import DUAL_TOL, PSD_TOL, qcs_duality_report, qcs_trace_norm, rand_psd
+from .spectral import qcs_duality_report, qcs_trace_norm, rand_psd
 
 SUITE_NAMES = ("mall", "exp", "pcs", "qcs")
 
@@ -434,41 +433,26 @@ def suite_pcs(seed: int, trials: int) -> list[dict]:
 
 
 def _qcs_trace(r: random.Random, trials: int) -> dict:
-    worst = 0.0
     for _ in range(trials):
-        n = r.randint(2, 8)
-        m = rand_psd(r, n)
-        err = abs(qcs_trace_norm(m) - float(m.trace()))
-        worst = max(worst, err)
-        if err > PSD_TOL:
-            return _check("trace-norm", False, f"trace norm off by {err!r} (tolerance {PSD_TOL!r})")
-    return _check(
-        "trace-norm",
-        True,
-        f"trace norm = trace on {trials} PSD matrices, worst error {worst!r} "
-        f"(tolerance {PSD_TOL!r})",
-    )
+        m, squares = rand_psd(r, r.randint(2, 8))
+        if qcs_trace_norm(m) != squares:
+            return _check("trace-norm", False, f"trace norm of G G^T is not {squares}")
+    return _check("trace-norm", True, f"trace norm = sum of g_ij^2 on {trials} PSD matrices G G^T")
 
 
 def _qcs_duality(r: random.Random, trials: int) -> dict:
-    worst_tr, worst_op = 0.0, 0.0
+    closed = 0
     for _ in range(trials):
-        n = r.randint(2, 8)
-        rep = qcs_duality_report(rand_psd(r, n))
-        worst_tr = max(worst_tr, rep["trace_norm_duality_abs_err"])
-        worst_op = max(worst_op, rep["op_norm_duality_abs_err"])
+        rep = qcs_duality_report(rand_psd(r, r.randint(2, 8))[0])
         if not rep["passed"]:
-            return _check(
-                "norm-duality",
-                False,
-                f"duality sup off by {worst_tr!r} / {worst_op!r} "
-                f"(tolerance {DUAL_TOL!r})",
-            )
+            side = "operator" if rep["trace_ok"] else "trace"
+            return _check("norm-duality", False, f"{side}-norm duality fails exactly")
+        closed += rep["op_norm"].lower == rep["op_norm"].upper
     return _check(
         "norm-duality",
         True,
-        f"both duality sups verified on {trials} PSD matrices, worst errors "
-        f"{worst_tr!r} and {worst_op!r} (tolerance {DUAL_TOL!r})",
+        f"both duality identities hold exactly on {trials} PSD matrices "
+        f"({closed} operator-norm brackets closed)",
     )
 
 

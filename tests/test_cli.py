@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conelogic import cli, spectral
+from conelogic import cli
 from corpus import GOLDEN
 
 ENV = os.path.join(GOLDEN, "env.json")
@@ -421,11 +421,16 @@ def test_files_that_are_not_utf8_are_bad_input(capsys, tmp_path):
 
 
 
-@pytest.mark.parametrize("entry", ["Infinity", "-Infinity", "NaN"])
+def _spectral_report(capsys, tmp_path, obj, vector):
+    path = tmp_path / "x.json"
+    path.write_text('{"schema": 1, "vector": [%s]}' % ", ".join(map(str, vector)))
+    return run(capsys, "norm", "--env", ENV, "--object", obj, "--vector", str(path))
+
+
+# JSON floats, finite or not, are refused as in an exact vector.
+@pytest.mark.parametrize("entry", ["Infinity", "-Infinity", "NaN", "0.5"])
 def test_spectral_norm_rejects_non_finite_entries(capsys, tmp_path, entry):
-    vector = tmp_path / "x.json"
-    vector.write_text('{"schema": 1, "vector": [%s, 0, 0, 1]}' % entry)
-    code, out = run(capsys, "norm", "--env", ENV, "--object", "q", "--vector", str(vector))
+    code, out = _spectral_report(capsys, tmp_path, "q", [entry, 0, 0, 1])
     assert code == 2
 
     def strict(name):
@@ -433,19 +438,17 @@ def test_spectral_norm_rejects_non_finite_entries(capsys, tmp_path, entry):
 
     report = json.loads(out, parse_constant=strict)
     assert report["schema"] == 1
-    assert report["error"]["type"] == "ConelogicError"
-    assert "not finite" in report["error"]["message"]
+    assert report["error"]["type"] == "EnvError"
+    assert "floats are not exact" in report["error"]["message"]
 
 
 def test_spectral_norm_refuses_booleans(capsys, tmp_path):
     # JSON true is not a number, as in an exact vector.
-    vector = tmp_path / "x.json"
-    vector.write_text('{"schema": 1, "vector": [true, false, false, true]}')
-    code, out = run(capsys, "norm", "--env", ENV, "--object", "q", "--vector", str(vector))
+    code, out = _spectral_report(capsys, tmp_path, "q", ["true", "false", "false", "true"])
     assert code == 2
     error = json.loads(out)["error"]
-    assert error["type"] == "ConelogicError"
-    assert "not a number" in error["message"]
+    assert error["type"] == "EnvError"
+    assert "not a rational" in error["message"]
 
 
 @pytest.mark.parametrize("obj, value", [("q", 2.0), ("q^", 1.0)])
@@ -462,18 +465,46 @@ def test_spectral_norm_report(capsys, tmp_path, obj, value):
         "command": "norm",
         "object": obj,
         "trunc": 3,
-        "vector": [1.0, 0.0, 0.0, 1.0],
-        "result": {
-            "kind": "float",
-            "provenance": "eigenvalue routine; PSD tolerance 1e-9",
-            "value": value,
-        },
+        "vector": ["1", "0", "0", "1"],
+        "result": {"kind": "exact", "value": f"{value:g}"},
     }
     assert out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
 
 
-def test_spectral_provenance_states_the_tolerance():
-    assert float(spectral.NORM_PROVENANCE.split()[-1]) == spectral.PSD_TOL
+@pytest.mark.parametrize(
+    "obj, vector, value",
+    [
+        ("q", ['"1/2"', '"0"', '"0"', '"1/2"'], "1"),
+        ("q^", ['"1/2"', '"0"', '"0"', '"1/2"'], "1/2"),
+        ("q^", ['"1"', '"1"', '"1"', '"1"'], "2"),  # closed by the singular pass
+        ("q", ['"1"', "0", "0", '"1%s"' % ("0" * 400)], str(1 + 10**400)),
+    ],
+    ids=["q-halves", "q^-halves", "q^-ones", "q-beyond-float-range"],
+)
+def test_spectral_norm_reads_exact_entries(capsys, tmp_path, obj, vector, value):
+    code, out = _spectral_report(capsys, tmp_path, obj, vector)
+    assert code == 0
+    assert json.loads(out)["result"] == {"kind": "exact", "value": value}
+
+
+def test_spectral_operator_norm_is_a_bracket(capsys, tmp_path):
+    # lambda_max of [[2, 1], [1, 3]] is (5 + sqrt 5) / 2, irrational
+    code, out = _spectral_report(capsys, tmp_path, "q^", ['"2"', '"1"', '"1"', '"3"'])
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["kind"] == "bracket"
+    lower, upper = Fraction(result["lower"]), Fraction(result["upper"])
+    assert 5 < 2 * lower and (2 * lower - 5) ** 2 < 5 < (2 * upper - 5) ** 2
+
+
+@pytest.mark.parametrize("obj", ["q", "q^"])
+def test_spectral_norm_refuses_a_matrix_that_is_not_psd(capsys, tmp_path, obj):
+    # determinant -1e-11
+    vector = ['"1"', '"1"', '"1"', '"99999999999/100000000000"']
+    code, out = _spectral_report(capsys, tmp_path, obj, vector)
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "MembershipError"
+
 
 # Random requests: formulas from grammar tokens, valid and broken env
 # documents, vectors of the interpreted dimension or of a wrong length.

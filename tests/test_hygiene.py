@@ -4,8 +4,8 @@ every name the benchmark's tracer patches still exists and the ones only
 the tracer reaches are listed, the package's global caches are exactly the
 listed ones, the bracket primitives, a morphism's integer view and the
 multiset products are named only where listed, only the listed modules
-compute with floats, only `spectral` imports numpy and no exact request
-loads it, every public function or class of the package has a caller
+compute with floats, no package module imports numpy and no request loads
+it, every public function or class of the package has a caller
 outside the tests, and `__all__` names exactly the names `__init__`
 imports. The tests' reference routes import from the package
 only the listed constructors and accessors, and no test module imports
@@ -299,8 +299,6 @@ def test_product_routes_are_listed():
 FLOAT_MODULES = [
     "jsonio",  # names float only to refuse it
     "polynomials",  # the float views eval_float and grad_float, for the tracer only
-    "spectral",  # the spectral backend's arithmetic
-    "suites",  # the float bookkeeping of the qcs checks
 ]
 FLOAT_FREE = [
     name[:-3] for _, name in SOURCES if "/" not in name and name[:-3] not in FLOAT_MODULES
@@ -324,13 +322,12 @@ def test_bracket_path_computes_no_float(module):
     assert not found, f"{module}.py: {found}"
 
 
-def test_only_spectral_imports_numpy():
+def test_no_module_imports_numpy():
     trees = _package_trees() + [("__init__.py", _parse(os.path.join(PKG, "__init__.py")))]
     found = [
         name
         for name, tree in trees
-        if name != "spectral.py"
-        and any(m.split(".")[0] == "numpy" for m in _imported_modules(tree))
+        if any(m.split(".")[0] == "numpy" for m in _imported_modules(tree))
     ]
     assert not found, f"modules importing numpy: {found}"
 
@@ -362,8 +359,9 @@ def test_exact_requests_leave_numpy_unloaded(tmp_path):
         ["norm", "--env", env, "--object", "a", "--vector", str(flat)],
         ["norm", "--env", env, "--object", "?a", "--vector", graded, "--trunc", "2"],
         ["check", "--suite", "mall", "--trials", "2"],
-        # the control: a spectral request does load it
         ["norm", "--env", env, "--object", "q", "--vector", str(square)],
+        ["norm", "--env", env, "--object", "q^", "--vector", str(square)],
+        ["check", "--suite", "qcs", "--trials", "2"],
     ]
     path = os.pathsep.join(p for p in (os.path.dirname(PKG), os.environ.get("PYTHONPATH")) if p)
     out = subprocess.run(
@@ -373,7 +371,7 @@ def test_exact_requests_leave_numpy_unloaded(tmp_path):
         text=True,
         check=True,
     ).stdout
-    assert out.split("\n")[:-1] == ["0 False"] * (len(requests) - 1) + ["0 True"]
+    assert out.split("\n")[:-1] == ["0 False"] * len(requests)
 
 
 def test_public_definitions_have_a_package_caller():
